@@ -25,7 +25,7 @@ from .geodesics import (
     integrate,
     noether_charge,
 )
-from .jetcalc import DomainError, DualScalar, grad3, second_deriv
+from .jetcalc import DomainError, DualScalar, second_deriv
 from .reduction import (
     AlphaConstant,
     BranchExit,
@@ -44,12 +44,12 @@ from .symmetries import (
     VectorField3,
     bracket_table,
     chi,
+    closed_triples,
     determining_residuals,
     general_symmetry,
     lie_bracket,
     prolong1,
     prolong2_apply,
-    subgroup_closed,
     variational_residual,
 )
 
@@ -79,6 +79,7 @@ __all__ = [
     "bracket_table",
     "canonical",
     "chi",
+    "closed_triples",
     "collapsed_E",
     "determining_residuals",
     "el_rhs",
@@ -86,7 +87,6 @@ __all__ = [
     "flow_generator_check",
     "general_symmetry",
     "global_flow",
-    "grad3",
     "great_circle",
     "infer_k",
     "integrate",
@@ -98,6 +98,5 @@ __all__ = [
     "s2_residual",
     "sample_domain",
     "second_deriv",
-    "subgroup_closed",
     "variational_residual",
 ]

@@ -122,11 +122,6 @@ class AmbientPoint4:
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.x4])
 
-    @classmethod
-    def from_array(cls, arr) -> "AmbientPoint4":
-        a = np.asarray(arr, dtype=float)
-        return cls(a[0], a[1], a[2], a[3])
-
 
 def ambient_coords(x, y, v):
     """The four embedding components; dual-capable in all three angles."""

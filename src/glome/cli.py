@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import chart, geodesics, jetcalc, reduction, symmetries
-from .suites import ConfigError, RunConfig, run_all
+from .suites import ConfigError, RunConfig, bracket_table_for, run_all
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -57,7 +57,6 @@ def _config_from(args, tol_overrides=None) -> RunConfig:
         step=args.step,
         trajectories=getattr(args, "trajectories", 50),
         tolerances=tol_overrides or {},
-        out=args.out,
     )
 
 
@@ -85,7 +84,7 @@ def cmd_verify(args) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
     report = run_all(cfg)
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
@@ -95,14 +94,12 @@ def cmd_brackets(args) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    n = max(10, cfg.samples // 20)
     try:
-        table = symmetries.bracket_table(samples=n, tol=cfg.tol("bracket_table"),
-                                         seed=cfg.seed + 17, margin=cfg.margin)
+        table = bracket_table_for(cfg)
     except symmetries.AmbiguousIdentification as err:
         print(f"identification failed: {err}", file=sys.stderr)
         return EXIT_FAIL
-    _emit(table.to_json_dict(), cfg.out)
+    _emit(table.to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -121,11 +118,13 @@ def cmd_integrate(args) -> int:
         cfg = _config_from(args)
         initial = _parse_floats(args.initial, 5, "--initial")
         j0 = chart.jet1(*initial)
+        if not math.isfinite(args.x_end):
+            raise ConfigError(f"--x-end must be finite, got {args.x_end}")
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
-    out = Path(cfg.out) if cfg.out else Path("trajectory.csv")
+    out = Path(args.out) if args.out else Path("trajectory.csv")
     sidecar_path = out.with_suffix(".json")
     status = "ok"
     detail = ""
@@ -149,11 +148,12 @@ def cmd_integrate(args) -> int:
         sidecar["noether_drift"] = traj.noether_drift()
         if status == "ok":
             sidecar["oracle_endpoint_error"] = geodesics.endpoint_error_vs_great_circle(traj)
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    text = json.dumps(sidecar, indent=2, allow_nan=False)
+    sidecar_path.write_text(text + "\n")
     if not args.json:
         print(f"wrote {out} and {sidecar_path} ({status})")
     else:
-        print(json.dumps(sidecar, indent=2))
+        print(text)
     return EXIT_OK if status == "ok" else EXIT_FAIL
 
 
@@ -164,9 +164,13 @@ def cmd_reduce(args) -> int:
     except (OSError, ValueError) as err:
         print(f"cannot read trajectory: {err}", file=sys.stderr)
         return EXIT_USAGE
-    report = reduction.reduction_report(traj)
+    try:
+        report = reduction.reduction_report(traj)
+    except geodesics.OutOfRange as err:
+        print(f"cannot reduce trajectory: {err}", file=sys.stderr)
+        return EXIT_USAGE
     _emit(report, args.out)
-    return EXIT_OK
+    return EXIT_FAIL if report["alpha_rel_dev"] is None else EXIT_OK
 
 
 def cmd_flow(args) -> int:
@@ -174,6 +178,8 @@ def cmd_flow(args) -> int:
         x, y = _parse_floats(args.point, 2, "--point")
         lam = args.lam
         chart.ChartPoint(x, y, 0.0)
+        if not math.isfinite(lam):
+            raise ConfigError(f"--lambda must be finite, got {lam}")
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -185,7 +191,7 @@ def cmd_flow(args) -> int:
     omega_residual = abs(
         reduction.omega_coordinate(X, Y) - reduction.omega_coordinate(x, y)
     )
-    tau_residual = math.nan
+    tau_residual = None
     if x != 0.0 and X != 0.0:
         tau_residual = abs(reduction.wrap_mod_pi(
             reduction.tau_coordinate(X, Y) - reduction.tau_coordinate(x, y) - lam
@@ -197,13 +203,16 @@ def cmd_flow(args) -> int:
         "omega_residual": omega_residual,
         "tau_shift_residual": tau_residual,
     }
+    if tau_residual is None:
+        payload["tau_shift_reason"] = "tau is undefined at x = 0 (point or image)"
     if args.json or args.out:
         _emit(payload, args.out)
     else:
         print(f"X = {X:.17g}")
         print(f"Y = {Y:.17g}")
         print(f"omega residual     = {omega_residual:.3e}")
-        print(f"tau shift residual = {tau_residual:.3e}")
+        tau_text = payload.get("tau_shift_reason") or f"{tau_residual:.3e}"
+        print(f"tau shift residual = {tau_text}")
     return EXIT_OK
 
 

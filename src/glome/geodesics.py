@@ -193,12 +193,15 @@ class Trajectory:
 
     Diagnostics are recomputed from the state at every sample, never
     integrated separately.  x is strictly monotone along the samples.
+    ``curvature`` holds (y_xx, v_xx) at every sample as RK4 evaluated it;
+    it is None on partial trajectories and on trajectories read from CSV.
     """
 
     samples: np.ndarray  # (n, 5): columns x, y, v, y_x, v_x
     noether: np.ndarray
     lagrangian: np.ndarray
     ambient_norm_residual: np.ndarray
+    curvature: np.ndarray | None = None  # (n, 2): columns y_xx, v_xx
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -251,6 +254,12 @@ class Trajectory:
         data = np.array(rows)
         if data.shape[1] != 8:
             raise ValueError(f"expected 8 columns, got {data.shape[1]}")
+        bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+        if bad.size:
+            raise ValueError(f"trajectory CSV row {bad[0] + 1} has a non-finite cell")
+        bad = np.flatnonzero(np.any(np.abs(data[:, :2]) >= chart.HALF_PI, axis=1))
+        if bad.size:
+            raise ValueError(f"trajectory CSV row {bad[0] + 1} lies outside the open chart")
         xs = data[:, 0]
         if len(xs) > 1 and not (np.all(np.diff(xs) > 0) or np.all(np.diff(xs) < 0)):
             raise ValueError("trajectory x column must be strictly monotone")
@@ -278,20 +287,22 @@ def _inside_margin(x: float, y: float) -> bool:
     return abs(x) <= lim and abs(y) <= lim
 
 
-def _build_trajectory(rows: list) -> Trajectory:
+def _build_trajectory(rows: list, curvature: np.ndarray | None = None) -> Trajectory:
     samples = np.array(rows)
     diag = np.array([_diagnostics(r) for r in rows])
-    return Trajectory(samples, diag[:, 0], diag[:, 1], diag[:, 2])
+    return Trajectory(samples, diag[:, 0], diag[:, 1], diag[:, 2], curvature)
 
 
 def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
     """Classic fixed-step RK4 in x for the state (y, v, y_x, v_x).
 
     The step count is chosen so the grid lands exactly on x_end (the
-    realized step never exceeds the requested magnitude).  Raises
-    DomainExit when the 0.05 rad pole margin is breached and
-    SingularSystem when the Euler-Lagrange system degenerates; both carry
-    the partial trajectory integrated so far.
+    realized step never exceeds the requested magnitude).  Each step's
+    first stage is the curvature at its sample, so the trajectory keeps
+    it; one extra evaluation covers the final sample.  Raises DomainExit
+    when the 0.05 rad pole margin is breached and SingularSystem when the
+    Euler-Lagrange system degenerates; both carry the partial trajectory
+    integrated so far.
     """
     if not 0.0 < abs(step) <= 0.01:
         raise ValueError(f"|step| must lie in (0, 0.01], got {step}")
@@ -299,24 +310,26 @@ def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
         raise DomainExit(j0.x, "initial state outside the pole margin")
 
     span = x_end - j0.x
-    rows = [np.array([j0.x, j0.y, j0.v, j0.y_x, j0.v_x])]
-    if span == 0.0:
-        return _build_trajectory(rows)
-    n = max(1, round(abs(span) / abs(step)))
-    if abs(span) / n > 0.01:
+    n = 0 if span == 0.0 else max(1, round(abs(span) / abs(step)))
+    if n and abs(span) / n > 0.01:
         n += 1
-    h = span / n
+    h = span / max(n, 1)
 
     def rhs(x, u):
         jet = chart.jet1(x, u[0], u[1], u[2], u[3])
         y_xx, v_xx = el_rhs(jet)
         return np.array([u[2], u[3], y_xx, v_xx])
 
+    rows = [np.array([j0.x, j0.y, j0.v, j0.y_x, j0.v_x])]
+    curvature = []
     u = rows[0][1:].copy()
     x = j0.x
-    for i in range(n):
+    for i in range(n + 1):
         try:
             k1 = rhs(x, u)
+            curvature.append(k1[2:])
+            if i == n:
+                break  # the final sample needs only its curvature
             k2 = rhs(x + 0.5 * h, u + 0.5 * h * k1)
             k3 = rhs(x + 0.5 * h, u + 0.5 * h * k2)
             k4 = rhs(x + h, u + h * k3)
@@ -332,7 +345,7 @@ def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
         if not _inside_margin(x, u[0]):
             raise DomainExit(x, trajectory=_build_trajectory(rows))
         rows.append(np.array([x, u[0], u[1], u[2], u[3]]))
-    return _build_trajectory(rows)
+    return _build_trajectory(rows, np.array(curvature))
 
 
 def great_circle(p, w, t: float) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "derivative",
     "second_deriv",
     "directional",
-    "grad3",
     "gradn",
     "second_partial",
 ]
@@ -250,18 +249,13 @@ def directional(f, args, direction):
     return result, 0.0
 
 
-def grad3(f, p):
-    """Gradient of a scalar function of three reals at ``p``.
+def gradn(f, args):
+    """Gradient of a scalar function of ``len(args)`` reals.
 
     Exact to machine precision for compositions of the supported
     elementary functions.  Domain failures are re-raised with the
     evaluation point attached.
     """
-    return gradn(f, p)
-
-
-def gradn(f, args):
-    """Gradient of a scalar function of ``len(args)`` reals."""
     n = len(args)
     out = []
     try:

@@ -150,19 +150,19 @@ def _branch_sign(branch) -> float:
     raise ValueError(f"branch must be '+' or '-', got {branch!r}")
 
 
-def alpha_from_sample(tau: float, omega: float, omega_prime: float, k, branch="+") -> AlphaConstant:
+def alpha_from_sample(tau: float, omega: float, omega_prime: float, k) -> AlphaConstant:
     """Invert the reduced first-order relation for alpha at one sample.
 
     With S = omega^2 cos^2 tau + sin^2 tau and R = k/omega^2 - 1:
 
-        alpha = S * (1 + R * cos^2(branch * (psi - theta)))
+        alpha = S * (1 + R * cos^2(psi - theta))
 
     where psi = arctan(omega' / (1 - omega^2)) and
-    theta = atan2(omega, tan tau).  The cos^2 makes alpha insensitive to
-    the branch sign and to mod-pi shifts of either angle; the branch
-    matters only when reproducing omega' from alpha.
+    theta = atan2(omega, tan tau).  cos^2 is even, so alpha is the same on
+    both branches of the forward relation (and under mod-pi shifts of
+    either angle): the inversion takes no branch.  The branch matters only
+    when reproducing omega' from alpha, in reduced_omega_prime.
     """
-    sgn = _branch_sign(branch)
     kv = _k_value(k)
     if not (0.0 < omega < 1.0):
         raise InversionDomain(f"omega must lie strictly inside (0, 1), got {omega}")
@@ -175,7 +175,7 @@ def alpha_from_sample(tau: float, omega: float, omega_prime: float, k, branch="+
     R = kv / (omega * omega) - 1.0
     psi = math.atan(omega_prime / (1.0 - omega * omega))
     theta = math.atan2(omega, t)
-    alpha = S * (1.0 + R * math.cos(sgn * (psi - theta)) ** 2)
+    alpha = S * (1.0 + R * math.cos(psi - theta) ** 2)
     if not math.isfinite(alpha):
         raise InversionDomain("alpha evaluated non-finite")
     return AlphaConstant(alpha)
@@ -227,7 +227,7 @@ OMEGA_GUARD = 1e-4
 TAU_GUARD = 1e-6
 
 
-def alpha_series(traj: Trajectory, k, branch="+") -> tuple[np.ndarray, int]:
+def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, int]:
     """alpha at every admissible trajectory sample, plus the excluded count."""
     alphas = []
     excluded = 0
@@ -240,7 +240,7 @@ def alpha_series(traj: Trajectory, k, branch="+") -> tuple[np.ndarray, int]:
             if abs(math.tan(pair.tau)) < TAU_GUARD:
                 raise InversionDomain("tau too close to a multiple of pi")
             w_prime = omega_prime(j)
-            alphas.append(float(alpha_from_sample(pair.tau, pair.omega, w_prime, k, branch)))
+            alphas.append(float(alpha_from_sample(pair.tau, pair.omega, w_prime, k)))
         except (InversionDomain, jetcalc.DomainError):
             excluded += 1
     return np.array(alphas), excluded
@@ -249,30 +249,23 @@ def alpha_series(traj: Trajectory, k, branch="+") -> tuple[np.ndarray, int]:
 def reduction_report(traj: Trajectory, k=None) -> dict:
     """Map a trajectory through the reduction and test alpha-constancy.
 
-    The branch is selected per trajectory by smaller relative alpha
-    deviation ('+' on ties).  Returns the JSON-ready report dict.
+    alpha is branch-insensitive, so one series is computed per trajectory
+    and the reported branch is always '+'.  Returns the JSON-ready report;
+    with no admissible sample, alpha_mean and alpha_rel_dev are None and
+    alpha_reason says why.
     """
     if k is None:
         c = float(traj.noether[0])
         k = KConstant(c * c)
     kv = _k_value(k)
-    best = None
-    for branch in ("+", "-"):
-        alphas, excluded = alpha_series(traj, kv, branch)
-        if len(alphas) == 0:
-            dev = math.inf
-            mean = math.nan
-        else:
-            mean = float(np.mean(alphas))
-            scale = abs(mean) if mean != 0.0 else 1.0
-            dev = float((np.max(alphas) - np.min(alphas)) / scale)
-        if best is None or dev < best["alpha_rel_dev"]:
-            best = {
-                "k": kv,
-                "branch": branch,
-                "alpha_mean": mean,
-                "alpha_rel_dev": dev,
-                "samples": int(len(alphas)),
-                "excluded_rows": int(excluded),
-            }
-    return best
+    alphas, excluded = alpha_series(traj, kv)
+    report = {"k": kv, "branch": "+", "alpha_mean": None, "alpha_rel_dev": None,
+              "samples": int(len(alphas)), "excluded_rows": int(excluded)}
+    if len(alphas) == 0:
+        report["alpha_reason"] = f"no admissible sample: all {excluded} rows excluded"
+    else:
+        mean = float(np.mean(alphas))
+        scale = abs(mean) if mean != 0.0 else 1.0
+        report["alpha_mean"] = mean
+        report["alpha_rel_dev"] = float((np.max(alphas) - np.min(alphas)) / scale)
+    return report

@@ -13,7 +13,6 @@ All suites are deterministic given the configuration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,7 +52,7 @@ REFERENCE_TABLE = (
     ("-chi2", "+chi1", "zero", "-chi5", "+chi4", "zero"),
 )
 
-CLOSED_TRIPLES = ((1, 2, 6), (1, 3, 4), (2, 3, 5), (4, 5, 6))
+CLOSED_TRIPLES = tuple(symmetries.closed_triples(REFERENCE_TABLE))
 
 TRAJECTORY_SPAN = 0.8  # rad; keeps randomly-slanted geodesics clear of turning points
 LONG_RUN_STEP = 2.5e-4  # the widest admissible x-interval divided by 1e4 steps
@@ -73,7 +72,6 @@ class RunConfig:
     step: float = 1e-3
     trajectories: int = 50
     tolerances: dict = field(default_factory=dict)
-    out: str | None = None
 
     def __post_init__(self):
         if self.samples < 1:
@@ -104,13 +102,17 @@ class CheckResult:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
+        """JSON-ready form; a non-finite residual becomes null with an error."""
+        residual = float(self.max_residual)
         out = {
             "name": self.name,
             "passed": bool(self.passed),
-            "max_residual": float(self.max_residual),
+            "max_residual": residual if math.isfinite(residual) else None,
             "tolerance": float(self.tolerance),
         }
         out.update(self.extra)
+        if out["max_residual"] is None:
+            out.setdefault("error", f"max_residual evaluated to {residual}")
         return out
 
 
@@ -144,12 +146,20 @@ def suite_variational(cfg: RunConfig) -> list[CheckResult]:
     return [_result(cfg, "variational_criterion", worst)]
 
 
+def bracket_table_for(cfg: RunConfig) -> symmetries.BracketTable:
+    """The bracket table a configuration identifies: max(10, samples // 20)
+    points drawn with seed + 17 inside the configured margin, at the
+    bracket_table tolerance.  Raises AmbiguousIdentification."""
+    return symmetries.bracket_table(samples=max(10, cfg.samples // 20),
+                                    tol=cfg.tol("bracket_table"),
+                                    seed=cfg.seed + 17, margin=cfg.margin)
+
+
 def suite_bracket_table(cfg: RunConfig) -> list[CheckResult]:
     """Identify all 36 brackets and compare against the reference table."""
-    n = max(10, cfg.samples // 20)
     tol = cfg.tol("bracket_table")
     try:
-        table = symmetries.bracket_table(samples=n, tol=tol, seed=cfg.seed + 17, margin=cfg.margin)
+        table = bracket_table_for(cfg)
     except symmetries.AmbiguousIdentification as err:
         return [
             CheckResult(
@@ -168,26 +178,18 @@ def suite_bracket_table(cfg: RunConfig) -> list[CheckResult]:
 
 
 def suite_subgroups(cfg: RunConfig) -> list[CheckResult]:
-    """Exactly the four reference triples close; all other triples fail."""
-    n = max(10, cfg.samples // 20)
+    """Exactly the four reference triples close; all other triples fail.
+    Closure is read off the table that suite_bracket_table identifies."""
     tol = cfg.tol("subgroup_closure")
-    closed = []
     try:
-        for triple in itertools.combinations(range(1, 7), 3):
-            if symmetries.subgroup_closed(triple, samples=n, tol=tol, seed=cfg.seed + 17,
-                                          margin=cfg.margin):
-                closed.append(list(triple))
+        grid = bracket_table_for(cfg).identified_grid()
     except symmetries.AmbiguousIdentification as err:
-        return [
-            CheckResult("subgroup_closure", False, math.inf, tol, {"error": str(err)})
-        ]
+        return [CheckResult("subgroup_closure", False, math.inf, tol, {"error": str(err)})]
+    closed = [list(t) for t in symmetries.closed_triples(grid)]
     expected = [list(t) for t in CLOSED_TRIPLES]
-    passed = closed == expected
     return [
-        CheckResult(
-            "subgroup_closure", passed, 0.0 if passed else math.inf, tol,
-            {"closed_triples": closed, "expected_triples": expected},
-        )
+        _result(cfg, "subgroup_closure", 0.0 if closed == expected else math.inf,
+                closed_triples=closed, expected_triples=expected)
     ]
 
 
@@ -338,11 +340,14 @@ def suite_oracle(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
     return [_result(cfg, "oracle_endpoint", worst)]
 
 
+def _jets_and_y_xx(traj: geodesics.Trajectory):
+    """Each sample's jet with the y_xx that RK4 evaluated there."""
+    return zip((traj.jet(i) for i in range(len(traj))), traj.curvature[:, 0].tolist())
+
+
 def _collapsed_along(traj: geodesics.Trajectory, k_value: float) -> float:
     worst = 0.0
-    for i in range(len(traj)):
-        j = traj.jet(i)
-        y_xx, _ = geodesics.el_rhs(j)
+    for j, y_xx in _jets_and_y_xx(traj):
         worst = max(worst, abs(geodesics.collapsed_E(j.x, j.y, j.y_x, y_xx, k_value)))
     return worst
 
@@ -351,13 +356,12 @@ def grid_search_k(traj: geodesics.Trajectory, spacing: float = 1e-4) -> float:
     """Brute-force oracle: the k on a uniform grid minimizing max |E|.
 
     E is linear in k, so the per-sample values at k = 0 and k = 1 determine
-    the whole grid sweep.
+    the whole grid sweep.  Reads the curvatures an integrated trajectory
+    keeps.
     """
     e0 = []
     e1 = []
-    for i in range(len(traj)):
-        j = traj.jet(i)
-        y_xx, _ = geodesics.el_rhs(j)
+    for j, y_xx in _jets_and_y_xx(traj):
         a = geodesics.collapsed_E(j.x, j.y, j.y_x, y_xx, 0.0)
         b = geodesics.collapsed_E(j.x, j.y, j.y_x, y_xx, 1.0)
         e0.append(a)
@@ -378,8 +382,8 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
     for idx, traj in enumerate(batch.trajectories):
         k = geodesics.infer_k(traj.jet(0))
         worst_E = max(worst_E, _collapsed_along(traj, float(k)))
-        report = reduction.reduction_report(traj, k)
-        worst_alpha = max(worst_alpha, report["alpha_rel_dev"])
+        dev = reduction.reduction_report(traj, k)["alpha_rel_dev"]
+        worst_alpha = max(worst_alpha, math.inf if dev is None else dev)
         if idx < 5:  # the oracle sweep is heavy; five trajectories pin the closed form
             worst_k_gap = max(worst_k_gap, abs(grid_search_k(traj) - float(k)))
 
@@ -387,9 +391,7 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
     worst_s2 = 0.0
     for traj in batch.planar:
         worst_vx = max(worst_vx, float(np.max(np.abs(traj.samples[:, 4]))))
-        for i in range(len(traj)):
-            j = traj.jet(i)
-            y_xx, _ = geodesics.el_rhs(j)
+        for j, y_xx in _jets_and_y_xx(traj):
             worst_s2 = max(worst_s2, abs(reduction.s2_residual(j.x, j.y, j.y_x, y_xx)))
     return [
         _result(cfg, "collapsed_equation", worst_E),

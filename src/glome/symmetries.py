@@ -3,7 +3,8 @@
 Provides the six generators chi_1..chi_6, first and second prolongations,
 the variational-symmetry residual, the six determining-equation residuals,
 Lie brackets, and numeric identification of brackets against the candidate
-set {0, +/-chi_k} (the bracket table and its closed 3-generator subsets).
+set {0, +/-chi_k} (the bracket table), with the closed 3-generator subsets
+read off the identified table.
 
 Vector-field coefficients are stored as evaluable functions, not
 expression trees: every downstream use is a pointwise evaluation with
@@ -12,6 +13,7 @@ dual numbers from :mod:`glome.jetcalc`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import chart, jetcalc
 from .chart import Jet1, Jet2, ChartPoint
-from .jetcalc import cos, sin, tan, sec, directional, grad3
+from .jetcalc import cos, sin, tan, sec, directional, gradn
 
 Coefficient = Callable[[object, object, object], object]
 
@@ -191,9 +193,9 @@ def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
     only first partials of the coefficients appear.
     """
     p = (x, y, v)
-    xi_x, xi_y, xi_v = grad3(V.xi, p)
-    phi_x, phi_y, phi_v = grad3(V.phi, p)
-    eta_x, eta_y, eta_v = grad3(V.eta, p)
+    xi_x, xi_y, xi_v = gradn(V.xi, p)
+    phi_x, phi_y, phi_v = gradn(V.phi, p)
+    eta_x, eta_y, eta_v = gradn(V.eta, p)
     xi_val = V.xi(x, y, v)
     phi_val = V.phi(x, y, v)
     eta_val = V.eta(x, y, v)
@@ -240,9 +242,9 @@ def determining_residuals(V: VectorField3, p: ChartPoint):
     """
     x, y, v = p.x, p.y, p.v
     point = (x, y, v)
-    xi_x, xi_y, xi_v = grad3(V.xi, point)
-    phi_x, phi_y, phi_v = grad3(V.phi, point)
-    eta_x, eta_y, eta_v = grad3(V.eta, point)
+    xi_x, xi_y, xi_v = gradn(V.xi, point)
+    phi_x, phi_y, phi_v = gradn(V.phi, point)
+    eta_x, eta_y, eta_v = gradn(V.eta, point)
     xi_val, phi_val, _ = V.coefficients(x, y, v)
     cx, sx = cos(x), sin(x)
     cy, sy = cos(y), sin(y)
@@ -269,8 +271,8 @@ def lie_bracket(X: VectorField3, Y: VectorField3) -> VectorField3:
             p = (x, y, v)
             Xc = X.coefficients(x, y, v)
             Yc = Y.coefficients(x, y, v)
-            dY = grad3(get(Y), p)
-            dX = grad3(get(X), p)
+            dY = gradn(get(Y), p)
+            dX = gradn(get(X), p)
             total = 0.0
             for Xj, Yj, dYj, dXj in zip(Xc, Yc, dY, dX):
                 total = total + Xj * dYj - Yj * dXj
@@ -354,28 +356,19 @@ def bracket_table(
     return BracketTable(tuple(rows))
 
 
-def subgroup_closed(
-    indices: Iterable[int],
-    samples: int = 50,
-    tol: float = 1e-8,
-    seed: int = 7,
-    margin: float = chart.DEFAULT_MARGIN,
-) -> bool:
-    """True iff the three listed generators close under the bracket.
+def closed_triples(grid: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
+    """The generator triples (1-based, ascending) that close under the bracket.
 
-    Every pairwise bracket must identify as 0 or +/-chi_k with k in the set.
+    ``grid[i][j]`` is the identified label of [chi_{i+1}, chi_{j+1}], as in
+    :meth:`BracketTable.identified_grid`.  A triple closes when each of its
+    three pairwise brackets is "zero" or +/-chi_k with k in the triple.
     """
-    idx = sorted(set(int(i) for i in indices))
-    if len(idx) != 3 or not all(1 <= i <= 6 for i in idx):
-        raise ValueError(f"expected a set of 3 indices from 1..6, got {indices!r}")
-    points = chart.sample_domain(samples, margin, seed)
-    allowed = {"zero"} | {f"{s}chi{k}" for k in idx for s in "+-"}
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            entry = identify_field(lie_bracket(chi(idx[a]), chi(idx[b])), points, tol)
-            if entry.identified not in allowed:
-                return False
-    return True
+    closed = []
+    for triple in itertools.combinations(range(1, 7), 3):
+        allowed = {"zero"} | {f"{s}chi{k}" for k in triple for s in "+-"}
+        if all(grid[a - 1][b - 1] in allowed for a, b in itertools.combinations(triple, 2)):
+            closed.append(triple)
+    return closed
 
 
 def prolong2_apply(V: VectorField3, F, j: Jet2) -> float:

@@ -22,8 +22,20 @@ REFERENCE_TABLE = [
 ]
 
 
+CSV_HEADER = "x,y,v,y_x,v_x,noether_c,lagrangian,ambient_norm_residual"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def loads_strict(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    return loads_strict(path.read_text())
 
 
 def test_verify_passes_and_reproduces_table(tmp_path):
@@ -144,7 +156,7 @@ def test_reduce_pipeline(tmp_path):
     assert main(["reduce", str(csv_path), "--out", str(out)]) == 0
     report = read_json(out)
     assert report["alpha_rel_dev"] < 1e-5
-    assert report["branch"] in ("+", "-")
+    assert report["branch"] == "+"
     assert report["samples"] + report["excluded_rows"] == 801
 
 
@@ -163,6 +175,42 @@ def test_reduce_empty_csv_is_usage_error(tmp_path):
     assert main(["reduce", str(empty)]) == 2
     missing = tmp_path / "missing.csv"
     assert main(["reduce", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("rows", [
+    ["0.1,0.1,0,0.2,0.3,2,1,0", "0.2,0.1,0,0.2,0.3,2,1,0"],
+    ["0.1,0.1,0,0.2,0.3,0.2,1,0", "0.2,nan,0,0.2,0.3,0.2,1,0"],
+    ["0.1,0.1,0,0.2,0.3,0.2,1,0", "2.0,0.1,0,0.2,0.3,0.2,1,0"],
+], ids=["noether_c_2_gives_k_4", "nan_cell", "x_outside_chart"])
+def test_reduce_bad_input_is_usage_error(tmp_path, capsys, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    assert main(["reduce", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_reduce_without_admissible_row_emits_null_and_fails(tmp_path):
+    path = tmp_path / "axis.csv"  # x = 0: canonical coordinates undefined
+    path.write_text(CSV_HEADER + "\n0,0.1,0,0.2,0.3,0.2,1,0\n")
+    out = tmp_path / "reduction.json"
+    assert main(["reduce", str(path), "--out", str(out)]) == 1
+    report = read_json(out)
+    assert report["alpha_mean"] is None and report["alpha_rel_dev"] is None
+    assert report["samples"] == 0 and report["excluded_rows"] == 1
+    assert "alpha_reason" in report
+
+
+def test_flow_on_axis_emits_null_tau_shift(capsys):
+    assert main(["flow", "--point", "0,0.3", "--lambda", "0.2", "--json"]) == 0
+    payload = loads_strict(capsys.readouterr().out)
+    assert payload["tau_shift_residual"] is None
+    assert "tau_shift_reason" in payload
+    assert payload["omega_residual"] < 1e-12
+
+
+def test_non_finite_numbers_are_usage_errors():
+    assert main(["flow", "--point", "0.5,0.3", "--lambda", "inf"]) == 2
+    assert main(["integrate", "--initial", "0,0,0,0,0", "--x-end", "nan"]) == 2
 
 
 def test_flow_json(tmp_path):
@@ -199,5 +247,5 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+    payload = loads_strict(proc.stdout)
     assert payload["point"] == [0.4, 0.2]

@@ -268,8 +268,18 @@ def test_integrate_domain_exit_carries_partial_trajectory():
         geo.integrate(j0, 1.55, 1e-3)
     exc = err.value
     assert exc.trajectory is not None and len(exc.trajectory) > 1
+    assert exc.trajectory.curvature is None
     assert exc.x <= 1.55
     assert abs(exc.x) > math.pi / 2 - 0.05 - 1e-9
+
+
+def test_integrate_keeps_rk4_curvature_bitwise(standard_trajectory):
+    backward = geo.integrate(chart.jet1(0.3, 0.2, 0.4, -0.3, 0.5), -0.5, 1e-3)
+    single = geo.integrate(chart.jet1(0.3, 0.2, 0.4, -0.3, 0.5), 0.3, 1e-3)
+    for traj in (standard_trajectory, backward, single):
+        assert traj.curvature.shape == (len(traj), 2)
+        for i in range(len(traj)):
+            assert tuple(traj.curvature[i]) == geo.el_rhs(traj.jet(i))
 
 
 def test_integrate_initial_state_outside_margin():
@@ -332,6 +342,7 @@ def test_trajectory_csv_round_trip(tmp_path, standard_trajectory):
     assert np.array_equal(loaded.samples, standard_trajectory.samples)
     assert np.array_equal(loaded.noether, standard_trajectory.noether)
     assert np.array_equal(loaded.lagrangian, standard_trajectory.lagrangian)
+    assert loaded.curvature is None  # not part of the CSV form
     first = path.read_text().splitlines()
     assert first[0] == "x,y,v,y_x,v_x,noether_c,lagrangian,ambient_norm_residual"
 

@@ -15,11 +15,11 @@ def second_diff(f, x, h=1e-4):
 
 
 def test_grad3_product_rule_exact():
-    assert jc.grad3(lambda x, y, v: x * y, (2.0, 3.0, 0.0)) == (3.0, 2.0, 0.0)
+    assert jc.gradn(lambda x, y, v: x * y, (2.0, 3.0, 0.0)) == (3.0, 2.0, 0.0)
 
 
 def test_grad3_sin_at_zero():
-    g = jc.grad3(lambda x, y, v: jc.sin(x), (0.0, 0.7, 2.0))
+    g = jc.gradn(lambda x, y, v: jc.sin(x), (0.0, 0.7, 2.0))
     assert g == (1.0, 0.0, 0.0)
 
 
@@ -27,7 +27,7 @@ def test_grad3_matches_finite_differences():
     def f(x, y, v):
         return jc.cos(x) * jc.cos(y)
 
-    gx, gy, gv = jc.grad3(f, (0.4, 0.7, 0.0))
+    gx, gy, gv = jc.gradn(f, (0.4, 0.7, 0.0))
     fd_x = central_diff(lambda t: math.cos(t) * math.cos(0.7), 0.4)
     fd_y = central_diff(lambda t: math.cos(0.4) * math.cos(t), 0.7)
     assert abs(gx - fd_x) < 1e-8
@@ -124,7 +124,7 @@ def test_grad3_against_expanded_polynomial_gradients():
     for _ in range(1000):
         poly, grad = _random_polynomial(rng)
         p = tuple(rng.uniform(-1.0, 1.0, 3))
-        got = jc.grad3(poly, p)
+        got = jc.gradn(poly, p)
         want = grad(*p)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
@@ -143,8 +143,8 @@ def test_chain_rule():
         p = tuple(rng.uniform(-1.2, 1.2, 3))
         u = g(*p)
         fprime = math.cos(u) + 2.0 * u
-        grad_g = jc.grad3(g, p)
-        got = jc.grad3(f_of_g, p)
+        grad_g = jc.gradn(g, p)
+        got = jc.gradn(f_of_g, p)
         for gi, gg in zip(got, grad_g):
             want = fprime * gg
             assert abs(gi - want) <= 1e-12 * (1.0 + abs(want))
@@ -197,7 +197,7 @@ def test_division_by_zero_raises():
 
 def test_grad3_domain_error_reports_point():
     with pytest.raises(jc.DomainError) as err:
-        jc.grad3(lambda x, y, v: jc.tan(x), (math.pi / 2, 0.1, 0.2))
+        jc.gradn(lambda x, y, v: jc.tan(x), (math.pi / 2, 0.1, 0.2))
     assert "tan" in str(err.value)
     assert "evaluation point" in str(err.value)
 

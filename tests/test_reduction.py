@@ -131,7 +131,7 @@ def test_omega_prime_matches_finite_differences():
 def test_omega_prime_stationary_tau_raises():
     # pick a jet with tau_x + tau_y y_x = 0
     x, y = 0.6, 0.4
-    g = jc.grad3(lambda a, b, c: red.tau_coordinate(a, b), (x, y, 0.0))
+    g = jc.gradn(lambda a, b, c: red.tau_coordinate(a, b), (x, y, 0.0))
     y_x = -g[0] / g[1]
     with pytest.raises(red.InversionDomain):
         red.omega_prime(chart.jet1(x, y, 0.0, y_x, 0.0))
@@ -158,7 +158,7 @@ def test_alpha_round_trip_reproduces_omega_prime():
         k = float(rng.uniform(0.0, 1.0))
         if abs(math.tan(tau)) < 1e-3:
             continue
-        alpha = red.alpha_from_sample(tau, omega, w_prime, k, "+")
+        alpha = red.alpha_from_sample(tau, omega, w_prime, k)
         reproduced = [
             red.reduced_omega_prime(tau, omega, alpha, k, branch)
             for branch in ("+", "-")
@@ -168,10 +168,12 @@ def test_alpha_round_trip_reproduces_omega_prime():
 
 
 def test_alpha_branch_symmetry():
-    # the inversion is insensitive to the branch sign (cos^2 of an odd flip)
-    a_plus = red.alpha_from_sample(0.8, 0.6, 1.3, 0.4, "+")
-    a_minus = red.alpha_from_sample(0.8, 0.6, 1.3, 0.4, "-")
-    assert float(a_plus) == float(a_minus)
+    # the inversion takes no branch: omega' from either branch of the
+    # forward relation inverts to the same alpha (cos^2 of an odd flip)
+    alpha = float(red.alpha_from_sample(0.8, 0.6, 1.3, 0.4))
+    for branch in ("+", "-"):
+        w_prime = red.reduced_omega_prime(0.8, 0.6, alpha, 0.4, branch)
+        assert abs(float(red.alpha_from_sample(0.8, 0.6, w_prime, 0.4)) - alpha) < 1e-12
 
 
 def test_alpha_domain_errors():
@@ -184,7 +186,7 @@ def test_alpha_domain_errors():
     with pytest.raises(red.InversionDomain):
         red.alpha_from_sample(0.8, 0.5, math.inf, 0.3)
     with pytest.raises(ValueError):
-        red.alpha_from_sample(0.8, 0.5, 0.5, 0.3, branch="x")
+        red.reduced_omega_prime(0.8, 0.5, 0.3, 0.3, branch="x")
 
 
 def test_reduced_omega_prime_rejects_bad_arccos_argument():
@@ -197,7 +199,7 @@ def test_reduced_omega_prime_rejects_bad_arccos_argument():
 
 def test_alpha_constant_along_geodesic(standard_trajectory):
     k = geo.infer_k(standard_trajectory.jet(0))
-    alphas, excluded = red.alpha_series(standard_trajectory, float(k), "+")
+    alphas, excluded = red.alpha_series(standard_trajectory, float(k))
     assert len(alphas) > 700
     rel_dev = (alphas.max() - alphas.min()) / abs(alphas.mean())
     assert rel_dev < 1e-5
@@ -208,7 +210,7 @@ def test_reduction_report_structure(standard_trajectory):
     report = red.reduction_report(standard_trajectory)
     assert set(report) == {"k", "branch", "alpha_mean", "alpha_rel_dev",
                            "samples", "excluded_rows"}
-    assert report["branch"] in ("+", "-")
+    assert report["branch"] == "+"
     assert report["alpha_rel_dev"] < 1e-5
     assert report["samples"] > 0
 

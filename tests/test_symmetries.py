@@ -7,6 +7,7 @@ import pytest
 from glome import chart, geodesics
 from glome import jetcalc as jc
 from glome import symmetries as sym
+from glome.suites import CLOSED_TRIPLES
 
 REFERENCE_TABLE = [
     ["zero", "-chi6", "-chi4", "+chi3", "zero", "+chi2"],
@@ -274,27 +275,26 @@ def test_identify_rejects_scaled_candidate():
 
 # ---------------------------------------------------------------- subgroups
 
+PAPER_TRIPLES = [(1, 2, 6), (1, 3, 4), (2, 3, 5), (4, 5, 6)]
+
+
 def test_listed_subgroups_close():
-    for triple in ((1, 2, 6), (1, 3, 4), (4, 5, 6), (2, 3, 5)):
-        assert sym.subgroup_closed(triple)
+    # closure is read off the reference table; the paper lists four triples
+    assert sym.closed_triples(REFERENCE_TABLE) == PAPER_TRIPLES
+    assert [tuple(t) for t in CLOSED_TRIPLES] == PAPER_TRIPLES
 
 
 def test_counterexample_subgroup_fails():
-    assert not sym.subgroup_closed((1, 2, 3))
+    assert (1, 2, 3) not in sym.closed_triples(REFERENCE_TABLE)
+    # one bracket leaving its triple breaks that triple's closure only
+    grid = [list(row) for row in REFERENCE_TABLE]
+    grid[0][1] = "+chi3"  # [chi1, chi2] outside {1, 2, 6}
+    assert sym.closed_triples(grid) == PAPER_TRIPLES[1:]
 
 
 def test_exactly_four_triples_close():
-    closed = [
-        t for t in itertools.combinations(range(1, 7), 3) if sym.subgroup_closed(t)
-    ]
-    assert closed == [(1, 2, 6), (1, 3, 4), (2, 3, 5), (4, 5, 6)]
-
-
-def test_subgroup_closed_validates_indices():
-    with pytest.raises(ValueError):
-        sym.subgroup_closed((1, 2))
-    with pytest.raises(ValueError):
-        sym.subgroup_closed((1, 2, 9))
+    grid = sym.bracket_table(samples=50, seed=7).identified_grid()
+    assert sym.closed_triples(grid) == PAPER_TRIPLES
 
 
 # ------------------------------------------------------ second prolongation
