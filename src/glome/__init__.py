@@ -11,7 +11,7 @@ Submodules:
 - :mod:`glome.cli`: the `glome` command-line entry point
 """
 
-from .chart import AmbientPoint4, ChartPoint, Jet1, Jet2, embed, lagrangian, sample_domain
+from .chart import ChartPoint, Jet1, Jet2, embed, lagrangian, sample_domain
 from .geodesics import (
     DomainExit,
     KConstant,
@@ -27,7 +27,6 @@ from .geodesics import (
 )
 from .jetcalc import DomainError, DualScalar, second_deriv
 from .reduction import (
-    AlphaConstant,
     BranchExit,
     CanonicalPair,
     InversionDomain,
@@ -56,8 +55,6 @@ from .symmetries import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaConstant",
-    "AmbientPoint4",
     "AmbiguousIdentification",
     "BracketTable",
     "BranchExit",

@@ -25,6 +25,10 @@ HALF_PI = math.pi / 2.0
 DEFAULT_MARGIN = 0.1  # rad; keeps |tan x|, |sec y| below ~15 when sampling
 
 
+class ChartError(ValueError):
+    """A chart point or jet fails validation (non-finite or off the open chart)."""
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     """A point of the open chart: |x| < pi/2, |y| < pi/2, v any real."""
@@ -36,9 +40,9 @@ class ChartPoint:
     def __post_init__(self):
         for name in ("x", "y", "v"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"ChartPoint.{name} must be finite")
+                raise ChartError(f"ChartPoint.{name} must be finite")
         if abs(self.x) >= HALF_PI or abs(self.y) >= HALF_PI:
-            raise ValueError(
+            raise ChartError(
                 f"ChartPoint ({self.x}, {self.y}) outside the open chart domain"
             )
 
@@ -53,7 +57,7 @@ class Jet1:
 
     def __post_init__(self):
         if not (math.isfinite(self.y_x) and math.isfinite(self.v_x)):
-            raise ValueError("Jet1 slopes must be finite")
+            raise ChartError("Jet1 slopes must be finite")
 
     @property
     def x(self) -> float:
@@ -78,7 +82,7 @@ class Jet2:
 
     def __post_init__(self):
         if not (math.isfinite(self.y_xx) and math.isfinite(self.v_xx)):
-            raise ValueError("Jet2 curvatures must be finite")
+            raise ChartError("Jet2 curvatures must be finite")
 
     @property
     def x(self) -> float:
@@ -110,19 +114,6 @@ def jet2(x, y, v, y_x, v_x, y_xx, v_xx) -> Jet2:
     return Jet2(jet1(x, y, v, y_x, v_x), y_xx, v_xx)
 
 
-@dataclass(frozen=True)
-class AmbientPoint4:
-    """A point of Euclidean 4-space (unit norm when produced by embed)."""
-
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3, self.x4])
-
-
 def ambient_coords(x, y, v):
     """The four embedding components; dual-capable in all three angles."""
     cx, sx = jetcalc.cos(x), jetcalc.sin(x)
@@ -131,9 +122,9 @@ def ambient_coords(x, y, v):
     return (cx * cy * cv, cx * cy * sv, cx * sy, sx)
 
 
-def embed(p: ChartPoint) -> AmbientPoint4:
-    """Embed a chart point; output has unit norm (a trig identity)."""
-    return AmbientPoint4(*ambient_coords(p.x, p.y, p.v))
+def embed(p: ChartPoint) -> np.ndarray:
+    """Embed a chart point as a (4,) array; it has unit norm (a trig identity)."""
+    return np.array(ambient_coords(p.x, p.y, p.v))
 
 
 def arc_speed(x, y, y_x, v_x):

@@ -21,24 +21,24 @@ import sys
 from pathlib import Path
 
 from . import chart, geodesics, jetcalc, reduction, symmetries
-from .suites import ConfigError, RunConfig, bracket_table_for, run_all
+from .suites import DEFAULT_TOLERANCES, ConfigError, RunConfig, bracket_table_for, run_all
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--samples", type=int, default=1000,
                         help="sample-count knob; 1000 reproduces the standard counts")
     parser.add_argument("--margin", type=float, default=chart.DEFAULT_MARGIN,
                         help="chart sampling margin in radians (default 0.1)")
+
+
+def _add_step(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--step", type=float, default=1e-3,
                         help="RK4 step in x, at most 0.01 (default 1e-3)")
-    parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output on stdout")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -49,19 +49,11 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _config_from(args, tol_overrides=None) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        margin=args.margin,
-        step=args.step,
-        trajectories=getattr(args, "trajectories", 50),
-        tolerances=tol_overrides or {},
-    )
-
-
 def _parse_tolerances(args) -> dict:
+    """--tol-all sets every tolerance; each --tol NAME=VALUE then overrides one."""
     overrides = {}
+    if args.tol_all is not None:
+        overrides = dict.fromkeys(DEFAULT_TOLERANCES, args.tol_all)
     for item in args.tol or []:
         if "=" not in item:
             raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
@@ -70,16 +62,14 @@ def _parse_tolerances(args) -> dict:
             overrides[name.strip()] = float(value)
         except ValueError:
             raise ConfigError(f"--tol value is not a number: {item!r}") from None
-    if args.tol_all is not None:
-        from .suites import DEFAULT_TOLERANCES
-
-        overrides = {name: args.tol_all for name in DEFAULT_TOLERANCES}
     return overrides
 
 
 def cmd_verify(args) -> int:
     try:
-        cfg = _config_from(args, _parse_tolerances(args))
+        cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin,
+                        step=args.step, trajectories=args.trajectories,
+                        tolerances=_parse_tolerances(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -90,7 +80,7 @@ def cmd_verify(args) -> int:
 
 def cmd_brackets(args) -> int:
     try:
-        cfg = _config_from(args)
+        cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -115,7 +105,8 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 
 def cmd_integrate(args) -> int:
     try:
-        cfg = _config_from(args)
+        if not 0.0 < args.step <= 0.01:
+            raise ConfigError(f"--step must lie in (0, 0.01], got {args.step}")
         initial = _parse_floats(args.initial, 5, "--initial")
         j0 = chart.jet1(*initial)
         if not math.isfinite(args.x_end):
@@ -130,14 +121,14 @@ def cmd_integrate(args) -> int:
     detail = ""
     traj = None
     try:
-        traj = geodesics.integrate(j0, args.x_end, cfg.step)
+        traj = geodesics.integrate(j0, args.x_end, args.step)
     except geodesics.DomainExit as err:
         status, detail, traj = "DomainExit", str(err), err.trajectory
     except geodesics.SingularSystem as err:
         status, detail, traj = "SingularSystem", str(err), err.trajectory
 
     sidecar = {"status": status, "initial": initial, "x_end": args.x_end,
-               "step": cfg.step}
+               "step": args.step}
     if detail:
         sidecar["detail"] = detail
     if traj is not None and len(traj) > 0:
@@ -225,30 +216,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run all verification suites")
-    _add_common(p_verify)
+    _add_sampling(p_verify)
+    _add_step(p_verify)
     p_verify.add_argument("--trajectories", type=int, default=50,
                           help="geodesics per dynamics suite (default 50)")
     p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
                           help="override one tolerance (repeatable)")
     p_verify.add_argument("--tol-all", type=float, default=None,
-                          help="override every tolerance with one value")
+                          help="override every tolerance with one value "
+                               "(--tol entries apply on top)")
+    p_verify.add_argument("--out", type=str, default=None, help="report path")
     p_verify.set_defaults(func=cmd_verify)
 
     p_br = sub.add_parser("brackets", help="emit the identified bracket table")
-    _add_common(p_br)
+    _add_sampling(p_br)
+    p_br.add_argument("--out", type=str, default=None, help="table path")
     p_br.set_defaults(func=cmd_brackets)
 
     p_int = sub.add_parser("integrate", help="integrate one geodesic to CSV")
-    _add_common(p_int)
     p_int.add_argument("--initial", required=True,
                        help="x,y,v,y_x,v_x of the initial state")
     p_int.add_argument("--x-end", type=float, required=True, dest="x_end")
+    _add_step(p_int)
+    p_int.add_argument("--out", type=str, default=None,
+                       help="CSV path (default trajectory.csv); the sidecar takes .json")
+    p_int.add_argument("--json", action="store_true", help="print the sidecar on stdout")
     p_int.set_defaults(func=cmd_integrate)
 
     p_red = sub.add_parser("reduce", help="reduction report for a trajectory CSV")
     p_red.add_argument("trajectory", help="path to a trajectory CSV")
     p_red.add_argument("--out", type=str, default=None)
-    p_red.add_argument("--json", action="store_true")
     p_red.set_defaults(func=cmd_reduce)
 
     p_flow = sub.add_parser("flow", help="evaluate the closed-form orbit")

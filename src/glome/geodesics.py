@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,10 @@ POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus
 DET_FLOOR = 1e-12  # coefficient-matrix determinants below this are singular
 
 CSV_HEADER = ["x", "y", "v", "y_x", "v_x", "noether_c", "lagrangian", "ambient_norm_residual"]
+# Relative bound on a stored diagnostic column against its value recomputed
+# from the state on load: to_csv round-trips exactly, so this only admits a
+# few ulps of libm difference in a CSV written on another machine.
+CSV_DIAGNOSTIC_RTOL = 1e-12
 
 
 class SingularSystem(RuntimeError):
@@ -66,10 +70,6 @@ class KConstant:
 
     def __float__(self) -> float:
         return float(self.k)
-
-
-def _k_value(k) -> float:
-    return k.k if isinstance(k, KConstant) else float(k)
 
 
 # The integrand as a function of the four live jet slots (v never enters;
@@ -142,8 +142,9 @@ def noether_charge(j: Jet1) -> float:
     return cx * cx * cy * cy * j.v_x / chart.lagrangian(j)
 
 
-def collapsed_expression(x, y, y_x, y_xx, k_value):
-    """The collapsed second-order equation's left side; dual-capable."""
+def collapsed_E(x, y, y_x, y_xx, k):
+    """Left side of the collapsed equation E = 0; dual-capable in the jet slots."""
+    k_value = float(k)
     cx, sx = jetcalc.cos(x), jetcalc.sin(x)
     cy, sy = jetcalc.cos(y), jetcalc.sin(y)
     ccx = cx * cx
@@ -157,17 +158,12 @@ def collapsed_expression(x, y, y_x, y_xx, k_value):
     )
 
 
-def collapsed_E(x: float, y: float, y_x: float, y_xx: float, k) -> float:
-    """Left side of the collapsed equation E = 0 at a second-order sample."""
-    return collapsed_expression(x, y, y_x, y_xx, _k_value(k))
-
-
 def collapsed_fn(k):
     """The collapsed equation as a 7-slot jet function (for prolongations)."""
-    kv = _k_value(k)
+    kv = float(k)
 
     def F(x, y, v, y_x, v_x, y_xx, v_xx):
-        return collapsed_expression(x, y, y_x, y_xx, kv)
+        return collapsed_E(x, y, y_x, y_xx, kv)
 
     return F
 
@@ -177,31 +173,34 @@ def infer_k(j: Jet1) -> KConstant:
 
     Eliminating v_x from the second Euler-Lagrange equation via the
     conserved charge c gives k = c^2; the grid-search oracle in the test
-    suite pins this closed form.  Raises OutOfRange if the value escapes
-    [0, 1] (it cannot for a state in the open chart, up to rounding).
+    suite pins this closed form.  KConstant raises OutOfRange if the value
+    escapes [0, 1] (it cannot for a state in the open chart, up to rounding).
     """
     c = noether_charge(j)
-    k = c * c
-    if not 0.0 <= k <= 1.0:
-        raise OutOfRange(f"derived k = {k} outside [0, 1]")
-    return KConstant(k)
+    return KConstant(c * c)
 
 
 @dataclass
 class Trajectory:
-    """Ordered samples of an integrated geodesic plus per-sample diagnostics.
+    """Ordered samples of a geodesic plus per-sample diagnostics.
 
-    Diagnostics are recomputed from the state at every sample, never
-    integrated separately.  x is strictly monotone along the samples.
-    ``curvature`` holds (y_xx, v_xx) at every sample as RK4 evaluated it;
-    it is None on partial trajectories and on trajectories read from CSV.
+    The diagnostics (charge, integrand value, ambient norm residual) are
+    computed from the state columns at construction, never integrated
+    separately or taken from a file.  x is strictly monotone along the
+    samples.  ``curvature`` holds (y_xx, v_xx) at every sample as RK4
+    evaluated it; it is None on partial trajectories and on trajectories
+    read from CSV.
     """
 
     samples: np.ndarray  # (n, 5): columns x, y, v, y_x, v_x
-    noether: np.ndarray
-    lagrangian: np.ndarray
-    ambient_norm_residual: np.ndarray
     curvature: np.ndarray | None = None  # (n, 2): columns y_xx, v_xx
+    noether: np.ndarray = field(init=False)
+    lagrangian: np.ndarray = field(init=False)
+    ambient_norm_residual: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        diag = np.array([_diagnostics(row) for row in self.samples]).reshape(-1, 3)
+        self.noether, self.lagrangian, self.ambient_norm_residual = diag.T
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -263,12 +262,18 @@ class Trajectory:
         xs = data[:, 0]
         if len(xs) > 1 and not (np.all(np.diff(xs) > 0) or np.all(np.diff(xs) < 0)):
             raise ValueError("trajectory x column must be strictly monotone")
-        return cls(
-            samples=data[:, :5].copy(),
-            noether=data[:, 5].copy(),
-            lagrangian=data[:, 6].copy(),
-            ambient_norm_residual=data[:, 7].copy(),
-        )
+        traj = cls(data[:, :5].copy())
+        fresh = np.column_stack([traj.noether, traj.lagrangian, traj.ambient_norm_residual])
+        off = np.abs(data[:, 5:] - fresh) > CSV_DIAGNOSTIC_RTOL * np.maximum(1.0, np.abs(fresh))
+        bad = np.flatnonzero(np.any(off, axis=1))
+        if bad.size:
+            row = bad[0]
+            col = 5 + int(np.flatnonzero(off[row])[0])
+            raise ValueError(
+                f"trajectory CSV row {row + 1}: {CSV_HEADER[col]} = {float(data[row, col])!r}"
+                f" differs from {float(fresh[row, col - 5])!r} recomputed from the state"
+            )
+        return traj
 
 
 def _ambient_norm_residual(x, y, v) -> float:
@@ -285,12 +290,6 @@ def _diagnostics(state_row) -> tuple[float, float, float]:
 def _inside_margin(x: float, y: float) -> bool:
     lim = chart.HALF_PI - POLE_MARGIN
     return abs(x) <= lim and abs(y) <= lim
-
-
-def _build_trajectory(rows: list, curvature: np.ndarray | None = None) -> Trajectory:
-    samples = np.array(rows)
-    diag = np.array([_diagnostics(r) for r in rows])
-    return Trajectory(samples, diag[:, 0], diag[:, 1], diag[:, 2], curvature)
 
 
 def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
@@ -334,18 +333,18 @@ def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
             k3 = rhs(x + 0.5 * h, u + 0.5 * h * k2)
             k4 = rhs(x + h, u + h * k3)
         except SingularSystem as err:
-            raise SingularSystem(err.det, x=x, trajectory=_build_trajectory(rows)) from None
-        except ValueError as err:
+            raise SingularSystem(err.det, x=x, trajectory=Trajectory(np.array(rows))) from None
+        except (jetcalc.DomainError, chart.ChartError) as err:
             # a stage state left the chart entirely (e.g. runaway slope)
-            raise DomainExit(x, str(err), trajectory=_build_trajectory(rows)) from None
+            raise DomainExit(x, str(err), trajectory=Trajectory(np.array(rows))) from None
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = j0.x + (i + 1) * h
         if not np.all(np.isfinite(u)):
-            raise DomainExit(x, "state became non-finite", trajectory=_build_trajectory(rows))
+            raise DomainExit(x, "state became non-finite", trajectory=Trajectory(np.array(rows)))
         if not _inside_margin(x, u[0]):
-            raise DomainExit(x, trajectory=_build_trajectory(rows))
+            raise DomainExit(x, trajectory=Trajectory(np.array(rows)))
         rows.append(np.array([x, u[0], u[1], u[2], u[3]]))
-    return _build_trajectory(rows, np.array(curvature))
+    return Trajectory(np.array(rows), np.array(curvature))
 
 
 def great_circle(p, w, t: float) -> np.ndarray:
@@ -370,7 +369,7 @@ def ambient_state(j: Jet1) -> tuple[np.ndarray, np.ndarray, float]:
     The tangent is d(embed)/dx along any curve matching the jet; its norm
     equals the integrand value (the chain-rule identity the tests lean on).
     """
-    p = chart.embed(j.base).as_array()
+    p = chart.embed(j.base)
     tangent = []
     for idx in range(4):
         def comp(x, y, v, idx=idx):
@@ -421,5 +420,5 @@ def endpoint_error_vs_great_circle(traj: Trajectory) -> float:
     p, w, _ = ambient_state(traj.jet(0))
     t = arc_length(traj)
     endpoint = traj.jet(len(traj) - 1)
-    q = chart.embed(endpoint.base).as_array()
+    q = chart.embed(endpoint.base)
     return float(np.linalg.norm(great_circle(p, w, t) - q))

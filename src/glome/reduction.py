@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jetcalc
 from .chart import Jet1
-from .geodesics import KConstant, Trajectory, _k_value
+from .geodesics import Trajectory, infer_k
 from .jetcalc import arcsin, arctan, cos, directional, sec, sin, tan
 
 
@@ -52,20 +52,6 @@ class CanonicalPair:
     def __post_init__(self):
         if not (0.0 < self.omega <= 1.0):
             raise ValueError(f"omega must lie in (0, 1], got {self.omega}")
-
-
-@dataclass(frozen=True)
-class AlphaConstant:
-    """Integration constant of the reduced first-order relation."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-
-    def __float__(self) -> float:
-        return self.alpha
 
 
 def omega_coordinate(x, y):
@@ -142,67 +128,62 @@ def omega_prime(j: Jet1) -> float:
     return d_omega / d_tau
 
 
-def _branch_sign(branch) -> float:
-    if branch in (1, +1.0, "+", "plus"):
-        return 1.0
-    if branch in (-1, -1.0, "-", "minus"):
-        return -1.0
-    raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+def _sample_terms(tau: float, omega: float, k) -> tuple[float, float, float]:
+    """S = omega^2 cos^2 tau + sin^2 tau, R = k/omega^2 - 1 and
+    theta = atan2(omega, tan tau) of the reduced relation at one sample.
 
-
-def alpha_from_sample(tau: float, omega: float, omega_prime: float, k) -> AlphaConstant:
-    """Invert the reduced first-order relation for alpha at one sample.
-
-    With S = omega^2 cos^2 tau + sin^2 tau and R = k/omega^2 - 1:
-
-        alpha = S * (1 + R * cos^2(psi - theta))
-
-    where psi = arctan(omega' / (1 - omega^2)) and
-    theta = atan2(omega, tan tau).  cos^2 is even, so alpha is the same on
-    both branches of the forward relation (and under mod-pi shifts of
-    either angle): the inversion takes no branch.  The branch matters only
-    when reproducing omega' from alpha, in reduced_omega_prime.
+    Raises InversionDomain unless omega lies strictly inside (0, 1).
     """
-    kv = _k_value(k)
     if not (0.0 < omega < 1.0):
         raise InversionDomain(f"omega must lie strictly inside (0, 1), got {omega}")
+    S = omega * omega * math.cos(tau) ** 2 + math.sin(tau) ** 2
+    R = float(k) / (omega * omega) - 1.0
+    theta = math.atan2(omega, math.tan(tau))
+    return S, R, theta
+
+
+def alpha_from_sample(tau: float, omega: float, omega_prime: float, k) -> float:
+    """Invert the reduced first-order relation for alpha at one sample.
+
+    With S, R and theta as in _sample_terms:
+
+        alpha = S * (1 + R * cos^2(psi - theta)),  psi = arctan(omega' / (1 - omega^2))
+
+    cos^2 is even, so alpha is the same on both branches of the forward
+    relation (and under mod-pi shifts of either angle): the inversion
+    takes no branch.  The branch matters only when reproducing omega'
+    from alpha, in reduced_omega_prime.
+    """
+    S, R, theta = _sample_terms(tau, omega, k)
     if not math.isfinite(omega_prime):
         raise InversionDomain("omega' is not finite")
-    t = math.tan(tau)
-    if t == 0.0:
+    if math.tan(tau) == 0.0:
         raise InversionDomain("tan tau vanishes; theta undefined")
-    S = omega * omega * math.cos(tau) ** 2 + math.sin(tau) ** 2
-    R = kv / (omega * omega) - 1.0
     psi = math.atan(omega_prime / (1.0 - omega * omega))
-    theta = math.atan2(omega, t)
     alpha = S * (1.0 + R * math.cos(psi - theta) ** 2)
     if not math.isfinite(alpha):
         raise InversionDomain("alpha evaluated non-finite")
-    return AlphaConstant(alpha)
+    return alpha
 
 
 def reduced_omega_prime(tau: float, omega: float, alpha, k, branch="+") -> float:
-    """Forward reduced relation: omega'(tau) from alpha.
+    """Forward reduced relation: omega'(tau) from alpha on branch '+' or '-'.
 
         omega' = (1 - omega^2) tan(branch * arccos(sqrt(arg)) + theta),
         arg = (alpha - S) / (R * S)
 
     Raises InversionDomain when the arccos argument falls outside [0, 1].
     """
-    sgn = _branch_sign(branch)
-    kv = _k_value(k)
-    av = float(alpha)
-    if not (0.0 < omega < 1.0):
-        raise InversionDomain(f"omega must lie strictly inside (0, 1), got {omega}")
-    S = omega * omega * math.cos(tau) ** 2 + math.sin(tau) ** 2
-    R = kv / (omega * omega) - 1.0
+    if branch not in ("+", "-"):
+        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    sgn = 1.0 if branch == "+" else -1.0
+    S, R, theta = _sample_terms(tau, omega, k)
     if R * S == 0.0:
         raise InversionDomain("degenerate sample: R * S = 0")
-    arg = (av - S) / (R * S)
+    arg = (float(alpha) - S) / (R * S)
     if arg < -1e-12 or arg > 1.0 + 1e-12:
         raise InversionDomain(f"arccos argument {arg} outside [0, 1]")
     arg = min(1.0, max(0.0, arg))
-    theta = math.atan2(omega, math.tan(tau))
     return (1.0 - omega * omega) * math.tan(sgn * math.acos(math.sqrt(arg)) + theta)
 
 
@@ -240,7 +221,7 @@ def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, int]:
             if abs(math.tan(pair.tau)) < TAU_GUARD:
                 raise InversionDomain("tau too close to a multiple of pi")
             w_prime = omega_prime(j)
-            alphas.append(float(alpha_from_sample(pair.tau, pair.omega, w_prime, k)))
+            alphas.append(alpha_from_sample(pair.tau, pair.omega, w_prime, k))
         except (InversionDomain, jetcalc.DomainError):
             excluded += 1
     return np.array(alphas), excluded
@@ -255,9 +236,8 @@ def reduction_report(traj: Trajectory, k=None) -> dict:
     alpha_reason says why.
     """
     if k is None:
-        c = float(traj.noether[0])
-        k = KConstant(c * c)
-    kv = _k_value(k)
+        k = infer_k(traj.jet(0))
+    kv = float(k)
     alphas, excluded = alpha_series(traj, kv)
     report = {"k": kv, "branch": "+", "alpha_mean": None, "alpha_rel_dev": None,
               "samples": int(len(alphas)), "excluded_rows": int(excluded)}

@@ -82,6 +82,34 @@ def test_verify_single_tolerance_override(tmp_path):
     assert by_name["variational_criterion"]["passed"] is True
 
 
+def test_verify_tolerance_applies_on_top_of_tol_all(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify", *FAST_VERIFY, "--tol-all", "1", "--tol", "noether_drift=1e-30",
+                 "--out", str(out)])
+    assert code == 1
+    by_name = {c["name"]: c for c in read_json(out)["checks"]}
+    assert by_name["noether_drift"]["tolerance"] == 1e-30
+    assert by_name["noether_drift"]["passed"] is False
+    assert by_name["variational_criterion"]["tolerance"] == 1.0
+
+
+def test_subcommands_reject_flags_they_do_not_read():
+    for argv in (["verify", "--json"], ["brackets", "--json"], ["brackets", "--step", "1e-3"],
+                 ["reduce", "t.csv", "--json"],
+                 ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--seed", "1"],
+                 ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--samples", "9"],
+                 ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--margin", "0.2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+
+
+def test_integrate_rejects_bad_step(tmp_path):
+    for step in ("0.5", "0", "-1e-3"):
+        assert main(["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5",
+                     f"--step={step}", "--out", str(tmp_path / "t.csv")]) == 2
+
+
 def test_verify_rejects_bad_config():
     assert main(["verify", "--step", "0.5"]) == 2
     assert main(["verify", "--margin", "3.2"]) == 2
@@ -177,21 +205,38 @@ def test_reduce_empty_csv_is_usage_error(tmp_path):
     assert main(["reduce", str(missing)]) == 2
 
 
+def _planar_rows_with_forged_charge(tmp_path):
+    """A v_x = 0 geodesic (charge 0) from `glome integrate`, noether_c set to 0.9."""
+    src = tmp_path / "planar.csv"
+    assert main(["integrate", "--initial", "0,0.3,1.0,0.4,0", "--x-end", "0.2",
+                 "--out", str(src)]) == 0
+    rows = []
+    for line in src.read_text().splitlines()[1:]:
+        cells = line.split(",")
+        cells[5] = "0.9"
+        rows.append(",".join(cells))
+    return rows
+
+
 @pytest.mark.parametrize("rows", [
     ["0.1,0.1,0,0.2,0.3,2,1,0", "0.2,0.1,0,0.2,0.3,2,1,0"],
     ["0.1,0.1,0,0.2,0.3,0.2,1,0", "0.2,nan,0,0.2,0.3,0.2,1,0"],
     ["0.1,0.1,0,0.2,0.3,0.2,1,0", "2.0,0.1,0,0.2,0.3,0.2,1,0"],
-], ids=["noether_c_2_gives_k_4", "nan_cell", "x_outside_chart"])
+    _planar_rows_with_forged_charge,
+], ids=["noether_c_2_gives_k_4", "nan_cell", "x_outside_chart", "planar_noether_c_forged"])
 def test_reduce_bad_input_is_usage_error(tmp_path, capsys, rows):
+    if callable(rows):
+        rows = rows(tmp_path)
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    capsys.readouterr()  # drop what building the rows printed
     assert main(["reduce", str(path)]) == 2
     assert capsys.readouterr().out == ""
 
 
 def test_reduce_without_admissible_row_emits_null_and_fails(tmp_path):
     path = tmp_path / "axis.csv"  # x = 0: canonical coordinates undefined
-    path.write_text(CSV_HEADER + "\n0,0.1,0,0.2,0.3,0.2,1,0\n")
+    geo.Trajectory(np.array([[0.0, 0.1, 0.0, 0.2, 0.3]])).to_csv(path)
     out = tmp_path / "reduction.json"
     assert main(["reduce", str(path), "--out", str(out)]) == 1
     report = read_json(out)

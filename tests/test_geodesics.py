@@ -273,6 +273,22 @@ def test_integrate_domain_exit_carries_partial_trajectory():
     assert abs(exc.x) > math.pi / 2 - 0.05 - 1e-9
 
 
+def test_integrate_stage_off_chart_is_domain_exit():
+    # the first RK4 stage lands at y = 1.5 + 0.5 * 1e-2 * 20 = 1.6 > pi/2
+    with pytest.raises(geo.DomainExit) as err:
+        geo.integrate(chart.jet1(0.0, 1.5, 0.0, 20.0, 0.0), 0.5, 1e-2)
+    assert len(err.value.trajectory) == 1
+
+
+def test_integrate_propagates_unrelated_value_error(monkeypatch):
+    def broken(j):
+        raise ValueError("not a domain problem")
+
+    monkeypatch.setattr(geo, "el_rhs", broken)
+    with pytest.raises(ValueError, match="not a domain problem"):
+        geo.integrate(chart.jet1(0.0, 0.1, 0.0, 0.2, 0.3), 0.1, 1e-3)
+
+
 def test_integrate_keeps_rk4_curvature_bitwise(standard_trajectory):
     backward = geo.integrate(chart.jet1(0.3, 0.2, 0.4, -0.3, 0.5), -0.5, 1e-3)
     single = geo.integrate(chart.jet1(0.3, 0.2, 0.4, -0.3, 0.5), 0.3, 1e-3)
@@ -340,11 +356,37 @@ def test_trajectory_csv_round_trip(tmp_path, standard_trajectory):
     standard_trajectory.to_csv(path)
     loaded = geo.Trajectory.from_csv(path)
     assert np.array_equal(loaded.samples, standard_trajectory.samples)
-    assert np.array_equal(loaded.noether, standard_trajectory.noether)
-    assert np.array_equal(loaded.lagrangian, standard_trajectory.lagrangian)
+    for column in ("noether", "lagrangian", "ambient_norm_residual"):
+        stored = getattr(standard_trajectory, column)
+        assert getattr(loaded, column).tobytes() == stored.tobytes(), column
     assert loaded.curvature is None  # not part of the CSV form
     first = path.read_text().splitlines()
     assert first[0] == "x,y,v,y_x,v_x,noether_c,lagrangian,ambient_norm_residual"
+
+
+def _csv_lines(traj):
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("column", [5, 6, 7])
+def test_trajectory_csv_rejects_forged_diagnostic(column):
+    traj = geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4], [0.2, 0.25, 0.1, 0.3, 0.4]]))
+    header, first, second = _csv_lines(traj)
+    cells = second.split(",")
+    cells[column] = repr(float(cells[column]) + 1e-6)
+    with pytest.raises(ValueError, match="row 2"):
+        geo.Trajectory.from_csv(io.StringIO("\n".join([header, first, ",".join(cells)])))
+
+
+def test_trajectory_csv_admits_few_ulp_diagnostics():
+    traj = geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4]]))
+    header, row = _csv_lines(traj)
+    cells = row.split(",")
+    cells[6] = repr(float(np.nextafter(float(cells[6]), 2.0)))  # one ulp off
+    loaded = geo.Trajectory.from_csv(io.StringIO("\n".join([header, ",".join(cells)])))
+    assert loaded.lagrangian.tobytes() == traj.lagrangian.tobytes()
 
 
 def test_trajectory_csv_rejects_empty():

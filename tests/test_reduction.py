@@ -185,8 +185,9 @@ def test_alpha_domain_errors():
         red.alpha_from_sample(0.0, 0.5, 0.5, 0.3)  # tan tau = 0
     with pytest.raises(red.InversionDomain):
         red.alpha_from_sample(0.8, 0.5, math.inf, 0.3)
-    with pytest.raises(ValueError):
-        red.reduced_omega_prime(0.8, 0.5, 0.3, 0.3, branch="x")
+    for branch in ("x", 1, -1.0, "plus", "minus"):
+        with pytest.raises(ValueError):
+            red.reduced_omega_prime(0.8, 0.5, 0.3, 0.3, branch=branch)
 
 
 def test_reduced_omega_prime_rejects_bad_arccos_argument():
