@@ -23,6 +23,7 @@ from .geodesics import (
     great_circle,
     infer_k,
     integrate,
+    integrate_batch,
     noether_charge,
 )
 from .jetcalc import DomainError, DualScalar, second_deriv
@@ -87,6 +88,7 @@ __all__ = [
     "great_circle",
     "infer_k",
     "integrate",
+    "integrate_batch",
     "lagrangian",
     "lie_bracket",
     "noether_charge",

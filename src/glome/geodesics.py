@@ -81,6 +81,9 @@ def _L(x, y, y_x, v_x):
 _E_Y = (0.0, 1.0, 0.0, 0.0)
 _E_YX = (0.0, 0.0, 1.0, 0.0)
 _E_VX = (0.0, 0.0, 0.0, 1.0)
+# Inner seeds of the one-pass core: row i holds argument i's component of
+# the directions E_Y, E_YX, E_VX.
+_INNER = np.array([_E_Y, _E_YX, _E_VX]).T
 
 
 def _L_yx(*a):
@@ -91,33 +94,56 @@ def _L_vx(*a):
     return directional(_L, a, _E_VX)[1]
 
 
-def el_rhs(j: Jet1) -> tuple[float, float]:
-    """Solve both Euler-Lagrange equations for (y_xx, v_xx) at a state.
+def _curvatures(x, y, y_x, v_x):
+    """(y_xx, v_xx, det) of the Euler-Lagrange system at one state or many.
 
-    The equations L_y - D_x(L_{y_x}) = 0 and L_v - D_x(L_{v_x}) = 0 are
-    linear in the curvatures once the total derivatives are expanded;
-    the 2x2 system is solved by Cramer's rule.  Raises SingularSystem
-    when the determinant drops below DET_FLOOR (chart poles).
+    The arguments are floats, or equal-shape arrays with one state per
+    element (x may stay a float shared by all of them).  The equations
+    L_y - D_x(L_{y_x}) = 0 and L_v - D_x(L_{v_x}) = 0 are linear in the
+    curvatures once the total derivatives are expanded.  One nested dual
+    evaluation of the integrand, seeded with the inner directions
+    (E_Y, E_YX, E_VX) and the outer directions (the known part of D_x,
+    E_YX, E_VX) along two leading array axes, yields L_y and all six mixed
+    second partials; Cramer's rule then runs element by element.  Each
+    element repeats the floating-point operations of seven separate
+    scalar passes exactly.  The caller checks |det| against DET_FLOOR
+    (below it the curvatures are meaningless) and silences numpy's
+    floating-point warnings for such states.
     """
-    q = (j.x, j.y, j.y_x, j.v_x)
-    known_dir = (1.0, j.y_x, 0.0, 0.0)
-
-    _, L_y = directional(_L, q, _E_Y)
-    _, known_y = directional(_L_yx, q, known_dir)
-    _, m11 = directional(_L_yx, q, _E_YX)
-    _, m12 = directional(_L_yx, q, _E_VX)
-    _, known_v = directional(_L_vx, q, known_dir)
-    _, m21 = directional(_L_vx, q, _E_YX)
-    _, m22 = directional(_L_vx, q, _E_VX)
-
+    shape = np.shape(y)
+    outer = np.zeros((4, 3, 1) + shape)  # argument, outer direction, (inner), batch
+    outer[0, 0] = 1.0
+    outer[1, 0] = y_x
+    outer[2, 1] = 1.0
+    outer[3, 2] = 1.0
+    inner = _INNER.reshape((4, 3) + (1,) * len(shape))
+    seeded = [
+        jetcalc.DualScalar(jetcalc.DualScalar(a, o), i)
+        for a, o, i in zip((x, y, y_x, v_x), outer, inner)
+    ]
+    d = _L(*seeded).derivative
+    L_y = d.value[0]
+    known_y, m11, m12 = d.derivative[:, 1]
+    known_v, m21, m22 = d.derivative[:, 2]
     b1 = L_y - known_y
     b2 = 0.0 - known_v  # L_v vanishes identically
     det = m11 * m22 - m12 * m21
-    if abs(det) < DET_FLOOR:
-        raise SingularSystem(det, x=j.x)
     y_xx = (b1 * m22 - b2 * m12) / det
     v_xx = (m11 * b2 - m21 * b1) / det
-    return y_xx, v_xx
+    return y_xx, v_xx, det
+
+
+def el_rhs(j: Jet1) -> tuple[float, float]:
+    """Solve both Euler-Lagrange equations for (y_xx, v_xx) at a state.
+
+    Raises SingularSystem when the determinant of the 2x2 system drops
+    below DET_FLOOR (chart poles).
+    """
+    with np.errstate(all="ignore"):
+        y_xx, v_xx, det = _curvatures(j.x, j.y, j.y_x, j.v_x)
+    if abs(det) < DET_FLOOR:
+        raise SingularSystem(float(det), x=j.x)
+    return float(y_xx), float(v_xx)
 
 
 def el_expression_y(x, y, v, y_x, v_x, y_xx, v_xx):
@@ -292,59 +318,140 @@ def _inside_margin(x: float, y: float) -> bool:
     return abs(x) <= lim and abs(y) <= lim
 
 
-def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
-    """Classic fixed-step RK4 in x for the state (y, v, y_x, v_x).
+def _stage(x: float, u: np.ndarray, failed: dict) -> np.ndarray:
+    """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissa x for the states u (4, m).
 
+    A column whose state leaves the chart, raises DomainError or meets a
+    singular system, in that order of precedence, is recorded in
+    ``failed`` (its first failure only: the ChartError, the DomainError or
+    the determinant) and gets zero slopes, so the later stages of the step
+    evaluate it at its step-start state.
+    """
+    lim = chart.HALF_PI
+    on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < lim) & (abs(x) < lim)
+    if not on_chart.all():
+        for c in np.flatnonzero(~on_chart).tolist():
+            if c not in failed:
+                try:
+                    chart.jet1(x, *u[:, c].tolist())  # raises with the chart's own message
+                except chart.ChartError as err:
+                    failed[c] = err
+    args = (u[0], u[2], u[3])
+    if u.shape[1] == 1:
+        args = tuple(a.item() for a in args)  # a lone state runs faster on floats
+    k = np.empty_like(u)
+    k[0], k[1] = u[2], u[3]
+    try:
+        k[2], k[3], det = _curvatures(x, *args)
+    except jetcalc.DomainError:
+        # isolate the offending columns; each one alone repeats its own arithmetic
+        det = np.ones(u.shape[1])
+        for c in range(u.shape[1]):
+            one = slice(c, c + 1)
+            try:
+                k[2, one], k[3, one], det[one] = _curvatures(x, u[0, one], u[2, one], u[3, one])
+            except jetcalc.DomainError as err:
+                failed.setdefault(c, err)
+    singular = np.abs(det) < DET_FLOOR
+    if singular.any():
+        for c in np.flatnonzero(singular).tolist():
+            failed.setdefault(c, float(np.ravel(det)[c]))
+    if failed:
+        k[:, list(failed)] = 0.0
+    return k
+
+
+def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
+    """Classic fixed-step RK4 in x for many states (y, v, y_x, v_x) in lockstep.
+
+    All jets must start at the same x; each element repeats the arithmetic
+    of a lone run, so the result for a jet does not depend on its batch.
     The step count is chosen so the grid lands exactly on x_end (the
     realized step never exceeds the requested magnitude).  Each step's
-    first stage is the curvature at its sample, so the trajectory keeps
-    it; one extra evaluation covers the final sample.  Raises DomainExit
-    when the 0.05 rad pole margin is breached and SingularSystem when the
-    Euler-Lagrange system degenerates; both carry the partial trajectory
-    integrated so far.
+    first stage is the curvature at its sample, so a trajectory keeps it;
+    one extra evaluation covers the final sample.
+
+    Returns one entry per jet: its Trajectory, or the exception that
+    stopped it -- DomainExit when the 0.05 rad pole margin is breached or
+    a stage leaves the chart, SingularSystem when the Euler-Lagrange
+    system degenerates.  Both carry the partial trajectory integrated so
+    far (None when the initial state is already outside the margin).  A
+    stopped jet freezes; the others continue.
     """
     if not 0.0 < abs(step) <= 0.01:
         raise ValueError(f"|step| must lie in (0, 0.01], got {step}")
-    if not _inside_margin(j0.x, j0.y):
-        raise DomainExit(j0.x, "initial state outside the pole margin")
+    jets = list(jets)
+    if not jets:
+        return []
+    x0 = jets[0].x
+    if any(j.x != x0 for j in jets):
+        raise ValueError("integrate_batch: every jet must start at the same x")
 
-    span = x_end - j0.x
+    span = x_end - x0
     n = 0 if span == 0.0 else max(1, round(abs(span) / abs(step)))
     if n and abs(span) / n > 0.01:
         n += 1
     h = span / max(n, 1)
 
-    def rhs(x, u):
-        jet = chart.jet1(x, u[0], u[1], u[2], u[3])
-        y_xx, v_xx = el_rhs(jet)
-        return np.array([u[2], u[3], y_xx, v_xx])
+    out: list = [None] * len(jets)
+    rows = np.empty((n + 1, len(jets), 5))  # step, jet, (x, y, v, y_x, v_x)
+    rows[0] = [[j.x, j.y, j.v, j.y_x, j.v_x] for j in jets]
+    curvature = np.empty((n + 1, len(jets), 2))
+    for c, j in enumerate(jets):
+        if not _inside_margin(j.x, j.y):
+            out[c] = DomainExit(j.x, "initial state outside the pole margin")
+    live = np.array([c for c in range(len(jets)) if out[c] is None], dtype=int)
+    u = rows[0, live, 1:].T.copy()  # (4, live)
+    x = x0
+    lim = chart.HALF_PI - POLE_MARGIN
+    with np.errstate(all="ignore"):  # a state that goes non-finite stops its jet below
+        for i in range(n + 1):
+            if not live.size:
+                break
+            failed: dict = {}
+            k1 = _stage(x, u, failed)
+            curvature[i, live] = k1[2:].T
+            if i < n:
+                k2 = _stage(x + 0.5 * h, u + 0.5 * h * k1, failed)
+                k3 = _stage(x + 0.5 * h, u + 0.5 * h * k2, failed)
+                k4 = _stage(x + h, u + h * k3, failed)
+            # a stage state left the chart (e.g. runaway slope) or the system degenerated
+            stopped = {c: SingularSystem(err, x=x) if isinstance(err, float)
+                       else DomainExit(x, str(err)) for c, err in failed.items()}
+            if i < n:
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = x0 + (i + 1) * h
+                finite = np.isfinite(u).all(axis=0)
+                inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
+                for c in np.flatnonzero(~(finite & inside)).tolist():
+                    detail = "" if finite[c] else "state became non-finite"
+                    stopped.setdefault(c, DomainExit(x, detail))
+            if stopped:
+                for c, err in stopped.items():
+                    err.trajectory = Trajectory(rows[: i + 1, live[c]].copy())
+                    out[live[c]] = err
+                keep = np.ones(live.size, dtype=bool)
+                keep[list(stopped)] = False
+                live, u = live[keep], u[:, keep]
+            if i < n:
+                rows[i + 1, live, 0] = x
+                rows[i + 1, live, 1:] = u.T
+    for c in live.tolist():
+        out[c] = Trajectory(rows[:, c].copy(), curvature[:, c].copy())
+    return out
 
-    rows = [np.array([j0.x, j0.y, j0.v, j0.y_x, j0.v_x])]
-    curvature = []
-    u = rows[0][1:].copy()
-    x = j0.x
-    for i in range(n + 1):
-        try:
-            k1 = rhs(x, u)
-            curvature.append(k1[2:])
-            if i == n:
-                break  # the final sample needs only its curvature
-            k2 = rhs(x + 0.5 * h, u + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h, u + 0.5 * h * k2)
-            k4 = rhs(x + h, u + h * k3)
-        except SingularSystem as err:
-            raise SingularSystem(err.det, x=x, trajectory=Trajectory(np.array(rows))) from None
-        except (jetcalc.DomainError, chart.ChartError) as err:
-            # a stage state left the chart entirely (e.g. runaway slope)
-            raise DomainExit(x, str(err), trajectory=Trajectory(np.array(rows))) from None
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = j0.x + (i + 1) * h
-        if not np.all(np.isfinite(u)):
-            raise DomainExit(x, "state became non-finite", trajectory=Trajectory(np.array(rows)))
-        if not _inside_margin(x, u[0]):
-            raise DomainExit(x, trajectory=Trajectory(np.array(rows)))
-        rows.append(np.array([x, u[0], u[1], u[2], u[3]]))
-    return Trajectory(np.array(rows), np.array(curvature))
+
+def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
+    """RK4 for one jet: :func:`integrate_batch` of one, raising its exception.
+
+    Raises DomainExit when the 0.05 rad pole margin is breached and
+    SingularSystem when the Euler-Lagrange system degenerates; both carry
+    the partial trajectory integrated so far.
+    """
+    (result,) = integrate_batch([j0], x_end, step)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def great_circle(p, w, t: float) -> np.ndarray:

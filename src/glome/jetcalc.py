@@ -10,11 +10,25 @@ The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
 be nested to any depth.  They raise :class:`DomainError` instead of
 returning non-finite values, because the chart singularities cos x = 0 and
 cos y = 0 lurk behind most expressions built on top of them.
+
+Array values: the components of a :class:`DualScalar` may also be numpy
+float arrays, so that one pass carries many points or many directions
+(broadcasting as numpy does).  `+`, `-`, `*`, `/`, `sin`, `cos` and
+`sqrt` accept them and apply the same floating-point operations element
+by element, so an element of an array result equals the scalar result
+bitwise wherever numpy's `sin`, `cos` and `sqrt` equal the `math` ones.
+Their domain guards raise :class:`DomainError` naming the first offending
+index.  `**`, `tan`, `sec`, `arcsin`, `arctan` and `atan2` take scalars
+only.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+_ndarray = np.ndarray
 
 __all__ = [
     "DomainError",
@@ -53,15 +67,33 @@ class DomainError(ValueError):
         super().__init__(msg)
 
 
+def _guard(bad, func: str, values, detail: str) -> None:
+    """Raise DomainError at the first True of the boolean array ``bad``."""
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        idx = tuple(int(i) for i in idx)
+        raise DomainError(func, float(values[idx]), f"{detail} at index {idx}")
+
+
+def _check_divisor(den) -> None:
+    """Raise DomainError where the real part ``den`` of a divisor is zero."""
+    if isinstance(den, _ndarray):
+        _guard(den == 0.0, "divide", den, "zero denominator")
+    elif den == 0.0:
+        raise DomainError("divide", 0.0, "zero denominator")
+
+
 class DualScalar:
     """Number carrying a value and one directional derivative.
 
     Components may themselves be DualScalar, which yields exact second
     (or higher) derivatives by nesting.  Arithmetic follows the Leibniz
-    rule exactly; plain ints/floats mix in as constants (derivative 0).
+    rule exactly; plain ints/floats and numpy arrays mix in as constants
+    (derivative 0).
     """
 
     __slots__ = ("value", "derivative")
+    __array_ufunc__ = None  # ndarray <op> DualScalar defers to the dual's reflected op
 
     def __init__(self, value, derivative=0.0):
         self.value = value
@@ -97,21 +129,18 @@ class DualScalar:
 
     def __truediv__(self, other):
         if isinstance(other, DualScalar):
-            if real_value(other) == 0.0:
-                raise DomainError("divide", 0.0, "zero denominator")
+            _check_divisor(real_value(other))
             ov = other.value
             return DualScalar(
                 self.value / ov,
                 (self.derivative * ov - self.value * other.derivative) / (ov * ov),
             )
-        if other == 0.0:
-            raise DomainError("divide", 0.0, "zero denominator")
+        _check_divisor(other)
         inv = 1.0 / other
         return DualScalar(self.value * inv, self.derivative * inv)
 
     def __rtruediv__(self, other):
-        if real_value(self) == 0.0:
-            raise DomainError("divide", 0.0, "zero denominator")
+        _check_divisor(real_value(self))
         quotient = other / self.value
         return DualScalar(quotient, -quotient * self.derivative / self.value)
 
@@ -137,22 +166,30 @@ class DualScalar:
         raise TypeError("refusing to flatten a DualScalar; use real_value()")
 
 
-def real_value(u) -> float:
-    """Strip all dual layers off ``u`` and return the underlying float."""
+def real_value(u):
+    """Strip all dual layers off ``u`` and return the underlying float (or array)."""
     while isinstance(u, DualScalar):
         u = u.value
     return u
 
 
 def sin(u):
+    if u.__class__ is float:  # the innermost layer of every dual; keep it cheapest
+        return math.sin(u)
     if isinstance(u, DualScalar):
         return DualScalar(sin(u.value), cos(u.value) * u.derivative)
+    if isinstance(u, _ndarray):
+        return np.sin(u)
     return math.sin(u)
 
 
 def cos(u):
+    if u.__class__ is float:
+        return math.cos(u)
     if isinstance(u, DualScalar):
         return DualScalar(cos(u.value), -sin(u.value) * u.derivative)
+    if isinstance(u, _ndarray):
+        return np.cos(u)
     return math.cos(u)
 
 
@@ -177,9 +214,15 @@ def sec(u):
 def sqrt(u):
     if isinstance(u, DualScalar):
         r = sqrt(u.value)
-        if real_value(r) == 0.0:
+        rv = real_value(r)
+        if isinstance(rv, _ndarray):
+            _guard(rv == 0.0, "sqrt", rv, "derivative singular at zero")
+        elif rv == 0.0:
             raise DomainError("sqrt", 0.0, "derivative singular at zero")
         return DualScalar(r, u.derivative / (2.0 * r))
+    if isinstance(u, _ndarray):
+        _guard(u < 0.0, "sqrt", u, "negative radicand")
+        return np.sqrt(u)
     if u < 0.0:
         raise DomainError("sqrt", u, "negative radicand")
     return math.sqrt(u)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from glome import geodesics as geo
+from glome import jetcalc, reduction, symmetries
 from glome.cli import main
 
 FAST = ["--samples", "60", "--seed", "0"]
@@ -294,3 +295,53 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     payload = loads_strict(proc.stdout)
     assert payload["point"] == [0.4, 0.2]
+
+
+def _raise(err):
+    def raiser(*args, **kwargs):
+        raise err
+
+    return raiser
+
+
+# One row per typed error: the command that meets it, the module function
+# replaced to raise it where no input reaches it, and the documented exit
+# code (0 all checks pass, 1 check or runtime failure, 2 usage error).
+EXIT_CODES = [
+    ("ConfigError", ["verify", "--samples", "0"], None, 2),
+    ("ChartError", ["integrate", "--initial", "2.0,0,0,0,0", "--x-end", "0.5",
+                    "--out", "{tmp}/t.csv"], None, 2),
+    ("ChartError_flow", ["flow", "--point", "2.0,0.3", "--lambda", "0.1"], None, 2),
+    ("DomainExit", ["integrate", "--initial", "1.4,0,0,0,0", "--x-end", "1.55",
+                    "--out", "{tmp}/t.csv"], None, 1),
+    ("SingularSystem", ["integrate", "--initial", "0.5,0.5,0,1e8,1e8", "--x-end", "0.6",
+                        "--out", "{tmp}/t.csv"], None, 1),
+    ("OutOfRange", ["reduce", "{tmp}/ok.csv"],
+     (reduction, "reduction_report", geo.OutOfRange("k must lie in [0, 1], got 4.0")), 2),
+    ("AmbiguousIdentification", ["brackets", "--samples", "10"],
+     (symmetries, "bracket_table", symmetries.AmbiguousIdentification("no unique candidate")), 1),
+    ("BranchExit", ["flow", "--point", "0.5,0.3", "--lambda", "0.2"],
+     (reduction, "global_flow", reduction.BranchExit(0.2)), 1),
+    ("DomainError", ["flow", "--point", "0.5,0.3", "--lambda", "0.2"],
+     (reduction, "omega_coordinate", jetcalc.DomainError("sqrt", -1.0, "planted")), 1),
+    # the long run used to leave the chart here (ChartError, DomainExit for 1217..1256)
+    ("verify_samples_past_long_run_cap",
+     ["verify", "--samples", "1300", "--trajectories", "1", "--step", "0.01",
+      "--out", "{tmp}/report.json"], None, 0),
+]
+
+
+@pytest.mark.parametrize("error, argv, patch, code", EXIT_CODES,
+                         ids=[row[0] for row in EXIT_CODES])
+def test_typed_errors_map_to_documented_exit_codes(tmp_path, monkeypatch, capsys,
+                                                   error, argv, patch, code):
+    geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4], [0.2, 0.25, 0.1, 0.3, 0.4]])).to_csv(
+        tmp_path / "ok.csv")
+    if patch is not None:
+        module, name, err = patch
+        monkeypatch.setattr(module, name, _raise(err))
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if argv[0] == "integrate" and code == 1:  # the sidecar names the error met
+        assert read_json(tmp_path / "t.json")["status"] == error

@@ -281,12 +281,97 @@ def test_integrate_stage_off_chart_is_domain_exit():
 
 
 def test_integrate_propagates_unrelated_value_error(monkeypatch):
-    def broken(j):
+    def broken(x, y, y_x, v_x):
         raise ValueError("not a domain problem")
 
-    monkeypatch.setattr(geo, "el_rhs", broken)
+    monkeypatch.setattr(geo, "_curvatures", broken)
     with pytest.raises(ValueError, match="not a domain problem"):
         geo.integrate(chart.jet1(0.0, 0.1, 0.0, 0.2, 0.3), 0.1, 1e-3)
+    jets = [chart.jet1(0.0, 0.1, 0.0, 0.2, 0.3), chart.jet1(0.0, -0.2, 1.0, 0.1, 0.0)]
+    with pytest.raises(ValueError, match="not a domain problem"):
+        geo.integrate_batch(jets, 0.1, 1e-3)
+
+
+def _same_trajectory(a, b):
+    assert a.samples.tobytes() == b.samples.tobytes()
+    for column in ("noether", "lagrangian", "ambient_norm_residual"):
+        assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
+    if a.curvature is None or b.curvature is None:
+        assert a.curvature is None and b.curvature is None
+    else:
+        assert a.curvature.tobytes() == b.curvature.tobytes()
+
+
+def _lone(j0, x_end, step):
+    """What scalar integrate gives for one jet: its trajectory or its exception."""
+    try:
+        return geo.integrate(j0, x_end, step)
+    except (geo.DomainExit, geo.SingularSystem) as err:
+        return err
+
+
+def _same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want) and got.x == want.x
+        if want.trajectory is None:
+            assert got.trajectory is None
+        else:
+            _same_trajectory(got.trajectory, want.trajectory)
+    else:
+        _same_trajectory(got, want)
+
+
+@pytest.mark.parametrize("x0, others, x_end, step", [
+    # leaves the pole margin after a few steps
+    (0.0, [(1.4, 0.0, 5.0, 0.0)], 0.5, 1e-3),
+    # first RK4 stage at y = 1.5 + 0.5 * 1e-2 * 20 = 1.6: off the chart
+    (0.0, [(1.5, 0.0, 20.0, 0.0)], 0.5, 1e-2),
+    # singular Euler-Lagrange system at the first sample
+    (0.5, [(0.5, 0.0, 1e8, 1e8)], 0.6, 1e-3),
+    # already outside the margin, and a turning point (singular at x = pi/4)
+    (0.0, [(1.54, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)], 0.8, 1e-3),
+], ids=["margin", "stage_off_chart", "singular", "initial_and_turning_point"])
+def test_integrate_batch_freezes_only_the_failing_jet(x0, others, x_end, step):
+    healthy = [(0.1, 0.0, 0.2, 0.3), (-0.2, 1.0, -0.1, 0.0)]
+    jets = [chart.jet1(x0, *healthy[0]), *(chart.jet1(x0, *o) for o in others),
+            chart.jet1(x0, *healthy[1])]
+    results = geo.integrate_batch(jets, x_end, step)
+    assert len(results) == len(jets)
+    assert isinstance(results[0], geo.Trajectory) and isinstance(results[-1], geo.Trajectory)
+    assert all(isinstance(r, (geo.DomainExit, geo.SingularSystem)) for r in results[1:-1])
+    for j0, got in zip(jets, results):
+        _same_outcome(got, _lone(j0, x_end, step))
+
+
+def test_integrate_batch_isolates_a_domain_error(monkeypatch):
+    real = geo._curvatures
+
+    def fragile(x, y, y_x, v_x):
+        if np.any(np.asarray(y) > 0.5):
+            raise jc.DomainError("sqrt", -1.0, "planted")
+        return real(x, y, y_x, v_x)
+
+    jets = [chart.jet1(0.0, 0.1, 0.0, 0.2, 0.3), chart.jet1(0.0, 0.45, 0.0, 0.5, 0.0),
+            chart.jet1(0.0, -0.2, 1.0, 0.1, 0.0)]
+    want = [geo.integrate(jets[0], 0.2, 1e-2), None, geo.integrate(jets[2], 0.2, 1e-2)]
+    monkeypatch.setattr(geo, "_curvatures", fragile)
+    results = geo.integrate_batch(jets, 0.2, 1e-2)
+    _same_trajectory(results[0], want[0])
+    _same_trajectory(results[2], want[2])
+    err = results[1]
+    assert isinstance(err, geo.DomainExit) and "planted" in str(err)
+    assert 0.0 < err.x < 0.2 and len(err.trajectory) >= 1
+    assert err.trajectory.x[-1] == err.x
+
+
+def test_integrate_batch_arguments():
+    assert geo.integrate_batch([], 0.5, 1e-3) == []
+    with pytest.raises(ValueError, match="same x"):
+        geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0),
+                             chart.jet1(0.1, 0.1, 0.0, 0.0, 0.0)], 0.5, 1e-3)
+    with pytest.raises(ValueError):
+        geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0)], 0.5, 0.02)
 
 
 def test_integrate_keeps_rk4_curvature_bitwise(standard_trajectory):

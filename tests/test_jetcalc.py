@@ -212,3 +212,39 @@ def test_dual_through_composed_functions_matches_fd():
             lambda t: math.atan(math.tan(t) / math.cos(t)) + math.hypot(1.0, t), x0
         )
         assert abs(d - fd) < 1e-8
+
+
+def test_array_guards_name_the_offending_index():
+    with pytest.raises(jc.DomainError, match=r"negative radicand at index \(1,\)"):
+        jc.sqrt(np.array([1.0, -1.0, -2.0]))
+    with pytest.raises(jc.DomainError, match=r"derivative singular at zero at index \(1,\)"):
+        jc.sqrt(jc.DualScalar(np.array([1.0, 0.0]), 1.0))
+    den = jc.DualScalar(np.array([[1.0, 2.0, 0.0], [1.0, 1.0, 1.0]]), 1.0)
+    with pytest.raises(jc.DomainError, match=r"zero denominator at index \(0, 2\)"):
+        jc.DualScalar(np.ones((2, 3)), 1.0) / den
+    with pytest.raises(jc.DomainError, match=r"index \(0,\)"):
+        1.0 / jc.DualScalar(np.array([0.0, 1.0]), 1.0)
+    with pytest.raises(jc.DomainError, match=r"index \(1,\)"):
+        jc.DualScalar(1.0, 1.0) / np.array([1.0, 0.0])
+
+
+def test_ndarray_operands_defer_to_the_dual():
+    d = jc.DualScalar(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
+    c = np.array([3.0, 4.0])
+    for prod in (c * d, d * c):
+        assert isinstance(prod, jc.DualScalar)
+        assert prod.value.tolist() == [3.0, 8.0]
+        assert prod.derivative.tolist() == [1.5, 1.0]
+    diff = c - d
+    assert isinstance(diff, jc.DualScalar)
+    assert diff.value.tolist() == [2.0, 2.0] and diff.derivative.tolist() == [-0.5, -0.25]
+
+
+def test_array_branches_broadcast_directions():
+    # one pass, three directions stacked along a leading axis
+    x = jc.DualScalar(0.3, np.array([1.0, 0.0, 2.0]))
+    out = jc.sqrt(1.0 + jc.sin(x) * jc.cos(x))
+    assert out.derivative.shape == (3,)
+    scalar = [jc.sqrt(1.0 + jc.sin(jc.DualScalar(0.3, d)) * jc.cos(jc.DualScalar(0.3, d)))
+              for d in (1.0, 0.0, 2.0)]
+    assert out.derivative.tolist() == [s.derivative for s in scalar]

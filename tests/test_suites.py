@@ -1,0 +1,37 @@
+import numpy as np
+import pytest
+
+from glome import geodesics as geo
+from glome import suites
+
+
+@pytest.mark.parametrize("samples, start, end", [
+    (100, -0.125, 0.125),
+    (1000, -1.25, 1.25),
+    (1217, -1.25, 1.25),
+    (1300, -1.25, 1.25),
+    (5000, -1.25, 1.25),
+])
+def test_long_run_is_capped_at_ten_thousand_steps(monkeypatch, samples, start, end):
+    calls = []
+
+    def record(j0, x_end, step):
+        calls.append((j0.x, x_end, step))
+        return geo.Trajectory(np.array([[j0.x, j0.y, j0.v, j0.y_x, j0.v_x]]))
+
+    monkeypatch.setattr(geo, "integrate", record)
+    cfg = suites.RunConfig(samples=samples, trajectories=1, step=0.01)
+    batch = suites.make_batch(cfg)
+    assert calls == [(start, end, suites.LONG_RUN_STEP)]
+    assert round((end - start) / suites.LONG_RUN_STEP) == min(10 * samples, 10_000)
+    assert len(batch.trajectories) == 1 and len(batch.planar) == 5
+
+
+def test_make_batch_raises_the_first_failure_in_draw_order(monkeypatch):
+    def failing(jets, x_end, step):
+        return [geo.DomainExit(0.1 * i, f"run {i}") if i in (2, 4) else None
+                for i, _ in enumerate(jets)]
+
+    monkeypatch.setattr(geo, "integrate_batch", failing)
+    with pytest.raises(geo.DomainExit, match="run 2"):
+        suites.make_batch(suites.RunConfig(samples=10, trajectories=3, step=0.01))
