@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,10 +145,28 @@ def lagrangian(j: Jet1) -> float:
     return arc_speed(j.x, j.y, j.y_x, j.v_x)
 
 
-def sample_domain(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> list[ChartPoint]:
-    """n pseudo-random chart points with |x|, |y| <= pi/2 - margin.
+class JetColumns(NamedTuple):
+    """n chart points or jets held as one numpy column per jet slot.
 
-    Deterministic: the same (n, margin, seed) always yields the same list.
+    It stands in for a ChartPoint, Jet1 or Jet2 in the coordinate-generic
+    functions of the symmetry module, which read only the slot values, so
+    that one array-valued dual pass evaluates all n samples.  Slots a
+    sample does not fix hold 0.0.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray | float
+    y_x: np.ndarray | float = 0.0
+    v_x: np.ndarray | float = 0.0
+    y_xx: np.ndarray | float = 0.0
+    v_xx: np.ndarray | float = 0.0
+
+
+def domain_columns(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> JetColumns:
+    """n pseudo-random chart points with |x|, |y| <= pi/2 - margin, as columns.
+
+    Deterministic: the same (n, margin, seed) always yields the same points.
     """
     if not (0.0 < margin < HALF_PI):
         raise ValueError(f"margin must lie in (0, pi/2), got {margin}")
@@ -158,7 +177,26 @@ def sample_domain(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> list
     xs = rng.uniform(-lim, lim, n)
     ys = rng.uniform(-lim, lim, n)
     vs = rng.uniform(0.0, 2.0 * math.pi, n)
-    return [ChartPoint(float(x), float(y), float(v)) for x, y, v in zip(xs, ys, vs)]
+    return JetColumns(xs, ys, vs)
+
+
+def sample_domain(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> list[ChartPoint]:
+    """The points of :func:`domain_columns` as ChartPoints."""
+    c = domain_columns(n, margin, seed)
+    return [ChartPoint(*row) for row in zip(*(a.tolist() for a in c[:3]))]
+
+
+def jet_columns(
+    n: int,
+    margin: float = DEFAULT_MARGIN,
+    seed: int = 0,
+    max_slope: float = 2.0,
+) -> JetColumns:
+    """n pseudo-random jets over domain_columns with slopes in [-max_slope, max_slope]."""
+    c = domain_columns(n, margin, seed)
+    rng = np.random.default_rng(seed + 0x9E3779B9)
+    slopes = rng.uniform(-max_slope, max_slope, (n, 2))
+    return c._replace(y_x=slopes[:, 0], v_x=slopes[:, 1])
 
 
 def sample_jets(
@@ -167,8 +205,6 @@ def sample_jets(
     seed: int = 0,
     max_slope: float = 2.0,
 ) -> list[Jet1]:
-    """n pseudo-random jets over sample_domain with slopes in [-max_slope, max_slope]."""
-    points = sample_domain(n, margin, seed)
-    rng = np.random.default_rng(seed + 0x9E3779B9)
-    slopes = rng.uniform(-max_slope, max_slope, (n, 2))
-    return [Jet1(p, float(s[0]), float(s[1])) for p, s in zip(points, slopes)]
+    """The jets of :func:`jet_columns` as Jet1s."""
+    c = jet_columns(n, margin, seed, max_slope)
+    return [jet1(*row) for row in zip(*(a.tolist() for a in c[:5]))]

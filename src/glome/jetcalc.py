@@ -13,13 +13,14 @@ cos y = 0 lurk behind most expressions built on top of them.
 
 Array values: the components of a :class:`DualScalar` may also be numpy
 float arrays, so that one pass carries many points or many directions
-(broadcasting as numpy does).  `+`, `-`, `*`, `/`, `sin`, `cos` and
-`sqrt` accept them and apply the same floating-point operations element
-by element, so an element of an array result equals the scalar result
-bitwise wherever numpy's `sin`, `cos` and `sqrt` equal the `math` ones.
+(broadcasting as numpy does).  `+`, `-`, `*`, `/`, `**`, `sin`, `cos`,
+`tan`, `sec` and `sqrt` accept them and apply the same floating-point
+operations element by element, so an element of an array result equals
+the scalar result bitwise wherever numpy's `sin`, `cos` and `sqrt` equal
+the `math` ones.  `tan` and `**` call `math.tan` and Python's `**` on each
+element, because numpy's versions round differently in the last place.
 Their domain guards raise :class:`DomainError` naming the first offending
-index.  `**`, `tan`, `sec`, `arcsin`, `arctan` and `atan2` take scalars
-only.
+index.  `arcsin`, `arctan` and `atan2` take scalars only.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ _POLE_TOL = 1e-12
 class DomainError(ValueError):
     """An elementary function was evaluated outside its open domain."""
 
-    def __init__(self, func: str, argument, detail: str = ""):
+    def __init__(self, func: str, argument, detail: str = "", index=None):
         self.func = func
         self.argument = argument
+        self.index = index  # position of ``argument`` in an array evaluation
         msg = f"{func} evaluated at {argument!r}"
         if detail:
             msg = f"{msg} ({detail})"
@@ -72,7 +74,19 @@ def _guard(bad, func: str, values, detail: str) -> None:
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
         idx = tuple(int(i) for i in idx)
-        raise DomainError(func, float(values[idx]), f"{detail} at index {idx}")
+        raise DomainError(func, float(values[idx]), f"{detail} at index {idx}", idx)
+
+
+def _elementwise(f, u):
+    """``f`` applied to each element of the array ``u`` as a Python float."""
+    return np.fromiter(map(f, u.ravel().tolist()), float, u.size).reshape(u.shape)
+
+
+def _power(u, exponent):
+    """``u ** exponent``, with Python's ``**`` on each element of an array ``u``."""
+    if isinstance(u, _ndarray):
+        return _elementwise(lambda b: b**exponent, u)
+    return u**exponent
 
 
 def _check_divisor(den) -> None:
@@ -153,13 +167,19 @@ class DualScalar:
         if exponent == 0:
             return DualScalar(self.value**0, 0.0)
         base = real_value(self)
-        if exponent != int(exponent) and base < 0.0:
+        fractional = exponent != int(exponent)
+        if isinstance(base, _ndarray):
+            if fractional:
+                _guard(base < 0.0, "pow", base, f"fractional power {exponent} of a negative base")
+            if exponent < 0:
+                _guard(base == 0.0, "pow", base, f"negative power {exponent} of zero")
+        elif fractional and base < 0.0:
             raise DomainError("pow", base, f"fractional power {exponent} of a negative base")
-        if exponent < 0 and base == 0.0:
+        elif exponent < 0 and base == 0.0:
             raise DomainError("pow", 0.0, f"negative power {exponent} of zero")
         return DualScalar(
-            self.value**exponent,
-            exponent * self.value ** (exponent - 1) * self.derivative,
+            _power(self.value, exponent),
+            exponent * _power(self.value, exponent - 1) * self.derivative,
         )
 
     def __float__(self):
@@ -197,6 +217,9 @@ def tan(u):
     if isinstance(u, DualScalar):
         c = cos(u.value)
         return DualScalar(tan(u.value), u.derivative / (c * c))
+    if isinstance(u, _ndarray):
+        _guard(np.abs(np.cos(u)) < _POLE_TOL, "tan", u, "cosine of the argument vanishes")
+        return _elementwise(math.tan, u)
     if abs(math.cos(u)) < _POLE_TOL:
         raise DomainError("tan", u, "cosine of the argument vanishes")
     return math.tan(u)
@@ -206,6 +229,10 @@ def sec(u):
     if isinstance(u, DualScalar):
         s = sec(u.value)
         return DualScalar(s, s * tan(u.value) * u.derivative)
+    if isinstance(u, _ndarray):
+        c = np.cos(u)
+        _guard(np.abs(c) < _POLE_TOL, "sec", u, "cosine of the argument vanishes")
+        return 1.0 / c
     if abs(math.cos(u)) < _POLE_TOL:
         raise DomainError("sec", u, "cosine of the argument vanishes")
     return 1.0 / math.cos(u)
@@ -297,7 +324,8 @@ def gradn(f, args):
 
     Exact to machine precision for compositions of the supported
     elementary functions.  Domain failures are re-raised with the
-    evaluation point attached.
+    evaluation point attached; for array arguments, with the index the
+    failure names and the point at that index.
     """
     n = len(args)
     out = []
@@ -309,11 +337,17 @@ def gradn(f, args):
             result = f(*seeded)
             out.append(result.derivative if isinstance(result, DualScalar) else 0.0)
     except DomainError as err:
-        if all(not isinstance(a, DualScalar) for a in args):
+        if any(isinstance(a, DualScalar) for a in args):
+            raise
+        if err.index is None:
             raise DomainError(
                 err.func, err.argument, f"at evaluation point {tuple(args)!r}"
             ) from err
-        raise
+        point = tuple(float(a[err.index]) for a in np.broadcast_arrays(*args))
+        raise DomainError(
+            err.func, err.argument,
+            f"at evaluation point {point!r}, index {err.index}", err.index,
+        ) from err
     return tuple(out)
 
 

@@ -8,7 +8,10 @@ combination for the determining equations, 50 points per bracket entry,
 200 on-shell jets per k for the second-prolongation check, and 50
 trajectories of span 0.8 at the configured step for the dynamics suites.
 
-All suites are deterministic given the configuration.
+All suites are deterministic given the configuration.  The symmetry
+suites evaluate each check in one array-valued dual pass over all its
+sample points (chart.JetColumns), drawn by the same random calls as the
+per-point samplers, so every residual equals its per-point value bitwise.
 """
 
 from __future__ import annotations
@@ -122,6 +125,11 @@ def _result(cfg: RunConfig, name: str, residual: float, **extra) -> CheckResult:
     return CheckResult(name, residual < tol, float(residual), tol, extra)
 
 
+def _worst(worst: float, residuals) -> float:
+    """max(worst, |residuals|) for a float or an array over samples."""
+    return max(worst, float(np.max(np.abs(residuals))))
+
+
 def suite_determining(cfg: RunConfig) -> list[CheckResult]:
     """Determining-equation residuals for random 5-parameter combinations."""
     rng = np.random.default_rng(cfg.seed + 101)
@@ -130,20 +138,18 @@ def suite_determining(cfg: RunConfig) -> list[CheckResult]:
     for trial in range(20):
         k = rng.uniform(-2.0, 2.0, 5)
         V = symmetries.general_symmetry(k)
-        points = chart.sample_domain(n_points, cfg.margin, cfg.seed + 300 + trial)
-        for p in points:
-            worst = max(worst, max(abs(r) for r in symmetries.determining_residuals(V, p)))
+        points = chart.domain_columns(n_points, cfg.margin, cfg.seed + 300 + trial)
+        for r in symmetries.determining_residuals(V, points):
+            worst = _worst(worst, r)
     return [_result(cfg, "determining_equations", worst)]
 
 
 def suite_variational(cfg: RunConfig) -> list[CheckResult]:
     """Variational-symmetry residual for each generator over random jets."""
-    jets = chart.sample_jets(cfg.samples, cfg.margin, cfg.seed + 7)
+    jets = chart.jet_columns(cfg.samples, cfg.margin, cfg.seed + 7)
     worst = 0.0
     for i in range(1, 7):
-        V = symmetries.chi(i)
-        for j in jets:
-            worst = max(worst, abs(symmetries.variational_residual(V, j)))
+        worst = _worst(worst, symmetries.variational_residual(symmetries.chi(i), jets))
     return [_result(cfg, "variational_criterion", worst)]
 
 
@@ -195,7 +201,8 @@ def suite_subgroups(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _onshell_collapsed_jets(cfg: RunConfig, k_value: float, n: int, seed: int):
-    """Second-order jets solving the collapsed equation for y_xx.
+    """Second-order jets (v = v_x = v_xx = 0) solving the collapsed equation
+    for y_xx, as chart.JetColumns.
 
     The equation is linear in y_xx; samples where its coefficient is small
     (cos x cos y (cos^2x cos^2y - k) near zero) are rejected and redrawn.
@@ -217,8 +224,9 @@ def _onshell_collapsed_jets(cfg: RunConfig, k_value: float, n: int, seed: int):
         y_xx = -rest / coeff
         if abs(y_xx) > 50.0:
             continue
-        jets.append(chart.jet2(x, y, 0.0, y_x, 0.0, y_xx, 0.0))
-    return jets
+        jets.append((x, y, y_x, y_xx))
+    x, y, y_x, y_xx = (np.array(c) for c in zip(*jets))
+    return chart.JetColumns(x, y, 0.0, y_x, 0.0, y_xx, 0.0)
 
 
 def suite_collapsed_prolongation(cfg: RunConfig) -> list[CheckResult]:
@@ -228,8 +236,8 @@ def suite_collapsed_prolongation(cfg: RunConfig) -> list[CheckResult]:
     worst = 0.0
     for idx, k_value in enumerate((0.0, 0.25, 0.5, 0.9)):
         F = geodesics.collapsed_fn(k_value)
-        for j2 in _onshell_collapsed_jets(cfg, k_value, n, cfg.seed + 500 + idx):
-            worst = max(worst, abs(symmetries.prolong2_apply(chi3, F, j2)))
+        jets = _onshell_collapsed_jets(cfg, k_value, n, cfg.seed + 500 + idx)
+        worst = _worst(worst, symmetries.prolong2_apply(chi3, F, jets))
     return [_result(cfg, "collapsed_prolongation", worst)]
 
 

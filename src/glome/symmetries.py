@@ -9,6 +9,14 @@ read off the identified table.
 Vector-field coefficients are stored as evaluable functions, not
 expression trees: every downstream use is a pointwise evaluation with
 dual numbers from :mod:`glome.jetcalc`.
+
+The evaluations are coordinate-generic.  A residual function given a
+:class:`~glome.chart.JetColumns` of n samples in place of a ChartPoint,
+Jet1 or Jet2 returns numpy arrays over the samples, and each element
+equals the result for that sample alone bitwise.  The suites use that to
+evaluate each check in one array-valued dual pass; bracket
+identification evaluates a field and each candidate once over all its
+points.
 """
 
 from __future__ import annotations
@@ -215,12 +223,13 @@ def _lagrangian5(x, y, v, y_x, v_x):
     return chart.arc_speed(x, y, y_x, v_x)
 
 
-def variational_residual(V: VectorField3, j: Jet1) -> float:
+def variational_residual(V: VectorField3, j: Jet1 | chart.JetColumns):
     """Residual of the variational-symmetry criterion at a jet.
 
     Applies the prolonged field to the integrand and adds the integrand
     times the total x-derivative of xi; zero (within tolerance) exactly
-    when V generates a variational symmetry at j.
+    when V generates a variational symmetry at j.  A float at a Jet1, an
+    array over the samples of a JetColumns.
     """
     xi, phi, eta, phi_pr, eta_pr = _prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
     args = (j.x, j.y, j.v, j.y_x, j.v_x)
@@ -229,10 +238,11 @@ def variational_residual(V: VectorField3, j: Jet1) -> float:
     return applied + lam * dxi_total
 
 
-def determining_residuals(V: VectorField3, p: ChartPoint):
+def determining_residuals(V: VectorField3, p: ChartPoint | chart.JetColumns):
     """The six monomial-coefficient residuals of the symmetry condition.
 
-    Returns the left sides, in order:
+    Returns the left sides (floats at a ChartPoint; arrays over the
+    samples, or a constant float, at a JetColumns), in order:
       (a) xi_x
       (b) phi_x cos^2 x + xi_y
       (c) eta_x cos^2 y cos^2 x + xi_v
@@ -296,6 +306,11 @@ def _candidate_fields():
     return cands
 
 
+def _values(F: VectorField3, x, y, v) -> np.ndarray:
+    """F's coefficients at n points as an (n, 3) array, one row per point."""
+    return np.stack([np.broadcast_to(c, x.shape) for c in F.coefficients(x, y, v)], axis=1)
+
+
 def identify_field(
     W: VectorField3,
     points: Iterable[ChartPoint],
@@ -306,15 +321,15 @@ def identify_field(
     Selection is least-squares over all samples and components; the
     reported residual is the max pointwise deviation from the winner.
     Identification requires the winner's residual < tol while every other
-    candidate deviates by more than 10*tol somewhere.
+    candidate deviates by more than 10*tol somewhere.  W and each
+    candidate are evaluated once, over all points together.
     """
-    pts = list(points)
-    Wvals = np.array([W.at(p) for p in pts])
+    x, y, v = (np.array(c) for c in zip(*((p.x, p.y, p.v) for p in points)))
+    Wvals = _values(W, x, y, v)
     best = None
     deviations = []
     for label, C in _candidate_fields():
-        Cvals = np.array([C.at(p) for p in pts])
-        diff = Wvals - Cvals
+        diff = Wvals - _values(C, x, y, v)
         ssq = float(np.sum(diff * diff))
         maxdev = float(np.max(np.abs(diff)))
         deviations.append((label, ssq, maxdev))
@@ -371,17 +386,19 @@ def closed_triples(grid: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
     return closed
 
 
-def prolong2_apply(V: VectorField3, F, j: Jet2) -> float:
+def prolong2_apply(V: VectorField3, F, j: Jet2 | chart.JetColumns):
     """Apply the second prolongation of V to a second-order jet function.
 
     F takes the seven slots (x, y, v, y_x, v_x, y_xx, v_xx) and must be
-    dual-capable.  The second-order coefficients follow the jet recursion
+    dual-capable (and array-capable for a JetColumns ``j``).  The
+    second-order coefficients follow the jet recursion
 
         phi^xx = D_x(phi^x) - y_xx D_x(xi)
         eta^xx = D_x(eta^x) - v_xx D_x(xi)
 
     with the total derivative D_x expanded through second-order jet
-    variables.  The result is (pr2 V)(F) evaluated at j.
+    variables.  The result is (pr2 V)(F) evaluated at j: a float at a
+    Jet2, an array over the samples of a JetColumns.
     """
     x, y, v, y_x, v_x = j.x, j.y, j.v, j.y_x, j.v_x
     y_xx, v_xx = j.y_xx, j.v_xx

@@ -196,12 +196,15 @@ def test_infer_k_simple_state_grid_cross_check():
     k = float(geo.infer_k(traj.jet(0)))
     assert abs(k - 0.5) < 1e-15
 
+    # the curvature RK4 kept at each sample equals el_rhs there bitwise
+    # (test_integrate_keeps_rk4_curvature_bitwise)
+    y_xx = traj.curvature[:, 0].tolist()
+
     def max_E(kv):
         worst = 0.0
         for i in range(len(traj)):
             j = traj.jet(i)
-            y_xx, _ = geo.el_rhs(j)
-            worst = max(worst, abs(geo.collapsed_E(j.x, j.y, j.y_x, y_xx, kv)))
+            worst = max(worst, abs(geo.collapsed_E(j.x, j.y, j.y_x, y_xx[i], kv)))
         return worst
 
     grid_best = min(max_E(kv) for kv in np.linspace(0.0, 1.0, 101))

@@ -202,6 +202,17 @@ def test_grad3_domain_error_reports_point():
     assert "evaluation point" in str(err.value)
 
 
+def test_gradn_domain_error_on_arrays_names_index_and_point():
+    xs = np.linspace(-1.0, 1.0, 1000)
+    xs[617] = math.pi / 2
+    with pytest.raises(jc.DomainError) as err:
+        jc.gradn(lambda x, y, v: jc.tan(x) * y, (xs, np.full(1000, 0.25), 0.5))
+    assert err.value.index == (617,)
+    message = str(err.value)
+    assert message.endswith(f"(at evaluation point ({math.pi / 2!r}, 0.25, 0.5), index (617,))")
+    assert len(message) < 200  # the point, not the whole arrays
+
+
 def test_dual_through_composed_functions_matches_fd():
     def f(x):
         return jc.arctan(jc.tan(x) * jc.sec(x)) + jc.sqrt(1.0 + x * x)

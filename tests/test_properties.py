@@ -1,6 +1,7 @@
 """Property tests: the array-valued dual core against its scalar self and mpmath."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ state = st.tuples(angle, angle, slope, slope)
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _per_sample(batched, n) -> bytes:
+    """_bits of an array result over n samples; a constant float counts for each."""
+    return _bits(np.broadcast_to(batched, (n,)))
 
 
 @bitwise
@@ -152,3 +158,164 @@ def test_division_array_branch_matches_mpmath(data):
     inv = 1.0 / jc.DualScalar(b, db)
     assert _ulps(inv.value, [1 / r for r in B]) <= 0.5
     assert _ulps(inv.derivative, [-dr / (r * r) for r, dr in zip(B, DB)]) <= 3
+
+
+# ------------------------------------------ tan, sec and ** array branches
+
+interior = st.lists(st.floats(-1.4, 1.4), min_size=1, max_size=12)
+bases = st.lists(st.floats(0.1, 5.0) | st.floats(-5.0, -0.1), min_size=1, max_size=12)
+exponents = st.sampled_from([-3, -2, -1, 1, 2, 3, 4])
+
+
+def _nested(u):
+    return jc.DualScalar(jc.DualScalar(u, 1.0), 1.0)
+
+
+@bitwise
+@settings(max_examples=60, deadline=None)
+@given(interior, slope)
+def test_tan_sec_array_branches_equal_scalar_bitwise(xs, d):
+    u = np.array(xs)
+    for f in (jc.tan, jc.sec):
+        assert _bits(f(u)) == _bits([f(v) for v in xs])
+        arr = f(jc.DualScalar(u, d))
+        one = [f(jc.DualScalar(v, d)) for v in xs]
+        assert _bits(arr.value) == _bits([o.value for o in one])
+        assert _bits(arr.derivative) == _bits([o.derivative for o in one])
+        arr = f(_nested(u)).derivative
+        one = [f(_nested(v)).derivative for v in xs]
+        assert _bits(arr.value) == _bits([o.value for o in one])
+        assert _bits(arr.derivative) == _bits([o.derivative for o in one])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases, exponents, slope)
+def test_integer_power_array_branch_equals_scalar_bitwise(xs, n, d):
+    u = np.array(xs)
+    arr = jc.DualScalar(u, d) ** n
+    one = [jc.DualScalar(v, d) ** n for v in xs]
+    assert _bits(arr.value) == _bits([o.value for o in one])
+    assert _per_sample(arr.derivative, len(xs)) == _bits([o.derivative for o in one])
+    arr = (_nested(u) ** n).derivative
+    one = [(_nested(v) ** n).derivative for v in xs]
+    assert _bits(arr.value) == _bits([o.value for o in one])
+    assert _per_sample(arr.derivative, len(xs)) == _bits([o.derivative for o in one])
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior)
+def test_tan_sec_array_branches_match_mpmath(xs):
+    u = np.array(xs)
+    mp = [mpmath.mpf(v) for v in xs]
+    tan = [mpmath.tan(v) for v in mp]
+    sec = [mpmath.sec(v) for v in mp]
+    tan_d1 = [s * s for s in sec]
+    tan_d2 = [2 * t * s * s for t, s in zip(tan, sec)]
+    sec_d1 = [s * t for s, t in zip(sec, tan)]
+    sec_d2 = [s * (t * t + s * s) for s, t in zip(sec, tan)]
+    assert _ulps(jc.tan(u), tan) <= 1
+    assert _ulps(jc.sec(u), sec) <= 2
+    assert _ulps(jc.tan(jc.DualScalar(u, 1.0)).derivative, tan_d1) <= 4
+    assert _ulps(jc.sec(jc.DualScalar(u, 1.0)).derivative, sec_d1) <= 4
+    for f, d1, d2, bound in ((jc.tan, tan_d1, tan_d2, 8), (jc.sec, sec_d1, sec_d2, 6)):
+        nested = f(_nested(u)).derivative
+        assert _ulps(nested.value, d1) <= 4
+        assert _ulps(nested.derivative, d2) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases, exponents)
+def test_integer_power_array_branch_matches_mpmath(xs, n):
+    u = np.array(xs)
+    mp = [mpmath.mpf(v) for v in xs]
+    nested = _nested(u) ** n
+    assert _ulps(nested.value.value, [v**n for v in mp]) <= 1
+    assert _ulps(nested.derivative.value, [n * v ** (n - 1) for v in mp]) <= 2
+    assert _ulps(nested.derivative.derivative, [n * (n - 1) * v ** (n - 2) for v in mp]
+                 if n != 1 else [mpmath.mpf(0)] * len(mp)) <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior, st.data())
+def test_array_guards_name_the_first_offending_index(xs, data):
+    bad = sorted(data.draw(st.sets(st.integers(0, len(xs) - 1), min_size=1)))
+    first = f"index ({bad[0]},)"
+    poles = np.array(xs)
+    poles[bad] = math.pi / 2
+    for f in (jc.tan, jc.sec):
+        with pytest.raises(jc.DomainError, match="cosine of the argument vanishes") as err:
+            f(jc.DualScalar(poles, 1.0))
+        assert str(err.value).endswith(f"{first})") and err.value.index == (bad[0],)
+    signed = np.abs(np.array(xs)) + 0.5
+    signed[bad] = -1.0
+    with pytest.raises(jc.DomainError,
+                       match=re.escape(f"fractional power 0.5 of a negative base at {first}")):
+        jc.DualScalar(signed, 1.0) ** 0.5
+    signed[bad] = 0.0
+    with pytest.raises(jc.DomainError, match=re.escape(f"negative power -2 of zero at {first}")):
+        jc.DualScalar(signed, 1.0) ** -2
+
+
+# ------------------------------- batched symmetry kernels vs per-point calls
+
+from glome import symmetries as sym  # noqa: E402
+
+chart_angle = st.floats(-1.4, 1.4)
+jet = st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3), slope, slope)
+jets = st.lists(jet, min_size=1, max_size=15)
+weights = st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5)
+
+
+def _columns(rows):
+    return chart.JetColumns(*(np.array(c) for c in zip(*rows)))
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
+@given(jets, weights)
+def test_variational_and_determining_batch_equal_per_point_bitwise(rows, k):
+    cols = _columns(rows)
+    fields = [sym.chi(i) for i in range(1, 7)] + [sym.general_symmetry(k)]
+    for V in fields:
+        want = [sym.variational_residual(V, chart.jet1(*r)) for r in rows]
+        assert _per_sample(sym.variational_residual(V, cols), len(rows)) == _bits(want)
+        want = [sym.determining_residuals(V, chart.ChartPoint(*r[:3])) for r in rows]
+        for got, column in zip(sym.determining_residuals(V, cols), zip(*want)):
+            assert _per_sample(got, len(rows)) == _bits(column)
+
+
+@bitwise
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3), slope, slope,
+                          st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                min_size=1, max_size=10),
+       st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+def test_prolong2_batch_equals_per_point_bitwise(rows, k):
+    cols = _columns(rows)
+    F = geo.collapsed_fn(k)
+    for i in range(1, 7):
+        V = sym.chi(i)
+        want = [sym.prolong2_apply(V, F, chart.jet2(*r)) for r in rows]
+        assert _per_sample(sym.prolong2_apply(V, F, cols), len(rows)) == _bits(want)
+
+
+@bitwise
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3)), min_size=10, max_size=20),
+       st.integers(1, 6), st.integers(1, 6))
+def test_bracket_identification_batch_equals_per_point_bitwise(rows, a, b):
+    points = [chart.ChartPoint(*r) for r in rows]
+    x, y, v = (np.array(c) for c in zip(*rows))
+    W = sym.lie_bracket(sym.chi(a), sym.chi(b))
+    per_point = {}
+    for label, C in [("W", W)] + sym._candidate_fields():
+        per_point[label] = np.array([C.at(p) for p in points])
+        batched = C.coefficients(x, y, v)
+        for got, column in zip(batched, per_point[label].T):
+            assert _per_sample(got, len(rows)) == _bits(column)
+    try:
+        entry = sym.identify_field(W, points, 1e-8)
+    except sym.AmbiguousIdentification:
+        return
+    want = float(np.max(np.abs(per_point["W"] - per_point[entry.identified])))
+    assert _bits([entry.residual]) == _bits([want])
