@@ -26,7 +26,7 @@ from .geodesics import (
     integrate_batch,
     noether_charge,
 )
-from .jetcalc import DomainError, DualScalar, second_deriv
+from .jetcalc import DomainError, DualScalar
 from .reduction import (
     BranchExit,
     CanonicalPair,
@@ -96,6 +96,5 @@ __all__ = [
     "prolong2_apply",
     "s2_residual",
     "sample_domain",
-    "second_deriv",
     "variational_residual",
 ]

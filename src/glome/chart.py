@@ -140,8 +140,8 @@ def arc_speed(x, y, y_x, v_x):
     return jetcalc.sqrt(1.0 + cx * cx * y_x * y_x + cx * cx * cy * cy * v_x * v_x)
 
 
-def lagrangian(j: Jet1) -> float:
-    """Arclength integrand at a first-order jet; always >= 1."""
+def lagrangian(j: Jet1 | JetColumns):
+    """Arclength integrand at a first-order jet (an array over JetColumns); always >= 1."""
     return arc_speed(j.x, j.y, j.y_x, j.v_x)
 
 
@@ -149,9 +149,9 @@ class JetColumns(NamedTuple):
     """n chart points or jets held as one numpy column per jet slot.
 
     It stands in for a ChartPoint, Jet1 or Jet2 in the coordinate-generic
-    functions of the symmetry module, which read only the slot values, so
-    that one array-valued dual pass evaluates all n samples.  Slots a
-    sample does not fix hold 0.0.
+    functions (the symmetry residuals, the integrand, the charge, omega'),
+    which read only the slot values, so that one array-valued pass
+    evaluates all n samples.  Slots a sample does not fix hold 0.0.
     """
 
     x: np.ndarray
@@ -197,14 +197,3 @@ def jet_columns(
     rng = np.random.default_rng(seed + 0x9E3779B9)
     slopes = rng.uniform(-max_slope, max_slope, (n, 2))
     return c._replace(y_x=slopes[:, 0], v_x=slopes[:, 1])
-
-
-def sample_jets(
-    n: int,
-    margin: float = DEFAULT_MARGIN,
-    seed: int = 0,
-    max_slope: float = 2.0,
-) -> list[Jet1]:
-    """The jets of :func:`jet_columns` as Jet1s."""
-    c = jet_columns(n, margin, seed, max_slope)
-    return [jet1(*row) for row in zip(*(a.tolist() for a in c[:5]))]

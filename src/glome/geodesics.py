@@ -19,9 +19,10 @@ import numpy as np
 
 from . import chart, jetcalc
 from .chart import Jet1
-from .jetcalc import directional
+from .jetcalc import directional, power
 
 POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus this
+MIN_STEP = 1e-5  # rad; caps one trajectory at about 3e5 rows (17 MB) across the chart
 DET_FLOOR = 1e-12  # coefficient-matrix determinants below this are singular
 
 CSV_HEADER = ["x", "y", "v", "y_x", "v_x", "noether_c", "lagrangian", "ambient_norm_residual"]
@@ -161,10 +162,10 @@ def el_expression_v(x, y, v, y_x, v_x, y_xx, v_xx):
     return 0.0 - total
 
 
-def noether_charge(j: Jet1) -> float:
-    """The conserved charge dL/dv_x = cos^2x cos^2y v_x / L."""
-    cx = math.cos(j.x)
-    cy = math.cos(j.y)
+def noether_charge(j: Jet1 | chart.JetColumns):
+    """The conserved charge dL/dv_x = cos^2x cos^2y v_x / L (an array over JetColumns)."""
+    cx = jetcalc.cos(j.x)
+    cy = jetcalc.cos(j.y)
     return cx * cx * cy * cy * j.v_x / chart.lagrangian(j)
 
 
@@ -180,7 +181,7 @@ def collapsed_E(x, y, y_x, y_xx, k):
         + y_xx * cx * cy * (ccx * ccy - k_value)
         + k_value * jetcalc.sec(x) * sy
         + k_value * y_x * y_x * cx * sy
-        - y_x**3 * ccx * ccx * sx * cy * ccy
+        - power(y_x, 3) * ccx * ccx * sx * cy * ccy
     )
 
 
@@ -225,8 +226,19 @@ class Trajectory:
     ambient_norm_residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        diag = np.array([_diagnostics(row) for row in self.samples]).reshape(-1, 3)
-        self.noether, self.lagrangian, self.ambient_norm_residual = diag.T
+        bad = ~np.isfinite(self.samples).all(axis=1)
+        bad |= (np.abs(self.samples[:, :2]) >= chart.HALF_PI).any(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise chart.ChartError(
+                f"trajectory row {row} {self.samples[row].tolist()} is non-finite or off the open chart"
+            )
+        c = self.columns
+        self.noether = noether_charge(c)
+        self.lagrangian = chart.lagrangian(c)
+        g = chart.ambient_coords(c.x, c.y, c.v)
+        norm = jetcalc.sqrt(power(g[0], 2) + power(g[1], 2) + power(g[2], 2) + power(g[3], 2))
+        self.ambient_norm_residual = abs(norm - 1.0)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -234,6 +246,13 @@ class Trajectory:
     @property
     def x(self) -> np.ndarray:
         return self.samples[:, 0]
+
+    @property
+    def columns(self) -> chart.JetColumns:
+        """The samples as one column per jet slot; y_xx and v_xx are the kept
+        curvatures, None when there are none."""
+        curvature = (None, None) if self.curvature is None else self.curvature.T
+        return chart.JetColumns(*self.samples.T, *curvature)
 
     def jet(self, i: int) -> Jet1:
         x, y, v, y_x, v_x = (float(c) for c in self.samples[i])
@@ -282,9 +301,6 @@ class Trajectory:
         bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
         if bad.size:
             raise ValueError(f"trajectory CSV row {bad[0] + 1} has a non-finite cell")
-        bad = np.flatnonzero(np.any(np.abs(data[:, :2]) >= chart.HALF_PI, axis=1))
-        if bad.size:
-            raise ValueError(f"trajectory CSV row {bad[0] + 1} lies outside the open chart")
         xs = data[:, 0]
         if len(xs) > 1 and not (np.all(np.diff(xs) > 0) or np.all(np.diff(xs) < 0)):
             raise ValueError("trajectory x column must be strictly monotone")
@@ -300,22 +316,6 @@ class Trajectory:
                 f" differs from {float(fresh[row, col - 5])!r} recomputed from the state"
             )
         return traj
-
-
-def _ambient_norm_residual(x, y, v) -> float:
-    g = chart.ambient_coords(x, y, v)
-    return abs(math.sqrt(g[0] ** 2 + g[1] ** 2 + g[2] ** 2 + g[3] ** 2) - 1.0)
-
-
-def _diagnostics(state_row) -> tuple[float, float, float]:
-    x, y, v, y_x, v_x = state_row
-    j = chart.jet1(x, y, v, y_x, v_x)
-    return noether_charge(j), chart.lagrangian(j), _ambient_norm_residual(x, y, v)
-
-
-def _inside_margin(x: float, y: float) -> bool:
-    lim = chart.HALF_PI - POLE_MARGIN
-    return abs(x) <= lim and abs(y) <= lim
 
 
 def _stage(x: float, u: np.ndarray, failed: dict) -> np.ndarray:
@@ -367,7 +367,9 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     All jets must start at the same x; each element repeats the arithmetic
     of a lone run, so the result for a jet does not depend on its batch.
     The step count is chosen so the grid lands exactly on x_end (the
-    realized step never exceeds the requested magnitude).  Each step's
+    realized step never exceeds the requested magnitude, which must lie in
+    [MIN_STEP, 0.01]).  Rows are allocated only up to the pole margin, so
+    a far x_end costs no memory it cannot use.  Each step's
     first stage is the curvature at its sample, so a trajectory keeps it;
     one extra evaluation covers the final sample.
 
@@ -378,8 +380,8 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     far (None when the initial state is already outside the margin).  A
     stopped jet freezes; the others continue.
     """
-    if not 0.0 < abs(step) <= 0.01:
-        raise ValueError(f"|step| must lie in (0, 0.01], got {step}")
+    if not MIN_STEP <= abs(step) <= 0.01:
+        raise ValueError(f"|step| must lie in [{MIN_STEP:g}, 0.01], got {step}")
     jets = list(jets)
     if not jets:
         return []
@@ -388,22 +390,28 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
         raise ValueError("integrate_batch: every jet must start at the same x")
 
     span = x_end - x0
+    if abs(span) > 1e300:  # the margin stops the run long before; keeps span / step finite
+        span = math.copysign(1e300, span)
     n = 0 if span == 0.0 else max(1, round(abs(span) / abs(step)))
     if n and abs(span) / n > 0.01:
         n += 1
     h = span / max(n, 1)
+    lim = chart.HALF_PI - POLE_MARGIN
+    last = n  # the last step whose x can lie inside the margin; later rows are never written
+    if n:
+        ahead = lim - x0 if h > 0 else lim + x0
+        last = min(n, max(0, math.floor(ahead / abs(h)) + 1))
 
     out: list = [None] * len(jets)
-    rows = np.empty((n + 1, len(jets), 5))  # step, jet, (x, y, v, y_x, v_x)
+    rows = np.empty((last + 1, len(jets), 5))  # step, jet, (x, y, v, y_x, v_x)
     rows[0] = [[j.x, j.y, j.v, j.y_x, j.v_x] for j in jets]
-    curvature = np.empty((n + 1, len(jets), 2))
+    curvature = np.empty((last + 1, len(jets), 2))
     for c, j in enumerate(jets):
-        if not _inside_margin(j.x, j.y):
+        if not (abs(j.x) <= lim and abs(j.y) <= lim):
             out[c] = DomainExit(j.x, "initial state outside the pole margin")
     live = np.array([c for c in range(len(jets)) if out[c] is None], dtype=int)
     u = rows[0, live, 1:].T.copy()  # (4, live)
     x = x0
-    lim = chart.HALF_PI - POLE_MARGIN
     with np.errstate(all="ignore"):  # a state that goes non-finite stops its jet below
         for i in range(n + 1):
             if not live.size:
@@ -433,7 +441,7 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
                 keep = np.ones(live.size, dtype=bool)
                 keep[list(stopped)] = False
                 live, u = live[keep], u[:, keep]
-            if i < n:
+            if i < n and live.size:
                 rows[i + 1, live, 0] = x
                 rows[i + 1, live, 1:] = u.T
     for c in live.tolist():

@@ -6,21 +6,22 @@ There are no finite differences outside the test suite and no symbolic
 expression trees anywhere.
 
 The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
-`arctan`, `atan2`) accept plain floats or :class:`DualScalar` values and can
-be nested to any depth.  They raise :class:`DomainError` instead of
-returning non-finite values, because the chart singularities cos x = 0 and
-cos y = 0 lurk behind most expressions built on top of them.
+`arctan`, `atan2`) and `power` accept plain floats or :class:`DualScalar`
+values and can be nested to any depth.  They raise :class:`DomainError`
+instead of returning non-finite values, because the chart singularities
+cos x = 0 and cos y = 0 lurk behind most expressions built on top of them.
 
 Array values: the components of a :class:`DualScalar` may also be numpy
 float arrays, so that one pass carries many points or many directions
-(broadcasting as numpy does).  `+`, `-`, `*`, `/`, `**`, `sin`, `cos`,
-`tan`, `sec` and `sqrt` accept them and apply the same floating-point
+(broadcasting as numpy does).  `+`, `-`, `*`, `/`, `**`, `power` and every
+elementary function accept them and apply the same floating-point
 operations element by element, so an element of an array result equals
 the scalar result bitwise wherever numpy's `sin`, `cos` and `sqrt` equal
-the `math` ones.  `tan` and `**` call `math.tan` and Python's `**` on each
-element, because numpy's versions round differently in the last place.
-Their domain guards raise :class:`DomainError` naming the first offending
-index.  `arcsin`, `arctan` and `atan2` take scalars only.
+the `math` ones.  `tan`, `arcsin`, `arctan`, `atan2` and `**` call
+`math.tan`, `math.asin`, `math.atan`, `math.atan2` and Python's `**` on
+each element, because numpy's versions round differently in the last
+place.  Their domain guards raise :class:`DomainError` naming the first
+offending index.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ __all__ = [
     "arcsin",
     "arctan",
     "atan2",
-    "derivative",
-    "second_deriv",
+    "power",
     "directional",
     "gradn",
-    "second_partial",
 ]
 
 # |cos| below this counts as a tan/sec pole; generous enough to catch
@@ -77,13 +76,15 @@ def _guard(bad, func: str, values, detail: str) -> None:
         raise DomainError(func, float(values[idx]), f"{detail} at index {idx}", idx)
 
 
-def _elementwise(f, u):
-    """``f`` applied to each element of the array ``u`` as a Python float."""
-    return np.fromiter(map(f, u.ravel().tolist()), float, u.size).reshape(u.shape)
+def _elementwise(f, u, *more):
+    """``f`` applied to each element of the array ``u`` (and of the same-shape
+    arrays ``more``) as Python floats."""
+    flat = (a.ravel().tolist() for a in (u, *more))
+    return np.fromiter(map(f, *flat), float, u.size).reshape(u.shape)
 
 
-def _power(u, exponent):
-    """``u ** exponent``, with Python's ``**`` on each element of an array ``u``."""
+def power(u, exponent):
+    """``u ** exponent`` of a float, a dual or an array (Python's ``**`` on each element)."""
     if isinstance(u, _ndarray):
         return _elementwise(lambda b: b**exponent, u)
     return u**exponent
@@ -178,8 +179,8 @@ class DualScalar:
         elif exponent < 0 and base == 0.0:
             raise DomainError("pow", 0.0, f"negative power {exponent} of zero")
         return DualScalar(
-            _power(self.value, exponent),
-            exponent * _power(self.value, exponent - 1) * self.derivative,
+            power(self.value, exponent),
+            exponent * power(self.value, exponent - 1) * self.derivative,
         )
 
     def __float__(self):
@@ -258,6 +259,9 @@ def sqrt(u):
 def arcsin(u):
     if isinstance(u, DualScalar):
         return DualScalar(arcsin(u.value), u.derivative / sqrt(1.0 - u.value * u.value))
+    if isinstance(u, _ndarray):
+        _guard((u < -1.0) | (u > 1.0), "arcsin", u, "argument outside [-1, 1]")
+        return _elementwise(math.asin, u)
     if u < -1.0 or u > 1.0:
         raise DomainError("arcsin", u, "argument outside [-1, 1]")
     return math.asin(u)
@@ -266,6 +270,8 @@ def arcsin(u):
 def arctan(u):
     if isinstance(u, DualScalar):
         return DualScalar(arctan(u.value), u.derivative / (1.0 + u.value * u.value))
+    if isinstance(u, _ndarray):
+        return _elementwise(math.atan, u)
     return math.atan(u)
 
 
@@ -277,32 +283,22 @@ def atan2(y, x):
         if not isinstance(x, DualScalar):
             x = DualScalar(x, 0.0)
         rsq = x.value * x.value + y.value * y.value
-        if real_value(rsq) == 0.0:
+        r = real_value(rsq)
+        if isinstance(r, _ndarray):
+            _guard(r == 0.0, "atan2", r, "both arguments zero")
+        elif r == 0.0:
             raise DomainError("atan2", (real_value(y), real_value(x)), "both arguments zero")
         return DualScalar(
             atan2(y.value, x.value),
             (x.value * y.derivative - y.value * x.derivative) / rsq,
         )
+    if isinstance(y, _ndarray) or isinstance(x, _ndarray):
+        y, x = np.broadcast_arrays(y, x)
+        _guard((y == 0.0) & (x == 0.0), "atan2", y, "both arguments zero")
+        return _elementwise(math.atan2, y, x)
     if y == 0.0 and x == 0.0:
         raise DomainError("atan2", (y, x), "both arguments zero")
     return math.atan2(y, x)
-
-
-def derivative(f, x0):
-    """First derivative of a scalar function at ``x0``.
-
-    ``x0`` may itself be a DualScalar, in which case the result carries the
-    outer derivative along (this is how nesting composes).
-    """
-    result = f(DualScalar(x0, 1.0))
-    if isinstance(result, DualScalar):
-        return result.derivative
-    return 0.0
-
-
-def second_deriv(f, x0):
-    """Second derivative of a scalar function at ``x0`` via nested duals."""
-    return derivative(lambda t: derivative(f, t), x0)
 
 
 def directional(f, args, direction):
@@ -349,14 +345,3 @@ def gradn(f, args):
             f"at evaluation point {point!r}, index {err.index}", err.index,
         ) from err
     return tuple(out)
-
-
-def second_partial(f, args, i, j):
-    """Mixed second partial d^2 f / d args[i] d args[j] via nested duals."""
-    ej = tuple(1.0 if m == j else 0.0 for m in range(len(args)))
-    ei = tuple(1.0 if m == i else 0.0 for m in range(len(args)))
-
-    def inner(*a):
-        return directional(f, a, ej)[1]
-
-    return directional(inner, args, ei)[1]

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jetcalc
-from .chart import Jet1
+from . import chart, jetcalc
 from .geodesics import Trajectory, infer_k
-from .jetcalc import arcsin, arctan, cos, directional, sec, sin, tan
+from .jetcalc import arcsin, arctan, atan2, cos, directional, power, sec, sin, tan
 
 
 class InversionDomain(ValueError):
@@ -84,19 +83,23 @@ def global_flow(x, y, lam):
     Valid for any lambda while the arcsin argument stays strictly inside
     (-1, 1); on the open chart its magnitude is bounded by
     sqrt(1 - omega^2) < 1, so BranchExit fires only for inputs at or
-    beyond the chart poles.  Dual-capable in all three arguments.
+    beyond the chart poles.  Dual-capable in all three arguments, and
+    array-valued over arrays of points (BranchExit names the first lambda
+    that leaves the branch).
     """
     s = sin(x) * cos(lam) - cos(x) * sin(y) * sin(lam)
-    if abs(jetcalc.real_value(s)) >= 1.0:
-        raise BranchExit(jetcalc.real_value(lam))
+    off = np.abs(jetcalc.real_value(s)) >= 1.0
+    if np.any(off):
+        lams = np.broadcast_to(jetcalc.real_value(lam), np.shape(off))
+        raise BranchExit(float(lams.flat[np.argmax(off)]))
     X = arcsin(s)
     Y = arctan(tan(y) * cos(lam) + tan(x) * sec(y) * sin(lam))
     return X, Y
 
 
-def wrap_mod_pi(delta: float) -> float:
-    """Fold an angle difference into (-pi/2, pi/2]; tau lives mod pi."""
-    return delta - math.pi * round(delta / math.pi)
+def wrap_mod_pi(delta):
+    """Fold an angle difference (or an array of them) into (-pi/2, pi/2]; tau lives mod pi."""
+    return delta - math.pi * np.round(delta / math.pi)
 
 
 def flow_generator_check(x: float, y: float) -> tuple[float, float]:
@@ -108,42 +111,53 @@ def flow_generator_check(x: float, y: float) -> tuple[float, float]:
     system, taken with dual-number lambda-derivatives, are returned and
     vanish up to rounding.
     """
-    dX = jetcalc.derivative(lambda lam: global_flow(x, y, lam)[0], 0.0)
-    dY = jetcalc.derivative(lambda lam: global_flow(x, y, lam)[1], 0.0)
+    _, dX = directional(lambda lam: global_flow(x, y, lam)[0], (0.0,), (1.0,))
+    _, dY = directional(lambda lam: global_flow(x, y, lam)[1], (0.0,), (1.0,))
     return (dX + math.sin(y), dY - math.tan(x) * math.cos(y))
 
 
-def omega_prime(j: Jet1) -> float:
+def omega_prime(j: chart.Jet1 | chart.JetColumns):
     """d(omega)/d(tau) along the curve a jet represents.
 
     Chain rule through x: both coordinate differentials are taken along
-    (1, y_x).  Raises InversionDomain where tau is stationary.
+    (1, y_x).  Raises InversionDomain where tau is stationary; over
+    JetColumns the result is an array with NaN at those samples.
     """
     args = (j.x, j.y)
     direction = (1.0, j.y_x)
     _, d_omega = directional(omega_coordinate, args, direction)
     _, d_tau = directional(tau_coordinate, args, direction)
+    if isinstance(d_tau, np.ndarray):
+        return np.divide(d_omega, d_tau, out=np.full(d_tau.shape, np.nan), where=d_tau != 0.0)
     if d_tau == 0.0:
         raise InversionDomain("tau is stationary along the jet; omega'(tau) diverges")
     return d_omega / d_tau
 
 
-def _sample_terms(tau: float, omega: float, k) -> tuple[float, float, float]:
-    """S = omega^2 cos^2 tau + sin^2 tau, R = k/omega^2 - 1 and
-    theta = atan2(omega, tan tau) of the reduced relation at one sample.
+def _tan(t):
+    """math.tan, per element of an array.  Not jetcalc.tan: tau = arctan(...)
+    never sits on a pole, but that guard (|cos| < 1e-12) fires for 0 < |x| < 1e-12."""
+    return jetcalc._elementwise(math.tan, t) if isinstance(t, np.ndarray) else math.tan(t)
 
-    Raises InversionDomain unless omega lies strictly inside (0, 1).
+
+def _sample_terms(tau, omega, k):
+    """S = omega^2 cos^2 tau + sin^2 tau, R = k/omega^2 - 1 and
+    theta = atan2(omega, tan tau) of the reduced relation, per sample.
+
+    Raises InversionDomain unless omega lies strictly inside (0, 1) (at
+    every element of an array).
     """
-    if not (0.0 < omega < 1.0):
+    if not np.all((0.0 < omega) & (omega < 1.0)):
         raise InversionDomain(f"omega must lie strictly inside (0, 1), got {omega}")
-    S = omega * omega * math.cos(tau) ** 2 + math.sin(tau) ** 2
+    S = omega * omega * power(cos(tau), 2) + power(sin(tau), 2)
     R = float(k) / (omega * omega) - 1.0
-    theta = math.atan2(omega, math.tan(tau))
+    theta = atan2(omega, _tan(tau))
     return S, R, theta
 
 
-def alpha_from_sample(tau: float, omega: float, omega_prime: float, k) -> float:
-    """Invert the reduced first-order relation for alpha at one sample.
+def alpha_from_sample(tau, omega, omega_prime, k):
+    """Invert the reduced first-order relation for alpha at one sample
+    (or at each element of equal-shape arrays).
 
     With S, R and theta as in _sample_terms:
 
@@ -152,16 +166,19 @@ def alpha_from_sample(tau: float, omega: float, omega_prime: float, k) -> float:
     cos^2 is even, so alpha is the same on both branches of the forward
     relation (and under mod-pi shifts of either angle): the inversion
     takes no branch.  The branch matters only when reproducing omega'
-    from alpha, in reduced_omega_prime.
+    from alpha, in reduced_omega_prime.  Raises InversionDomain for an
+    inadmissible sample (any element of an array) and for a non-finite
+    float alpha; an array result keeps non-finite alphas for the caller
+    to drop.
     """
     S, R, theta = _sample_terms(tau, omega, k)
-    if not math.isfinite(omega_prime):
+    if not np.all(np.isfinite(omega_prime)):
         raise InversionDomain("omega' is not finite")
-    if math.tan(tau) == 0.0:
+    if np.any(_tan(tau) == 0.0):
         raise InversionDomain("tan tau vanishes; theta undefined")
-    psi = math.atan(omega_prime / (1.0 - omega * omega))
-    alpha = S * (1.0 + R * math.cos(psi - theta) ** 2)
-    if not math.isfinite(alpha):
+    psi = arctan(omega_prime / (1.0 - omega * omega))
+    alpha = S * (1.0 + R * power(cos(psi - theta), 2))
+    if not isinstance(alpha, np.ndarray) and not math.isfinite(alpha):
         raise InversionDomain("alpha evaluated non-finite")
     return alpha
 
@@ -192,7 +209,7 @@ def s2_residual(x, y, y_x, y_xx):
 
         y_xx - 2 y_x tan x - y_x^3 sin x cos x
     """
-    return y_xx - 2.0 * y_x * tan(x) - y_x**3 * sin(x) * cos(x)
+    return y_xx - 2.0 * y_x * tan(x) - power(y_x, 3) * sin(x) * cos(x)
 
 
 def s2_fn(x, y, v, y_x, v_x, y_xx, v_xx):
@@ -209,22 +226,27 @@ TAU_GUARD = 1e-6
 
 
 def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, int]:
-    """alpha at every admissible trajectory sample, plus the excluded count."""
-    alphas = []
-    excluded = 0
-    for i in range(len(traj)):
-        j = traj.jet(i)
-        try:
-            pair = canonical(j.x, j.y)
-            if 1.0 - pair.omega < OMEGA_GUARD:
-                raise InversionDomain("omega too close to 1")
-            if abs(math.tan(pair.tau)) < TAU_GUARD:
-                raise InversionDomain("tau too close to a multiple of pi")
-            w_prime = omega_prime(j)
-            alphas.append(alpha_from_sample(pair.tau, pair.omega, w_prime, k))
-        except (InversionDomain, jetcalc.DomainError):
-            excluded += 1
-    return np.array(alphas), excluded
+    """alpha at every admissible trajectory sample, plus the excluded count.
+
+    A sample is admissible when x != 0 (tau is undefined there), omega is
+    not within OMEGA_GUARD of 1, tan tau is not within TAU_GUARD of 0,
+    tau is not stationary, and omega' and alpha evaluate finite.  The
+    alphas keep the sample order.
+    """
+    c = traj.columns
+    rows = np.flatnonzero(c.x != 0.0)
+    x, y = c.x[rows], c.y[rows]
+    # for 0 < |x| < 1e-154, cot x or the square of sin x leaves the float range;
+    # the non-finite values that follow fail the guards below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tau, omega = tau_coordinate(x, y), omega_coordinate(x, y)
+        ok = (1.0 - omega >= OMEGA_GUARD) & (np.abs(_tan(tau)) >= TAU_GUARD)
+        rows, tau, omega = rows[ok], tau[ok], omega[ok]
+        w_prime = omega_prime(chart.JetColumns(c.x[rows], c.y[rows], 0.0, c.y_x[rows]))
+    ok = np.isfinite(w_prime)
+    alphas = alpha_from_sample(tau[ok], omega[ok], w_prime[ok], k)
+    alphas = alphas[np.isfinite(alphas)]
+    return alphas, len(traj) - alphas.size
 
 
 def reduction_report(traj: Trajectory, k=None) -> dict:

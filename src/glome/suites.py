@@ -8,10 +8,11 @@ combination for the determining equations, 50 points per bracket entry,
 200 on-shell jets per k for the second-prolongation check, and 50
 trajectories of span 0.8 at the configured step for the dynamics suites.
 
-All suites are deterministic given the configuration.  The symmetry
-suites evaluate each check in one array-valued dual pass over all its
-sample points (chart.JetColumns), drawn by the same random calls as the
-per-point samplers, so every residual equals its per-point value bitwise.
+All suites are deterministic given the configuration.  Each check is
+evaluated in one array-valued pass over all its sample points or
+trajectory rows (chart.JetColumns, Trajectory.columns), drawn by the same
+random calls as per-point sampling, so every residual equals its
+per-point value bitwise.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class RunConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if not 0.0 < self.margin < HALF_PI:
             raise ConfigError(f"margin must lie in (0, pi/2), got {self.margin}")
-        if not 0.0 < self.step <= 0.01:
-            raise ConfigError(f"step must lie in (0, 0.01], got {self.step}")
+        if not geodesics.MIN_STEP <= self.step <= 0.01:
+            raise ConfigError(f"step must lie in [{geodesics.MIN_STEP:g}, 0.01], got {self.step}")
         if self.trajectories < 1:
             raise ConfigError(f"trajectories must be >= 1, got {self.trajectories}")
         merged = dict(DEFAULT_TOLERANCES)
@@ -126,8 +127,8 @@ def _result(cfg: RunConfig, name: str, residual: float, **extra) -> CheckResult:
 
 
 def _worst(worst: float, residuals) -> float:
-    """max(worst, |residuals|) for a float or an array over samples."""
-    return max(worst, float(np.max(np.abs(residuals))))
+    """max(worst, |residuals|) for a float or an array (possibly empty) over samples."""
+    return max(worst, float(np.max(np.abs(residuals), initial=0.0)))
 
 
 def suite_determining(cfg: RunConfig) -> list[CheckResult]:
@@ -162,70 +163,65 @@ def bracket_table_for(cfg: RunConfig) -> symmetries.BracketTable:
                                     seed=cfg.seed + 17, margin=cfg.margin)
 
 
-def suite_bracket_table(cfg: RunConfig) -> list[CheckResult]:
-    """Identify all 36 brackets and compare against the reference table."""
-    tol = cfg.tol("bracket_table")
+def _bracket_checks(cfg: RunConfig) -> tuple[CheckResult, CheckResult]:
+    """The bracket_table and subgroup_closure results of one identification.
+
+    The table must match the reference entry by entry; exactly the four
+    reference triples must close under the identified brackets.
+    """
     try:
         table = bracket_table_for(cfg)
     except symmetries.AmbiguousIdentification as err:
-        return [
-            CheckResult(
-                "bracket_table", False, math.inf, tol, {"error": str(err)}
-            )
-        ]
+        return tuple(CheckResult(name, False, math.inf, cfg.tol(name), {"error": str(err)})
+                     for name in ("bracket_table", "subgroup_closure"))
     grid = table.identified_grid()
-    matches = all(
-        grid[i][j] == REFERENCE_TABLE[i][j] for i in range(6) for j in range(6)
-    )
+    matches = grid == [list(row) for row in REFERENCE_TABLE]
     worst = max(e.residual for row in table.entries for e in row)
-    result = _result(cfg, "bracket_table", worst, table=table.to_json_dict(),
-                     matches_reference=matches)
-    result.passed = result.passed and matches
-    return [result]
+    brackets = _result(cfg, "bracket_table", worst, table=table.to_json_dict(),
+                       matches_reference=matches)
+    brackets.passed = brackets.passed and matches
+    closed = [list(t) for t in symmetries.closed_triples(grid)]
+    expected = [list(t) for t in CLOSED_TRIPLES]
+    closure = _result(cfg, "subgroup_closure", 0.0 if closed == expected else math.inf,
+                      closed_triples=closed, expected_triples=expected)
+    return brackets, closure
+
+
+def suite_bracket_table(cfg: RunConfig) -> list[CheckResult]:
+    """Identify all 36 brackets and compare against the reference table."""
+    return [_bracket_checks(cfg)[0]]
 
 
 def suite_subgroups(cfg: RunConfig) -> list[CheckResult]:
-    """Exactly the four reference triples close; all other triples fail.
-    Closure is read off the table that suite_bracket_table identifies."""
-    tol = cfg.tol("subgroup_closure")
-    try:
-        grid = bracket_table_for(cfg).identified_grid()
-    except symmetries.AmbiguousIdentification as err:
-        return [CheckResult("subgroup_closure", False, math.inf, tol, {"error": str(err)})]
-    closed = [list(t) for t in symmetries.closed_triples(grid)]
-    expected = [list(t) for t in CLOSED_TRIPLES]
-    return [
-        _result(cfg, "subgroup_closure", 0.0 if closed == expected else math.inf,
-                closed_triples=closed, expected_triples=expected)
-    ]
+    """Exactly the four reference triples close; all other triples fail."""
+    return [_bracket_checks(cfg)[1]]
 
 
 def _onshell_collapsed_jets(cfg: RunConfig, k_value: float, n: int, seed: int):
     """Second-order jets (v = v_x = v_xx = 0) solving the collapsed equation
     for y_xx, as chart.JetColumns.
 
-    The equation is linear in y_xx; samples where its coefficient is small
-    (cos x cos y (cos^2x cos^2y - k) near zero) are rejected and redrawn.
+    The equation is linear in y_xx; draws where its coefficient is small
+    (cos x cos y (cos^2x cos^2y - k) near zero) are rejected, as are draws
+    near x = 0 and with |y_xx| > 50.  Draws come in blocks of (x, y, y_x)
+    rows, the first n accepted in draw order are kept.
     """
     rng = np.random.default_rng(seed)
     lim = HALF_PI - cfg.margin
-    jets = []
-    while len(jets) < n:
-        x = float(rng.uniform(-lim, lim))
-        y = float(rng.uniform(-lim, lim))
-        y_x = float(rng.uniform(-2.0, 2.0))
-        if abs(x) < 0.05:
-            continue  # sec x fine, but keep clear of the x=0 line used elsewhere
-        cx, cy = math.cos(x), math.cos(y)
+    blocks = []
+    accepted = 0
+    while accepted < n:
+        x, y, y_x = rng.uniform([-lim, -lim, -2.0], [lim, lim, 2.0], (2 * n, 3)).T
+        cx, cy = np.cos(x), np.cos(y)
         coeff = cx * cy * (cx * cx * cy * cy - k_value)
-        if abs(coeff) < 0.05:
-            continue
-        rest = geodesics.collapsed_E(x, y, y_x, 0.0, k_value)
-        y_xx = -rest / coeff
-        if abs(y_xx) > 50.0:
-            continue
-        jets.append((x, y, y_x, y_xx))
-    x, y, y_x, y_xx = (np.array(c) for c in zip(*jets))
+        # |x| >= 0.05: sec x is fine there, but keep clear of the x = 0 line used elsewhere
+        keep = np.flatnonzero((np.abs(x) >= 0.05) & (np.abs(coeff) >= 0.05))
+        x, y, y_x, coeff = x[keep], y[keep], y_x[keep], coeff[keep]
+        y_xx = -geodesics.collapsed_E(x, y, y_x, 0.0, k_value) / coeff
+        keep = np.abs(y_xx) <= 50.0
+        blocks.append((x[keep], y[keep], y_x[keep], y_xx[keep]))
+        accepted += int(keep.sum())
+    x, y, y_x, y_xx = (np.concatenate(c)[:n] for c in zip(*blocks))
     return chart.JetColumns(x, y, 0.0, y_x, 0.0, y_xx, 0.0)
 
 
@@ -243,37 +239,30 @@ def suite_collapsed_prolongation(cfg: RunConfig) -> list[CheckResult]:
 
 def suite_flow(cfg: RunConfig) -> list[CheckResult]:
     """Orbit properties: omega invariance, tau shift, group law, generator."""
-    rng = np.random.default_rng(cfg.seed + 23)
-    points = chart.sample_domain(cfg.samples, cfg.margin, cfg.seed + 23)
-    worst_omega = worst_tau = worst_group = worst_dir = 0.0
-    for p in points:
-        x, y = p.x, p.y
-        lam1 = float(rng.uniform(-1.0, 1.0))
-        lam2 = float(rng.uniform(-1.0, 1.0))
-        X, Y = reduction.global_flow(x, y, lam1)
-        worst_omega = max(
-            worst_omega,
-            abs(reduction.omega_coordinate(X, Y) - reduction.omega_coordinate(x, y)),
-        )
-        if abs(x) > 1e-6 and abs(X) > 1e-6:
-            delta = reduction.wrap_mod_pi(
-                reduction.tau_coordinate(X, Y) - reduction.tau_coordinate(x, y) - lam1
-            )
-            worst_tau = max(worst_tau, abs(delta))
-        X2, Y2 = reduction.global_flow(X, Y, lam2)
-        X12, Y12 = reduction.global_flow(x, y, lam1 + lam2)
-        worst_group = max(worst_group, abs(X2 - X12), abs(Y2 - Y12))
-        # invariant coordinate is annihilated by the generator's (xi, phi)
-        if abs(x) > 1e-6:
-            _, d_omega = jetcalc.directional(
-                reduction.omega_coordinate, (x, y), (math.sin(y), -math.tan(x) * math.cos(y))
-            )
-            worst_dir = max(worst_dir, abs(d_omega))
+    points = chart.domain_columns(cfg.samples, cfg.margin, cfg.seed + 23)
+    x, y = points.x, points.y
+    lam1, lam2 = np.random.default_rng(cfg.seed + 23).uniform(-1.0, 1.0, (cfg.samples, 2)).T
+    X, Y = reduction.global_flow(x, y, lam1)
+    worst_omega = _worst(
+        0.0, reduction.omega_coordinate(X, Y) - reduction.omega_coordinate(x, y))
+    off = np.abs(x) > 1e-6  # both x-based checks skip x near 0, where tau is undefined
+    both = off & (np.abs(X) > 1e-6)
+    delta = (reduction.tau_coordinate(X[both], Y[both])
+             - reduction.tau_coordinate(x[both], y[both]) - lam1[both])
+    worst_tau = _worst(0.0, reduction.wrap_mod_pi(delta))
+    X2, Y2 = reduction.global_flow(X, Y, lam2)
+    X12, Y12 = reduction.global_flow(x, y, lam1 + lam2)
+    worst_group = _worst(_worst(0.0, X2 - X12), Y2 - Y12)
+    # invariant coordinate is annihilated by the generator's (xi, phi)
+    xs, ys = x[off], y[off]
+    _, d_omega = jetcalc.directional(
+        reduction.omega_coordinate, (xs, ys), (jetcalc.sin(ys), -jetcalc.tan(xs) * jetcalc.cos(ys))
+    )
     return [
         _result(cfg, "flow_omega_invariance", worst_omega),
         _result(cfg, "flow_tau_shift", worst_tau),
         _result(cfg, "flow_group_property", worst_group),
-        _result(cfg, "omega_chi3_directional", worst_dir),
+        _result(cfg, "omega_chi3_directional", _worst(0.0, d_omega)),
     ]
 
 
@@ -351,36 +340,29 @@ def suite_oracle(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
     return [_result(cfg, "oracle_endpoint", worst)]
 
 
-def _jets_and_y_xx(traj: geodesics.Trajectory):
-    """Each sample's jet with the y_xx that RK4 evaluated there."""
-    return zip((traj.jet(i) for i in range(len(traj))), traj.curvature[:, 0].tolist())
+def _collapsed_along(traj: geodesics.Trajectory, k_value: float):
+    """E at every sample of an integrated trajectory, with the curvatures RK4 kept."""
+    c = traj.columns
+    return geodesics.collapsed_E(c.x, c.y, c.y_x, c.y_xx, k_value)
 
 
-def _collapsed_along(traj: geodesics.Trajectory, k_value: float) -> float:
-    worst = 0.0
-    for j, y_xx in _jets_and_y_xx(traj):
-        worst = max(worst, abs(geodesics.collapsed_E(j.x, j.y, j.y_x, y_xx, k_value)))
-    return worst
+_GRID_CHUNK = 512  # grid rows per block of grid_search_k; 3.3 MB per temporary at 801 samples
 
 
 def grid_search_k(traj: geodesics.Trajectory, spacing: float = 1e-4) -> float:
     """Brute-force oracle: the k on a uniform grid minimizing max |E|.
 
     E is linear in k, so the per-sample values at k = 0 and k = 1 determine
-    the whole grid sweep.  Reads the curvatures an integrated trajectory
-    keeps.
+    the whole grid sweep, which runs in blocks of grid rows.  Reads the
+    curvatures an integrated trajectory keeps.
     """
-    e0 = []
-    e1 = []
-    for j, y_xx in _jets_and_y_xx(traj):
-        a = geodesics.collapsed_E(j.x, j.y, j.y_x, y_xx, 0.0)
-        b = geodesics.collapsed_E(j.x, j.y, j.y_x, y_xx, 1.0)
-        e0.append(a)
-        e1.append(b - a)
-    e0 = np.array(e0)
-    e1 = np.array(e1)
+    e0 = _collapsed_along(traj, 0.0)
+    e1 = _collapsed_along(traj, 1.0) - e0
     grid = np.arange(0.0, 1.0 + 0.5 * spacing, spacing)
-    worst = np.max(np.abs(e0[None, :] + grid[:, None] * e1[None, :]), axis=1)
+    worst = np.concatenate([
+        np.max(np.abs(e0 + block[:, None] * e1), axis=1)
+        for block in np.split(grid, range(_GRID_CHUNK, grid.size, _GRID_CHUNK))
+    ])
     return float(grid[int(np.argmin(worst))])
 
 
@@ -392,7 +374,7 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
     worst_k_gap = 0.0
     for idx, traj in enumerate(batch.trajectories):
         k = geodesics.infer_k(traj.jet(0))
-        worst_E = max(worst_E, _collapsed_along(traj, float(k)))
+        worst_E = _worst(worst_E, _collapsed_along(traj, float(k)))
         dev = reduction.reduction_report(traj, k)["alpha_rel_dev"]
         worst_alpha = max(worst_alpha, math.inf if dev is None else dev)
         if idx < 5:  # the oracle sweep is heavy; five trajectories pin the closed form
@@ -402,8 +384,8 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
     worst_s2 = 0.0
     for traj in batch.planar:
         worst_vx = max(worst_vx, float(np.max(np.abs(traj.samples[:, 4]))))
-        for j, y_xx in _jets_and_y_xx(traj):
-            worst_s2 = max(worst_s2, abs(reduction.s2_residual(j.x, j.y, j.y_x, y_xx)))
+        c = traj.columns
+        worst_s2 = _worst(worst_s2, reduction.s2_residual(c.x, c.y, c.y_x, c.y_xx))
     return [
         _result(cfg, "collapsed_equation", worst_E),
         _result(cfg, "k_grid_agreement", worst_k_gap),
@@ -418,8 +400,7 @@ def run_all(cfg: RunConfig) -> dict:
     checks: list[CheckResult] = []
     checks += suite_determining(cfg)
     checks += suite_variational(cfg)
-    checks += suite_bracket_table(cfg)
-    checks += suite_subgroups(cfg)
+    checks += _bracket_checks(cfg)
     checks += suite_collapsed_prolongation(cfg)
     checks += suite_flow(cfg)
     batch = make_batch(cfg)

@@ -325,11 +325,20 @@ def identify_field(
     candidate are evaluated once, over all points together.
     """
     x, y, v = (np.array(c) for c in zip(*((p.x, p.y, p.v) for p in points)))
-    Wvals = _values(W, x, y, v)
+    return _match(W.name, _values(W, x, y, v), _candidate_values(x, y, v), tol)
+
+
+def _candidate_values(x, y, v) -> list[tuple[str, np.ndarray]]:
+    """Each candidate's label and its (n, 3) values at the points."""
+    return [(label, _values(C, x, y, v)) for label, C in _candidate_fields()]
+
+
+def _match(name: str, Wvals: np.ndarray, candidates, tol: float) -> BracketEntry:
+    """identify_field's rule for the field ``name`` with values ``Wvals``."""
     best = None
     deviations = []
-    for label, C in _candidate_fields():
-        diff = Wvals - _values(C, x, y, v)
+    for label, Cvals in candidates:
+        diff = Wvals - Cvals
         ssq = float(np.sum(diff * diff))
         maxdev = float(np.max(np.abs(diff)))
         deviations.append((label, ssq, maxdev))
@@ -338,12 +347,12 @@ def identify_field(
     label, _, residual = best
     if residual >= tol:
         raise AmbiguousIdentification(
-            f"no candidate matches {W.name}: best {label} deviates by {residual:g}"
+            f"no candidate matches {name}: best {label} deviates by {residual:g}"
         )
     for other, _, maxdev in deviations:
         if other != label and maxdev <= 10.0 * tol:
             raise AmbiguousIdentification(
-                f"{W.name} matches both {label} and {other} within {10*tol:g}"
+                f"{name} matches both {label} and {other} within {10*tol:g}"
             )
     return BracketEntry(label, residual)
 
@@ -354,19 +363,22 @@ def bracket_table(
     seed: int = 7,
     margin: float = chart.DEFAULT_MARGIN,
 ) -> BracketTable:
-    """Identify all 36 pairwise brackets of chi_1..chi_6.
+    """Identify all 36 pairwise brackets of chi_1..chi_6 by identify_field's
+    rule, at the points of chart.sample_domain; the 13 candidates are
+    evaluated once for all 36.
 
     Deterministic for fixed (samples, tol, seed, margin).
     """
     if samples < 10:
         raise ValueError(f"need at least 10 sample points, got {samples}")
-    points = chart.sample_domain(samples, margin, seed)
+    p = chart.domain_columns(samples, margin, seed)
+    candidates = _candidate_values(p.x, p.y, p.v)
     rows = []
     for i in range(1, 7):
         row = []
         for jdx in range(1, 7):
-            entry = identify_field(lie_bracket(chi(i), chi(jdx)), points, tol)
-            row.append(entry)
+            W = lie_bracket(chi(i), chi(jdx))
+            row.append(_match(W.name, _values(W, p.x, p.y, p.v), candidates, tol))
         rows.append(tuple(row))
     return BracketTable(tuple(rows))
 

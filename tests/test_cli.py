@@ -246,6 +246,18 @@ def test_reduce_without_admissible_row_emits_null_and_fails(tmp_path):
     assert "alpha_reason" in report
 
 
+def test_reduce_excludes_rows_whose_tau_derivative_underflows(tmp_path, capsys):
+    # for 0 < |x| < 1e-154 the square of sin x underflows to 0 (a traceback at one time)
+    path = tmp_path / "tiny.csv"
+    geo.Trajectory(np.array([[5e-324, 0.3, 0.0, 0.2, 0.3], [1e-200, 0.3, 0.0, 0.2, 0.3],
+                             [0.3, 0.3, 0.0, 0.2, 0.3]])).to_csv(path)
+    out = tmp_path / "reduction.json"
+    assert main(["reduce", str(path), "--out", str(out)]) == 0
+    report = read_json(out)
+    assert report["samples"] == 1 and report["excluded_rows"] == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_flow_on_axis_emits_null_tau_shift(capsys):
     assert main(["flow", "--point", "0,0.3", "--lambda", "0.2", "--json"]) == 0
     payload = loads_strict(capsys.readouterr().out)
@@ -324,6 +336,15 @@ EXIT_CODES = [
      (reduction, "global_flow", reduction.BranchExit(0.2)), 1),
     ("DomainError", ["flow", "--point", "0.5,0.3", "--lambda", "0.2"],
      (reduction, "omega_coordinate", jetcalc.DomainError("sqrt", -1.0, "planted")), 1),
+    # rows are allocated only up to the pole margin: a far x_end stops there
+    ("DomainExit_x_end_1e9", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "1e9",
+                              "--out", "{tmp}/t.csv"], None, 1),
+    ("DomainExit_x_end_1e300", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "1e300",
+                                "--out", "{tmp}/t.csv"], None, 1),
+    # a step below geodesics.MIN_STEP is a usage error, not an allocation failure
+    ("ConfigError_integrate_step", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.5",
+                                    "--step", "1e-300", "--out", "{tmp}/t.csv"], None, 2),
+    ("ConfigError_verify_step", ["verify", "--step", "1e-300"], None, 2),
     # the long run used to leave the chart here (ChartError, DomainExit for 1217..1256)
     ("verify_samples_past_long_run_cap",
      ["verify", "--samples", "1300", "--trajectories", "1", "--step", "0.01",
@@ -344,4 +365,5 @@ def test_typed_errors_map_to_documented_exit_codes(tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     if argv[0] == "integrate" and code == 1:  # the sidecar names the error met
-        assert read_json(tmp_path / "t.json")["status"] == error
+        assert read_json(tmp_path / "t.json")["status"] == error.partition("_")[0]
+        assert (tmp_path / "t.csv").exists()  # with the partial trajectory

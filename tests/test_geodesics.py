@@ -9,6 +9,16 @@ from glome import jetcalc as jc
 from glome import reduction as red
 
 
+def d1(f, x0):
+    """f'(x0): one dual seeded with direction 1."""
+    return jc.directional(f, (x0,), (1.0,))[1]
+
+
+def jets_of(columns):
+    """A Jet1 for each sample of a chart.JetColumns."""
+    return [chart.jet1(*row) for row in zip(*(c.tolist() for c in columns[:5]))]
+
+
 # ------------------------------------------------------------------- el_rhs
 
 def test_el_rhs_rest_states_are_fixed_points():
@@ -53,18 +63,18 @@ def arc_acceleration_oracle(j):
     def speed(t):
         total = 0.0
         for i in range(4):
-            d = jc.derivative(pos(i), t)
+            d = d1(pos(i), t)
             total = total + d * d
         return jc.sqrt(total)
 
     lam = speed(0.0)
-    lam_prime = jc.derivative(speed, 0.0)
+    lam_prime = d1(speed, 0.0)
     gamma = [pos(i)(0.0) for i in range(4)]
     accel = []
     for i in range(4):
-        d1 = jc.derivative(pos(i), 0.0)
-        d2 = jc.second_deriv(pos(i), 0.0)
-        accel.append((d2 * lam - d1 * lam_prime) / lam**3)
+        vel = d1(pos(i), 0.0)
+        acc = d1(lambda t, i=i: d1(pos(i), t), 0.0)
+        accel.append((acc * lam - vel * lam_prime) / lam**3)
     return np.array(accel), np.array(gamma)
 
 
@@ -75,7 +85,7 @@ def test_el_rhs_ambient_acceleration_is_radial():
 
 
 def test_el_rhs_ambient_acceleration_random_states():
-    for j in chart.sample_jets(25, 0.15, seed=2, max_slope=1.5):
+    for j in jets_of(chart.jet_columns(25, 0.15, seed=2, max_slope=1.5)):
         a_s, gamma = arc_acceleration_oracle(j)
         assert np.max(np.abs(a_s + gamma)) < 1e-8
 
@@ -86,7 +96,7 @@ def test_el_rhs_singular_far_outside_conditioning():
 
 
 def test_el_expressions_vanish_on_shell():
-    for j in chart.sample_jets(50, 0.1, seed=3):
+    for j in jets_of(chart.jet_columns(50, 0.1, seed=3)):
         y_xx, v_xx = geo.el_rhs(j)
         args = (j.x, j.y, j.v, j.y_x, j.v_x, y_xx, v_xx)
         assert abs(geo.el_expression_y(*args)) < 1e-13
@@ -107,11 +117,9 @@ def test_noether_charge_simple_value():
 
 def test_noether_charge_matches_jet_partial():
     # cross-check the closed form against a dual-number partial of the integrand
-    for j in chart.sample_jets(100, 0.1, seed=4):
-        _, slope = jc.directional(
-            chart.arc_speed, (j.x, j.y, j.y_x, j.v_x), (0.0, 0.0, 0.0, 1.0)
-        )
-        assert abs(geo.noether_charge(j) - slope) < 1e-14
+    c = chart.jet_columns(100, 0.1, seed=4)
+    _, slope = jc.directional(chart.arc_speed, (c.x, c.y, c.y_x, c.v_x), (0.0, 0.0, 0.0, 1.0))
+    assert np.max(np.abs(geo.noether_charge(c) - slope)) < 1e-14
 
 
 def test_noether_charge_conserved_along_trajectory(standard_trajectory):
@@ -375,6 +383,25 @@ def test_integrate_batch_arguments():
                              chart.jet1(0.1, 0.1, 0.0, 0.0, 0.0)], 0.5, 1e-3)
     with pytest.raises(ValueError):
         geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0)], 0.5, 0.02)
+    with pytest.raises(ValueError, match="step"):
+        geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0)], 0.5, 0.5 * geo.MIN_STEP)
+
+
+def test_integrate_far_x_end_stops_at_the_margin():
+    # the grid of x_end = 1e9 has 1e12 steps; only those inside the margin get rows
+    near = geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.2, 0.0)], 2.0, 1e-2)[0]
+    far = geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.2, 0.0)], 1e9, 1e-2)[0]
+    for err in (near, far):
+        assert isinstance(err, geo.DomainExit)
+        assert abs(err.trajectory.x[-1]) <= chart.HALF_PI - geo.POLE_MARGIN
+    assert len(far.trajectory) == len(near.trajectory)
+
+
+def test_trajectory_rejects_off_chart_and_non_finite_rows():
+    good = [0.1, 0.2, 0.0, 0.3, 0.4]
+    for bad in ([2.0, 0.2, 0.0, 0.3, 0.4], [0.1, 0.2, 0.0, math.nan, 0.4]):
+        with pytest.raises(chart.ChartError, match="trajectory row 1 "):
+            geo.Trajectory(np.array([good, bad, good]))
 
 
 def test_integrate_keeps_rk4_curvature_bitwise(standard_trajectory):
@@ -431,7 +458,7 @@ def test_great_circle_precondition_checks():
 
 
 def test_ambient_state_speed_equals_lagrangian():
-    for j in chart.sample_jets(100, 0.1, seed=7):
+    for j in jets_of(chart.jet_columns(100, 0.1, seed=7)):
         _, w, speed = geo.ambient_state(j)
         assert abs(speed - chart.lagrangian(j)) < 1e-12
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12

@@ -14,6 +14,16 @@ def second_diff(f, x, h=1e-4):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
+def d1(f, x0):
+    """f'(x0): one dual seeded with direction 1."""
+    return jc.directional(f, (x0,), (1.0,))[1]
+
+
+def d2(f, x0):
+    """f''(x0): two nested seeded duals."""
+    return d1(lambda t: d1(f, t), x0)
+
+
 def test_grad3_product_rule_exact():
     assert jc.gradn(lambda x, y, v: x * y, (2.0, 3.0, 0.0)) == (3.0, 2.0, 0.0)
 
@@ -36,17 +46,16 @@ def test_grad3_matches_finite_differences():
 
 
 def test_second_deriv_cubic():
-    assert jc.second_deriv(lambda t: t * t * t, 2.0) == 12.0
+    assert d2(lambda t: t * t * t, 2.0) == 12.0
 
 
 def test_second_deriv_sin_at_zero():
-    assert abs(jc.second_deriv(jc.sin, 0.0)) == 0.0
+    assert abs(d2(jc.sin, 0.0)) == 0.0
 
 
 def test_second_deriv_tan_matches_finite_differences():
-    d2 = jc.second_deriv(jc.tan, 0.5)
     fd = second_diff(math.tan, 0.5)
-    assert abs(d2 - fd) < 1e-6
+    assert abs(d2(jc.tan, 0.5) - fd) < 1e-6
 
 
 def test_constant_and_identity_lifts():
@@ -71,20 +80,25 @@ def test_leibniz_rule_exact():
 def test_second_derivative_of_square_is_two_everywhere():
     rng = np.random.default_rng(1)
     for x in rng.uniform(-10, 10, 50):
-        assert jc.second_deriv(lambda t: t * t, float(x)) == 2.0
+        assert d2(lambda t: t * t, float(x)) == 2.0
 
 
 def test_mixed_partials_commute():
     def f(x, y, v):
         return jc.sin(x * y) + jc.cos(y) * v + x * v * v
 
+    def mixed(p, i, j):
+        # d/d p_i of (d/d p_j f): the inner direction rides inside the outer dual
+        e = np.eye(3).tolist()
+        return jc.directional(lambda *a: jc.directional(f, a, e[j])[1], p, e[i])[1]
+
     rng = np.random.default_rng(2)
     for _ in range(50):
         p = tuple(rng.uniform(-1.2, 1.2, 3))
         for i in range(3):
             for j in range(i + 1, 3):
-                d_ij = jc.second_partial(f, p, i, j)
-                d_ji = jc.second_partial(f, p, j, i)
+                d_ij = mixed(p, i, j)
+                d_ji = mixed(p, j, i)
                 assert abs(d_ij - d_ji) < 1e-12 * (1.0 + abs(d_ij))
 
 
@@ -164,8 +178,8 @@ def test_atan2_derivative():
         return jc.atan2(jc.sin(t), jc.cos(t))
 
     # d/dt atan2(sin t, cos t) = 1 away from the branch cut
-    assert abs(jc.derivative(f, 0.3) - 1.0) < 1e-14
-    assert abs(jc.derivative(f, -1.2) - 1.0) < 1e-14
+    assert abs(d1(f, 0.3) - 1.0) < 1e-14
+    assert abs(d1(f, -1.2) - 1.0) < 1e-14
 
 
 def test_tan_pole_raises():
@@ -218,7 +232,7 @@ def test_dual_through_composed_functions_matches_fd():
         return jc.arctan(jc.tan(x) * jc.sec(x)) + jc.sqrt(1.0 + x * x)
 
     for x0 in (0.3, -0.9, 1.1):
-        d = jc.derivative(f, x0)
+        d = d1(f, x0)
         fd = central_diff(
             lambda t: math.atan(math.tan(t) / math.cos(t)) + math.hypot(1.0, t), x0
         )

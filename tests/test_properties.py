@@ -225,6 +225,18 @@ def test_tan_sec_array_branches_match_mpmath(xs):
 
 @settings(max_examples=60, deadline=None)
 @given(bases, exponents)
+def test_power_helper_equals_python_power_bitwise(xs, n):
+    u = np.array(xs)
+    assert _bits(jc.power(u, n)) == _bits([v**n for v in xs])
+    assert all(jc.power(v, n) == v**n for v in xs)
+    arr = jc.power(_nested(u), n).derivative
+    one = [jc.power(_nested(v), n).derivative for v in xs]
+    assert _bits(arr.value) == _bits([o.value for o in one])
+    assert _per_sample(arr.derivative, len(xs)) == _bits([o.derivative for o in one])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases, exponents)
 def test_integer_power_array_branch_matches_mpmath(xs, n):
     u = np.array(xs)
     mp = [mpmath.mpf(v) for v in xs]
@@ -233,6 +245,71 @@ def test_integer_power_array_branch_matches_mpmath(xs, n):
     assert _ulps(nested.derivative.value, [n * v ** (n - 1) for v in mp]) <= 2
     assert _ulps(nested.derivative.derivative, [n * (n - 1) * v ** (n - 2) for v in mp]
                  if n != 1 else [mpmath.mpf(0)] * len(mp)) <= 2
+
+
+# --------------------------------------- arcsin, arctan and atan2 array branches
+
+unit = st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit, points, slope)
+def test_inverse_trig_array_branches_equal_scalar_bitwise(us, ts, d):
+    for f, xs in ((jc.arcsin, us), (jc.arctan, ts)):
+        u = np.array(xs)
+        assert _bits(f(u)) == _bits([f(v) for v in xs])
+        arr = f(jc.DualScalar(u, d))
+        assert _bits(arr.derivative) == _bits([f(jc.DualScalar(v, d)).derivative for v in xs])
+        arr = f(_nested(u)).derivative
+        one = [f(_nested(v)).derivative for v in xs]
+        assert _bits(arr.value) == _bits([o.value for o in one])
+        assert _bits(arr.derivative) == _bits([o.derivative for o in one])
+    n = min(len(us), len(ts))
+    y, x = np.array(us[:n]), np.array(ts[:n])
+    defined = y * y + x * x != 0.0  # the dual rule divides by it
+    y, x = y[defined], x[defined]
+    assert _bits(jc.atan2(y, x)) == _bits([jc.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
+    arr = jc.atan2(jc.DualScalar(y, d), jc.DualScalar(x, 1.0))
+    one = [jc.atan2(jc.DualScalar(a, d), jc.DualScalar(b, 1.0))
+           for a, b in zip(y.tolist(), x.tolist())]
+    assert _bits(arr.value) == _bits([o.value for o in one])
+    assert _bits(arr.derivative) == _bits([o.derivative for o in one])
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit, points)
+def test_inverse_trig_array_branches_match_mpmath(us, ts):
+    u, t = np.array(us), np.array(ts)
+    U, T = [mpmath.mpf(v) for v in us], [mpmath.mpf(v) for v in ts]
+    assert _ulps(jc.arcsin(u), [mpmath.asin(v) for v in U]) <= 1
+    assert _ulps(jc.arctan(t), [mpmath.atan(v) for v in T]) <= 1
+    nested = jc.arcsin(_nested(u)).derivative
+    assert _ulps(nested.value, [1 / mpmath.sqrt(1 - v * v) for v in U]) <= 4
+    assert _ulps(nested.derivative, [v / (1 - v * v) ** 1.5 for v in U],
+                 [1 / (1 - v * v) ** 1.5 for v in U]) <= 8
+    nested = jc.arctan(_nested(t)).derivative
+    assert _ulps(nested.value, [1 / (1 + v * v) for v in T]) <= 4
+    assert _ulps(nested.derivative, [-2 * v / (1 + v * v) ** 2 for v in T],
+                 [1 / (1 + v * v) for v in T]) <= 8
+    n = min(len(us), len(ts))
+    y, x = u[:n] + 1.0, t[:n]
+    Y, X = [mpmath.mpf(float(v)) for v in y], T[:n]
+    assert _ulps(jc.atan2(y, x), [mpmath.atan2(a, b) for a, b in zip(Y, X)]) <= 1
+    dy = jc.atan2(jc.DualScalar(y, 1.0), x).derivative
+    dx = jc.atan2(y, jc.DualScalar(x, 1.0)).derivative
+    assert _ulps(dy, [b / (a * a + b * b) for a, b in zip(Y, X)],
+                 [1 / mpmath.sqrt(a * a + b * b) for a, b in zip(Y, X)]) <= 4
+    assert _ulps(dx, [-a / (a * a + b * b) for a, b in zip(Y, X)],
+                 [1 / mpmath.sqrt(a * a + b * b) for a, b in zip(Y, X)]) <= 4
+
+
+def test_inverse_trig_array_guards_name_the_first_offending_index():
+    with pytest.raises(jc.DomainError, match=r"argument outside \[-1, 1\] at index \(2,\)"):
+        jc.arcsin(np.array([0.5, -1.0, 1.5, -2.0]))
+    with pytest.raises(jc.DomainError, match=r"both arguments zero at index \(1,\)"):
+        jc.atan2(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0]))
+    with pytest.raises(jc.DomainError, match=r"both arguments zero at index \(0,\)"):
+        jc.atan2(jc.DualScalar(np.array([0.0, 1.0]), 1.0), np.array([0.0, 1.0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,3 +396,134 @@ def test_bracket_identification_batch_equals_per_point_bitwise(rows, a, b):
         return
     want = float(np.max(np.abs(per_point["W"] - per_point[entry.identified])))
     assert _bits([entry.residual]) == _bits([want])
+
+
+# ------------------------- trajectory rows and flow samples vs per-row reference
+
+from glome import reduction as red  # noqa: E402
+from glome import suites  # noqa: E402
+
+row_x = st.sampled_from([0.0, -0.0, 1e-200, 1e-13, -2e-7]) | chart_angle
+traj_row = st.tuples(row_x, chart_angle, st.floats(0.0, 6.3), slope, slope)
+traj_rows = st.lists(traj_row, min_size=1, max_size=30)
+# x = 0, omega within OMEGA_GUARD of 1, tan tau = 0 (y = 0), tau stationary along the jet
+_GUARD_ROWS = [(0.0, 0.3, 0.0, 0.5, 0.1), (1e-3, 1e-3, 0.0, 0.5, 0.1), (0.6, 0.0, 0.0, 0.5, 0.1)]
+
+
+def _stationary_tau_row():
+    x, y = 0.6, 0.4
+    g = jc.gradn(lambda a, b, c: red.tau_coordinate(a, b), (x, y, 0.0))
+    return (x, y, 0.0, -g[0] / g[1], 0.2)
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
+@given(traj_rows)
+def test_trajectory_columns_equal_per_row_reference(rows):
+    traj = geo.Trajectory(np.array(rows))
+    want = []
+    for r in rows:
+        j = chart.jet1(*r)
+        g = chart.ambient_coords(j.x, j.y, j.v)
+        norm = math.sqrt(g[0] ** 2 + g[1] ** 2 + g[2] ** 2 + g[3] ** 2)
+        want.append((geo.noether_charge(j), chart.lagrangian(j), abs(norm - 1.0)))
+    got = np.column_stack([traj.noether, traj.lagrangian, traj.ambient_norm_residual])
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
+@given(traj_rows, st.floats(0.0, 1.0))
+def test_alpha_series_equals_per_row_reference(rows, k):
+    rows = rows + _GUARD_ROWS + [_stationary_tau_row()]
+    alphas, excluded = red.alpha_series(geo.Trajectory(np.array(rows)), k)
+    want = []
+    for r in rows:
+        j = chart.jet1(*r)
+        try:
+            pair = red.canonical(j.x, j.y)
+            if 1.0 - pair.omega < red.OMEGA_GUARD or abs(math.tan(pair.tau)) < red.TAU_GUARD:
+                continue
+            want.append(red.alpha_from_sample(pair.tau, pair.omega, red.omega_prime(j), k))
+        except (red.InversionDomain, jc.DomainError):
+            continue
+        except ZeroDivisionError:  # sin(x)^2 underflows for 0 < |x| < 1e-154; columns exclude
+            continue
+    assert alphas.tobytes() == _bits(want)
+    assert excluded == len(rows) - len(want)
+    assert excluded >= len(_GUARD_ROWS)
+
+
+@bitwise
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3), slope, slope,
+                          st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                min_size=1, max_size=20),
+       st.floats(0.0, 1.0))
+def test_collapsed_s2_and_grid_columns_equal_per_row_reference(rows, k):
+    data = np.array(rows)
+    traj = geo.Trajectory(data[:, :5], data[:, 5:])
+    E = [geo.collapsed_E(r[0], r[1], r[3], r[5], k) for r in rows]
+    assert _bits(suites._collapsed_along(traj, k)) == _bits(E)
+    c = traj.columns
+    s2 = [red.s2_residual(r[0], r[1], r[3], r[5]) for r in rows]
+    assert _bits(red.s2_residual(c.x, c.y, c.y_x, c.y_xx)) == _bits(s2)
+    # the grid search in one (10001, n) block, as before it was chunked
+    e0 = np.array([geo.collapsed_E(r[0], r[1], r[3], r[5], 0.0) for r in rows])
+    e1 = np.array([geo.collapsed_E(r[0], r[1], r[3], r[5], 1.0) for r in rows]) - e0
+    grid = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
+    worst = np.max(np.abs(e0[None, :] + grid[:, None] * e1[None, :]), axis=1)
+    assert suites.grid_search_k(traj) == float(grid[int(np.argmin(worst))])
+
+
+@bitwise
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 40), st.sampled_from([0.0, 0.25, 0.5, 0.9]),
+       st.sampled_from([0.1, 0.3]))
+def test_onshell_sampler_equals_per_draw_reference(seed, n, k, margin):
+    rng = np.random.default_rng(seed)
+    lim = chart.HALF_PI - margin
+    want = []
+    while len(want) < n:
+        x = float(rng.uniform(-lim, lim))
+        y = float(rng.uniform(-lim, lim))
+        y_x = float(rng.uniform(-2.0, 2.0))
+        if abs(x) < 0.05:
+            continue
+        cx, cy = math.cos(x), math.cos(y)
+        coeff = cx * cy * (cx * cx * cy * cy - k)
+        if abs(coeff) < 0.05:
+            continue
+        y_xx = -geo.collapsed_E(x, y, y_x, 0.0, k) / coeff
+        if abs(y_xx) > 50.0:
+            continue
+        want.append((x, y, y_x, y_xx))
+    got = suites._onshell_collapsed_jets(suites.RunConfig(margin=margin), k, n, seed)
+    assert np.column_stack([got.x, got.y, got.y_x, got.y_xx]).tobytes() == np.array(want).tobytes()
+
+
+@bitwise
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 60), st.sampled_from([0.1, 0.02]))
+def test_suite_flow_equals_per_point_reference(seed, samples, margin):
+    cfg = suites.RunConfig(seed=seed, samples=samples, margin=margin)
+    rng = np.random.default_rng(seed + 23)
+    worst = [0.0] * 4  # omega invariance, tau shift, group law, chi3 directional
+    for p in chart.sample_domain(samples, margin, seed + 23):
+        x, y = p.x, p.y
+        lam1 = float(rng.uniform(-1.0, 1.0))
+        lam2 = float(rng.uniform(-1.0, 1.0))
+        X, Y = red.global_flow(x, y, lam1)
+        worst[0] = max(worst[0], abs(red.omega_coordinate(X, Y) - red.omega_coordinate(x, y)))
+        if abs(x) > 1e-6 and abs(X) > 1e-6:
+            delta = red.tau_coordinate(X, Y) - red.tau_coordinate(x, y) - lam1
+            worst[1] = max(worst[1], abs(delta - math.pi * round(delta / math.pi)))
+        X2, Y2 = red.global_flow(X, Y, lam2)
+        X12, Y12 = red.global_flow(x, y, lam1 + lam2)
+        worst[2] = max(worst[2], abs(X2 - X12), abs(Y2 - Y12))
+        if abs(x) > 1e-6:
+            _, d_omega = jc.directional(red.omega_coordinate, (x, y),
+                                        (math.sin(y), -math.tan(x) * math.cos(y)))
+            worst[3] = max(worst[3], abs(d_omega))
+    got = [r.max_residual for r in suites.suite_flow(cfg)]
+    assert _bits(got) == _bits(worst)

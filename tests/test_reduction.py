@@ -109,7 +109,7 @@ def test_flow_generator_check_residuals():
 def test_flow_generator_check_on_axis():
     # at y = 0 the x-velocity of the orbit vanishes
     r1, _ = red.flow_generator_check(0.7, 0.0)
-    dX = jc.derivative(lambda lam: red.global_flow(0.7, 0.0, lam)[0], 0.0)
+    _, dX = jc.directional(lambda lam: red.global_flow(0.7, 0.0, lam)[0], (0.0,), (1.0,))
     assert abs(dX) < 1e-15
     assert abs(r1) < 1e-15
 
