@@ -10,6 +10,9 @@ The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
 values and can be nested to any depth.  They raise :class:`DomainError`
 instead of returning non-finite values, because the chart singularities
 cos x = 0 and cos y = 0 lurk behind most expressions built on top of them.
+Division does the same for a divisor whose real part is zero, or, for a
+dual divisor, so small that its square underflows (|real part| below
+1.49e-154), and `arcsin` of a dual at +/-1, where its derivative diverges.
 
 Array values: the components of a :class:`DualScalar` may also be numpy
 float arrays, so that one pass carries many points or many directions
@@ -27,6 +30,7 @@ offending index.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -98,6 +102,20 @@ def _check_divisor(den) -> None:
         raise DomainError("divide", 0.0, "zero denominator")
 
 
+# a nonzero divisor below this has a square below the smallest normal float,
+# which the quotient rule's ov * ov loses to underflow
+_SQUARE_UNDERFLOW = math.sqrt(sys.float_info.min)
+
+
+def _check_square(den) -> None:
+    """Raise DomainError where the nonzero real part ``den`` of a dual divisor
+    is too small to square."""
+    if isinstance(den, _ndarray):
+        _guard(np.abs(den) < _SQUARE_UNDERFLOW, "divide", den, "squared denominator underflows")
+    elif abs(den) < _SQUARE_UNDERFLOW:
+        raise DomainError("divide", den, "squared denominator underflows")
+
+
 class DualScalar:
     """Number carrying a value and one directional derivative.
 
@@ -144,7 +162,9 @@ class DualScalar:
 
     def __truediv__(self, other):
         if isinstance(other, DualScalar):
-            _check_divisor(real_value(other))
+            den = real_value(other)
+            _check_divisor(den)
+            _check_square(den)
             ov = other.value
             return DualScalar(
                 self.value / ov,
@@ -258,7 +278,13 @@ def sqrt(u):
 
 def arcsin(u):
     if isinstance(u, DualScalar):
-        return DualScalar(arcsin(u.value), u.derivative / sqrt(1.0 - u.value * u.value))
+        value = arcsin(u.value)
+        r = real_value(u)
+        if isinstance(r, _ndarray):
+            _guard(np.abs(r) == 1.0, "arcsin", r, "derivative singular at ±1")
+        elif abs(r) == 1.0:
+            raise DomainError("arcsin", r, "derivative singular at ±1")
+        return DualScalar(value, u.derivative / sqrt(1.0 - u.value * u.value))
     if isinstance(u, _ndarray):
         _guard((u < -1.0) | (u > 1.0), "arcsin", u, "argument outside [-1, 1]")
         return _elementwise(math.asin, u)

@@ -228,15 +228,16 @@ TAU_GUARD = 1e-6
 def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, int]:
     """alpha at every admissible trajectory sample, plus the excluded count.
 
-    A sample is admissible when x != 0 (tau is undefined there), omega is
-    not within OMEGA_GUARD of 1, tan tau is not within TAU_GUARD of 0,
-    tau is not stationary, and omega' and alpha evaluate finite.  The
-    alphas keep the sample order.
+    A sample is admissible when sin x squares to a normal float (tau is
+    undefined at x = 0, and omega' divides by sin^2 x), omega is not
+    within OMEGA_GUARD of 1, tan tau is not within TAU_GUARD of 0, tau is
+    not stationary, and omega' and alpha evaluate finite.  The alphas keep
+    the sample order.
     """
     c = traj.columns
-    rows = np.flatnonzero(c.x != 0.0)
+    rows = np.flatnonzero(np.abs(np.sin(c.x)) >= jetcalc._SQUARE_UNDERFLOW)
     x, y = c.x[rows], c.y[rows]
-    # for 0 < |x| < 1e-154, cot x or the square of sin x leaves the float range;
+    # omega' = d omega / d tau overflows where tau is nearly stationary;
     # the non-finite values that follow fail the guards below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         tau, omega = tau_coordinate(x, y), omega_coordinate(x, y)

@@ -14,9 +14,12 @@ The evaluations are coordinate-generic.  A residual function given a
 :class:`~glome.chart.JetColumns` of n samples in place of a ChartPoint,
 Jet1 or Jet2 returns numpy arrays over the samples, and each element
 equals the result for that sample alone bitwise.  The suites use that to
-evaluate each check in one array-valued dual pass; bracket
-identification evaluates a field and each candidate once over all its
-points.
+evaluate each check in one array-valued dual pass.  Each fact is evaluated
+once: the bracket table takes each generator's coefficients and gradients
+once for all 36 brackets (18 gradn calls) and matches every bracket
+against the 13 candidates, evaluated once and stacked, in one broadcast
+reduction; general_symmetry takes column weights, so that many random
+combinations, each over its own points, evaluate in one pass.
 """
 
 from __future__ import annotations
@@ -167,27 +170,36 @@ def add(X: VectorField3, Y: VectorField3, name: str = "") -> VectorField3:
     )
 
 
-def general_symmetry(k: Sequence[float]) -> VectorField3:
-    """The 5-parameter combination sum_i k_i chi_i, i = 1..5."""
+def general_symmetry(k: Sequence) -> VectorField3:
+    """The 5-parameter combination sum_i k_i chi_i, i = 1..5.
+
+    Each weight is a float or a numpy column.  Columns broadcast against
+    the evaluation points: five (m, 1) weights over (m, n) points evaluate
+    m combinations in one pass, row t equal bitwise to the combination of
+    row t's weights at row t's points.  Every term is added, a zero weight
+    included, so that a row's arithmetic never depends on another row.
+    """
     if len(k) != 5:
         raise ValueError(f"expected 5 coefficients, got {len(k)}")
-    weights = tuple(float(c) for c in k)
+    weights = tuple(float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float) for c in k)
 
     def combo(getter):
         def f(x, y, v):
             total = 0.0
             for w, F in zip(weights, _CHI[:5]):
-                if w != 0.0:
-                    total = total + w * getter(F)(x, y, v)
+                total = total + w * getter(F)(x, y, v)
             return total
 
         return f
+
+    def label(w):
+        return f"{w:g}" if isinstance(w, float) else "[" + ",".join(f"{c:g}" for c in w.flat) + "]"
 
     return VectorField3(
         combo(lambda F: F.xi),
         combo(lambda F: F.phi),
         combo(lambda F: F.eta),
-        name="general(" + ",".join(f"{w:g}" for w in weights) + ")",
+        name="general(" + ",".join(map(label, weights)) + ")",
     )
 
 
@@ -268,6 +280,16 @@ def determining_residuals(V: VectorField3, p: ChartPoint | chart.JetColumns):
     )
 
 
+def _bracket_component(Xc, Yc, dY, dX):
+    """One component of [X, Y] at the points: sum_j (X^j dY/dx_j - Y^j dX/dx_j),
+    from both fields' coefficients Xc, Yc and the gradients dY, dX of that
+    component of Y and of X."""
+    total = 0.0
+    for Xj, Yj, dYj, dXj in zip(Xc, Yc, dY, dX):
+        total = total + Xj * dYj - Yj * dXj
+    return total
+
+
 def lie_bracket(X: VectorField3, Y: VectorField3) -> VectorField3:
     """Commutator [X, Y]: coefficients evaluate the pointwise formula
 
@@ -279,14 +301,8 @@ def lie_bracket(X: VectorField3, Y: VectorField3) -> VectorField3:
     def component(get):
         def f(x, y, v):
             p = (x, y, v)
-            Xc = X.coefficients(x, y, v)
-            Yc = Y.coefficients(x, y, v)
-            dY = gradn(get(Y), p)
-            dX = gradn(get(X), p)
-            total = 0.0
-            for Xj, Yj, dYj, dXj in zip(Xc, Yc, dY, dX):
-                total = total + Xj * dYj - Yj * dXj
-            return total
+            return _bracket_component(X.coefficients(x, y, v), Y.coefficients(x, y, v),
+                                      gradn(get(Y), p), gradn(get(X), p))
 
         return f
 
@@ -306,9 +322,17 @@ def _candidate_fields():
     return cands
 
 
+_CANDIDATE_LABELS = tuple(label for label, _ in _candidate_fields())
+
+
+def _stack3(components, shape) -> np.ndarray:
+    """Three coefficient values (arrays or constants) as an (n, 3) array."""
+    return np.stack([np.broadcast_to(c, shape) for c in components], axis=1)
+
+
 def _values(F: VectorField3, x, y, v) -> np.ndarray:
     """F's coefficients at n points as an (n, 3) array, one row per point."""
-    return np.stack([np.broadcast_to(c, x.shape) for c in F.coefficients(x, y, v)], axis=1)
+    return _stack3(F.coefficients(x, y, v), x.shape)
 
 
 def identify_field(
@@ -328,33 +352,52 @@ def identify_field(
     return _match(W.name, _values(W, x, y, v), _candidate_values(x, y, v), tol)
 
 
-def _candidate_values(x, y, v) -> list[tuple[str, np.ndarray]]:
-    """Each candidate's label and its (n, 3) values at the points."""
-    return [(label, _values(C, x, y, v)) for label, C in _candidate_fields()]
+def _candidate_values(x, y, v) -> np.ndarray:
+    """The 13 candidates' values at n points as a (13, n, 3) array, in the
+    order of _CANDIDATE_LABELS."""
+    return np.stack([_values(C, x, y, v) for _, C in _candidate_fields()])
 
 
-def _match(name: str, Wvals: np.ndarray, candidates, tol: float) -> BracketEntry:
-    """identify_field's rule for the field ``name`` with values ``Wvals``."""
-    best = None
-    deviations = []
-    for label, Cvals in candidates:
-        diff = Wvals - Cvals
-        ssq = float(np.sum(diff * diff))
-        maxdev = float(np.max(np.abs(diff)))
-        deviations.append((label, ssq, maxdev))
-        if best is None or ssq < best[1]:
-            best = (label, ssq, maxdev)
-    label, _, residual = best
+def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> BracketEntry:
+    """identify_field's rule for the field ``name`` with (n, 3) values
+    ``Wvals`` against the (13, n, 3) ``candidates``: every candidate's sum
+    of squares and max deviation come from one broadcast reduction."""
+    diff = Wvals - candidates
+    ssq = np.sum(diff * diff, axis=(1, 2)).tolist()
+    maxdev = np.max(np.abs(diff), axis=(1, 2)).tolist()
+    best = 0
+    for c in range(1, len(ssq)):
+        if ssq[c] < ssq[best]:
+            best = c
+    label, residual = _CANDIDATE_LABELS[best], maxdev[best]
     if residual >= tol:
         raise AmbiguousIdentification(
             f"no candidate matches {name}: best {label} deviates by {residual:g}"
         )
-    for other, _, maxdev in deviations:
-        if other != label and maxdev <= 10.0 * tol:
+    for other, dev in zip(_CANDIDATE_LABELS, maxdev):
+        if other != label and dev <= 10.0 * tol:
             raise AmbiguousIdentification(
                 f"{name} matches both {label} and {other} within {10*tol:g}"
             )
     return BracketEntry(label, residual)
+
+
+def _bracket_values(x, y, v) -> list[list[np.ndarray]]:
+    """The (n, 3) values of [chi_i, chi_j] at n points, in row i - 1 and
+    column j - 1.
+
+    Each generator's coefficients and their gradients are evaluated once
+    (6 coefficient evaluations, 18 gradn calls) and combined by
+    lie_bracket's formula, so every value equals lie_bracket's bitwise.
+    """
+    point = (x, y, v)
+    coeffs = [F.coefficients(*point) for F in _CHI]
+    grads = [[gradn(c, point) for c in (F.xi, F.phi, F.eta)] for F in _CHI]
+    return [
+        [_stack3([_bracket_component(Xc, Yc, dY[c], dX[c]) for c in range(3)], x.shape)
+         for Yc, dY in zip(coeffs, grads)]
+        for Xc, dX in zip(coeffs, grads)
+    ]
 
 
 def bracket_table(
@@ -364,8 +407,9 @@ def bracket_table(
     margin: float = chart.DEFAULT_MARGIN,
 ) -> BracketTable:
     """Identify all 36 pairwise brackets of chi_1..chi_6 by identify_field's
-    rule, at the points of chart.sample_domain; the 13 candidates are
-    evaluated once for all 36.
+    rule, at the points of chart.sample_domain.  The generators' gradients
+    are taken once for all 36 brackets (_bracket_values) and the 13
+    candidates are evaluated once.
 
     Deterministic for fixed (samples, tol, seed, margin).
     """
@@ -373,14 +417,10 @@ def bracket_table(
         raise ValueError(f"need at least 10 sample points, got {samples}")
     p = chart.domain_columns(samples, margin, seed)
     candidates = _candidate_values(p.x, p.y, p.v)
-    rows = []
-    for i in range(1, 7):
-        row = []
-        for jdx in range(1, 7):
-            W = lie_bracket(chi(i), chi(jdx))
-            row.append(_match(W.name, _values(W, p.x, p.y, p.v), candidates, tol))
-        rows.append(tuple(row))
-    return BracketTable(tuple(rows))
+    return BracketTable(tuple(
+        tuple(_match(f"[{X.name},{Y.name}]", W, candidates, tol) for Y, W in zip(_CHI, row))
+        for X, row in zip(_CHI, _bracket_values(p.x, p.y, p.v))
+    ))
 
 
 def closed_triples(grid: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:

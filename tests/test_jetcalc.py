@@ -209,6 +209,35 @@ def test_division_by_zero_raises():
         jc.DualScalar(1.0, 1.0) / jc.DualScalar(0.0, 1.0)
 
 
+def test_division_by_a_dual_whose_square_underflows_raises():
+    tiny = jc._SQUARE_UNDERFLOW
+    for den in (1e-200, -1e-160, math.nextafter(tiny, 0.0), 5e-324):
+        with pytest.raises(jc.DomainError, match="squared denominator underflows"):
+            jc.DualScalar(1.0, 1.0) / jc.DualScalar(den, 1.0)
+    q = jc.DualScalar(1.0, 1.0) / jc.DualScalar(tiny, 1.0)  # the square is the smallest normal
+    assert q.derivative == (tiny - 1.0) / (tiny * tiny)
+    dens = np.array([0.5, 1e-160, 1e-200])
+    with pytest.raises(jc.DomainError, match=r"underflows at index \(1,\)") as err:
+        jc.DualScalar(np.ones(3), 1.0) / jc.DualScalar(dens, 1.0)
+    assert err.value.index == (1,) and err.value.argument == 1e-160
+
+
+def test_arcsin_derivative_at_plus_minus_one_raises():
+    for u in (1.0, -1.0):
+        with pytest.raises(jc.DomainError, match="derivative singular at ±1"):
+            jc.arcsin(jc.DualScalar(u, 1.0))
+        with pytest.raises(jc.DomainError, match="derivative singular at ±1"):
+            jc.arcsin(jc.DualScalar(jc.DualScalar(u, 1.0), 1.0))
+    with pytest.raises(jc.DomainError, match=r"singular at ±1 at index \(2,\)") as err:
+        jc.arcsin(jc.DualScalar(np.array([0.5, -0.25, -1.0, 1.0]), 1.0))
+    assert err.value.index == (2,) and err.value.argument == -1.0
+    with pytest.raises(jc.DomainError, match=r"outside \[-1, 1\]"):
+        jc.arcsin(jc.DualScalar(1.5, 1.0))
+    assert jc.arcsin(1.0) == math.pi / 2  # the value alone is defined at the ends
+    inner = jc.arcsin(jc.DualScalar(math.nextafter(1.0, 0.0), 1.0))
+    assert math.isfinite(inner.derivative)
+
+
 def test_grad3_domain_error_reports_point():
     with pytest.raises(jc.DomainError) as err:
         jc.gradn(lambda x, y, v: jc.tan(x), (math.pi / 2, 0.1, 0.2))

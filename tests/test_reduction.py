@@ -137,6 +137,16 @@ def test_omega_prime_stationary_tau_raises():
         red.omega_prime(chart.jet1(x, y, 0.0, y_x, 0.0))
 
 
+def test_omega_prime_near_x_zero_raises_domain_error():
+    # tau's derivative squares sin x, which underflows for 0 < |x| < 1.5e-154
+    for x in (1e-200, -1e-160, 5e-324):
+        with pytest.raises(jc.DomainError, match="squared denominator underflows"):
+            red.omega_prime(chart.jet1(x, 0.3, 0.0, 0.2, 0.3))
+    cols = chart.JetColumns(np.array([0.4, 1e-200]), np.array([0.3, 0.3]), 0.0, np.array([0.2, 0.2]))
+    with pytest.raises(jc.DomainError, match=r"at index \(1,\)"):
+        red.omega_prime(cols)
+
+
 # ------------------------------------------------------------ alpha inversion
 
 def test_alpha_trivial_stationary_sample():

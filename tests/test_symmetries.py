@@ -72,6 +72,12 @@ def test_general_symmetry_satisfies_determining_equations():
             assert abs(r) < 1e-9
 
 
+def test_general_symmetry_names_float_and_column_weights():
+    assert sym.general_symmetry([1, 0.5, 0, -2, 1e-9]).name == "general(1,0.5,0,-2,1e-09)"
+    cols = [np.array([[1.0], [0.25]])] * 5
+    assert sym.general_symmetry(cols).name == "general(" + ",".join(["[1,0.25]"] * 5) + ")"
+
+
 def test_general_symmetry_wrong_length():
     with pytest.raises(ValueError):
         sym.general_symmetry([1.0, 2.0])
