@@ -12,7 +12,8 @@ instead of returning non-finite values, because the chart singularities
 cos x = 0 and cos y = 0 lurk behind most expressions built on top of them.
 Division does the same for a divisor whose real part is zero, or, for a
 dual divisor, so small that its square underflows (|real part| below
-1.49e-154), and `arcsin` of a dual at +/-1, where its derivative diverges.
+1.49e-154, see `squarable`) whatever the numerator, and `arcsin` of a
+dual at +/-1, where its derivative diverges.
 
 Array values: the components of a :class:`DualScalar` may also be numpy
 float arrays, so that one pass carries many points or many directions
@@ -49,6 +50,7 @@ __all__ = [
     "arctan",
     "atan2",
     "power",
+    "squarable",
     "directional",
     "gradn",
 ]
@@ -105,6 +107,13 @@ def _check_divisor(den) -> None:
 # a nonzero divisor below this has a square below the smallest normal float,
 # which the quotient rule's ov * ov loses to underflow
 _SQUARE_UNDERFLOW = math.sqrt(sys.float_info.min)
+
+
+def squarable(den):
+    """True (per element, for an array) where ``den`` is nonzero and its
+    square is a normal float, that is, where a dual whose real part is
+    ``den`` may divide."""
+    return np.abs(den) >= _SQUARE_UNDERFLOW
 
 
 def _check_square(den) -> None:
@@ -175,7 +184,9 @@ class DualScalar:
         return DualScalar(self.value * inv, self.derivative * inv)
 
     def __rtruediv__(self, other):
-        _check_divisor(real_value(self))
+        den = real_value(self)
+        _check_divisor(den)
+        _check_square(den)
         quotient = other / self.value
         return DualScalar(quotient, -quotient * self.derivative / self.value)
 

@@ -67,6 +67,13 @@ def tau_coordinate(x, y):
     return arctan(cos(x) / sin(x) * sin(y))
 
 
+def tau_defined(x):
+    """True (per element) where tau_coordinate's dual evaluation is defined:
+    cot x divides by sin x, which jetcalc's division guard admits only
+    where it is squarable."""
+    return jetcalc.squarable(np.sin(x))
+
+
 def canonical(x: float, y: float) -> CanonicalPair:
     """Canonical coordinates of an open-chart point with x != 0."""
     if x == 0.0:
@@ -228,14 +235,14 @@ TAU_GUARD = 1e-6
 def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, int]:
     """alpha at every admissible trajectory sample, plus the excluded count.
 
-    A sample is admissible when sin x squares to a normal float (tau is
-    undefined at x = 0, and omega' divides by sin^2 x), omega is not
+    A sample is admissible when tau_defined(x) holds (tau is undefined at
+    x = 0, and its derivative divides by sin^2 x), omega is not
     within OMEGA_GUARD of 1, tan tau is not within TAU_GUARD of 0, tau is
     not stationary, and omega' and alpha evaluate finite.  The alphas keep
     the sample order.
     """
     c = traj.columns
-    rows = np.flatnonzero(np.abs(np.sin(c.x)) >= jetcalc._SQUARE_UNDERFLOW)
+    rows = np.flatnonzero(tau_defined(c.x))
     x, y = c.x[rows], c.y[rows]
     # omega' = d omega / d tau overflows where tau is nearly stationary;
     # the non-finite values that follow fail the guards below

@@ -363,12 +363,8 @@ def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> 
     ``Wvals`` against the (13, n, 3) ``candidates``: every candidate's sum
     of squares and max deviation come from one broadcast reduction."""
     diff = Wvals - candidates
-    ssq = np.sum(diff * diff, axis=(1, 2)).tolist()
+    best = int(np.argmin(np.sum(diff * diff, axis=(1, 2))))
     maxdev = np.max(np.abs(diff), axis=(1, 2)).tolist()
-    best = 0
-    for c in range(1, len(ssq)):
-        if ssq[c] < ssq[best]:
-            best = c
     label, residual = _CANDIDATE_LABELS[best], maxdev[best]
     if residual >= tol:
         raise AmbiguousIdentification(

@@ -212,14 +212,27 @@ def test_division_by_zero_raises():
 def test_division_by_a_dual_whose_square_underflows_raises():
     tiny = jc._SQUARE_UNDERFLOW
     for den in (1e-200, -1e-160, math.nextafter(tiny, 0.0), 5e-324):
+        assert not jc.squarable(den)
         with pytest.raises(jc.DomainError, match="squared denominator underflows"):
             jc.DualScalar(1.0, 1.0) / jc.DualScalar(den, 1.0)
+        with pytest.raises(jc.DomainError, match="squared denominator underflows"):
+            1.0 / jc.DualScalar(den, 1.0)
+    assert jc.squarable(tiny) and jc.squarable(-tiny) and not jc.squarable(0.0)
     q = jc.DualScalar(1.0, 1.0) / jc.DualScalar(tiny, 1.0)  # the square is the smallest normal
     assert q.derivative == (tiny - 1.0) / (tiny * tiny)
+    r = 1e-150 / jc.DualScalar(tiny, 1.0)
+    assert r.derivative == -(1e-150 / tiny) * 1.0 / tiny
     dens = np.array([0.5, 1e-160, 1e-200])
+    assert jc.squarable(dens).tolist() == [True, False, False]
     with pytest.raises(jc.DomainError, match=r"underflows at index \(1,\)") as err:
         jc.DualScalar(np.ones(3), 1.0) / jc.DualScalar(dens, 1.0)
     assert err.value.index == (1,) and err.value.argument == 1e-160
+    for num in (1.0, np.ones(3)):
+        with pytest.raises(jc.DomainError, match=r"underflows at index \(1,\)") as err:
+            num / jc.DualScalar(dens, 1.0)
+        assert err.value.index == (1,) and err.value.argument == 1e-160
+    with pytest.raises(jc.DomainError, match="squared denominator underflows"):
+        np.ones(3) / jc.DualScalar(1e-160, 1.0)
 
 
 def test_arcsin_derivative_at_plus_minus_one_raises():

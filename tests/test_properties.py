@@ -93,13 +93,15 @@ def test_integrate_batch_equals_lone_runs_bitwise(x0, rest, span, step):
 
 # ------------------------------------------------ array branches vs mpmath
 
-def _ulps(got, exact, scale=None) -> float:
-    """Largest error of ``got`` in units of the last place of ``scale`` (default: exact)."""
+def _ulps(got, exact, scale=None, absolute=None) -> float:
+    """Largest error of ``got`` in units of the last place of ``scale``
+    (default: exact), after an ``absolute`` allowance per element (default: none)."""
     worst = 0.0
     scale = exact if scale is None else scale
-    for g, e, s in zip(np.ravel(got), exact, scale):
+    absolute = [0] * len(exact) if absolute is None else absolute
+    for g, e, s, a in zip(np.ravel(got), exact, scale, absolute):
         ulp = math.ulp(float(abs(s))) or math.ulp(0.0)
-        worst = max(worst, float(abs(mpmath.mpf(float(g)) - e)) / ulp)
+        worst = max(worst, float(max(abs(mpmath.mpf(float(g)) - e) - a, 0)) / ulp)
     return worst
 
 
@@ -139,29 +141,46 @@ def test_sqrt_array_branch_matches_mpmath(xs):
     assert _ulps(nested.derivative.derivative, d2) <= 4
 
 
+# half the subnormal spacing 2**-1074: the absolute error of a product or
+# quotient that rounds into the subnormal range, which no ulp bound covers
+_HALF_SUBNORMAL = mpmath.mpf(2) ** -1075
+
+
+def _check_division(a, da, b, db):
+    q = jc.DualScalar(a, da) / jc.DualScalar(b, db)
+    A, DA, B, DB = ([mpmath.mpf(float(v)) for v in arr] for arr in (a, da, b, db))
+    assert _ulps(q.value, [p / r for p, r in zip(A, B)]) <= 0.5
+    exact = [(dp * r - p * dr) / (r * r) for p, dp, r, dr in zip(A, DA, B, DB)]
+    # (da b - a db) / b^2 may cancel: bound the error by the size of its terms,
+    # plus the subnormal rounding of both products (magnified by 1/b^2) and the quotient
+    scale = [(abs(dp * r) + abs(p * dr)) / (r * r) for p, dp, r, dr in zip(A, DA, B, DB)]
+    absolute = [_HALF_SUBNORMAL * (2 / (r * r) + 1) for r in B]
+    assert _ulps(q.derivative, exact, scale, absolute) <= 4
+    # a plain array divisor and a scalar numerator over an array-valued dual
+    assert _ulps((jc.DualScalar(a, da) / b).derivative,
+                 [dp * (1 / r) for dp, r in zip(DA, B)], [abs(dp / r) for dp, r in zip(DA, B)],
+                 [_HALF_SUBNORMAL] * len(B)) <= 2
+    inv = 1.0 / jc.DualScalar(b, db)
+    assert _ulps(inv.value, [1 / r for r in B]) <= 0.5
+    # -(1/b) db rounds once, then is divided by b
+    assert _ulps(inv.derivative, [-dr / (r * r) for r, dr in zip(B, DB)], None,
+                 [_HALF_SUBNORMAL * (1 / abs(r) + 1) for r in B]) <= 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_division_array_branch_matches_mpmath(data):
     bs = data.draw(nonzero)
     n = len(bs)
-    # subnormal terms round to a fixed absolute spacing that 1/b^2 magnifies past any ulp bound
-    normal = st.floats(-5.0, 5.0, allow_subnormal=False)
-    a, da, db = (np.array(data.draw(st.lists(normal, min_size=n, max_size=n)))
+    a, da, db = (np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
                  for _ in range(3))
-    b = np.array(bs)
-    q = jc.DualScalar(a, da) / jc.DualScalar(b, db)
-    A, DA, B, DB = ([mpmath.mpf(float(v)) for v in arr] for arr in (a, da, b, db))
-    assert _ulps(q.value, [p / r for p, r in zip(A, B)]) <= 0.5
-    exact = [(dp * r - p * dr) / (r * r) for p, dp, r, dr in zip(A, DA, B, DB)]
-    # (da b - a db) / b^2 may cancel: bound the error by the size of its terms
-    scale = [(abs(dp * r) + abs(p * dr)) / (r * r) for p, dp, r, dr in zip(A, DA, B, DB)]
-    assert _ulps(q.derivative, exact, scale) <= 4
-    # a plain array divisor and a scalar numerator over an array-valued dual
-    assert _ulps((jc.DualScalar(a, da) / b).derivative,
-                 [dp * (1 / r) for dp, r in zip(DA, B)], [abs(dp / r) for dp, r in zip(DA, B)]) <= 2
-    inv = 1.0 / jc.DualScalar(b, db)
-    assert _ulps(inv.value, [1 / r for r in B]) <= 0.5
-    assert _ulps(inv.derivative, [-dr / (r * r) for r, dr in zip(B, DB)]) <= 3
+    _check_division(a, da, np.array(bs), db)
+
+
+def test_division_error_bound_covers_subnormal_terms():
+    sub = 2.2250738585e-313  # da b rounds to the subnormal spacing, then 1/b^2 = 16 magnifies it
+    _check_division(np.array([0.0, 5e-324, 1.5]), np.array([sub, -sub, 5e-324]),
+                    np.array([0.25, -0.1, 0.1]), np.array([5e-324, 3e-320, -sub]))
 
 
 # ------------------------------------------ tan, sec and ** array branches

@@ -147,6 +147,19 @@ def test_omega_prime_near_x_zero_raises_domain_error():
         red.omega_prime(cols)
 
 
+def test_tau_defined_is_where_omega_prime_evaluates():
+    tiny = jc._SQUARE_UNDERFLOW
+    xs = [0.4, -0.3, 1e-150, tiny, math.nextafter(tiny, 0.0), -1e-160, 5e-324, 0.0]
+    for x in xs:
+        j = chart.jet1(x, 0.3, 0.0, 0.2, 0.3)
+        if red.tau_defined(x):
+            assert math.isfinite(red.omega_prime(j))
+        else:
+            with pytest.raises(jc.DomainError):
+                red.omega_prime(j)
+    assert red.tau_defined(np.array(xs)).tolist() == [True] * 4 + [False] * 4
+
+
 # ------------------------------------------------------------ alpha inversion
 
 def test_alpha_trivial_stationary_sample():
