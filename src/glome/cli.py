@@ -38,7 +38,8 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
 
 def _add_step(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--step", type=float, default=1e-3,
-                        help=f"RK4 step in x, in [{geodesics.MIN_STEP:g}, 0.01] (default 1e-3)")
+                        help=f"RK4 step in x, in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}]"
+                             " (default 1e-3)")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -105,8 +106,9 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 
 def cmd_integrate(args) -> int:
     try:
-        if not geodesics.MIN_STEP <= args.step <= 0.01:
-            raise ConfigError(f"--step must lie in [{geodesics.MIN_STEP:g}, 0.01], got {args.step}")
+        if not geodesics.MIN_STEP <= args.step <= geodesics.MAX_STEP:
+            raise ConfigError(f"--step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
+                              f" got {args.step}")
         initial = _parse_floats(args.initial, 5, "--initial")
         j0 = chart.jet1(*initial)
         if not math.isfinite(args.x_end):

@@ -11,6 +11,7 @@ diagnostics, and the ambient great-circle oracle used as ground truth.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .jetcalc import directional, power
 
 POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus this
 MIN_STEP = 1e-5  # rad; caps one trajectory at about 3e5 rows (17 MB) across the chart
+MAX_STEP = 0.01  # rad; the widest RK4 step in x
 DET_FLOOR = 1e-12  # coefficient-matrix determinants below this are singular
 
 CSV_HEADER = ["x", "y", "v", "y_x", "v_x", "noether_c", "lagrangian", "ambient_norm_residual"]
@@ -207,6 +209,14 @@ def infer_k(j: Jet1) -> KConstant:
     return KConstant(c * c)
 
 
+def _open_csv(path_or_file, mode: str):
+    """Context manager for a CSV: a path is opened (and closed on exit), an
+    open file object is used as it is and left open."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        return open(path_or_file, mode, newline="")
+    return contextlib.nullcontext(path_or_file)
+
+
 @dataclass
 class Trajectory:
     """Ordered samples of a geodesic plus per-sample diagnostics.
@@ -263,9 +273,7 @@ class Trajectory:
 
     def to_csv(self, path_or_file) -> None:
         """Write the CSV form (17 significant digits per field)."""
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        handle = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
+        with _open_csv(path_or_file, "w") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_HEADER)
             cols = np.column_stack(
@@ -273,15 +281,10 @@ class Trajectory:
             )
             for row in cols:
                 writer.writerow([f"{val:.17g}" for val in row])
-        finally:
-            if own:
-                handle.close()
 
     @classmethod
     def from_csv(cls, path_or_file) -> "Trajectory":
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        handle = open(path_or_file, "r", newline="") if own else path_or_file
-        try:
+        with _open_csv(path_or_file, "r") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -290,9 +293,6 @@ class Trajectory:
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected trajectory CSV header: {header!r}")
             rows = [[float(cell) for cell in row] for row in reader if row]
-        finally:
-            if own:
-                handle.close()
         if not rows:
             raise ValueError("trajectory CSV carries no samples")
         data = np.array(rows)
@@ -368,7 +368,7 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     of a lone run, so the result for a jet does not depend on its batch.
     The step count is chosen so the grid lands exactly on x_end (the
     realized step never exceeds the requested magnitude, which must lie in
-    [MIN_STEP, 0.01]).  Rows are allocated only up to the pole margin, so
+    [MIN_STEP, MAX_STEP]).  Rows are allocated only up to the pole margin, so
     a far x_end costs no memory it cannot use.  Each step's
     first stage is the curvature at its sample, so a trajectory keeps it;
     one extra evaluation covers the final sample.
@@ -380,8 +380,8 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     far (None when the initial state is already outside the margin).  A
     stopped jet freezes; the others continue.
     """
-    if not MIN_STEP <= abs(step) <= 0.01:
-        raise ValueError(f"|step| must lie in [{MIN_STEP:g}, 0.01], got {step}")
+    if not MIN_STEP <= abs(step) <= MAX_STEP:
+        raise ValueError(f"|step| must lie in [{MIN_STEP:g}, {MAX_STEP:g}], got {step}")
     jets = list(jets)
     if not jets:
         return []
@@ -393,7 +393,7 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     if abs(span) > 1e300:  # the margin stops the run long before; keeps span / step finite
         span = math.copysign(1e300, span)
     n = 0 if span == 0.0 else max(1, round(abs(span) / abs(step)))
-    if n and abs(span) / n > 0.01:
+    if n and abs(span) / n > MAX_STEP:
         n += 1
     h = span / max(n, 1)
     lim = chart.HALF_PI - POLE_MARGIN

@@ -24,8 +24,9 @@ the scalar result bitwise wherever numpy's `sin`, `cos` and `sqrt` equal
 the `math` ones.  `tan`, `arcsin`, `arctan`, `atan2` and `**` call
 `math.tan`, `math.asin`, `math.atan`, `math.atan2` and Python's `**` on
 each element, because numpy's versions round differently in the last
-place.  Their domain guards raise :class:`DomainError` naming the first
-offending index.
+place.  Each domain rule is written once for floats and arrays alike: a
+float that breaks it raises with the float as the argument, an array
+raises at its first offending element and the message adds that index.
 """
 
 from __future__ import annotations
@@ -75,33 +76,36 @@ class DomainError(ValueError):
 
 
 def _guard(bad, func: str, values, detail: str) -> None:
-    """Raise DomainError at the first True of the boolean array ``bad``."""
-    if bad.any():
+    """Raise DomainError where ``bad`` holds.
+
+    A scalar test raises with ``values`` as the argument.  A boolean array
+    raises at its first True, naming its index and the element of
+    ``values`` (broadcast to the shape of ``bad``) there.
+    """
+    if not isinstance(bad, _ndarray):
+        if bad:
+            raise DomainError(func, values, detail)
+    elif bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
         idx = tuple(int(i) for i in idx)
-        raise DomainError(func, float(values[idx]), f"{detail} at index {idx}", idx)
+        value = float(np.broadcast_to(values, bad.shape)[idx])
+        raise DomainError(func, value, f"{detail} at index {idx}", idx)
 
 
-def _elementwise(f, u, *more):
-    """``f`` applied to each element of the array ``u`` (and of the same-shape
-    arrays ``more``) as Python floats."""
-    flat = (a.ravel().tolist() for a in (u, *more))
-    return np.fromiter(map(f, *flat), float, u.size).reshape(u.shape)
+def _map(f, u, *more):
+    """``f(u, *more)``; for array arguments, ``f`` of each element (broadcast)
+    as Python floats, because numpy's versions of the `math` functions
+    round differently in the last place."""
+    if not (isinstance(u, _ndarray) or more and any(isinstance(a, _ndarray) for a in more)):
+        return f(u, *more)
+    args = np.broadcast_arrays(u, *more) if more else (u,)
+    flat = (a.ravel().tolist() for a in args)
+    return np.fromiter(map(f, *flat), float, args[0].size).reshape(args[0].shape)
 
 
 def power(u, exponent):
     """``u ** exponent`` of a float, a dual or an array (Python's ``**`` on each element)."""
-    if isinstance(u, _ndarray):
-        return _elementwise(lambda b: b**exponent, u)
-    return u**exponent
-
-
-def _check_divisor(den) -> None:
-    """Raise DomainError where the real part ``den`` of a divisor is zero."""
-    if isinstance(den, _ndarray):
-        _guard(den == 0.0, "divide", den, "zero denominator")
-    elif den == 0.0:
-        raise DomainError("divide", 0.0, "zero denominator")
+    return _map(lambda b: b**exponent, u)
 
 
 # a nonzero divisor below this has a square below the smallest normal float,
@@ -113,16 +117,15 @@ def squarable(den):
     """True (per element, for an array) where ``den`` is nonzero and its
     square is a normal float, that is, where a dual whose real part is
     ``den`` may divide."""
-    return np.abs(den) >= _SQUARE_UNDERFLOW
+    return abs(den) >= _SQUARE_UNDERFLOW
 
 
-def _check_square(den) -> None:
-    """Raise DomainError where the nonzero real part ``den`` of a dual divisor
-    is too small to square."""
-    if isinstance(den, _ndarray):
-        _guard(np.abs(den) < _SQUARE_UNDERFLOW, "divide", den, "squared denominator underflows")
-    elif abs(den) < _SQUARE_UNDERFLOW:
-        raise DomainError("divide", den, "squared denominator underflows")
+def _check_divisor(den, dual: bool) -> None:
+    """Raise DomainError where the real part ``den`` of a divisor is zero or,
+    for a ``dual`` divisor, too small to square."""
+    _guard(den == 0.0, "divide", den, "zero denominator")
+    if dual:
+        _guard(abs(den) < _SQUARE_UNDERFLOW, "divide", den, "squared denominator underflows")
 
 
 class DualScalar:
@@ -171,22 +174,18 @@ class DualScalar:
 
     def __truediv__(self, other):
         if isinstance(other, DualScalar):
-            den = real_value(other)
-            _check_divisor(den)
-            _check_square(den)
+            _check_divisor(real_value(other), dual=True)
             ov = other.value
             return DualScalar(
                 self.value / ov,
                 (self.derivative * ov - self.value * other.derivative) / (ov * ov),
             )
-        _check_divisor(other)
+        _check_divisor(other, dual=False)
         inv = 1.0 / other
         return DualScalar(self.value * inv, self.derivative * inv)
 
     def __rtruediv__(self, other):
-        den = real_value(self)
-        _check_divisor(den)
-        _check_square(den)
+        _check_divisor(real_value(self), dual=True)
         quotient = other / self.value
         return DualScalar(quotient, -quotient * self.derivative / self.value)
 
@@ -199,16 +198,10 @@ class DualScalar:
         if exponent == 0:
             return DualScalar(self.value**0, 0.0)
         base = real_value(self)
-        fractional = exponent != int(exponent)
-        if isinstance(base, _ndarray):
-            if fractional:
-                _guard(base < 0.0, "pow", base, f"fractional power {exponent} of a negative base")
-            if exponent < 0:
-                _guard(base == 0.0, "pow", base, f"negative power {exponent} of zero")
-        elif fractional and base < 0.0:
-            raise DomainError("pow", base, f"fractional power {exponent} of a negative base")
-        elif exponent < 0 and base == 0.0:
-            raise DomainError("pow", 0.0, f"negative power {exponent} of zero")
+        if exponent != int(exponent):
+            _guard(base < 0.0, "pow", base, f"fractional power {exponent} of a negative base")
+        if exponent < 0:
+            _guard(base == 0.0, "pow", base, f"negative power {exponent} of zero")
         return DualScalar(
             power(self.value, exponent),
             exponent * power(self.value, exponent - 1) * self.derivative,
@@ -249,67 +242,43 @@ def tan(u):
     if isinstance(u, DualScalar):
         c = cos(u.value)
         return DualScalar(tan(u.value), u.derivative / (c * c))
-    if isinstance(u, _ndarray):
-        _guard(np.abs(np.cos(u)) < _POLE_TOL, "tan", u, "cosine of the argument vanishes")
-        return _elementwise(math.tan, u)
-    if abs(math.cos(u)) < _POLE_TOL:
-        raise DomainError("tan", u, "cosine of the argument vanishes")
-    return math.tan(u)
+    _guard(abs(cos(u)) < _POLE_TOL, "tan", u, "cosine of the argument vanishes")
+    return _map(math.tan, u)
 
 
 def sec(u):
     if isinstance(u, DualScalar):
         s = sec(u.value)
         return DualScalar(s, s * tan(u.value) * u.derivative)
-    if isinstance(u, _ndarray):
-        c = np.cos(u)
-        _guard(np.abs(c) < _POLE_TOL, "sec", u, "cosine of the argument vanishes")
-        return 1.0 / c
-    if abs(math.cos(u)) < _POLE_TOL:
-        raise DomainError("sec", u, "cosine of the argument vanishes")
-    return 1.0 / math.cos(u)
+    c = cos(u)
+    _guard(abs(c) < _POLE_TOL, "sec", u, "cosine of the argument vanishes")
+    return 1.0 / c
 
 
 def sqrt(u):
     if isinstance(u, DualScalar):
         r = sqrt(u.value)
         rv = real_value(r)
-        if isinstance(rv, _ndarray):
-            _guard(rv == 0.0, "sqrt", rv, "derivative singular at zero")
-        elif rv == 0.0:
-            raise DomainError("sqrt", 0.0, "derivative singular at zero")
+        _guard(rv == 0.0, "sqrt", rv, "derivative singular at zero")
         return DualScalar(r, u.derivative / (2.0 * r))
-    if isinstance(u, _ndarray):
-        _guard(u < 0.0, "sqrt", u, "negative radicand")
-        return np.sqrt(u)
-    if u < 0.0:
-        raise DomainError("sqrt", u, "negative radicand")
-    return math.sqrt(u)
+    _guard(u < 0.0, "sqrt", u, "negative radicand")
+    return np.sqrt(u) if isinstance(u, _ndarray) else math.sqrt(u)
 
 
 def arcsin(u):
     if isinstance(u, DualScalar):
         value = arcsin(u.value)
         r = real_value(u)
-        if isinstance(r, _ndarray):
-            _guard(np.abs(r) == 1.0, "arcsin", r, "derivative singular at ±1")
-        elif abs(r) == 1.0:
-            raise DomainError("arcsin", r, "derivative singular at ±1")
+        _guard(abs(r) == 1.0, "arcsin", r, "derivative singular at ±1")
         return DualScalar(value, u.derivative / sqrt(1.0 - u.value * u.value))
-    if isinstance(u, _ndarray):
-        _guard((u < -1.0) | (u > 1.0), "arcsin", u, "argument outside [-1, 1]")
-        return _elementwise(math.asin, u)
-    if u < -1.0 or u > 1.0:
-        raise DomainError("arcsin", u, "argument outside [-1, 1]")
-    return math.asin(u)
+    _guard((u < -1.0) | (u > 1.0), "arcsin", u, "argument outside [-1, 1]")
+    return _map(math.asin, u)
 
 
 def arctan(u):
     if isinstance(u, DualScalar):
         return DualScalar(arctan(u.value), u.derivative / (1.0 + u.value * u.value))
-    if isinstance(u, _ndarray):
-        return _elementwise(math.atan, u)
-    return math.atan(u)
+    return _map(math.atan, u)
 
 
 def atan2(y, x):
@@ -321,21 +290,13 @@ def atan2(y, x):
             x = DualScalar(x, 0.0)
         rsq = x.value * x.value + y.value * y.value
         r = real_value(rsq)
-        if isinstance(r, _ndarray):
-            _guard(r == 0.0, "atan2", r, "both arguments zero")
-        elif r == 0.0:
-            raise DomainError("atan2", (real_value(y), real_value(x)), "both arguments zero")
+        _guard(r == 0.0, "atan2", r, "both arguments zero")
         return DualScalar(
             atan2(y.value, x.value),
             (x.value * y.derivative - y.value * x.derivative) / rsq,
         )
-    if isinstance(y, _ndarray) or isinstance(x, _ndarray):
-        y, x = np.broadcast_arrays(y, x)
-        _guard((y == 0.0) & (x == 0.0), "atan2", y, "both arguments zero")
-        return _elementwise(math.atan2, y, x)
-    if y == 0.0 and x == 0.0:
-        raise DomainError("atan2", (y, x), "both arguments zero")
-    return math.atan2(y, x)
+    _guard((y == 0.0) & (x == 0.0), "atan2", y, "both arguments zero")
+    return _map(math.atan2, y, x)
 
 
 def directional(f, args, direction):

@@ -144,7 +144,7 @@ def omega_prime(j: chart.Jet1 | chart.JetColumns):
 def _tan(t):
     """math.tan, per element of an array.  Not jetcalc.tan: tau = arctan(...)
     never sits on a pole, but that guard (|cos| < 1e-12) fires for 0 < |x| < 1e-12."""
-    return jetcalc._elementwise(math.tan, t) if isinstance(t, np.ndarray) else math.tan(t)
+    return jetcalc._map(math.tan, t)
 
 
 def _sample_terms(tau, omega, k):

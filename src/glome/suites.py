@@ -63,6 +63,13 @@ LONG_RUN_STEP = 2.5e-4  # the widest admissible x-interval divided by 1e4 steps
 LONG_RUN_MAX_STEPS = 10_000  # so the long run never leaves [-1.25, 1.25]
 
 
+# Upper bounds on a run's size: the suites allocate columns in proportion to
+# both, and past the bounds a request meets a numpy memory error instead of
+# a usage error.
+MAX_SAMPLES = 10**6
+MAX_TRAJECTORIES = 10**4
+
+
 class ConfigError(ValueError):
     """A run configuration violates its invariants."""
 
@@ -79,14 +86,16 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
         if not 0.0 < self.margin < HALF_PI:
             raise ConfigError(f"margin must lie in (0, pi/2), got {self.margin}")
-        if not geodesics.MIN_STEP <= self.step <= 0.01:
-            raise ConfigError(f"step must lie in [{geodesics.MIN_STEP:g}, 0.01], got {self.step}")
-        if self.trajectories < 1:
-            raise ConfigError(f"trajectories must be >= 1, got {self.trajectories}")
+        if not geodesics.MIN_STEP <= self.step <= geodesics.MAX_STEP:
+            raise ConfigError(f"step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
+                              f" got {self.step}")
+        if not 1 <= self.trajectories <= MAX_TRAJECTORIES:
+            raise ConfigError(
+                f"trajectories must lie in [1, {MAX_TRAJECTORIES}], got {self.trajectories}")
         merged = dict(DEFAULT_TOLERANCES)
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:

@@ -356,6 +356,50 @@ def test_array_guards_name_the_first_offending_index(xs, data):
         jc.DualScalar(signed, 1.0) ** -2
 
 
+def _outcome(f, w):
+    """What ``f(w)`` did: its bits, or the error it raised (an array error's
+    index suffix stripped, so that a float and a (1,)-array compare)."""
+    try:
+        with np.errstate(all="ignore"):  # numpy warns where a float overflows silently
+            out = f(w)
+    except jc.DomainError as err:
+        return "DomainError", err.func, repr(err.argument), str(err).replace(" at index (0,)", "")
+    except ArithmeticError as err:  # Python's ** of zero or of a subnormal, per element too
+        return type(err).__name__, str(err)
+    if isinstance(out, jc.DualScalar):
+        return "ok", _bits(out.value), _bits(out.derivative)
+    return "ok", _bits(out)
+
+
+@bitwise
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_infinity=False), st.sampled_from([2, 3, -1, -2, 0.5, -0.5]))
+@example(0.0, -1)
+@example(-0.0, -1)
+@example(-0.0, -0.5)
+@example(1.0, 0.5)
+@example(-1.0, 0.5)
+@example(float(math.pi / 2), 2)
+@example(1e-160, -1)
+@example(5e-324, -2)
+@example(math.nan, 2)
+def test_floats_and_arrays_follow_the_same_domain_rule(t, e):
+    cases = [
+        ("tan", jc.tan), ("sec", jc.sec), ("sqrt", jc.sqrt), ("arcsin", jc.arcsin),
+        ("atan2", lambda w: jc.atan2(w, w)), ("atan2 on the y axis", lambda w: jc.atan2(w, 0.0)),
+        ("power", lambda w: jc.power(w, e)), ("divide", lambda w: jc.DualScalar(1.0, 1.0) / w),
+        ("reciprocal", lambda w: 1.0 / w),
+    ]
+    for layer in ("plain", "dual"):
+        lift = (lambda v: v) if layer == "plain" else (lambda v: jc.DualScalar(v, 1.0))
+        for name, f in cases:
+            # a plain reciprocal is float division, and a plain fractional power of a
+            # negative float is complex: neither is a jetcalc domain rule
+            if layer == "plain" and (name == "reciprocal" or name == "power" and e != int(e)):
+                continue
+            assert _outcome(f, lift(np.array([t]))) == _outcome(f, lift(t)), f"{name}, {layer}"
+
+
 # ------------------------------- batched symmetry kernels vs per-point calls
 
 from glome import suites  # noqa: E402
