@@ -117,7 +117,7 @@ def squarable(den):
     """True (per element, for an array) where ``den`` is nonzero and its
     square is a normal float, that is, where a dual whose real part is
     ``den`` may divide."""
-    return abs(den) >= _SQUARE_UNDERFLOW
+    return np.abs(den) >= _SQUARE_UNDERFLOW
 
 
 def _check_divisor(den, dual: bool) -> None:
@@ -290,7 +290,7 @@ def atan2(y, x):
             x = DualScalar(x, 0.0)
         rsq = x.value * x.value + y.value * y.value
         r = real_value(rsq)
-        _guard(r == 0.0, "atan2", r, "both arguments zero")
+        _guard(r == 0.0, "atan2", r, "x^2 + y^2 is zero")
         return DualScalar(
             atan2(y.value, x.value),
             (x.value * y.derivative - y.value * x.derivative) / rsq,

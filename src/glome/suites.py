@@ -63,11 +63,13 @@ LONG_RUN_STEP = 2.5e-4  # the widest admissible x-interval divided by 1e4 steps
 LONG_RUN_MAX_STEPS = 10_000  # so the long run never leaves [-1.25, 1.25]
 
 
-# Upper bounds on a run's size: the suites allocate columns in proportion to
-# both, and past the bounds a request meets a numpy memory error instead of
-# a usage error.
+# Upper bounds on a run's size, past which a request is a usage error rather
+# than a numpy memory error.  The suites allocate columns in proportion to
+# samples; make_batch holds trajectories x round(TRAJECTORY_SPAN / step)
+# rows (10^4 trajectories at the default step).  Peak RSS measured at the
+# bounds is in README.md; the bounds do not cap the run time.
 MAX_SAMPLES = 10**6
-MAX_TRAJECTORIES = 10**4
+MAX_TRAJECTORY_ROWS = 8 * 10**6
 
 
 class ConfigError(ValueError):
@@ -93,9 +95,12 @@ class RunConfig:
         if not geodesics.MIN_STEP <= self.step <= geodesics.MAX_STEP:
             raise ConfigError(f"step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
                               f" got {self.step}")
-        if not 1 <= self.trajectories <= MAX_TRAJECTORIES:
-            raise ConfigError(
-                f"trajectories must lie in [1, {MAX_TRAJECTORIES}], got {self.trajectories}")
+        if self.trajectories < 1:
+            raise ConfigError(f"trajectories must be >= 1, got {self.trajectories}")
+        steps = round(TRAJECTORY_SPAN / self.step)
+        if self.trajectories * steps > MAX_TRAJECTORY_ROWS:
+            raise ConfigError(f"trajectories x steps ({self.trajectories} x {steps}) must not"
+                              f" exceed {MAX_TRAJECTORY_ROWS}")
         merged = dict(DEFAULT_TOLERANCES)
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
@@ -360,7 +365,7 @@ def _collapsed_along(traj: geodesics.Trajectory, k_value: float):
     return geodesics.collapsed_E(c.x, c.y, c.y_x, c.y_xx, k_value)
 
 
-_GRID_CHUNK = 512  # grid rows per block of grid_search_k; 3.3 MB per temporary at 801 samples
+_GRID_BLOCK = 1 << 16  # elements per block of grid_search_k; 0.5 MB per temporary
 
 
 def grid_search_k(traj: geodesics.Trajectory, spacing: float = 1e-4) -> float:
@@ -373,9 +378,10 @@ def grid_search_k(traj: geodesics.Trajectory, spacing: float = 1e-4) -> float:
     e0 = _collapsed_along(traj, 0.0)
     e1 = _collapsed_along(traj, 1.0) - e0
     grid = np.arange(0.0, 1.0 + 0.5 * spacing, spacing)
+    rows = max(1, _GRID_BLOCK // e0.size)
     worst = np.concatenate([
         np.max(np.abs(e0 + block[:, None] * e1), axis=1)
-        for block in np.split(grid, range(_GRID_CHUNK, grid.size, _GRID_CHUNK))
+        for block in np.split(grid, range(rows, grid.size, rows))
     ])
     return float(grid[int(np.argmin(worst))])
 

@@ -345,10 +345,13 @@ EXIT_CODES = [
     ("ConfigError_integrate_step", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.5",
                                     "--step", "1e-300", "--out", "{tmp}/t.csv"], None, 2),
     ("ConfigError_verify_step", ["verify", "--step", "1e-300"], None, 2),
-    # run sizes past suites.MAX_SAMPLES / MAX_TRAJECTORIES are usage errors, not allocation failures
+    # run sizes past suites.MAX_SAMPLES / MAX_TRAJECTORY_ROWS are usage errors, not allocation
+    # failures
     ("ConfigError_verify_samples_bound", ["verify", "--samples", "1000000000000",
                                           "--trajectories", "1"], None, 2),
     ("ConfigError_verify_trajectories_bound", ["verify", "--trajectories", "10001"], None, 2),
+    ("ConfigError_verify_trajectory_rows_bound", ["verify", "--trajectories", "101",
+                                                  "--step", "1e-5"], None, 2),
     ("ConfigError_brackets_samples_bound", ["brackets", "--samples", "1000001"], None, 2),
     # the long run used to leave the chart here (ChartError, DomainExit for 1217..1256)
     ("verify_samples_past_long_run_cap",

@@ -182,6 +182,13 @@ def test_atan2_derivative():
     assert abs(d1(f, -1.2) - 1.0) < 1e-14
 
 
+def test_dual_atan2_whose_squared_radius_underflows_raises():
+    assert jc.atan2(1e-170, 0.0) == math.pi / 2
+    with pytest.raises(jc.DomainError, match=r"x\^2 \+ y\^2 is zero") as err:
+        jc.atan2(jc.DualScalar(1e-170, 1.0), 0.0)
+    assert err.value.argument == 0.0
+
+
 def test_tan_pole_raises():
     with pytest.raises(jc.DomainError):
         jc.tan(math.pi / 2)

@@ -331,7 +331,7 @@ def test_inverse_trig_array_guards_name_the_first_offending_index():
         jc.arcsin(np.array([0.5, -1.0, 1.5, -2.0]))
     with pytest.raises(jc.DomainError, match=r"both arguments zero at index \(1,\)"):
         jc.atan2(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0]))
-    with pytest.raises(jc.DomainError, match=r"both arguments zero at index \(0,\)"):
+    with pytest.raises(jc.DomainError, match=r"x\^2 \+ y\^2 is zero at index \(0,\)"):
         jc.atan2(jc.DualScalar(np.array([0.0, 1.0]), 1.0), np.array([0.0, 1.0]))
 
 

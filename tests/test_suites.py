@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glome import chart
 from glome import geodesics as geo
 from glome import suites
 
@@ -35,3 +36,22 @@ def test_make_batch_raises_the_first_failure_in_draw_order(monkeypatch):
     monkeypatch.setattr(geo, "integrate_batch", failing)
     with pytest.raises(geo.DomainExit, match="run 2"):
         suites.make_batch(suites.RunConfig(samples=10, trajectories=3, step=0.01))
+
+
+def test_run_size_bounds():
+    suites.RunConfig(samples=suites.MAX_SAMPLES)
+    with pytest.raises(suites.ConfigError, match="samples must lie in"):
+        suites.RunConfig(samples=suites.MAX_SAMPLES + 1)
+    # trajectories x round(TRAJECTORY_SPAN / step) rows, at most MAX_TRAJECTORY_ROWS
+    for step, most in ((1e-3, 10_000), (1e-5, 100), (0.01, 100_000)):
+        suites.RunConfig(trajectories=most, step=step)
+        with pytest.raises(suites.ConfigError, match=r"trajectories x steps \(\d+ x \d+\)"):
+            suites.RunConfig(trajectories=most + 1, step=step)
+
+
+def test_grid_search_k_does_not_depend_on_its_block_size(monkeypatch):
+    traj = geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.15, 0.2), 0.8, 1e-2)
+    k = suites.grid_search_k(traj)
+    for block in (1, 3 * len(traj.samples), 1000 * len(traj.samples) + 1):
+        monkeypatch.setattr(suites, "_GRID_BLOCK", block)
+        assert suites.grid_search_k(traj) == k
