@@ -8,8 +8,14 @@ Subcommands:
   reduce      map a trajectory CSV through the reduction, emit JSON
   flow        evaluate the closed-form orbit at one point
 
-Exit codes: 0 all checks pass, 1 a check or runtime failure, 2 usage or
-configuration error.  Reports are byte-identical for identical inputs.
+The commands raise; main alone maps an error to its exit code, through
+EXIT_TABLE, and prints one stderr line ``glome <command>: <label>: <message>``.
+Exit codes: 0 all checks pass; 1 a check fails, integration stops early
+(DomainExit, SingularSystem: results, written to the sidecar) or a runtime
+failure (DomainError, BranchExit, AmbiguousIdentification); 2 a usage error
+(ConfigError, ChartError, OutOfRange, TrajectoryCSVError, OSError).  Any
+other exception is a bug and propagates with its traceback.  Reports are
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -26,6 +32,14 @@ from .suites import DEFAULT_TOLERANCES, ConfigError, RunConfig, bracket_table_fo
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# (error types, exit code, stderr label); the first row that matches wins.
+EXIT_TABLE = (
+    ((ConfigError, chart.ChartError, geodesics.OutOfRange, geodesics.TrajectoryCSVError, OSError),
+     EXIT_USAGE, "usage error"),
+    ((jetcalc.DomainError, reduction.BranchExit, symmetries.AmbiguousIdentification),
+     EXIT_FAIL, "runtime failure"),
+)
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
@@ -67,30 +81,17 @@ def _parse_tolerances(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin,
-                        step=args.step, trajectories=args.trajectories,
-                        tolerances=_parse_tolerances(args))
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin,
+                    step=args.step, trajectories=args.trajectories,
+                    tolerances=_parse_tolerances(args))
     report = run_all(cfg)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def cmd_brackets(args) -> int:
-    try:
-        cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        table = bracket_table_for(cfg)
-    except symmetries.AmbiguousIdentification as err:
-        print(f"identification failed: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    _emit(table.to_json_dict(), args.out)
+    cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin)
+    _emit(bracket_table_for(cfg).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -105,17 +106,13 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 
 
 def cmd_integrate(args) -> int:
-    try:
-        if not geodesics.MIN_STEP <= args.step <= geodesics.MAX_STEP:
-            raise ConfigError(f"--step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
-                              f" got {args.step}")
-        initial = _parse_floats(args.initial, 5, "--initial")
-        j0 = chart.jet1(*initial)
-        if not math.isfinite(args.x_end):
-            raise ConfigError(f"--x-end must be finite, got {args.x_end}")
-    except (ConfigError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    if not geodesics.MIN_STEP <= args.step <= geodesics.MAX_STEP:
+        raise ConfigError(f"--step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
+                          f" got {args.step}")
+    initial = _parse_floats(args.initial, 5, "--initial")
+    j0 = chart.jet1(*initial)
+    if not math.isfinite(args.x_end):
+        raise ConfigError(f"--x-end must be finite, got {args.x_end}")
 
     out = Path(args.out) if args.out else Path("trajectory.csv")
     sidecar_path = out.with_suffix(".json")
@@ -151,41 +148,23 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    path = Path(args.trajectory)
-    try:
-        traj = geodesics.Trajectory.from_csv(path)
-    except (OSError, ValueError) as err:
-        print(f"cannot read trajectory: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = reduction.reduction_report(traj)
-    except geodesics.OutOfRange as err:
-        print(f"cannot reduce trajectory: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    report = reduction.reduction_report(geodesics.Trajectory.from_csv(Path(args.trajectory)))
     _emit(report, args.out)
     return EXIT_FAIL if report["alpha_rel_dev"] is None else EXIT_OK
 
 
 def cmd_flow(args) -> int:
-    try:
-        x, y = _parse_floats(args.point, 2, "--point")
-        lam = args.lam
-        chart.ChartPoint(x, y, 0.0)
-        if not math.isfinite(lam):
-            raise ConfigError(f"--lambda must be finite, got {lam}")
-    except (ConfigError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        X, Y = reduction.global_flow(x, y, lam)
-    except reduction.BranchExit as err:
-        print(f"flow failed: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    x, y = _parse_floats(args.point, 2, "--point")
+    lam = args.lam
+    chart.ChartPoint(x, y, 0.0)
+    if not math.isfinite(lam):
+        raise ConfigError(f"--lambda must be finite, got {lam}")
+    X, Y = reduction.global_flow(x, y, lam)
     omega_residual = abs(
         reduction.omega_coordinate(X, Y) - reduction.omega_coordinate(x, y)
     )
     tau_residual = None
-    if x != 0.0 and X != 0.0:
+    if reduction.tau_defined(x) and reduction.tau_defined(X):
         tau_residual = abs(reduction.wrap_mod_pi(
             reduction.tau_coordinate(X, Y) - reduction.tau_coordinate(x, y) - lam
         ))
@@ -197,7 +176,8 @@ def cmd_flow(args) -> int:
         "tau_shift_residual": tau_residual,
     }
     if tau_residual is None:
-        payload["tau_shift_reason"] = "tau is undefined at x = 0 (point or image)"
+        payload["tau_shift_reason"] = ("tau is undefined where sin x is zero or too small"
+                                       " to square (point or image)")
     if args.json or args.out:
         _emit(payload, args.out)
     else:
@@ -260,13 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if [] in vars(args).values():  # argparse before Python 3.12 reads --opt=-- as []
+            raise ConfigError("an option's value may not be '--'")
         return args.func(args)
-    except jetcalc.DomainError as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    except tuple(t for types, _, _ in EXIT_TABLE for t in types) as err:
+        code, label = next((code, label) for types, code, label in EXIT_TABLE
+                           if isinstance(err, types))
+        print(f"glome {args.command}: {label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -61,6 +61,10 @@ class OutOfRange(ValueError):
     """A collapsed-equation constant fell outside [0, 1]."""
 
 
+class TrajectoryCSVError(ValueError):
+    """A trajectory CSV is malformed or disagrees with its own state columns."""
+
+
 @dataclass(frozen=True)
 class KConstant:
     """Constant of the collapsed second-order equation; must lie in [0, 1]."""
@@ -236,16 +240,19 @@ class Trajectory:
     ambient_norm_residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        bad = ~np.isfinite(self.samples).all(axis=1)
-        bad |= (np.abs(self.samples[:, :2]) >= chart.HALF_PI).any(axis=1)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise chart.ChartError(
-                f"trajectory row {row} {self.samples[row].tolist()} is non-finite or off the open chart"
-            )
+        def reject(bad, why: str) -> None:
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise chart.ChartError(f"trajectory row {row} {self.samples[row].tolist()} {why}")
+
+        reject(~np.isfinite(self.samples).all(axis=1)
+               | (np.abs(self.samples[:, :2]) >= chart.HALF_PI).any(axis=1),
+               "is non-finite or off the open chart")
         c = self.columns
-        self.noether = noether_charge(c)
-        self.lagrangian = chart.lagrangian(c)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.noether = noether_charge(c)
+            self.lagrangian = chart.lagrangian(c)
+        reject(~np.isfinite(self.lagrangian), "has slopes so large that the integrand overflows")
         g = chart.ambient_coords(c.x, c.y, c.v)
         norm = jetcalc.sqrt(power(g[0], 2) + power(g[1], 2) + power(g[2], 2) + power(g[3], 2))
         self.ambient_norm_residual = abs(norm - 1.0)
@@ -286,24 +293,26 @@ class Trajectory:
     def from_csv(cls, path_or_file) -> "Trajectory":
         with _open_csv(path_or_file, "r") as handle:
             reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError("empty trajectory CSV") from None
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected trajectory CSV header: {header!r}")
-            rows = [[float(cell) for cell in row] for row in reader if row]
-        if not rows:
-            raise ValueError("trajectory CSV carries no samples")
-        data = np.array(rows)
+            try:  # a bad number, ragged rows, undecodable bytes or an over-long field
+                header = next(reader, None)
+                if header == CSV_HEADER:
+                    data = np.array([[float(cell) for cell in row] for row in reader if row])
+            except (ValueError, csv.Error) as err:
+                raise TrajectoryCSVError(f"malformed trajectory CSV: {err}") from None
+        if header is None:
+            raise TrajectoryCSVError("empty trajectory CSV")
+        if header != CSV_HEADER:
+            raise TrajectoryCSVError(f"unexpected trajectory CSV header: {header!r}")
+        if not len(data):
+            raise TrajectoryCSVError("trajectory CSV carries no samples")
         if data.shape[1] != 8:
-            raise ValueError(f"expected 8 columns, got {data.shape[1]}")
+            raise TrajectoryCSVError(f"expected 8 columns, got {data.shape[1]}")
         bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
         if bad.size:
-            raise ValueError(f"trajectory CSV row {bad[0] + 1} has a non-finite cell")
+            raise TrajectoryCSVError(f"trajectory CSV row {bad[0] + 1} has a non-finite cell")
         xs = data[:, 0]
         if len(xs) > 1 and not (np.all(np.diff(xs) > 0) or np.all(np.diff(xs) < 0)):
-            raise ValueError("trajectory x column must be strictly monotone")
+            raise TrajectoryCSVError("trajectory x column must be strictly monotone")
         traj = cls(data[:, :5].copy())
         fresh = np.column_stack([traj.noether, traj.lagrangian, traj.ambient_norm_residual])
         off = np.abs(data[:, 5:] - fresh) > CSV_DIAGNOSTIC_RTOL * np.maximum(1.0, np.abs(fresh))
@@ -311,7 +320,7 @@ class Trajectory:
         if bad.size:
             row = bad[0]
             col = 5 + int(np.flatnonzero(off[row])[0])
-            raise ValueError(
+            raise TrajectoryCSVError(
                 f"trajectory CSV row {row + 1}: {CSV_HEADER[col]} = {float(data[row, col])!r}"
                 f" differs from {float(fresh[row, col - 5])!r} recomputed from the state"
             )
@@ -400,7 +409,7 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     last = n  # the last step whose x can lie inside the margin; later rows are never written
     if n:
         ahead = lim - x0 if h > 0 else lim + x0
-        last = min(n, max(0, math.floor(ahead / abs(h)) + 1))
+        last = min(n, max(0, math.floor(min(ahead / abs(h), n)) + 1))  # a subnormal h overflows
 
     out: list = [None] * len(jets)
     rows = np.empty((last + 1, len(jets), 5))  # step, jet, (x, y, v, y_x, v_x)
@@ -409,6 +418,8 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     for c, j in enumerate(jets):
         if not (abs(j.x) <= lim and abs(j.y) <= lim):
             out[c] = DomainExit(j.x, "initial state outside the pole margin")
+        elif not math.isfinite(chart.lagrangian(j)):  # a row Trajectory refuses
+            out[c] = DomainExit(j.x, "initial slopes overflow the integrand")
     live = np.array([c for c in range(len(jets)) if out[c] is None], dtype=int)
     u = rows[0, live, 1:].T.copy()  # (4, live)
     x = x0
@@ -485,14 +496,8 @@ def ambient_state(j: Jet1) -> tuple[np.ndarray, np.ndarray, float]:
     equals the integrand value (the chain-rule identity the tests lean on).
     """
     p = chart.embed(j.base)
-    tangent = []
-    for idx in range(4):
-        def comp(x, y, v, idx=idx):
-            return chart.ambient_coords(x, y, v)[idx]
-
-        _, d = directional(comp, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))
-        tangent.append(d)
-    tangent = np.array(tangent)
+    seeded = (jetcalc.DualScalar(a, d) for a, d in zip((j.x, j.y, j.v), (1.0, j.y_x, j.v_x)))
+    tangent = np.array([g.derivative for g in chart.ambient_coords(*seeded)])
     speed = float(np.linalg.norm(tangent))
     return p, tangent / speed, speed
 

@@ -106,6 +106,8 @@ class RunConfig:
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance name {name!r}")
             merged[name] = float(value)
+            if not math.isfinite(merged[name]):
+                raise ConfigError(f"tolerance {name} must be finite, got {value}")
         self.tolerances = merged
 
     def tol(self, name: str) -> float:

@@ -108,8 +108,6 @@ def _one(x, y, v):
     return 1.0
 
 
-ZERO_FIELD = VectorField3(_zero, _zero, _zero, name="0")
-
 _CHI: tuple[VectorField3, ...] = (
     VectorField3(
         lambda x, y, v: cos(v) * cos(y),
@@ -314,15 +312,8 @@ def lie_bracket(X: VectorField3, Y: VectorField3) -> VectorField3:
     )
 
 
-def _candidate_fields():
-    cands = [("zero", ZERO_FIELD)]
-    for i in range(1, 7):
-        cands.append((f"+chi{i}", chi(i)))
-        cands.append((f"-chi{i}", scale(-1.0, chi(i), name=f"-chi{i}")))
-    return cands
-
-
-_CANDIDATE_LABELS = tuple(label for label, _ in _candidate_fields())
+_CANDIDATE_LABELS = ("zero", "+chi1", "-chi1", "+chi2", "-chi2", "+chi3", "-chi3",
+                     "+chi4", "-chi4", "+chi5", "-chi5", "+chi6", "-chi6")
 
 
 def _stack3(components, shape) -> np.ndarray:
@@ -354,8 +345,10 @@ def identify_field(
 
 def _candidate_values(x, y, v) -> np.ndarray:
     """The 13 candidates' values at n points as a (13, n, 3) array, in the
-    order of _CANDIDATE_LABELS."""
-    return np.stack([_values(C, x, y, v) for _, C in _candidate_fields()])
+    order of _CANDIDATE_LABELS: zero, then +g and -g for each generator's
+    values g (negation is exact, so -g is scale(-1.0, chi_k)'s values bitwise)."""
+    generators = [_values(F, x, y, v) for F in _CHI]
+    return np.stack([np.zeros_like(generators[0])] + [s for g in generators for s in (g, -g)])
 
 
 def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> BracketEntry:

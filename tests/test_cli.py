@@ -172,6 +172,15 @@ def test_integrate_domain_exit_via_runaway_slope(tmp_path):
     assert read_json(out.with_suffix(".json"))["status"] == "DomainExit"
 
 
+def test_integrate_overflowing_initial_integrand_is_domain_exit(tmp_path):
+    # a one-row run once met an infinite speed in its oracle (a traceback)
+    out = tmp_path / "t.csv"
+    assert main(["integrate", "--initial=0,0.3,0,1e308,1e308", "--x-end=0",
+                 "--out", str(out)]) == 1
+    assert read_json(out.with_suffix(".json"))["status"] == "DomainExit"
+    assert not out.exists()
+
+
 def test_integrate_rejects_bad_initial():
     assert main(["integrate", "--initial", "0,0,0,0", "--x-end", "0.5"]) == 2
     assert main(["integrate", "--initial", "2.0,0,0,0,0", "--x-end", "0.5"]) == 2
@@ -259,11 +268,13 @@ def test_reduce_excludes_rows_whose_tau_derivative_underflows(tmp_path, capsys):
 
 
 def test_flow_on_axis_emits_null_tau_shift(capsys):
-    assert main(["flow", "--point", "0,0.3", "--lambda", "0.2", "--json"]) == 0
-    payload = loads_strict(capsys.readouterr().out)
-    assert payload["tau_shift_residual"] is None
-    assert "tau_shift_reason" in payload
-    assert payload["omega_residual"] < 1e-12
+    # sin x = 0, or too small to square (cot x overflowed to a NaN shift at one time)
+    for point, lam in (("0,0.3", "0.2"), ("5e-324,0", "-0.0"), ("1e-200,0.3", "0.2")):
+        assert main(["flow", "--point", point, f"--lambda={lam}", "--json"]) == 0
+        payload = loads_strict(capsys.readouterr().out)
+        assert payload["tau_shift_residual"] is None
+        assert "tau_shift_reason" in payload
+        assert payload["omega_residual"] < 1e-12
 
 
 def test_non_finite_numbers_are_usage_errors():
@@ -357,7 +368,31 @@ EXIT_CODES = [
     ("verify_samples_past_long_run_cap",
      ["verify", "--samples", "1300", "--trajectories", "1", "--step", "0.01",
       "--out", "{tmp}/report.json"], None, 0),
+    # --out into a missing directory is a usage error for every command (a traceback once)
+    ("OSError_verify_out", ["verify", *FAST_VERIFY, "--out", "{tmp}/missing/r.json"], None, 2),
+    ("OSError_brackets_out", ["brackets", *FAST, "--out", "{tmp}/missing/t.json"], None, 2),
+    ("OSError_integrate_out", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1",
+                               "--out", "{tmp}/missing/t.csv"], None, 2),
+    ("OSError_reduce_out", ["reduce", "{tmp}/ok.csv", "--out", "{tmp}/missing/r.json"], None, 2),
+    ("OSError_flow_out", ["flow", "--point", "0.5,0.3", "--lambda", "0.2",
+                          "--out", "{tmp}/missing/f.json"], None, 2),
+    # one field past the csv module's 131072-character limit
+    ("TrajectoryCSVError_long_field", ["reduce", "{tmp}/long_field.csv"], None, 2),
+    # a non-finite tolerance is refused before any suite runs
+    ("ConfigError_tol_all_inf", ["verify", *FAST_VERIFY, "--tol-all", "inf"], None, 2),
+    ("ConfigError_tol_all_nan", ["verify", *FAST_VERIFY, "--tol-all", "nan"], None, 2),
+    ("ConfigError_tol_inf", ["verify", *FAST_VERIFY, "--tol", "noether_drift=inf"], None, 2),
+    # argparse before Python 3.12 reads --opt=-- as an empty list
+    ("ConfigError_option_dash_dash", ["flow", "--point", "0.5,0.3", "--lambda=--"], None, 2),
+    # a CSV row whose slopes overflow the integrand (its forged diagnostics passed)
+    ("ChartError_csv_integrand_overflow", ["reduce", "{tmp}/huge_slope.csv"], None, 2),
+    # a subnormal span: the row count divided the margin by a subnormal step
+    ("integrate_subnormal_span", ["integrate", "--initial=5e-324,0.3,0,0,0", "--x-end=0",
+                                  "--out", "{tmp}/t.csv"], None, 0),
 ]
+
+# the stderr label of each exit code that main maps an error to
+LABELS = {1: "runtime failure", 2: "usage error"}
 
 
 @pytest.mark.parametrize("error, argv, patch, code", EXIT_CODES,
@@ -366,12 +401,17 @@ def test_typed_errors_map_to_documented_exit_codes(tmp_path, monkeypatch, capsys
                                                    error, argv, patch, code):
     geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4], [0.2, 0.25, 0.1, 0.3, 0.4]])).to_csv(
         tmp_path / "ok.csv")
+    (tmp_path / "long_field.csv").write_text(f"{CSV_HEADER}\n{'1' * 131073}\n")
+    (tmp_path / "huge_slope.csv").write_text(f"{CSV_HEADER}\n0.1,0.2,0,1e308,1e308,0,0,0\n")
     if patch is not None:
         module, name, err = patch
         monkeypatch.setattr(module, name, _raise(err))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+    if code == 2 or captured.err:  # one line, in main's one format
+        assert captured.err.startswith(f"glome {argv[0]}: {LABELS[code]}: ")
+        assert captured.err.count("\n") == 1
     if argv[0] == "integrate" and code == 1:  # the sidecar names the error met
         assert read_json(tmp_path / "t.json")["status"] == error.partition("_")[0]
         assert (tmp_path / "t.csv").exists()  # with the partial trajectory

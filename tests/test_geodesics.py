@@ -342,7 +342,10 @@ def _same_outcome(got, want):
     (0.5, [(0.5, 0.0, 1e8, 1e8)], 0.6, 1e-3),
     # already outside the margin, and a turning point (singular at x = pi/4)
     (0.0, [(1.54, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)], 0.8, 1e-3),
-], ids=["margin", "stage_off_chart", "singular", "initial_and_turning_point"])
+    # slopes whose integrand overflows: a row Trajectory refuses
+    (0.0, [(0.3, 0.0, 1e200, 0.0)], 0.5, 1e-3),
+], ids=["margin", "stage_off_chart", "singular", "initial_and_turning_point",
+        "initial_integrand_overflow"])
 def test_integrate_batch_freezes_only_the_failing_jet(x0, others, x_end, step):
     healthy = [(0.1, 0.0, 0.2, 0.3), (-0.2, 1.0, -0.1, 0.0)]
     jets = [chart.jet1(x0, *healthy[0]), *(chart.jet1(x0, *o) for o in others),
@@ -399,7 +402,9 @@ def test_integrate_far_x_end_stops_at_the_margin():
 
 def test_trajectory_rejects_off_chart_and_non_finite_rows():
     good = [0.1, 0.2, 0.0, 0.3, 0.4]
-    for bad in ([2.0, 0.2, 0.0, 0.3, 0.4], [0.1, 0.2, 0.0, math.nan, 0.4]):
+    # off the chart, non-finite, and slopes whose integrand overflows
+    for bad in ([2.0, 0.2, 0.0, 0.3, 0.4], [0.1, 0.2, 0.0, math.nan, 0.4],
+                [0.1, 0.2, 0.0, 1e200, 0.4]):
         with pytest.raises(chart.ChartError, match="trajectory row 1 "):
             geo.Trajectory(np.array([good, bad, good]))
 

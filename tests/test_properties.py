@@ -415,6 +415,16 @@ def _columns(rows):
     return chart.JetColumns(*(np.array(c) for c in zip(*rows)))
 
 
+def _candidate_fields():
+    """identify_field's 13 candidates as fields, labelled: zero, then chi_k
+    and scale(-1.0, chi_k) for each generator."""
+    zero = sym.VectorField3(*[lambda x, y, v: 0.0] * 3, name="0")
+    cands = [("zero", zero)]
+    for i in range(1, 7):
+        cands += [(f"+chi{i}", sym.chi(i)), (f"-chi{i}", sym.scale(-1.0, sym.chi(i)))]
+    return cands
+
+
 @bitwise
 @settings(max_examples=40, deadline=None)
 @given(jets, weights)
@@ -453,7 +463,7 @@ def test_bracket_identification_batch_equals_per_point_bitwise(rows, a, b):
     x, y, v = (np.array(c) for c in zip(*rows))
     W = sym.lie_bracket(sym.chi(a), sym.chi(b))
     per_point = {}
-    for label, C in [("W", W)] + sym._candidate_fields():
+    for label, C in [("W", W)] + _candidate_fields():
         per_point[label] = np.array([C.at(p) for p in points])
         batched = C.coefficients(x, y, v)
         for got, column in zip(batched, per_point[label].T):
@@ -485,7 +495,7 @@ def _match_reference(name, Wvals, x, y, v, tol):
     """identify_field's rule, one candidate at a time: (label, residual) or the message."""
     best = None
     deviations = []
-    for label, C in sym._candidate_fields():
+    for label, C in _candidate_fields():
         diff = Wvals - sym._values(C, x, y, v)
         ssq = float(np.sum(diff * diff))
         maxdev = float(np.max(np.abs(diff)))
@@ -717,3 +727,108 @@ def test_symmetry_suites_report_bytes_are_pinned():
         checks += suite(cfg)
     assert _sha256([c.as_dict() for c in checks]) == (
         "12c2795cc8d492504b7d0a5fc8494c85340f39a8aa3fdff0d1923ce2e836852f")
+
+
+# ------------------------------------------- CSV round trip and CLI input fuzz
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+
+from glome.cli import main  # noqa: E402
+
+_EDGE_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e308, -1e308, math.nan, math.inf,
+                 -math.inf, chart.HALF_PI - geo.POLE_MARGIN, geo.POLE_MARGIN - chart.HALF_PI]
+cli_token = st.one_of(st.sampled_from(_EDGE_NUMBERS).map(repr),
+                      st.sampled_from(["", "abc", "1e", "0x1", "--"]))
+
+
+def _valid_csv() -> list[str]:
+    buf = io.StringIO()
+    geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4], [0.15, 0.22, 0.05, 0.3, 0.4],
+                             [0.2, 0.25, 0.1, 0.3, 0.4]])).to_csv(buf)
+    return buf.getvalue().splitlines()
+
+
+@st.composite
+def _edited(draw, cells):
+    """The cells with up to two of them replaced by an edge token, then cut
+    short or padded, or left whole."""
+    cells = list(cells)
+    for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=2)):
+        cells[i] = draw(cli_token)
+    extra = draw(st.one_of(st.just(0), st.integers(-3, 2)))
+    return ",".join(cells[:len(cells) + min(extra, 0)] + ["0"] * max(extra, 0))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _strict(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _flow_argv(draw, tmp):
+    point = draw(_edited([repr(draw(chart_angle)), repr(draw(chart_angle))]))
+    lam = draw(st.one_of(st.floats(-3.0, 3.0).map(repr), cli_token))
+    return ["flow", f"--point={point}", f"--lambda={lam}", "--json"]
+
+
+def _integrate_argv(draw, tmp):
+    initial = draw(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3), slope, slope))
+    x_end = repr(initial[0] + draw(st.floats(-0.05, 0.05)))  # at most 50 steps
+    x_end = draw(st.one_of(st.just(x_end), st.sampled_from(["nan", "-inf", "abc"])))
+    step = draw(st.one_of(st.sampled_from(["0.001", "0.01"]),
+                          st.sampled_from(["0", "-0.001", "5e-324", "1e308", "nan", "abc"])))
+    return ["integrate", f"--initial={draw(_edited(map(repr, initial)))}", f"--x-end={x_end}",
+            f"--step={step}", "--out", str(tmp / "t.csv"), "--json"]
+
+
+def _reduce_argv(draw, tmp):
+    header, *rows = _valid_csv()
+    header = draw(st.one_of(st.just(header), st.sampled_from(
+        ["", "x,y,v,y_x,v_x", header + ",z", header.replace("x,y", "y,x", 1)])))
+    rows = [draw(st.one_of(st.just(r), _edited(r.split(",")))) for r in rows]
+    lines = [header] * draw(st.sampled_from([1, 1, 0])) + rows
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, "")  # blank lines
+    (tmp / "in.csv").write_text("".join(line + "\n" for line in lines))
+    return ["reduce", str(tmp / "in.csv")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(state, st.floats(0.0, 6.3), st.floats(-0.05, 0.05))
+def test_csv_round_trip_is_bitwise_for_integrated_trajectories(s, v, span):
+    x, y, y_x, v_x = s
+    try:
+        traj = geo.integrate(chart.jet1(x, y, v, y_x, v_x), x + span, 1e-3)
+    except (geo.DomainExit, geo.SingularSystem) as err:
+        traj = err.trajectory
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    buf.seek(0)
+    loaded = geo.Trajectory.from_csv(buf)
+    for column in ("samples", "noether", "lagrangian", "ambient_norm_residual"):
+        assert getattr(loaded, column).tobytes() == getattr(traj, column).tobytes(), column
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([_flow_argv, _integrate_argv, _reduce_argv]), st.data())
+def test_cli_inputs_exit_with_a_documented_code_and_strict_json(tmp_path_factory, build, data):
+    # every input exits 0, 1 or 2 without a traceback, and all JSON written is strict
+    tmp = tmp_path_factory.mktemp("cli")
+    argv = build(data.draw, tmp)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    hypothesis.event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue() or code == 0:
+        _strict(out.getvalue())
+    if (tmp / "t.json").exists():
+        _strict((tmp / "t.json").read_text())
