@@ -21,6 +21,7 @@ byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import sys
@@ -56,6 +57,12 @@ def _add_step(parser: argparse.ArgumentParser) -> None:
                              " (default 1e-3)")
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an --out whose directory is missing before any work is done."""
+    if out and not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no directory for --out", str(Path(out).parent))
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
@@ -84,6 +91,7 @@ def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin,
                     step=args.step, trajectories=args.trajectories,
                     tolerances=_parse_tolerances(args))
+    _check_out(args.out)
     report = run_all(cfg)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
@@ -91,6 +99,7 @@ def cmd_verify(args) -> int:
 
 def cmd_brackets(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin)
+    _check_out(args.out)
     _emit(bracket_table_for(cfg).to_json_dict(), args.out)
     return EXIT_OK
 
@@ -115,6 +124,7 @@ def cmd_integrate(args) -> int:
         raise ConfigError(f"--x-end must be finite, got {args.x_end}")
 
     out = Path(args.out) if args.out else Path("trajectory.csv")
+    _check_out(str(out))
     sidecar_path = out.with_suffix(".json")
     status = "ok"
     detail = ""
@@ -130,8 +140,10 @@ def cmd_integrate(args) -> int:
                "step": args.step}
     if detail:
         sidecar["detail"] = detail
+    written = [sidecar_path]
     if traj is not None and len(traj) > 0:
         traj.to_csv(out)
+        written.insert(0, out)
         sidecar["samples"] = len(traj)
         sidecar["x_reached"] = float(traj.x[-1])
         sidecar["k"] = float(geodesics.infer_k(traj.jet(0)))
@@ -141,7 +153,7 @@ def cmd_integrate(args) -> int:
     text = json.dumps(sidecar, indent=2, allow_nan=False)
     sidecar_path.write_text(text + "\n")
     if not args.json:
-        print(f"wrote {out} and {sidecar_path} ({status})")
+        print(f"wrote {' and '.join(map(str, written))} ({status})")
     else:
         print(text)
     return EXIT_OK if status == "ok" else EXIT_FAIL

@@ -32,6 +32,7 @@ CSV_HEADER = ["x", "y", "v", "y_x", "v_x", "noether_c", "lagrangian", "ambient_n
 # from the state on load: to_csv round-trips exactly, so this only admits a
 # few ulps of libm difference in a CSV written on another machine.
 CSV_DIAGNOSTIC_RTOL = 1e-12
+CSV_ERROR_WIDTH = 200  # characters of a CSV header or cell that an error message quotes
 
 
 class SingularSystem(RuntimeError):
@@ -46,12 +47,18 @@ class SingularSystem(RuntimeError):
 
 
 class DomainExit(RuntimeError):
-    """Integration left the chart pole margin; carries the partial trajectory."""
+    """Integration stopped at the chart pole margin; carries the partial trajectory.
 
-    def __init__(self, x: float, detail: str = "", trajectory=None):
+    ``cause`` names why: by default the trajectory breached the margin; a
+    jet that starts outside it, or with slopes that overflow the
+    integrand, never starts and carries no trajectory.
+    """
+
+    def __init__(self, x: float, detail: str = "", trajectory=None,
+                 cause: str = "trajectory breached the pole margin near"):
         self.x = x
         self.trajectory = trajectory
-        msg = f"trajectory breached the pole margin near x = {x:.6g}"
+        msg = f"{cause} x = {x:.6g}"
         if detail:
             msg = f"{msg} ({detail})"
         super().__init__(msg)
@@ -213,6 +220,13 @@ def infer_k(j: Jet1) -> KConstant:
     return KConstant(c * c)
 
 
+def _clipped(text: str) -> str:
+    """text cut to CSV_ERROR_WIDTH characters, so an error stays one short line."""
+    if len(text) <= CSV_ERROR_WIDTH:
+        return text
+    return f"{text[:CSV_ERROR_WIDTH]}... ({len(text)} characters)"
+
+
 def _open_csv(path_or_file, mode: str):
     """Context manager for a CSV: a path is opened (and closed on exit), an
     open file object is used as it is and left open."""
@@ -298,11 +312,11 @@ class Trajectory:
                 if header == CSV_HEADER:
                     data = np.array([[float(cell) for cell in row] for row in reader if row])
             except (ValueError, csv.Error) as err:
-                raise TrajectoryCSVError(f"malformed trajectory CSV: {err}") from None
+                raise TrajectoryCSVError(f"malformed trajectory CSV: {_clipped(str(err))}") from None
         if header is None:
             raise TrajectoryCSVError("empty trajectory CSV")
         if header != CSV_HEADER:
-            raise TrajectoryCSVError(f"unexpected trajectory CSV header: {header!r}")
+            raise TrajectoryCSVError(f"unexpected trajectory CSV header: {_clipped(repr(header))}")
         if not len(data):
             raise TrajectoryCSVError("trajectory CSV carries no samples")
         if data.shape[1] != 8:
@@ -327,10 +341,16 @@ class Trajectory:
         return traj
 
 
-def _stage(x: float, u: np.ndarray, failed: dict) -> np.ndarray:
-    """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissa x for the states u (4, m).
+def _x_of(x, c: int) -> float:
+    """Column c's abscissa: x holds one per column, or is a float for a lone column."""
+    return float(x[c]) if np.ndim(x) else float(x)
 
-    A column whose state leaves the chart, raises DomainError or meets a
+
+def _stage(x, u: np.ndarray, failed: dict) -> np.ndarray:
+    """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissae x for the states u (4, m).
+
+    x holds one abscissa per column, or is a float for a lone column.  A
+    column whose state leaves the chart, raises DomainError or meets a
     singular system, in that order of precedence, is recorded in
     ``failed`` (its first failure only: the ChartError, the DomainError or
     the determinant) and gets zero slopes, so the later stages of the step
@@ -342,7 +362,7 @@ def _stage(x: float, u: np.ndarray, failed: dict) -> np.ndarray:
         for c in np.flatnonzero(~on_chart).tolist():
             if c not in failed:
                 try:
-                    chart.jet1(x, *u[:, c].tolist())  # raises with the chart's own message
+                    chart.jet1(_x_of(x, c), *u[:, c].tolist())  # raises with the chart's message
                 except chart.ChartError as err:
                     failed[c] = err
     args = (u[0], u[2], u[3])
@@ -358,7 +378,8 @@ def _stage(x: float, u: np.ndarray, failed: dict) -> np.ndarray:
         for c in range(u.shape[1]):
             one = slice(c, c + 1)
             try:
-                k[2, one], k[3, one], det[one] = _curvatures(x, u[0, one], u[2, one], u[3, one])
+                k[2, one], k[3, one], det[one] = _curvatures(_x_of(x, c), u[0, one], u[2, one],
+                                                             u[3, one])
             except jetcalc.DomainError as err:
                 failed.setdefault(c, err)
     singular = np.abs(det) < DET_FLOOR
@@ -370,34 +391,18 @@ def _stage(x: float, u: np.ndarray, failed: dict) -> np.ndarray:
     return k
 
 
-def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
-    """Classic fixed-step RK4 in x for many states (y, v, y_x, v_x) in lockstep.
+def _per_jet(value, count: int, name: str) -> list[float]:
+    """A float repeated for every jet, or a sequence of one value per jet."""
+    if np.ndim(value) == 0:
+        return [float(value)] * count
+    if len(value) != count:
+        raise ValueError(f"integrate_batch: {name} holds {len(value)} values for {count} jets")
+    return [float(v) for v in value]
 
-    All jets must start at the same x; each element repeats the arithmetic
-    of a lone run, so the result for a jet does not depend on its batch.
-    The step count is chosen so the grid lands exactly on x_end (the
-    realized step never exceeds the requested magnitude, which must lie in
-    [MIN_STEP, MAX_STEP]).  Rows are allocated only up to the pole margin, so
-    a far x_end costs no memory it cannot use.  Each step's
-    first stage is the curvature at its sample, so a trajectory keeps it;
-    one extra evaluation covers the final sample.
 
-    Returns one entry per jet: its Trajectory, or the exception that
-    stopped it -- DomainExit when the 0.05 rad pole margin is breached or
-    a stage leaves the chart, SingularSystem when the Euler-Lagrange
-    system degenerates.  Both carry the partial trajectory integrated so
-    far (None when the initial state is already outside the margin).  A
-    stopped jet freezes; the others continue.
-    """
-    if not MIN_STEP <= abs(step) <= MAX_STEP:
-        raise ValueError(f"|step| must lie in [{MIN_STEP:g}, {MAX_STEP:g}], got {step}")
-    jets = list(jets)
-    if not jets:
-        return []
-    x0 = jets[0].x
-    if any(j.x != x0 for j in jets):
-        raise ValueError("integrate_batch: every jet must start at the same x")
-
+def _grid(x0: float, x_end: float, step: float) -> tuple[int, float, int]:
+    """(n, h, last) of one jet: its step count, its realized step and the last
+    step whose x can lie inside the pole margin (later rows are never written)."""
     span = x_end - x0
     if abs(span) > 1e300:  # the margin stops the run long before; keeps span / step finite
         span = math.copysign(1e300, span)
@@ -405,58 +410,136 @@ def integrate_batch(jets, x_end: float, step: float = 1e-3) -> list:
     if n and abs(span) / n > MAX_STEP:
         n += 1
     h = span / max(n, 1)
-    lim = chart.HALF_PI - POLE_MARGIN
-    last = n  # the last step whose x can lie inside the margin; later rows are never written
+    last = n
     if n:
+        lim = chart.HALF_PI - POLE_MARGIN
         ahead = lim - x0 if h > 0 else lim + x0
         last = min(n, max(0, math.floor(min(ahead / abs(h), n)) + 1))  # a subnormal h overflows
+    return n, h, last
 
+
+def _stopped(failed: dict, x) -> dict:
+    """The exception that stops each failed column, at its step-start abscissa."""
+    return {c: SingularSystem(err, x=_x_of(x, c)) if isinstance(err, float)
+            else DomainExit(_x_of(x, c), str(err)) for c, err in failed.items()}
+
+
+def integrate_batch(jets, x_end, step=1e-3) -> list:
+    """Classic fixed-step RK4 in x for many states (y, v, y_x, v_x) in lockstep.
+
+    Each jet starts at its own x; x_end and step are floats shared by all
+    jets or sequences with one value per jet.  Each element repeats the
+    arithmetic of a lone run, so the result for a jet does not depend on
+    its batch.  A jet's step count is chosen so its grid lands exactly on
+    its x_end (the realized step never exceeds the requested magnitude,
+    which must lie in [MIN_STEP, MAX_STEP]).  All jets' rows share one
+    buffer, allocated for each jet only up to its pole margin, so a far
+    x_end costs no memory it cannot use.  Each step's first stage is the
+    curvature at its sample, so a trajectory keeps it; a jet leaves the
+    batch right after that stage at its final sample, and the later
+    stages run only on the jets still stepping.
+
+    Returns one entry per jet: its Trajectory, or the exception that
+    stopped it -- DomainExit when the jet starts outside the 0.05 rad pole
+    margin or with slopes that overflow the integrand, breaches the margin
+    or has a stage leave the chart; SingularSystem when the
+    Euler-Lagrange system degenerates.  Both carry the partial trajectory
+    integrated so far (None when the jet never started).  A stopped jet
+    freezes; the others continue.
+    """
+    for s in np.ravel(step).tolist():
+        if not MIN_STEP <= abs(s) <= MAX_STEP:
+            raise ValueError(f"|step| must lie in [{MIN_STEP:g}, {MAX_STEP:g}], got {s}")
+    jets = list(jets)
+    grids = [_grid(j.x, e, s) for j, e, s in zip(jets, _per_jet(x_end, len(jets), "x_end"),
+                                                 _per_jet(step, len(jets), "step"))]
+    if not jets:
+        return []
+    n, h, last = (np.array(col) for col in zip(*grids))
+    x0 = np.array([j.x for j in jets])
+    first = np.cumsum(last + 1) - (last + 1)  # each jet's rows follow the previous jet's
+    rows = np.empty((int(first[-1] + last[-1] + 1), 5))  # x, y, v, y_x, v_x
+    rows[first] = [[j.x, j.y, j.v, j.y_x, j.v_x] for j in jets]
+    curvature = np.empty((len(rows), 2))
+
+    lim = chart.HALF_PI - POLE_MARGIN
     out: list = [None] * len(jets)
-    rows = np.empty((last + 1, len(jets), 5))  # step, jet, (x, y, v, y_x, v_x)
-    rows[0] = [[j.x, j.y, j.v, j.y_x, j.v_x] for j in jets]
-    curvature = np.empty((last + 1, len(jets), 2))
     for c, j in enumerate(jets):
         if not (abs(j.x) <= lim and abs(j.y) <= lim):
-            out[c] = DomainExit(j.x, "initial state outside the pole margin")
+            out[c] = DomainExit(j.x, cause="initial state lies outside the pole margin at")
         elif not math.isfinite(chart.lagrangian(j)):  # a row Trajectory refuses
-            out[c] = DomainExit(j.x, "initial slopes overflow the integrand")
+            out[c] = DomainExit(j.x, cause="initial slopes overflow the integrand at")
     live = np.array([c for c in range(len(jets)) if out[c] is None], dtype=int)
-    u = rows[0, live, 1:].T.copy()  # (4, live)
-    x = x0
+    u = rows[first[live], 1:].T.copy()  # (4, live)
+
+    def gather(live):
+        """Start x and realized step of the live jets, floats for a lone jet as
+        in a lone run, and their first rows."""
+        start, dx = x0[live], h[live]
+        if live.size == 1:
+            start, dx = start.item(), dx.item()
+        return start, dx, first[live]
+
+    def retire(live, stopped: dict, i: int) -> np.ndarray:
+        """Store each stopped column's result and return the mask of the
+        columns that go on.  ``stopped`` maps a column to the exception that
+        stopped it, which gets the partial trajectory, or to None when its
+        trajectory is complete.  A trajectory views its jet's rows 0..i."""
+        keep = np.ones(live.size, dtype=bool)
+        for c, err in stopped.items():
+            jet = live[c]
+            own = slice(first[jet], first[jet] + i + 1)
+            if err is None:
+                out[jet] = Trajectory(rows[own], curvature[own])
+            else:
+                err.trajectory = Trajectory(rows[own])
+                out[jet] = err
+            keep[c] = False
+        return keep
+
+    ends = set(n.tolist())
+    start, dx, at = gather(live)
     with np.errstate(all="ignore"):  # a state that goes non-finite stops its jet below
-        for i in range(n + 1):
+        for i in range(int(n.max()) + 1):
             if not live.size:
                 break
+            x = start + i * dx if i else start
             failed: dict = {}
             k1 = _stage(x, u, failed)
-            curvature[i, live] = k1[2:].T
-            if i < n:
-                k2 = _stage(x + 0.5 * h, u + 0.5 * h * k1, failed)
-                k3 = _stage(x + 0.5 * h, u + 0.5 * h * k2, failed)
-                k4 = _stage(x + h, u + h * k3, failed)
-            # a stage state left the chart (e.g. runaway slope) or the system degenerated
-            stopped = {c: SingularSystem(err, x=x) if isinstance(err, float)
-                       else DomainExit(x, str(err)) for c, err in failed.items()}
-            if i < n:
-                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                x = x0 + (i + 1) * h
-                finite = np.isfinite(u).all(axis=0)
-                inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
-                for c in np.flatnonzero(~(finite & inside)).tolist():
-                    detail = "" if finite[c] else "state became non-finite"
-                    stopped.setdefault(c, DomainExit(x, detail))
+            curvature[at + i] = k1[2:].T
+            stopped = _stopped(failed, x)
+            if i in ends:
+                for c in np.flatnonzero(n[live] == i).tolist():
+                    stopped.setdefault(c, None)  # its final sample: the trajectory is complete
             if stopped:
-                for c, err in stopped.items():
-                    err.trajectory = Trajectory(rows[: i + 1, live[c]].copy())
-                    out[live[c]] = err
-                keep = np.ones(live.size, dtype=bool)
-                keep[list(stopped)] = False
+                keep = retire(live, stopped, i)
+                live, u, k1 = live[keep], u[:, keep], k1[:, keep]
+                if not live.size:
+                    break
+                start, dx, at = gather(live)
+                x = start + i * dx if i else start
+            failed = {}
+            k2 = _stage(x + 0.5 * dx, u + 0.5 * dx * k1, failed)
+            k3 = _stage(x + 0.5 * dx, u + 0.5 * dx * k2, failed)
+            k4 = _stage(x + dx, u + dx * k3, failed)
+            # a stage state left the chart (e.g. runaway slope) or the system degenerated
+            stopped = _stopped(failed, x)
+            u = u + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = start + (i + 1) * dx
+            finite = np.isfinite(u).all(axis=0)
+            inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
+            for c in np.flatnonzero(~(finite & inside)).tolist():
+                detail = "" if finite[c] else "state became non-finite"
+                stopped.setdefault(c, DomainExit(_x_of(x, c), detail))
+            if stopped:
+                keep = retire(live, stopped, i)
                 live, u = live[keep], u[:, keep]
-            if i < n and live.size:
-                rows[i + 1, live, 0] = x
-                rows[i + 1, live, 1:] = u.T
-    for c in live.tolist():
-        out[c] = Trajectory(rows[:, c].copy(), curvature[:, c].copy())
+                if not live.size:
+                    break
+                start, dx, at = gather(live)
+                x = start + (i + 1) * dx
+            rows[at + i + 1, 0] = x
+            rows[at + i + 1, 1:] = u.T
     return out
 
 

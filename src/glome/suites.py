@@ -297,15 +297,15 @@ class TrajectoryBatch:
 
 
 def make_batch(cfg: RunConfig) -> TrajectoryBatch:
-    """Deterministic batch: random geodesics over span 0.8, one long run,
-    and a handful of v_x = 0 (totally geodesic) runs.
+    """Deterministic batch: random geodesics over span 0.8, a handful of
+    v_x = 0 (totally geodesic) runs, and one long run.
 
     Initial states start at x = 0 with |y| <= 0.7 and slopes in [-0.5, 0.5],
     which keeps every trajectory clear of turning points and pole margins
-    over the span; the random and planar runs are integrated in one
-    lockstep batch, and the first failure in draw order is raised.  The
-    long run takes min(10*samples, 1e4) fixed steps centred on x = 0, so
-    it crosses the wide x-interval [-1.25, 1.25] from samples = 1000 on.
+    over the span.  The long run takes min(10*samples, 1e4) fixed steps
+    centred on x = 0, so it crosses the wide x-interval [-1.25, 1.25] from
+    samples = 1000 on.  All runs are integrated in one lockstep batch, the
+    long run last, and the first failure in draw order is raised.
     """
     rng = np.random.default_rng(cfg.seed + 71)
     starts = []
@@ -320,16 +320,17 @@ def make_batch(cfg: RunConfig) -> TrajectoryBatch:
         v0 = float(rng.uniform(0.0, 2.0 * math.pi))
         y_x = float(rng.uniform(-0.5, 0.5))
         starts.append(chart.jet1(0.0, y0, v0, y_x, 0.0))
-    runs = geodesics.integrate_batch(starts, TRAJECTORY_SPAN, cfg.step)
-    for run in runs:
-        if isinstance(run, Exception):
-            raise run
+    spans = len(starts)
 
     long_steps = min(10 * cfg.samples, LONG_RUN_MAX_STEPS)
     half = 0.5 * long_steps * LONG_RUN_STEP
-    j_long = chart.jet1(-half, 0.2, 0.3, 0.15, 0.2)
-    long_run = geodesics.integrate(j_long, half, LONG_RUN_STEP)
-    return TrajectoryBatch(runs[:cfg.trajectories], long_run, runs[cfg.trajectories:])
+    starts.append(chart.jet1(-half, 0.2, 0.3, 0.15, 0.2))
+    runs = geodesics.integrate_batch(starts, [TRAJECTORY_SPAN] * spans + [half],
+                                     [cfg.step] * spans + [LONG_RUN_STEP])
+    for run in runs:
+        if isinstance(run, Exception):
+            raise run
+    return TrajectoryBatch(runs[:cfg.trajectories], runs[-1], runs[cfg.trajectories:-1])
 
 
 def suite_noether(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
@@ -367,24 +368,29 @@ def _collapsed_along(traj: geodesics.Trajectory, k_value: float):
     return geodesics.collapsed_E(c.x, c.y, c.y_x, c.y_xx, k_value)
 
 
-_GRID_BLOCK = 1 << 16  # elements per block of grid_search_k; 0.5 MB per temporary
+_GRID_BLOCK = 1 << 16  # elements per block of grid_search_k; 0.5 MB of buffer
 
 
 def grid_search_k(traj: geodesics.Trajectory, spacing: float = 1e-4) -> float:
     """Brute-force oracle: the k on a uniform grid minimizing max |E|.
 
     E is linear in k, so the per-sample values at k = 0 and k = 1 determine
-    the whole grid sweep, which runs in blocks of grid rows.  Reads the
-    curvatures an integrated trajectory keeps.
+    the whole grid sweep, which runs in blocks of grid rows through one
+    buffer; every grid point is still evaluated.  Reads the curvatures an
+    integrated trajectory keeps.
     """
     e0 = _collapsed_along(traj, 0.0)
     e1 = _collapsed_along(traj, 1.0) - e0
     grid = np.arange(0.0, 1.0 + 0.5 * spacing, spacing)
     rows = max(1, _GRID_BLOCK // e0.size)
-    worst = np.concatenate([
-        np.max(np.abs(e0 + block[:, None] * e1), axis=1)
-        for block in np.split(grid, range(rows, grid.size, rows))
-    ])
+    buffer = np.empty((min(rows, grid.size), e0.size))
+    worst = np.empty(grid.size)
+    for lo in range(0, grid.size, rows):
+        block = grid[lo:lo + rows]
+        t = buffer[:block.size]
+        np.multiply(block[:, None], e1, out=t)
+        t += e0  # E at each grid k and sample; max |E| is max(max E, -min E)
+        np.maximum(t.max(axis=1), -t.min(axis=1), out=worst[lo:lo + rows])
     return float(grid[int(np.argmin(worst))])
 
 

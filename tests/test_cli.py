@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from glome import geodesics as geo
-from glome import jetcalc, reduction, symmetries
+from glome import cli, jetcalc, reduction, symmetries
 from glome.cli import main
 
 FAST = ["--samples", "60", "--seed", "0"]
@@ -179,6 +179,49 @@ def test_integrate_overflowing_initial_integrand_is_domain_exit(tmp_path):
                  "--out", str(out)]) == 1
     assert read_json(out.with_suffix(".json"))["status"] == "DomainExit"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("initial, x_end, cause, trajectory", [
+    ("1.54,0,0,0,0", "1.55", "initial state lies outside the pole margin at x = 1.54", False),
+    ("0,0.3,0,1e308,1e308", "0", "initial slopes overflow the integrand at x = 0", False),
+    ("1.4,0,0,0,0", "1.55", "trajectory breached the pole margin near x = 1.52", True),
+], ids=["initial_outside_margin", "initial_slopes_overflow", "margin_breach"])
+def test_integrate_domain_exit_names_its_cause_and_the_files_written(tmp_path, capsys, initial,
+                                                                    x_end, cause, trajectory):
+    out = tmp_path / "t.csv"
+    assert main(["integrate", f"--initial={initial}", f"--x-end={x_end}", "--out", str(out)]) == 1
+    sidecar = read_json(out.with_suffix(".json"))
+    assert sidecar["status"] == "DomainExit"
+    assert sidecar["detail"].startswith(cause)
+    assert out.exists() == trajectory
+    written = f"{out} and {out.with_suffix('.json')}" if trajectory else f"{out.with_suffix('.json')}"
+    assert capsys.readouterr().out == f"wrote {written} (DomainExit)\n"
+
+
+@pytest.mark.parametrize("argv, slow", [
+    (["verify", "--out", "{tmp}/missing/r.json"], "run_all"),
+    (["brackets", "--out", "{tmp}/missing/t.json"], "bracket_table_for"),
+    (["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1", "--out", "{tmp}/missing/t.csv"],
+     None),
+], ids=["verify", "brackets", "integrate"])
+def test_out_into_a_missing_directory_fails_before_the_run(tmp_path, monkeypatch, capsys, argv,
+                                                           slow):
+    if slow:
+        monkeypatch.setattr(cli, slow, _raise(AssertionError("ran before checking --out")))
+    monkeypatch.setattr(geo, "integrate_batch", _raise(AssertionError("ran before checking --out")))
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"glome {argv[0]}: usage error: ") and err.count("\n") == 1
+    assert "missing" in err
+
+
+def test_reduce_quotes_a_long_csv_header_in_one_short_line(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(["x"] * 70_000) + "\n0.1,0.2,0,0.3,0.4,0,1,0\n")
+    assert main(["reduce", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glome reduce: usage error: unexpected trajectory CSV header: ['x', ")
+    assert err.count("\n") == 1 and len(err) < 400
 
 
 def test_integrate_rejects_bad_initial():

@@ -381,9 +381,13 @@ def test_integrate_batch_isolates_a_domain_error(monkeypatch):
 
 def test_integrate_batch_arguments():
     assert geo.integrate_batch([], 0.5, 1e-3) == []
-    with pytest.raises(ValueError, match="same x"):
-        geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0),
-                             chart.jet1(0.1, 0.1, 0.0, 0.0, 0.0)], 0.5, 1e-3)
+    pair = [chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0), chart.jet1(0.1, 0.1, 0.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="step"):  # one jet's step outside [MIN_STEP, MAX_STEP]
+        geo.integrate_batch(pair, 0.5, [1e-3, 0.02])
+    with pytest.raises(ValueError, match="x_end holds 3 values for 2 jets"):
+        geo.integrate_batch(pair, [0.5, 0.6, 0.7], 1e-3)
+    with pytest.raises(ValueError, match="step holds 1 values for 2 jets"):
+        geo.integrate_batch(pair, 0.5, [1e-3])
     with pytest.raises(ValueError):
         geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0)], 0.5, 0.02)
     with pytest.raises(ValueError, match="step"):

@@ -63,20 +63,26 @@ def test_curvatures_batch_equals_el_rhs_bitwise(states):
         assert _bits([y_xx[i], v_xx[i]]) == _bits(want)
 
 
+# one jet: start x (some outside the pole margin), y, v, y_x, v_x, span to x_end, step
+batch_jet = st.tuples(st.floats(-1.55, 1.55), st.floats(-1.5, 1.5), st.floats(0.0, 6.0), slope,
+                      slope, st.floats(-0.05, 0.05), st.sampled_from([1e-2, 3e-3, 1e-3]))
+
+
 @bitwise
-@settings(max_examples=15, deadline=None)
-@given(
-    x0=st.floats(-1.2, 1.2),
-    rest=st.lists(st.tuples(st.floats(-1.4, 1.4), st.floats(0.0, 6.0), slope, slope),
-                  min_size=1, max_size=4),
-    span=st.floats(-0.03, 0.03),
-    step=st.sampled_from([1e-2, 3e-3]),
-)
-def test_integrate_batch_equals_lone_runs_bitwise(x0, rest, span, step):
-    jets = [chart.jet1(x0, *r) for r in rest]
-    for j0, got in zip(jets, geo.integrate_batch(jets, x0 + span, step)):
+@settings(max_examples=25, deadline=None)
+@given(st.lists(batch_jet, min_size=1, max_size=5))
+# a complete run, one outside the margin, a margin breach, a singular system and a
+# backward run, each finishing at its own iteration
+@example([(0.0, 0.1, 0.0, 0.2, 0.3, 0.03, 1e-2), (1.54, 0.0, 0.0, 0.0, 0.0, 0.01, 1e-2),
+          (0.5, 1.5, 0.0, 2.0, 0.0, 0.05, 1e-3), (0.5, 0.5, 0.0, 1e8, 1e8, 0.02, 1e-3),
+          (-0.3, 0.2, 1.0, -0.4, 0.1, -0.05, 3e-3)])
+def test_integrate_batch_equals_lone_runs_bitwise(runs):
+    jets = [chart.jet1(*r[:5]) for r in runs]
+    x_end = [r[0] + r[5] for r in runs]
+    step = [r[6] for r in runs]
+    for j0, e, s, got in zip(jets, x_end, step, geo.integrate_batch(jets, x_end, step)):
         try:
-            want = geo.integrate(j0, x0 + span, step)
+            want = geo.integrate(j0, e, s)
         except (geo.DomainExit, geo.SingularSystem) as err:
             assert type(got) is type(err) and str(got) == str(err) and got.x == err.x
             if err.trajectory is None:
@@ -716,6 +722,14 @@ def test_run_all_small_configuration_report_bytes_are_pinned():
     cfg = suites.RunConfig(seed=0, samples=50, trajectories=5, step=5e-3)
     assert _sha256(suites.run_all(cfg)) == (
         "b285f8aca51ed53d3afcf9852bb6fae47a39dd2e034caa62105c8329f28d47df")
+
+
+@bitwise
+def test_run_all_long_run_shorter_than_the_span_runs_report_bytes_are_pinned():
+    # the 100-step long run finishes before the 160-step span runs of its batch
+    cfg = suites.RunConfig(seed=0, samples=10, trajectories=3, step=5e-3)
+    assert _sha256(suites.run_all(cfg)) == (
+        "7948c13e87c682f6e5a58fcc28c72e4a0a4cb304474d6a2ed4ae2a40f71c313d")
 
 
 @bitwise

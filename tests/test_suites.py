@@ -15,15 +15,25 @@ from glome import suites
 ])
 def test_long_run_is_capped_at_ten_thousand_steps(monkeypatch, samples, start, end):
     calls = []
+    real = geo.integrate_batch
 
-    def record(j0, x_end, step):
-        calls.append((j0.x, x_end, step))
-        return geo.Trajectory(np.array([[j0.x, j0.y, j0.v, j0.y_x, j0.v_x]]))
+    def record(jets, x_end, step):
+        calls.append(len(jets))
+        return real(jets, x_end, step)
 
-    monkeypatch.setattr(geo, "integrate", record)
+    def straight(x, y, y_x, v_x):  # zero curvatures: each RK4 step is cheap
+        zero = 0.0 * y
+        return zero, zero, zero + 1.0
+
+    monkeypatch.setattr(geo, "integrate_batch", record)
+    monkeypatch.setattr(geo, "integrate", None)  # make_batch makes no lone run
+    monkeypatch.setattr(geo, "_curvatures", straight)
     cfg = suites.RunConfig(samples=samples, trajectories=1, step=0.01)
     batch = suites.make_batch(cfg)
-    assert calls == [(start, end, suites.LONG_RUN_STEP)]
+    assert calls == [7]  # one random, five planar and the long run, in one batch
+    long_run = batch.long_run
+    assert long_run.x[0] == start and long_run.x[-1] == pytest.approx(end, abs=1e-12)
+    assert len(long_run) - 1 == round((end - start) / suites.LONG_RUN_STEP)
     assert round((end - start) / suites.LONG_RUN_STEP) == min(10 * samples, 10_000)
     assert len(batch.trajectories) == 1 and len(batch.planar) == 5
 
@@ -55,3 +65,15 @@ def test_grid_search_k_does_not_depend_on_its_block_size(monkeypatch):
     for block in (1, 3 * len(traj.samples), 1000 * len(traj.samples) + 1):
         monkeypatch.setattr(suites, "_GRID_BLOCK", block)
         assert suites.grid_search_k(traj) == k
+
+
+def test_grid_search_k_equals_the_plain_brute_force_sweep():
+    grid = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
+    starts = [(0.0, 0.2, 0.3, 0.15, 0.2), (0.3, -0.4, 1.0, 0.3, -0.45), (-0.2, 0.1, 2.0, -0.2, 0.0),
+              (0.1, 0.5, 0.0, 0.05, 0.7)]
+    for start in starts:
+        traj = geo.integrate(chart.jet1(*start), start[0] + 0.5, 1e-2)
+        e0 = suites._collapsed_along(traj, 0.0)
+        e1 = suites._collapsed_along(traj, 1.0) - e0
+        want = grid[np.argmin(np.max(np.abs(e0 + grid[:, None] * e1), axis=1))]
+        assert suites.grid_search_k(traj) == want
