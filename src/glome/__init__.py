@@ -11,7 +11,7 @@ Submodules:
 - :mod:`glome.cli`: the `glome` command-line entry point
 """
 
-from .chart import ChartPoint, Jet1, Jet2, embed, lagrangian, sample_domain
+from .chart import ChartPoint, Jet1, embed, lagrangian, sample_domain
 from .geodesics import (
     DomainExit,
     KConstant,
@@ -29,18 +29,14 @@ from .geodesics import (
 from .jetcalc import DomainError, DualScalar
 from .reduction import (
     BranchExit,
-    CanonicalPair,
     InversionDomain,
     alpha_from_sample,
-    canonical,
-    flow_generator_check,
     global_flow,
     s2_residual,
 )
 from .symmetries import (
     AmbiguousIdentification,
     BracketTable,
-    Prolonged1,
     VectorField3,
     bracket_table,
     chi,
@@ -48,7 +44,6 @@ from .symmetries import (
     determining_residuals,
     general_symmetry,
     lie_bracket,
-    prolong1,
     prolong2_apply,
     variational_residual,
 )
@@ -59,30 +54,25 @@ __all__ = [
     "AmbiguousIdentification",
     "BracketTable",
     "BranchExit",
-    "CanonicalPair",
     "ChartPoint",
     "DomainError",
     "DomainExit",
     "DualScalar",
     "InversionDomain",
     "Jet1",
-    "Jet2",
     "KConstant",
     "OutOfRange",
-    "Prolonged1",
     "SingularSystem",
     "Trajectory",
     "VectorField3",
     "alpha_from_sample",
     "bracket_table",
-    "canonical",
     "chi",
     "closed_triples",
     "collapsed_E",
     "determining_residuals",
     "el_rhs",
     "embed",
-    "flow_generator_check",
     "general_symmetry",
     "global_flow",
     "great_circle",
@@ -92,7 +82,6 @@ __all__ = [
     "lagrangian",
     "lie_bracket",
     "noether_charge",
-    "prolong1",
     "prolong2_apply",
     "s2_residual",
     "sample_domain",

@@ -73,46 +73,18 @@ class Jet1:
         return self.base.v
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Second-order jet: a Jet1 plus d2y/dx2 and d2v/dx2."""
-
-    jet1: Jet1
-    y_xx: float
-    v_xx: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.y_xx) and math.isfinite(self.v_xx)):
-            raise ChartError("Jet2 curvatures must be finite")
-
-    @property
-    def x(self) -> float:
-        return self.jet1.x
-
-    @property
-    def y(self) -> float:
-        return self.jet1.y
-
-    @property
-    def v(self) -> float:
-        return self.jet1.v
-
-    @property
-    def y_x(self) -> float:
-        return self.jet1.y_x
-
-    @property
-    def v_x(self) -> float:
-        return self.jet1.v_x
-
-
 def jet1(x: float, y: float, v: float, y_x: float, v_x: float) -> Jet1:
     """Convenience constructor from five plain numbers."""
     return Jet1(ChartPoint(x, y, v), y_x, v_x)
 
 
-def jet2(x, y, v, y_x, v_x, y_xx, v_xx) -> Jet2:
-    return Jet2(jet1(x, y, v, y_x, v_x), y_xx, v_xx)
+def jet2(x, y, v, y_x, v_x, y_xx, v_xx) -> JetColumns:
+    """A validated second-order jet from seven plain numbers, as float-valued
+    JetColumns (the form prolong2_apply reads)."""
+    jet1(x, y, v, y_x, v_x)
+    if not (math.isfinite(y_xx) and math.isfinite(v_xx)):
+        raise ChartError("jet2 curvatures must be finite")
+    return JetColumns(x, y, v, y_x, v_x, y_xx, v_xx)
 
 
 def ambient_coords(x, y, v):
@@ -148,10 +120,11 @@ def lagrangian(j: Jet1 | JetColumns):
 class JetColumns(NamedTuple):
     """n chart points or jets held as one numpy column per jet slot.
 
-    It stands in for a ChartPoint, Jet1 or Jet2 in the coordinate-generic
+    It stands in for a ChartPoint or Jet1 in the coordinate-generic
     functions (the symmetry residuals, the integrand, the charge, omega'),
     which read only the slot values, so that one array-valued pass
     evaluates all n samples.  Slots a sample does not fix hold 0.0.
+    :func:`jet2` fills every slot with a float: one second-order jet.
     """
 
     x: np.ndarray

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import chart, jetcalc
 from .chart import Jet1
-from .jetcalc import directional, power
+# directional is unused here, but perfbench/selftest.py checks this binding
+from .jetcalc import directional, power  # noqa: F401
 
 POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus this
 MIN_STEP = 1e-5  # rad; caps one trajectory at about 3e5 rows (17 MB) across the chart
@@ -100,14 +101,6 @@ _E_VX = (0.0, 0.0, 0.0, 1.0)
 _INNER = np.array([_E_Y, _E_YX, _E_VX]).T
 
 
-def _L_yx(*a):
-    return directional(_L, a, _E_YX)[1]
-
-
-def _L_vx(*a):
-    return directional(_L, a, _E_VX)[1]
-
-
 def _curvatures(x, y, y_x, v_x):
     """(y_xx, v_xx, det) of the Euler-Lagrange system at one state or many.
 
@@ -158,21 +151,6 @@ def el_rhs(j: Jet1) -> tuple[float, float]:
     if abs(det) < DET_FLOOR:
         raise SingularSystem(float(det), x=j.x)
     return float(y_xx), float(v_xx)
-
-
-def el_expression_y(x, y, v, y_x, v_x, y_xx, v_xx):
-    """L_y - D_x(L_{y_x}) on second-order jets; dual-capable."""
-    q = (x, y, y_x, v_x)
-    _, L_y = directional(_L, q, _E_Y)
-    _, total = directional(_L_yx, q, (1.0, y_x, y_xx, v_xx))
-    return L_y - total
-
-
-def el_expression_v(x, y, v, y_x, v_x, y_xx, v_xx):
-    """L_v - D_x(L_{v_x}) on second-order jets; dual-capable (L_v = 0)."""
-    q = (x, y, y_x, v_x)
-    _, total = directional(_L_vx, q, (1.0, y_x, y_xx, v_xx))
-    return 0.0 - total
 
 
 def noether_charge(j: Jet1 | chart.JetColumns):

@@ -10,6 +10,9 @@ The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
 values and can be nested to any depth.  They raise :class:`DomainError`
 instead of returning non-finite values, because the chart singularities
 cos x = 0 and cos y = 0 lurk behind most expressions built on top of them.
+An infinite argument to `sin` or `cos` is such an error (`tan` and `sec`
+meet it in the `cos` they evaluate, and the dual rules of `sin` and `cos`
+in the `sin` of the dual's value).
 Division does the same for a divisor whose real part is zero, or, for a
 dual divisor, so small that its square underflows (|real part| below
 1.49e-154, see `squarable`) whatever the numerator, and `arcsin` of a
@@ -85,7 +88,7 @@ def _guard(bad, func: str, values, detail: str) -> None:
     if not isinstance(bad, _ndarray):
         if bad:
             raise DomainError(func, values, detail)
-    elif bad.any():
+    elif np.count_nonzero(bad):  # cheaper than bad.any() on the arrays here
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
         idx = tuple(int(i) for i in idx)
         value = float(np.broadcast_to(values, bad.shape)[idx])
@@ -218,31 +221,61 @@ def real_value(u):
     return u
 
 
-def sin(u):
-    if u.__class__ is float:  # the innermost layer of every dual; keep it cheapest
-        return math.sin(u)
+_INFINITE = "infinite argument"
+
+
+def _sincos(u):
+    """(sin u, cos u) for the dual rules of sin and cos, which need both
+    of a dual's value: each layer is evaluated, and an array checked, once."""
     if isinstance(u, DualScalar):
-        return DualScalar(sin(u.value), cos(u.value) * u.derivative)
+        s, c = _sincos(u.value)
+        return DualScalar(s, c * u.derivative), DualScalar(c, -s * u.derivative)
     if isinstance(u, _ndarray):
-        return np.sin(u)
-    return math.sin(u)
+        _guard(np.isinf(u), "sin", u, _INFINITE)
+        return np.sin(u), np.cos(u)
+    return sin(u), cos(u)
+
+
+def sin(u):
+    if u.__class__ is not float:  # a float is the innermost layer of every dual
+        if isinstance(u, DualScalar):
+            s, c = _sincos(u.value)
+            return DualScalar(s, c * u.derivative)
+        if isinstance(u, _ndarray):
+            _guard(np.isinf(u), "sin", u, _INFINITE)
+            return np.sin(u)
+    try:
+        return math.sin(u)
+    except ValueError:  # math.sin's one domain error
+        raise DomainError("sin", u, _INFINITE) from None
 
 
 def cos(u):
-    if u.__class__ is float:
+    if u.__class__ is not float:
+        if isinstance(u, DualScalar):
+            s, c = _sincos(u.value)
+            return DualScalar(c, -s * u.derivative)
+        if isinstance(u, _ndarray):
+            _guard(np.isinf(u), "cos", u, _INFINITE)
+            return np.cos(u)
+    try:
         return math.cos(u)
-    if isinstance(u, DualScalar):
-        return DualScalar(cos(u.value), -sin(u.value) * u.derivative)
-    if isinstance(u, _ndarray):
-        return np.cos(u)
-    return math.cos(u)
+    except ValueError:  # math.cos's one domain error
+        raise DomainError("cos", u, _INFINITE) from None
 
 
 def tan(u):
     if isinstance(u, DualScalar):
         c = cos(u.value)
-        return DualScalar(tan(u.value), u.derivative / (c * c))
-    _guard(abs(cos(u)) < _POLE_TOL, "tan", u, "cosine of the argument vanishes")
+        return DualScalar(_tan(u.value, c), u.derivative / (c * c))
+    return _tan(u, cos(u))
+
+
+def _tan(u, c):
+    """tan u given c = cos u, which a dual's rule needs for its derivative too."""
+    if isinstance(u, DualScalar):
+        return tan(u)
+    _guard(abs(c) < _POLE_TOL, "tan", u, "cosine of the argument vanishes")
     return _map(math.tan, u)
 
 

@@ -4,8 +4,8 @@ omega = cos x cos y is invariant along chi3 = (sin y, -tan x cos y, 0);
 tau = arctan(cot x sin y) translates at unit rate along the closed-form
 one-parameter orbit.  In these coordinates the collapsed second-order
 equation drops to a first-order relation between omega'(tau) and a
-constant alpha; this module evaluates the relation, inverts it for alpha
-at a sample, and checks alpha-constancy along integrated geodesics.
+constant alpha; this module inverts that relation for alpha at a sample
+and checks alpha-constancy along integrated geodesics.
 
 Branch conventions: tau is reported as a principal value, and the
 closed-form orbit parametrizes the integral curve of (-sin y,
@@ -17,7 +17,6 @@ therefore wrap mod pi (tau jumps by pi when the orbit crosses x = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +40,6 @@ class BranchExit(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class CanonicalPair:
-    """Canonical coordinates (tau, omega) of a chart point."""
-
-    tau: float
-    omega: float
-
-    def __post_init__(self):
-        if not (0.0 < self.omega <= 1.0):
-            raise ValueError(f"omega must lie in (0, 1], got {self.omega}")
-
-
 def omega_coordinate(x, y):
     """The invariant coordinate cos x cos y; dual-capable."""
     return cos(x) * cos(y)
@@ -61,8 +48,10 @@ def omega_coordinate(x, y):
 def tau_coordinate(x, y):
     """The translation coordinate arctan(cot x sin y); dual-capable.
 
-    Undefined at x = 0 (cot x blows up); the jetcalc division guard turns
-    that into a DomainError.
+    Defined only where tau_defined(x) holds; callers test that first.  At
+    x = 0 a dual evaluation raises DomainError (jetcalc's division guard),
+    but a float one raises ZeroDivisionError and an array one divides by
+    zero.
     """
     return arctan(cos(x) / sin(x) * sin(y))
 
@@ -72,13 +61,6 @@ def tau_defined(x):
     cot x divides by sin x, which jetcalc's division guard admits only
     where it is squarable."""
     return jetcalc.squarable(np.sin(x))
-
-
-def canonical(x: float, y: float) -> CanonicalPair:
-    """Canonical coordinates of an open-chart point with x != 0."""
-    if x == 0.0:
-        raise jetcalc.DomainError("cot", 0.0, "canonical coordinates undefined at x = 0")
-    return CanonicalPair(tau_coordinate(x, y), omega_coordinate(x, y))
 
 
 def global_flow(x, y, lam):
@@ -107,20 +89,6 @@ def global_flow(x, y, lam):
 def wrap_mod_pi(delta):
     """Fold an angle difference (or an array of them) into (-pi/2, pi/2]; tau lives mod pi."""
     return delta - math.pi * np.round(delta / math.pi)
-
-
-def flow_generator_check(x: float, y: float) -> tuple[float, float]:
-    """Residuals of the orbit's defining ODE at lambda = 0.
-
-    The closed form runs the integral curve of (sin y, -tan x cos y) with
-    reversed parameter (tau still shifts by +lambda), so it satisfies
-    dX/dlam = -sin Y and dY/dlam = +tan X cos Y.  Both residuals of that
-    system, taken with dual-number lambda-derivatives, are returned and
-    vanish up to rounding.
-    """
-    _, dX = directional(lambda lam: global_flow(x, y, lam)[0], (0.0,), (1.0,))
-    _, dY = directional(lambda lam: global_flow(x, y, lam)[1], (0.0,), (1.0,))
-    return (dX + math.sin(y), dY - math.tan(x) * math.cos(y))
 
 
 def omega_prime(j: chart.Jet1 | chart.JetColumns):
@@ -173,10 +141,9 @@ def alpha_from_sample(tau, omega, omega_prime, k):
     cos^2 is even, so alpha is the same on both branches of the forward
     relation (and under mod-pi shifts of either angle): the inversion
     takes no branch.  The branch matters only when reproducing omega'
-    from alpha, in reduced_omega_prime.  Raises InversionDomain for an
-    inadmissible sample (any element of an array) and for a non-finite
-    float alpha; an array result keeps non-finite alphas for the caller
-    to drop.
+    from alpha.  Raises InversionDomain for an inadmissible sample (any
+    element of an array) and for a non-finite float alpha; an array
+    result keeps non-finite alphas for the caller to drop.
     """
     S, R, theta = _sample_terms(tau, omega, k)
     if not np.all(np.isfinite(omega_prime)):
@@ -190,38 +157,12 @@ def alpha_from_sample(tau, omega, omega_prime, k):
     return alpha
 
 
-def reduced_omega_prime(tau: float, omega: float, alpha, k, branch="+") -> float:
-    """Forward reduced relation: omega'(tau) from alpha on branch '+' or '-'.
-
-        omega' = (1 - omega^2) tan(branch * arccos(sqrt(arg)) + theta),
-        arg = (alpha - S) / (R * S)
-
-    Raises InversionDomain when the arccos argument falls outside [0, 1].
-    """
-    if branch not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    sgn = 1.0 if branch == "+" else -1.0
-    S, R, theta = _sample_terms(tau, omega, k)
-    if R * S == 0.0:
-        raise InversionDomain("degenerate sample: R * S = 0")
-    arg = (float(alpha) - S) / (R * S)
-    if arg < -1e-12 or arg > 1.0 + 1e-12:
-        raise InversionDomain(f"arccos argument {arg} outside [0, 1]")
-    arg = min(1.0, max(0.0, arg))
-    return (1.0 - omega * omega) * math.tan(sgn * math.acos(math.sqrt(arg)) + theta)
-
-
 def s2_residual(x, y, y_x, y_xx):
     """Residual of the 2-sphere geodesic equation; dual-capable.
 
         y_xx - 2 y_x tan x - y_x^3 sin x cos x
     """
     return y_xx - 2.0 * y_x * tan(x) - power(y_x, 3) * sin(x) * cos(x)
-
-
-def s2_fn(x, y, v, y_x, v_x, y_xx, v_xx):
-    """The 2-sphere residual as a 7-slot jet function (for prolongations)."""
-    return s2_residual(x, y, y_x, y_xx)
 
 
 # Admissibility guards for the alpha pipeline: the inversion composes

@@ -11,8 +11,8 @@ expression trees: every downstream use is a pointwise evaluation with
 dual numbers from :mod:`glome.jetcalc`.
 
 The evaluations are coordinate-generic.  A residual function given a
-:class:`~glome.chart.JetColumns` of n samples in place of a ChartPoint,
-Jet1 or Jet2 returns numpy arrays over the samples, and each element
+:class:`~glome.chart.JetColumns` of n samples in place of a ChartPoint or
+Jet1 returns numpy arrays over the samples, and each element
 equals the result for that sample alone bitwise.  The suites use that to
 evaluate each check in one array-valued dual pass.  Each fact is evaluated
 once: the bracket table takes each generator's coefficients and gradients
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import chart, jetcalc
-from .chart import Jet1, Jet2, ChartPoint
+from .chart import Jet1, ChartPoint
 from .jetcalc import cos, sin, tan, sec, directional, gradn
 
 Coefficient = Callable[[object, object, object], object]
@@ -59,17 +59,6 @@ class VectorField3:
 
     def at(self, p: ChartPoint):
         return self.coefficients(p.x, p.y, p.v)
-
-
-@dataclass(frozen=True)
-class Prolonged1:
-    """The five components of the first prolongation at a specific jet."""
-
-    xi: float
-    phi: float
-    eta: float
-    phi_x: float
-    eta_x: float
 
 
 @dataclass(frozen=True)
@@ -150,24 +139,6 @@ def chi(i: int) -> VectorField3:
     return _CHI[i - 1]
 
 
-def scale(c: float, V: VectorField3, name: str = "") -> VectorField3:
-    return VectorField3(
-        lambda x, y, v: c * V.xi(x, y, v),
-        lambda x, y, v: c * V.phi(x, y, v),
-        lambda x, y, v: c * V.eta(x, y, v),
-        name=name or f"{c}*{V.name}",
-    )
-
-
-def add(X: VectorField3, Y: VectorField3, name: str = "") -> VectorField3:
-    return VectorField3(
-        lambda x, y, v: X.xi(x, y, v) + Y.xi(x, y, v),
-        lambda x, y, v: X.phi(x, y, v) + Y.phi(x, y, v),
-        lambda x, y, v: X.eta(x, y, v) + Y.eta(x, y, v),
-        name=name or f"{X.name}+{Y.name}",
-    )
-
-
 def general_symmetry(k: Sequence) -> VectorField3:
     """The 5-parameter combination sum_i k_i chi_i, i = 1..5.
 
@@ -221,11 +192,6 @@ def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
     phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
     eta_pr = eta_x + eta_y * y_x + eta_v * v_x - total_xi * v_x
     return xi_val, phi_val, eta_val, phi_pr, eta_pr
-
-
-def prolong1(V: VectorField3, j: Jet1) -> Prolonged1:
-    """First prolongation of V evaluated at a first-order jet."""
-    return Prolonged1(*_prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x))
 
 
 def _lagrangian5(x, y, v, y_x, v_x):
@@ -346,7 +312,7 @@ def identify_field(
 def _candidate_values(x, y, v) -> np.ndarray:
     """The 13 candidates' values at n points as a (13, n, 3) array, in the
     order of _CANDIDATE_LABELS: zero, then +g and -g for each generator's
-    values g (negation is exact, so -g is scale(-1.0, chi_k)'s values bitwise)."""
+    values g (negation is exact, so -g is -chi_k's values bitwise)."""
     generators = [_values(F, x, y, v) for F in _CHI]
     return np.stack([np.zeros_like(generators[0])] + [s for g in generators for s in (g, -g)])
 
@@ -396,7 +362,7 @@ def bracket_table(
     margin: float = chart.DEFAULT_MARGIN,
 ) -> BracketTable:
     """Identify all 36 pairwise brackets of chi_1..chi_6 by identify_field's
-    rule, at the points of chart.sample_domain.  The generators' gradients
+    rule, at the points of chart.domain_columns.  The generators' gradients
     are taken once for all 36 brackets (_bracket_values) and the 13
     candidates are evaluated once.
 
@@ -427,7 +393,7 @@ def closed_triples(grid: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
     return closed
 
 
-def prolong2_apply(V: VectorField3, F, j: Jet2 | chart.JetColumns):
+def prolong2_apply(V: VectorField3, F, j: chart.JetColumns):
     """Apply the second prolongation of V to a second-order jet function.
 
     F takes the seven slots (x, y, v, y_x, v_x, y_xx, v_xx) and must be
@@ -438,8 +404,8 @@ def prolong2_apply(V: VectorField3, F, j: Jet2 | chart.JetColumns):
         eta^xx = D_x(eta^x) - v_xx D_x(xi)
 
     with the total derivative D_x expanded through second-order jet
-    variables.  The result is (pr2 V)(F) evaluated at j: a float at a
-    Jet2, an array over the samples of a JetColumns.
+    variables.  The result is (pr2 V)(F) evaluated at j: a float at the
+    float slots of chart.jet2, an array over the samples of array slots.
     """
     x, y, v, y_x, v_x = j.x, j.y, j.v, j.y_x, j.v_x
     y_xx, v_xx = j.y_xx, j.v_xx

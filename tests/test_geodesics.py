@@ -7,6 +7,7 @@ import pytest
 from glome import chart, geodesics as geo
 from glome import jetcalc as jc
 from glome import reduction as red
+from reference import el_expression_v, el_expression_y
 
 
 def d1(f, x0):
@@ -99,8 +100,8 @@ def test_el_expressions_vanish_on_shell():
     for j in jets_of(chart.jet_columns(50, 0.1, seed=3)):
         y_xx, v_xx = geo.el_rhs(j)
         args = (j.x, j.y, j.v, j.y_x, j.v_x, y_xx, v_xx)
-        assert abs(geo.el_expression_y(*args)) < 1e-13
-        assert abs(geo.el_expression_v(*args)) < 1e-13
+        assert abs(el_expression_y(*args)) < 1e-13
+        assert abs(el_expression_v(*args)) < 1e-13
 
 
 # ----------------------------------------------------------- noether charge
@@ -289,6 +290,19 @@ def test_integrate_stage_off_chart_is_domain_exit():
     with pytest.raises(geo.DomainExit) as err:
         geo.integrate(chart.jet1(0.0, 1.5, 0.0, 20.0, 0.0), 0.5, 1e-2)
     assert len(err.value.trajectory) == 1
+
+
+def test_stage_records_an_infinite_column_and_does_not_raise():
+    # one column takes the float path, two the array path; both record the
+    # column's ChartError, and the finite column keeps its lone slopes
+    lone = np.array([[math.inf], [0.0], [0.1], [0.1]])
+    pair = np.array([[math.inf, 0.2], [0.0, 0.0], [0.1, 0.1], [0.1, 0.1]])
+    for u in (lone, pair):
+        failed = {}
+        k = geo._stage(0.3, u, failed)
+        assert list(failed) == [0] and isinstance(failed[0], chart.ChartError)
+        assert np.all(k[:, 0] == 0.0)
+    assert k[:, 1].tobytes() == geo._stage(0.3, pair[:, 1:], {})[:, 0].tobytes()
 
 
 def test_integrate_propagates_unrelated_value_error(monkeypatch):

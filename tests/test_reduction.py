@@ -7,25 +7,27 @@ from glome import chart, geodesics as geo
 from glome import jetcalc as jc
 from glome import reduction as red
 from glome import symmetries as sym
+from reference import reduced_omega_prime
 
 
 # -------------------------------------------------------------- canonical
 
 def test_canonical_on_axis():
     for x in (0.3, -0.8, 1.2):
-        pair = red.canonical(x, 0.0)
-        assert pair.tau == 0.0
-        assert abs(pair.omega - math.cos(x)) < 1e-15
+        assert red.tau_defined(x)
+        assert red.tau_coordinate(x, 0.0) == 0.0
+        assert abs(red.omega_coordinate(x, 0.0) - math.cos(x)) < 1e-15
 
 
 def test_canonical_quarter_point():
-    pair = red.canonical(math.pi / 4, math.pi / 4)
-    assert abs(pair.omega - 0.5) < 1e-15
+    assert red.tau_defined(math.pi / 4)
+    assert abs(red.omega_coordinate(math.pi / 4, math.pi / 4) - 0.5) < 1e-15
 
 
 def test_canonical_undefined_on_x_zero():
+    assert not red.tau_defined(0.0)
     with pytest.raises(jc.DomainError):
-        red.canonical(0.0, 0.3)
+        jc.directional(red.tau_coordinate, (0.0, 0.3), (1.0, 0.0))
 
 
 def test_omega_invariant_under_generator_direction():
@@ -37,13 +39,6 @@ def test_omega_invariant_under_generator_direction():
             (math.sin(p.y), -math.tan(p.x) * math.cos(p.y)),
         )
         assert abs(d) < 1e-12
-
-
-def test_canonical_pair_validation():
-    with pytest.raises(ValueError):
-        red.CanonicalPair(0.0, 0.0)
-    with pytest.raises(ValueError):
-        red.CanonicalPair(0.0, 1.5)
 
 
 # ------------------------------------------------------------- global flow
@@ -99,16 +94,24 @@ def test_flow_branch_exit_at_pole_input():
         red.global_flow(math.pi / 2, 0.0, 0.0)
 
 
+def flow_generator_check(x, y):
+    """Residuals at lambda = 0 of dX/dlam = -sin Y and dY/dlam = tan X cos Y,
+    the ODE of the closed-form orbit (chi3's integral curve, parameter reversed)."""
+    _, dX = jc.directional(lambda lam: red.global_flow(x, y, lam)[0], (0.0,), (1.0,))
+    _, dY = jc.directional(lambda lam: red.global_flow(x, y, lam)[1], (0.0,), (1.0,))
+    return (dX + math.sin(y), dY - math.tan(x) * math.cos(y))
+
+
 def test_flow_generator_check_residuals():
     for (x, y) in ((0.5, 0.3), (0.4, -0.6), (-0.8, 1.0), (1.1, 0.0)):
-        r1, r2 = red.flow_generator_check(x, y)
+        r1, r2 = flow_generator_check(x, y)
         assert abs(r1) < 1e-10
         assert abs(r2) < 1e-10
 
 
 def test_flow_generator_check_on_axis():
     # at y = 0 the x-velocity of the orbit vanishes
-    r1, _ = red.flow_generator_check(0.7, 0.0)
+    r1, _ = flow_generator_check(0.7, 0.0)
     _, dX = jc.directional(lambda lam: red.global_flow(0.7, 0.0, lam)[0], (0.0,), (1.0,))
     assert abs(dX) < 1e-15
     assert abs(r1) < 1e-15
@@ -183,7 +186,7 @@ def test_alpha_round_trip_reproduces_omega_prime():
             continue
         alpha = red.alpha_from_sample(tau, omega, w_prime, k)
         reproduced = [
-            red.reduced_omega_prime(tau, omega, alpha, k, branch)
+            reduced_omega_prime(tau, omega, alpha, k, branch)
             for branch in ("+", "-")
         ]
         assert min(abs(r - w_prime) for r in reproduced) < 1e-9 * (1.0 + abs(w_prime))
@@ -195,7 +198,7 @@ def test_alpha_branch_symmetry():
     # forward relation inverts to the same alpha (cos^2 of an odd flip)
     alpha = float(red.alpha_from_sample(0.8, 0.6, 1.3, 0.4))
     for branch in ("+", "-"):
-        w_prime = red.reduced_omega_prime(0.8, 0.6, alpha, 0.4, branch)
+        w_prime = reduced_omega_prime(0.8, 0.6, alpha, 0.4, branch)
         assert abs(float(red.alpha_from_sample(0.8, 0.6, w_prime, 0.4)) - alpha) < 1e-12
 
 
@@ -210,13 +213,13 @@ def test_alpha_domain_errors():
         red.alpha_from_sample(0.8, 0.5, math.inf, 0.3)
     for branch in ("x", 1, -1.0, "plus", "minus"):
         with pytest.raises(ValueError):
-            red.reduced_omega_prime(0.8, 0.5, 0.3, 0.3, branch=branch)
+            reduced_omega_prime(0.8, 0.5, 0.3, 0.3, branch=branch)
 
 
 def test_reduced_omega_prime_rejects_bad_arccos_argument():
     # alpha far above the admissible band makes the arccos argument > 1
     with pytest.raises(red.InversionDomain):
-        red.reduced_omega_prime(0.8, 0.5, 100.0, 0.9)
+        reduced_omega_prime(0.8, 0.5, 100.0, 0.9)
 
 
 # ------------------------------------------------- alpha along trajectories
@@ -267,5 +270,7 @@ def test_prolong2_chi3_annihilates_sphere_equation_on_shell():
             continue
         y_xx = 2 * y_x * math.tan(x) + y_x**3 * math.sin(x) * math.cos(x)
         j2 = chart.jet2(x, y, 0.0, y_x, 0.0, y_xx, 0.0)
-        worst = max(worst, abs(sym.prolong2_apply(sym.chi(3), red.s2_fn, j2)))
+        s2 = sym.prolong2_apply(sym.chi(3), lambda x, y, v, y_x, v_x, y_xx, v_xx:
+                                red.s2_residual(x, y, y_x, y_xx), j2)
+        worst = max(worst, abs(s2))
     assert worst < 1e-8
