@@ -5,6 +5,15 @@ here: first order by seeding a direction, second order by nesting duals.
 There are no finite differences outside the test suite and no symbolic
 expression trees anywhere.
 
+A gradient (`gradn`, `value_and_gradn`) is one dual pass, vector forward
+mode: argument i is seeded with row i of an identity matrix, which sits
+on a new leading axis in front of every axis that any layer of any
+argument already has, and component i is read off that axis through
+every dual layer (a layer without it is shared by all directions).
+Placing the axis in front of all the arguments' axes keeps the seed axes
+of nested gradients apart: a gradient inside a gradient (a bracket of a
+bracket) seeds its own axis in front of the outer one.
+
 The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
 `arctan`, `atan2`) and `power` accept plain floats or :class:`DualScalar`
 values and can be nested to any depth.  They raise :class:`DomainError`
@@ -12,11 +21,16 @@ instead of returning non-finite values, because the chart singularities
 cos x = 0 and cos y = 0 lurk behind most expressions built on top of them.
 An infinite argument to `sin` or `cos` is such an error (`tan` and `sec`
 meet it in the `cos` they evaluate, and the dual rules of `sin` and `cos`
-in the `sin` of the dual's value).
+in the `sin` of the dual's value), and so is a `power` too large for a
+float.
 Division does the same for a divisor whose real part is zero, or, for a
 dual divisor, so small that its square underflows (|real part| below
 1.49e-154, see `squarable`) whatever the numerator, and `arcsin` of a
-dual at +/-1, where its derivative diverges.
+dual at +/-1, where its derivative diverges.  Non-finite values still
+come out of infinite inputs elsewhere: `sqrt` of +inf is inf (the
+integrand overflow checks built on `chart.lagrangian` rely on that), and
+dividing by an infinite dual, or `atan2` of infinite duals, gives a nan
+derivative.
 
 Array values: the components of a :class:`DualScalar` may also be numpy
 float arrays, so that one pass carries many points or many directions
@@ -57,6 +71,7 @@ __all__ = [
     "squarable",
     "directional",
     "gradn",
+    "value_and_gradn",
 ]
 
 # |cos| below this counts as a tan/sec pole; generous enough to catch
@@ -106,9 +121,24 @@ def _map(f, u, *more):
     return np.fromiter(map(f, *flat), float, args[0].size).reshape(args[0].shape)
 
 
+def _overflows(b, exponent) -> bool:
+    try:
+        b**exponent
+    except OverflowError:
+        return True
+    return False
+
+
 def power(u, exponent):
-    """``u ** exponent`` of a float, a dual or an array (Python's ``**`` on each element)."""
-    return _map(lambda b: b**exponent, u)
+    """``u ** exponent`` of a float, a dual or an array (Python's ``**`` on each element).
+
+    A result too large for a float raises DomainError, where Python's
+    ``**`` raises OverflowError."""
+    try:
+        return _map(lambda b: b**exponent, u)
+    except OverflowError:  # Python's ** raises it where a finite base's power is too large
+        _guard(_map(_overflows, u, exponent), "pow", u, f"power {exponent} overflows")
+        raise  # not reached: the guard names the element that overflowed
 
 
 # a nonzero divisor below this has a square below the smallest normal float,
@@ -346,23 +376,53 @@ def directional(f, args, direction):
     return result, 0.0
 
 
-def gradn(f, args):
-    """Gradient of a scalar function of ``len(args)`` reals.
+def _depth(u) -> int:
+    """The most axes that any layer of ``u`` has."""
+    if isinstance(u, DualScalar):
+        return max(_depth(u.value), _depth(u.derivative))
+    return u.ndim if isinstance(u, _ndarray) else 0
 
-    Exact to machine precision for compositions of the supported
-    elementary functions.  Domain failures are re-raised with the
-    evaluation point attached; for array arguments, with the index the
-    failure names and the point at that index.
+
+def _directions(c, n: int, depth: int) -> list:
+    """The n parts of ``c``, a derivative seeded along a leading axis of n
+    directions in front of ``depth`` axes, read off that axis layer by
+    layer; at ``depth`` 0 the parts are Python floats.  A layer without
+    the axis is shared by all directions: one with at most ``depth``
+    axes, or a unit leading axis, which a gradient nested inside this
+    one leaves where this pass's seed axis had not reached it."""
+    if isinstance(c, DualScalar):
+        return list(map(DualScalar, _directions(c.value, n, depth),
+                        _directions(c.derivative, n, depth)))
+    if isinstance(c, _ndarray) and c.ndim > depth:
+        if c.ndim > depth + 1:
+            raise ValueError(f"a derivative has {c.ndim} axes, but the seed axis is"
+                             f" in front of the {depth} of the arguments")
+        if len(c) == n:
+            return c.tolist() if depth == 0 else list(c)
+    return [c] * n
+
+
+def value_and_gradn(f, args):
+    """``f(*args)`` and its gradient in ``len(args)`` reals, from one
+    forward pass.
+
+    Argument i is seeded with row i of an identity matrix, on a new
+    leading axis in front of every axis that any layer of any argument
+    has, and each gradient component is read off that axis.  The value is
+    the seeded pass's own.  It repeats the plain evaluation's
+    floating-point operations, so for the generator coefficients it
+    equals ``f(*args)`` bitwise; a dual divided by a plain number is
+    multiplied by its reciprocal, though, and a dual's ``**`` is Python's
+    on each element, so an ``f`` using those may differ from its plain
+    evaluation in the last place.  ``f`` must not give its result more
+    axes than its arguments have (ValueError).  Domain failures are
+    re-raised as in :func:`gradn`.
     """
     n = len(args)
-    out = []
+    depth = max(map(_depth, args), default=0)
+    seeds = np.eye(n).reshape((n, n) + (1,) * depth)
     try:
-        for i in range(n):
-            seeded = tuple(
-                DualScalar(a, 1.0 if j == i else 0.0) for j, a in enumerate(args)
-            )
-            result = f(*seeded)
-            out.append(result.derivative if isinstance(result, DualScalar) else 0.0)
+        result = f(*map(DualScalar, args, seeds))
     except DomainError as err:
         if any(isinstance(a, DualScalar) for a in args):
             raise
@@ -375,4 +435,22 @@ def gradn(f, args):
             err.func, err.argument,
             f"at evaluation point {point!r}, index {err.index}", err.index,
         ) from err
-    return tuple(out)
+    if not isinstance(result, DualScalar):
+        return result, (0.0,) * n
+    return result.value, tuple(_directions(result.derivative, n, depth))
+
+
+def gradn(f, args):
+    """Gradient of a scalar function of ``len(args)`` reals, from the one
+    seeded pass of :func:`value_and_gradn`.
+
+    Exact to machine precision for compositions of the supported
+    elementary functions, and bitwise equal to one pass per argument
+    seeded with 1.0 there and 0.0 elsewhere, up to unit axes that
+    broadcast away.  A float point gives Python floats.  Domain failures
+    are re-raised with the evaluation point attached; for array
+    arguments, with the index the failure names and the point at that
+    index.  Arguments that are duals (an outer differentiation) are
+    re-raised unchanged.
+    """
+    return value_and_gradn(f, args)[1]

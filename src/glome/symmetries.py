@@ -15,11 +15,14 @@ The evaluations are coordinate-generic.  A residual function given a
 Jet1 returns numpy arrays over the samples, and each element
 equals the result for that sample alone bitwise.  The suites use that to
 evaluate each check in one array-valued dual pass.  Each fact is evaluated
-once: the bracket table takes each generator's coefficients and gradients
-once for all 36 brackets (18 gradn calls) and matches every bracket
-against the 13 candidates, evaluated once and stacked, in one broadcast
-reduction; general_symmetry takes column weights, so that many random
-combinations, each over its own points, evaluate in one pass.
+once: a coefficient's value and its three first partials come from one
+seeded pass (jetcalc.value_and_gradn), in the prolongations, the
+determining equations and the bracket table; the bracket table takes each
+generator's coefficients and gradients once for all 36 brackets (18
+value_and_gradn calls) and matches every bracket against the 13
+candidates, evaluated once and stacked, in one broadcast reduction;
+general_symmetry takes column weights, so that many random combinations,
+each over its own points, evaluate in one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import chart, jetcalc
 from .chart import Jet1, ChartPoint
-from .jetcalc import cos, sin, tan, sec, directional, gradn
+from .jetcalc import cos, sin, tan, sec, directional, gradn, value_and_gradn
 
 Coefficient = Callable[[object, object, object], object]
 
@@ -182,12 +185,9 @@ def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
     only first partials of the coefficients appear.
     """
     p = (x, y, v)
-    xi_x, xi_y, xi_v = gradn(V.xi, p)
-    phi_x, phi_y, phi_v = gradn(V.phi, p)
-    eta_x, eta_y, eta_v = gradn(V.eta, p)
-    xi_val = V.xi(x, y, v)
-    phi_val = V.phi(x, y, v)
-    eta_val = V.eta(x, y, v)
+    xi_val, (xi_x, xi_y, xi_v) = value_and_gradn(V.xi, p)
+    phi_val, (phi_x, phi_y, phi_v) = value_and_gradn(V.phi, p)
+    eta_val, (eta_x, eta_y, eta_v) = value_and_gradn(V.eta, p)
     total_xi = xi_x + xi_y * y_x + xi_v * v_x
     phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
     eta_pr = eta_x + eta_y * y_x + eta_v * v_x - total_xi * v_x
@@ -228,10 +228,9 @@ def determining_residuals(V: VectorField3, p: ChartPoint | chart.JetColumns):
     """
     x, y, v = p.x, p.y, p.v
     point = (x, y, v)
-    xi_x, xi_y, xi_v = gradn(V.xi, point)
-    phi_x, phi_y, phi_v = gradn(V.phi, point)
+    xi_val, (xi_x, xi_y, xi_v) = value_and_gradn(V.xi, point)
+    phi_val, (phi_x, phi_y, phi_v) = value_and_gradn(V.phi, point)
     eta_x, eta_y, eta_v = gradn(V.eta, point)
-    xi_val, phi_val, _ = V.coefficients(x, y, v)
     cx, sx = cos(x), sin(x)
     cy, sy = cos(y), sin(y)
     return (
@@ -341,13 +340,14 @@ def _bracket_values(x, y, v) -> list[list[np.ndarray]]:
     """The (n, 3) values of [chi_i, chi_j] at n points, in row i - 1 and
     column j - 1.
 
-    Each generator's coefficients and their gradients are evaluated once
-    (6 coefficient evaluations, 18 gradn calls) and combined by
-    lie_bracket's formula, so every value equals lie_bracket's bitwise.
+    Each generator coefficient's value and gradient come from one seeded
+    pass (18 value_and_gradn calls) and are combined by lie_bracket's
+    formula, so every value equals lie_bracket's bitwise.
     """
     point = (x, y, v)
-    coeffs = [F.coefficients(*point) for F in _CHI]
-    grads = [[gradn(c, point) for c in (F.xi, F.phi, F.eta)] for F in _CHI]
+    passes = [[value_and_gradn(c, point) for c in (F.xi, F.phi, F.eta)] for F in _CHI]
+    coeffs = [[value for value, _ in row] for row in passes]
+    grads = [[grad for _, grad in row] for row in passes]
     return [
         [_stack3([_bracket_component(Xc, Yc, dY[c], dX[c]) for c in range(3)], x.shape)
          for Yc, dY in zip(coeffs, grads)]

@@ -1,14 +1,24 @@
-"""Single-point oracles that the tests check glome against and glome itself
-does not call: the two Euler-Lagrange expressions on second-order jets,
-the forward reduced relation omega'(tau) from alpha, and sums and scalar
-multiples of vector fields."""
+"""Oracles that the tests check glome against and glome itself does not
+call: the two Euler-Lagrange expressions on second-order jets, the forward
+reduced relation omega'(tau) from alpha, sums and scalar multiples of
+vector fields, and the gradient taken one dual pass per argument; and the
+test of whether numpy's sin and cos round like the platform's libm, which
+the tests of pinned bits depend on."""
 
 import math
+
+import numpy as np
 
 from glome import chart
 from glome import reduction as red
 from glome import symmetries as sym
-from glome.jetcalc import directional
+from glome.jetcalc import DomainError, DualScalar, directional
+
+
+def numpy_trig_is_math() -> bool:
+    draws = np.random.default_rng(0).uniform(-2.0, 2.0, 20000)
+    return all(np.array_equal(f(draws), np.array([g(v) for v in draws]))
+               for f, g in ((np.sin, math.sin), (np.cos, math.cos)))
 
 
 def _L_yx(*a):
@@ -71,3 +81,36 @@ def add(X: sym.VectorField3, Y: sym.VectorField3, name: str = "") -> sym.VectorF
         lambda x, y, v: X.eta(x, y, v) + Y.eta(x, y, v),
         name=name or f"{X.name}+{Y.name}",
     )
+
+
+def gradn(f, args):
+    """Gradient of a scalar function of ``len(args)`` reals, one dual pass
+    per argument, seeded with 1.0 there and 0.0 elsewhere.
+
+    Exact to machine precision for compositions of the supported
+    elementary functions.  Domain failures are re-raised with the
+    evaluation point attached; for array arguments, with the index the
+    failure names and the point at that index.
+    """
+    n = len(args)
+    out = []
+    try:
+        for i in range(n):
+            seeded = tuple(
+                DualScalar(a, 1.0 if j == i else 0.0) for j, a in enumerate(args)
+            )
+            result = f(*seeded)
+            out.append(result.derivative if isinstance(result, DualScalar) else 0.0)
+    except DomainError as err:
+        if any(isinstance(a, DualScalar) for a in args):
+            raise
+        if err.index is None:
+            raise DomainError(
+                err.func, err.argument, f"at evaluation point {tuple(args)!r}"
+            ) from err
+        point = tuple(float(a[err.index]) for a in np.broadcast_arrays(*args))
+        raise DomainError(
+            err.func, err.argument,
+            f"at evaluation point {point!r}, index {err.index}", err.index,
+        ) from err
+    return tuple(out)

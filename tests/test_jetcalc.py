@@ -276,6 +276,23 @@ def test_gradn_domain_error_on_arrays_names_index_and_point():
     assert len(message) < 200  # the point, not the whole arrays
 
 
+def test_gradn_refuses_a_result_with_more_axes_than_its_arguments():
+    # a (4, 1) constant against a float point would put the seed axis second
+    with pytest.raises(ValueError, match="seed axis"):
+        jc.gradn(lambda x, y: x * np.ones((4, 1)) + y, (0.5, 0.25))
+
+
+def test_power_overflow_is_a_domain_error():
+    with pytest.raises(jc.DomainError, match=r"pow evaluated at 1e\+200 \(power 2 overflows\)$"):
+        jc.power(1e200, 2)
+    with pytest.raises(jc.DomainError, match=r"power 3 overflows at index \(2,\)") as err:
+        jc.power(np.array([1.0, -2.0, -1e200, 1e300]), 3)
+    assert err.value.index == (2,) and err.value.argument == -1e200
+    with pytest.raises(jc.DomainError, match="power -2 overflows"):
+        jc.DualScalar(5e-324, 1.0) ** -2
+    assert jc.power(math.inf, 2) == math.inf  # an infinite base is not an overflow
+
+
 def test_dual_through_composed_functions_matches_fd():
     def f(x):
         return jc.arctan(jc.tan(x) * jc.sec(x)) + jc.sqrt(1.0 + x * x)

@@ -17,19 +17,15 @@ from hypothesis import strategies as st  # noqa: E402
 from glome import chart, geodesics as geo  # noqa: E402
 from glome import jetcalc as jc  # noqa: E402
 
+import reference  # noqa: E402
+
 mpmath.mp.dps = 50
-
-
-def _numpy_trig_is_math() -> bool:
-    draws = np.random.default_rng(0).uniform(-2.0, 2.0, 20000)
-    return all(np.array_equal(f(draws), np.array([g(v) for v in draws]))
-               for f, g in ((np.sin, math.sin), (np.cos, math.cos)))
 
 
 # Batch results equal lone results bitwise only where numpy's sin and cos
 # round exactly like the platform's libm (they do on the reference machine).
 bitwise = pytest.mark.skipif(
-    not _numpy_trig_is_math(),
+    not reference.numpy_trig_is_math(),
     reason="numpy's sin/cos differ from math's here; batch and lone runs agree only to rounding",
 )
 
@@ -390,6 +386,8 @@ def _outcome(f, w):
 @example(float(math.pi / 2), 2)
 @example(1e-160, -1)
 @example(5e-324, -2)
+@example(1e200, 2)
+@example(-1e200, 3)
 @example(math.nan, 2)
 def test_floats_and_arrays_follow_the_same_domain_rule(t, e):
     cases = [
@@ -585,6 +583,173 @@ def test_suite_determining_equals_per_trial_reference(seed, samples, margin):
             worst = max(worst, float(np.max(np.abs(r), initial=0.0)))
     (check,) = suites.suite_determining(cfg)
     assert _bits([check.max_residual]) == _bits([worst])
+
+
+# --------------------------- one seeded gradient pass vs one pass per direction
+
+
+def _extra(x, y, v):
+    """A coefficient-like function through the other dual rules."""
+    return (jc.atan2(jc.sin(x), jc.cos(y)) + jc.sqrt(1.0 + x * x) / (1.0 + y * y)
+            + jc.power(x * y, 3) + jc.arcsin(jc.sin(v) * 0.5) + jc.arctan(x - v))
+
+
+_COEFFICIENTS = [c for F in sym._CHI for c in (F.xi, F.phi, F.eta)] + [_extra]
+
+
+def _tree(u):
+    """``u`` as nested tuples, a dual as ("dual", value, derivative)."""
+    if isinstance(u, jc.DualScalar):
+        return ("dual", _tree(u.value), _tree(u.derivative))
+    if isinstance(u, (tuple, list)):
+        return tuple(map(_tree, u))
+    return u
+
+
+def _same_bits(got, want) -> None:
+    """``got`` has ``want``'s structure and bits; an array may differ from
+    its counterpart only by unit axes that broadcast away."""
+    got, want = _tree(got), _tree(want)
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_bits(g, w)
+        return
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.size(got) == np.size(want), (np.shape(got), np.shape(want))
+    shape = np.broadcast_shapes(np.shape(got), np.shape(want))
+    assert _bits(np.broadcast_to(got, shape)) == _bits(np.broadcast_to(want, shape))
+
+
+def _floats_only(u) -> bool:
+    """Every number in ``u``, through its dual layers, is a Python float."""
+    u = _tree(u)
+    if isinstance(u, tuple):
+        return all(map(_floats_only, u))
+    return isinstance(u, str) or type(u) is float
+
+
+def _outcome_of(call):
+    """("ok", result) or the DomainError's message, index and argument."""
+    try:
+        return "ok", call()
+    except jc.DomainError as err:
+        return "DomainError", str(err), err.index, repr(err.argument)
+
+
+def _agree(got, want) -> None:
+    """Two _outcome_of results: equal errors, or results with equal bits."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        _same_bits(got[1], want[1])
+    else:
+        assert got == want
+
+
+def _check_pass(f, args) -> None:
+    """gradn and value_and_gradn at ``args`` against the per-direction
+    oracle and the plain value, including at a domain failure."""
+    want = _outcome_of(lambda: reference.gradn(f, args))
+    _agree(_outcome_of(lambda: jc.gradn(f, args)), want)
+    if want[0] == "ok":
+        want = ("ok", (f(*args), want[1]))
+    _agree(_outcome_of(lambda: jc.value_and_gradn(f, args)), want)
+
+
+def _oracle_symmetries(monkeypatch) -> None:
+    """Make the symmetry code take gradients one pass per direction and
+    values from a plain evaluation."""
+    monkeypatch.setattr(sym, "gradn", reference.gradn)
+    monkeypatch.setattr(sym, "value_and_gradn", lambda f, a: (f(*a), reference.gradn(f, a)))
+
+
+pole_angle = chart_angle | st.sampled_from([math.pi / 2, -math.pi / 2])
+point_at_poles = st.tuples(pole_angle, pole_angle, st.floats(0.0, 6.3))
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
+@given(point_at_poles, st.lists(point_at_poles, min_size=1, max_size=8), weights)
+@example((math.pi / 2, 0.2, 1.0), [(0.3, 0.2, 1.0), (0.1, -math.pi / 2, 2.0)], [1.0] * 5)
+def test_seeded_gradient_equals_per_direction_oracle_at_floats_and_arrays(point, rows, k):
+    V = sym.general_symmetry(k)
+    columns = tuple(np.array(c) for c in zip(*rows))
+    for f in _COEFFICIENTS + [V.xi, V.phi, V.eta]:
+        _check_pass(f, point)
+        _check_pass(f, columns)
+        got = _outcome_of(lambda: jc.value_and_gradn(f, point))
+        if got[0] == "ok":  # Python floats at a float point, as the oracle gives
+            assert _floats_only(got[1])
+
+
+@bitwise
+@settings(max_examples=25, deadline=None)
+@given(st.lists(trial_weights, min_size=1, max_size=4), st.integers(1, 6), st.data())
+def test_seeded_gradient_equals_per_direction_oracle_on_grids(weights, n, data):
+    m = len(weights)
+    x, y, v = (np.array(data.draw(st.lists(elems, min_size=m * n, max_size=m * n))).reshape(m, n)
+               for elems in (pole_angle, pole_angle, st.floats(0.0, 6.3)))
+    V = sym.general_symmetry(np.array(weights).T[:, :, None])
+    for f in _COEFFICIENTS + [V.xi, V.phi, V.eta]:
+        _check_pass(f, (x, y, v))
+
+
+@bitwise
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(pole_angle, pole_angle, st.floats(0.0, 6.3), slope, slope),
+                min_size=1, max_size=6), st.booleans())
+def test_seeded_gradient_nested_in_a_directional_equals_the_oracle(rows, at_float):
+    # the prolong2_apply case: the point is a dual along (1, y_x, v_x)
+    x, y, v, y_x, v_x = rows[0] if at_float else (np.array(c) for c in zip(*rows))
+    args = tuple(map(jc.DualScalar, (x, y, v), (1.0, y_x, v_x)))
+    for f in _COEFFICIENTS:
+        _check_pass(f, args)
+        got = _outcome_of(lambda: jc.gradn(f, args))
+        if at_float and got[0] == "ok":
+            assert _floats_only(got[1])
+
+
+@bitwise
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3)), min_size=1, max_size=6),
+       st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.booleans())
+def test_seeded_gradient_nested_in_a_gradient_equals_the_oracle(rows, a, b, c, at_float):
+    # a bracket of a bracket takes a gradient inside a gradient
+    point = rows[0] if at_float else tuple(np.array(col) for col in zip(*rows))
+    W = sym.lie_bracket(sym.lie_bracket(sym.chi(a), sym.chi(b)), sym.chi(c))
+    got = W.coefficients(*point)
+    with pytest.MonkeyPatch.context() as mp:
+        _oracle_symmetries(mp)
+        want = W.coefficients(*point)
+    _same_bits(got, want)
+    if at_float:
+        assert _floats_only(got)
+    inner = sym.lie_bracket(sym.chi(a), sym.chi(b))
+    for f in (inner.xi, inner.phi, inner.eta):
+        _check_pass(f, point)
+
+
+@bitwise
+@settings(max_examples=20, deadline=None)
+@given(jets, st.sampled_from([0.0, 0.25, 0.5, 0.9]), weights)
+def test_symmetry_kernels_equal_their_per_direction_versions(rows, k, w):
+    cols = _columns(rows)
+    jets2 = chart.JetColumns(*cols[:5], np.full(len(rows), 0.7), np.full(len(rows), -0.3))
+    F = geo.collapsed_fn(k)
+    calls = [
+        lambda: [sym.determining_residuals(V, cols) for V in (sym.chi(3), sym.general_symmetry(w))],
+        lambda: [sym.variational_residual(sym.chi(i), cols) for i in range(1, 7)],
+        lambda: [sym.prolong2_apply(sym.chi(i), F, jets2) for i in (1, 3, 5)],
+        lambda: sym._bracket_values(cols.x, cols.y, cols.v),
+    ]
+    for call in calls:
+        got = _outcome_of(call)
+        with pytest.MonkeyPatch.context() as mp:
+            _oracle_symmetries(mp)
+            want = _outcome_of(call)
+        _agree(got, want)
 
 
 # ------------------------- trajectory rows and flow samples vs per-row reference

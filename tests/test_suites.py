@@ -77,3 +77,26 @@ def test_grid_search_k_equals_the_plain_brute_force_sweep():
         e1 = suites._collapsed_along(traj, 1.0) - e0
         want = grid[np.argmin(np.max(np.abs(e0 + grid[:, None] * e1), axis=1))]
         assert suites.grid_search_k(traj) == want
+
+
+def test_swapped_gradient_components_fail_the_determining_and_bracket_checks(monkeypatch):
+    # a planted seed-axis defect: every gradient returns its x and y parts swapped
+    from glome import jetcalc, symmetries
+
+    def swap(grad):
+        g_x, g_y, *rest = grad
+        return (g_y, g_x, *rest)
+
+    cfg = suites.RunConfig(seed=0, samples=200)
+    checks = suites.suite_determining(cfg) + suites.suite_bracket_table(cfg)
+    assert [(c.name, c.passed) for c in checks] == [("determining_equations", True),
+                                                   ("bracket_table", True)]
+    def value_and_swapped_gradn(f, args):
+        value, grad = jetcalc.value_and_gradn(f, args)
+        return value, swap(grad)
+
+    monkeypatch.setattr(symmetries, "gradn", lambda f, args: swap(jetcalc.gradn(f, args)))
+    monkeypatch.setattr(symmetries, "value_and_gradn", value_and_swapped_gradn)
+    checks = suites.suite_determining(cfg) + suites.suite_bracket_table(cfg)
+    assert [(c.name, c.passed) for c in checks] == [("determining_equations", False),
+                                                   ("bracket_table", False)]
