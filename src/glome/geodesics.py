@@ -20,8 +20,7 @@ import numpy as np
 
 from . import chart, jetcalc
 from .chart import Jet1
-# directional is unused here, but perfbench/selftest.py checks this binding
-from .jetcalc import directional, power  # noqa: F401
+from .jetcalc import directional, power
 
 POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus this
 MIN_STEP = 1e-5  # rad; caps one trajectory at about 3e5 rows (17 MB) across the chart
@@ -93,12 +92,9 @@ def _L(x, y, y_x, v_x):
     return chart.arc_speed(x, y, y_x, v_x)
 
 
-_E_Y = (0.0, 1.0, 0.0, 0.0)
-_E_YX = (0.0, 0.0, 1.0, 0.0)
-_E_VX = (0.0, 0.0, 0.0, 1.0)
 # Inner seeds of the one-pass core: row i holds argument i's component of
-# the directions E_Y, E_YX, E_VX.
-_INNER = np.array([_E_Y, _E_YX, _E_VX]).T
+# the directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x).
+_INNER = np.eye(4)[:, 1:]
 
 
 def _curvatures(x, y, y_x, v_x):
@@ -124,14 +120,10 @@ def _curvatures(x, y, y_x, v_x):
     outer[2, 1] = 1.0
     outer[3, 2] = 1.0
     inner = _INNER.reshape((4, 3) + (1,) * len(shape))
-    seeded = [
-        jetcalc.DualScalar(jetcalc.DualScalar(a, o), i)
-        for a, o, i in zip((x, y, y_x, v_x), outer, inner)
-    ]
-    d = _L(*seeded).derivative
-    L_y = d.value[0]
-    known_y, m11, m12 = d.derivative[:, 1]
-    known_v, m21, m22 = d.derivative[:, 2]
+    partials, mixed = directional(lambda *a: directional(_L, a, inner)[1], (x, y, y_x, v_x), outer)
+    L_y = partials[0]
+    known_y, m11, m12 = mixed[:, 1]
+    known_v, m21, m22 = mixed[:, 2]
     b1 = L_y - known_y
     b2 = 0.0 - known_v  # L_v vanishes identically
     det = m11 * m22 - m12 * m21
@@ -557,8 +549,7 @@ def ambient_state(j: Jet1) -> tuple[np.ndarray, np.ndarray, float]:
     equals the integrand value (the chain-rule identity the tests lean on).
     """
     p = chart.embed(j.base)
-    seeded = (jetcalc.DualScalar(a, d) for a, d in zip((j.x, j.y, j.v), (1.0, j.y_x, j.v_x)))
-    tangent = np.array([g.derivative for g in chart.ambient_coords(*seeded)])
+    tangent = np.array(directional(chart.ambient_coords, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))[1])
     speed = float(np.linalg.norm(tangent))
     return p, tangent / speed, speed
 

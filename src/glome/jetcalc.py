@@ -12,7 +12,8 @@ argument already has, and component i is read off that axis through
 every dual layer (a layer without it is shared by all directions).
 Placing the axis in front of all the arguments' axes keeps the seed axes
 of nested gradients apart: a gradient inside a gradient (a bracket of a
-bracket) seeds its own axis in front of the outer one.
+bracket) seeds its own axis in front of the outer one.  `directional` and
+`value_and_gradn` read every component of a tuple result off one pass.
 
 The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
 `arctan`, `atan2`) and `power` accept plain floats or :class:`DualScalar`
@@ -21,8 +22,9 @@ instead of returning non-finite values, because the chart singularities
 cos x = 0 and cos y = 0 lurk behind most expressions built on top of them.
 An infinite argument to `sin` or `cos` is such an error (`tan` and `sec`
 meet it in the `cos` they evaluate, and the dual rules of `sin` and `cos`
-in the `sin` of the dual's value), and so is a `power` too large for a
-float.
+in the `sin` of the dual's value).  So are a `power` too large for a
+float, a fractional power of a negative base and a negative power of
+zero, for a float, an array or a dual alike.
 Division does the same for a divisor whose real part is zero, or, for a
 dual divisor, so small that its square underflows (|real part| below
 1.49e-154, see `squarable`) whatever the numerator, and `arcsin` of a
@@ -132,8 +134,14 @@ def _overflows(b, exponent) -> bool:
 def power(u, exponent):
     """``u ** exponent`` of a float, a dual or an array (Python's ``**`` on each element).
 
-    A result too large for a float raises DomainError, where Python's
-    ``**`` raises OverflowError."""
+    A fractional power of a negative base, a negative power of zero and a
+    result too large for a float raise DomainError, where Python's ``**``
+    returns a complex number or raises ZeroDivisionError or OverflowError."""
+    base = real_value(u)
+    if exponent % 1:  # a fractional exponent
+        _guard(base < 0.0, "pow", base, f"fractional power {exponent} of a negative base")
+    if exponent < 0:
+        _guard(base == 0.0, "pow", base, f"negative power {exponent} of zero")
     try:
         return _map(lambda b: b**exponent, u)
     except OverflowError:  # Python's ** raises it where a finite base's power is too large
@@ -230,11 +238,6 @@ class DualScalar:
             raise TypeError("dual powers require a numeric exponent")
         if exponent == 0:
             return DualScalar(self.value**0, 0.0)
-        base = real_value(self)
-        if exponent != int(exponent):
-            _guard(base < 0.0, "pow", base, f"fractional power {exponent} of a negative base")
-        if exponent < 0:
-            _guard(base == 0.0, "pow", base, f"negative power {exponent} of zero")
         return DualScalar(
             power(self.value, exponent),
             exponent * power(self.value, exponent - 1) * self.derivative,
@@ -362,18 +365,26 @@ def atan2(y, x):
     return _map(math.atan2, y, x)
 
 
+def _split(result):
+    """(value, derivative) of one result of a directional pass; a constant has derivative 0."""
+    if isinstance(result, DualScalar):
+        return result.value, result.derivative
+    return result, 0.0
+
+
 def directional(f, args, direction):
     """Value of ``f(*args)`` and its derivative along ``direction``.
 
     One forward pass; both ``args`` and ``direction`` entries may be duals
     (the latter happens when an outer differentiation supplies the
-    direction, e.g. in total-derivative contractions).
+    direction, e.g. in total-derivative contractions).  A tuple-valued
+    ``f`` gives a tuple of values and one of derivatives, read off as a
+    lone result's.
     """
-    seeded = tuple(DualScalar(a, d) for a, d in zip(args, direction))
-    result = f(*seeded)
-    if isinstance(result, DualScalar):
-        return result.value, result.derivative
-    return result, 0.0
+    result = f(*map(DualScalar, args, direction))
+    if isinstance(result, tuple):
+        return tuple(zip(*map(_split, result))) or ((), ())
+    return _split(result)
 
 
 def _depth(u) -> int:
@@ -414,8 +425,10 @@ def value_and_gradn(f, args):
     equals ``f(*args)`` bitwise; a dual divided by a plain number is
     multiplied by its reciprocal, though, and a dual's ``**`` is Python's
     on each element, so an ``f`` using those may differ from its plain
-    evaluation in the last place.  ``f`` must not give its result more
-    axes than its arguments have (ValueError).  Domain failures are
+    evaluation in the last place.  A tuple-valued ``f`` gives a tuple of
+    values and a tuple of gradients, each read off as a lone result's (a
+    constant's gradient is ``(0.0,) * n``).  ``f`` must not give its result
+    more axes than its arguments have (ValueError).  Domain failures are
     re-raised as in :func:`gradn`.
     """
     n = len(args)
@@ -435,14 +448,20 @@ def value_and_gradn(f, args):
             err.func, err.argument,
             f"at evaluation point {point!r}, index {err.index}", err.index,
         ) from err
-    if not isinstance(result, DualScalar):
-        return result, (0.0,) * n
-    return result.value, tuple(_directions(result.derivative, n, depth))
+
+    def split(r):
+        if not isinstance(r, DualScalar):
+            return r, (0.0,) * n
+        return r.value, tuple(_directions(r.derivative, n, depth))
+
+    if isinstance(result, tuple):
+        return tuple(zip(*map(split, result))) or ((), ())
+    return split(result)
 
 
 def gradn(f, args):
-    """Gradient of a scalar function of ``len(args)`` reals, from the one
-    seeded pass of :func:`value_and_gradn`.
+    """Gradient of a function of ``len(args)`` reals (one per component of a
+    tuple), from the one seeded pass of :func:`value_and_gradn`.
 
     Exact to machine precision for compositions of the supported
     elementary functions, and bitwise equal to one pass per argument

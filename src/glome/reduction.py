@@ -98,10 +98,8 @@ def omega_prime(j: chart.Jet1 | chart.JetColumns):
     (1, y_x).  Raises InversionDomain where tau is stationary; over
     JetColumns the result is an array with NaN at those samples.
     """
-    args = (j.x, j.y)
-    direction = (1.0, j.y_x)
-    _, d_omega = directional(omega_coordinate, args, direction)
-    _, d_tau = directional(tau_coordinate, args, direction)
+    _, (d_omega, d_tau) = directional(lambda x, y: (omega_coordinate(x, y), tau_coordinate(x, y)),
+                                      (j.x, j.y), (1.0, j.y_x))
     if isinstance(d_tau, np.ndarray):
         return np.divide(d_omega, d_tau, out=np.full(d_tau.shape, np.nan), where=d_tau != 0.0)
     if d_tau == 0.0:

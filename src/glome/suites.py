@@ -277,8 +277,7 @@ def suite_flow(cfg: RunConfig) -> list[CheckResult]:
     # invariant coordinate is annihilated by the generator's (xi, phi)
     xs, ys = x[off], y[off]
     _, d_omega = jetcalc.directional(
-        reduction.omega_coordinate, (xs, ys), (jetcalc.sin(ys), -jetcalc.tan(xs) * jetcalc.cos(ys))
-    )
+        reduction.omega_coordinate, (xs, ys), symmetries.chi(3).coefficients(xs, ys, 0.0)[:2])
     return [
         _result(cfg, "flow_omega_invariance", worst_omega),
         _result(cfg, "flow_tau_shift", worst_tau),

@@ -15,14 +15,14 @@ The evaluations are coordinate-generic.  A residual function given a
 Jet1 returns numpy arrays over the samples, and each element
 equals the result for that sample alone bitwise.  The suites use that to
 evaluate each check in one array-valued dual pass.  Each fact is evaluated
-once: a coefficient's value and its three first partials come from one
-seeded pass (jetcalc.value_and_gradn), in the prolongations, the
-determining equations and the bracket table; the bracket table takes each
-generator's coefficients and gradients once for all 36 brackets (18
-value_and_gradn calls) and matches every bracket against the 13
-candidates, evaluated once and stacked, in one broadcast reduction;
-general_symmetry takes column weights, so that many random combinations,
-each over its own points, evaluate in one pass.
+once: a field's coefficients and their first partials come from one
+seeded pass (jetcalc.value_and_gradn), the second prolongation takes the
+first and its total derivative from one directional pass, and the
+bracket table takes each generator's coefficients and gradients once for
+all 36 brackets (6 value_and_gradn calls) and matches every bracket
+against the 13 candidates, evaluated once and stacked, in one broadcast
+reduction; general_symmetry takes column weights, so that many random
+combinations, each over its own points, evaluate in one pass.
 """
 
 from __future__ import annotations
@@ -184,10 +184,8 @@ def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
     The second-order jet terms cancel identically in this expansion, so
     only first partials of the coefficients appear.
     """
-    p = (x, y, v)
-    xi_val, (xi_x, xi_y, xi_v) = value_and_gradn(V.xi, p)
-    phi_val, (phi_x, phi_y, phi_v) = value_and_gradn(V.phi, p)
-    eta_val, (eta_x, eta_y, eta_v) = value_and_gradn(V.eta, p)
+    (xi_val, phi_val, eta_val), grads = value_and_gradn(V.coefficients, (x, y, v))
+    (xi_x, xi_y, xi_v), (phi_x, phi_y, phi_v), (eta_x, eta_y, eta_v) = grads
     total_xi = xi_x + xi_y * y_x + xi_v * v_x
     phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
     eta_pr = eta_x + eta_y * y_x + eta_v * v_x - total_xi * v_x
@@ -227,10 +225,8 @@ def determining_residuals(V: VectorField3, p: ChartPoint | chart.JetColumns):
       (f) eta_y cos^2 x cos^2 y + phi_v cos^2 x
     """
     x, y, v = p.x, p.y, p.v
-    point = (x, y, v)
-    xi_val, (xi_x, xi_y, xi_v) = value_and_gradn(V.xi, point)
-    phi_val, (phi_x, phi_y, phi_v) = value_and_gradn(V.phi, point)
-    eta_x, eta_y, eta_v = gradn(V.eta, point)
+    (xi_val, phi_val, _), grads = value_and_gradn(V.coefficients, (x, y, v))
+    (xi_x, xi_y, xi_v), (phi_x, phi_y, phi_v), (eta_x, eta_y, eta_v) = grads
     cx, sx = cos(x), sin(x)
     cy, sy = cos(y), sin(y)
     return (
@@ -340,14 +336,11 @@ def _bracket_values(x, y, v) -> list[list[np.ndarray]]:
     """The (n, 3) values of [chi_i, chi_j] at n points, in row i - 1 and
     column j - 1.
 
-    Each generator coefficient's value and gradient come from one seeded
-    pass (18 value_and_gradn calls) and are combined by lie_bracket's
+    Each generator's three coefficients and their gradients come from one
+    seeded pass (6 value_and_gradn calls) and are combined by lie_bracket's
     formula, so every value equals lie_bracket's bitwise.
     """
-    point = (x, y, v)
-    passes = [[value_and_gradn(c, point) for c in (F.xi, F.phi, F.eta)] for F in _CHI]
-    coeffs = [[value for value, _ in row] for row in passes]
-    grads = [[grad for _, grad in row] for row in passes]
+    coeffs, grads = zip(*(value_and_gradn(F.coefficients, (x, y, v)) for F in _CHI))
     return [
         [_stack3([_bracket_component(Xc, Yc, dY[c], dX[c]) for c in range(3)], x.shape)
          for Yc, dY in zip(coeffs, grads)]
@@ -404,25 +397,14 @@ def prolong2_apply(V: VectorField3, F, j: chart.JetColumns):
         eta^xx = D_x(eta^x) - v_xx D_x(xi)
 
     with the total derivative D_x expanded through second-order jet
-    variables.  The result is (pr2 V)(F) evaluated at j: a float at the
-    float slots of chart.jet2, an array over the samples of array slots.
+    variables, all from one directional pass of the first prolongation.
+    The result is (pr2 V)(F) evaluated at j: a float at the float slots of
+    chart.jet2, an array over the samples of array slots.
     """
     x, y, v, y_x, v_x = j.x, j.y, j.v, j.y_x, j.v_x
     y_xx, v_xx = j.y_xx, j.v_xx
-    xi, phi, eta, phi_pr, eta_pr = _prolong1_values(V, x, y, v, y_x, v_x)
-    _, dxi_total = directional(V.xi, (x, y, v), (1.0, y_x, v_x))
-
-    jet_args = (x, y, v, y_x, v_x)
-    jet_dir = (1.0, y_x, v_x, y_xx, v_xx)
-
-    def phi_pr_fn(*a):
-        return _prolong1_values(V, *a)[3]
-
-    def eta_pr_fn(*a):
-        return _prolong1_values(V, *a)[4]
-
-    _, dx_phi_pr = directional(phi_pr_fn, jet_args, jet_dir)
-    _, dx_eta_pr = directional(eta_pr_fn, jet_args, jet_dir)
+    (xi, phi, eta, phi_pr, eta_pr), (dxi_total, _, _, dx_phi_pr, dx_eta_pr) = directional(
+        lambda *a: _prolong1_values(V, *a), (x, y, v, y_x, v_x), (1.0, y_x, v_x, y_xx, v_xx))
     phi_pr2 = dx_phi_pr - y_xx * dxi_total
     eta_pr2 = dx_eta_pr - v_xx * dxi_total
 

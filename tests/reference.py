@@ -1,9 +1,11 @@
 """Oracles that the tests check glome against and glome itself does not
 call: the two Euler-Lagrange expressions on second-order jets, the forward
 reduced relation omega'(tau) from alpha, sums and scalar multiples of
-vector fields, and the gradient taken one dual pass per argument; and the
-test of whether numpy's sin and cos round like the platform's libm, which
-the tests of pinned bits depend on."""
+vector fields, the gradient taken one dual pass per argument (and, for a
+tuple-valued function, per component), and the second prolongation that
+evaluates the first one three times; and the test of whether numpy's sin
+and cos round like the platform's libm, which the tests of pinned bits
+depend on."""
 
 import math
 
@@ -114,3 +116,45 @@ def gradn(f, args):
             f"at evaluation point {point!r}, index {err.index}", err.index,
         ) from err
     return tuple(out)
+
+
+def value_and_gradn(f, args):
+    """``f(*args)`` and its gradient from a plain evaluation and
+    :func:`gradn`; a tuple-valued ``f`` is taken component by component,
+    each with its own plain value and its own per-direction passes."""
+    value = f(*args)
+    if not isinstance(value, tuple):
+        return value, gradn(f, args)
+    parts = [lambda *a, i=i: f(*a)[i] for i in range(len(value))]
+    return tuple(part(*args) for part in parts), tuple(gradn(part, args) for part in parts)
+
+
+def prolong1_values(V: sym.VectorField3, x, y, v, y_x, v_x):
+    """The first prolongation (xi, phi, eta, phi^x, eta^x) at a jet, one
+    value_and_gradn pass per coefficient."""
+    p = (x, y, v)
+    xi_val, (xi_x, xi_y, xi_v) = value_and_gradn(V.xi, p)
+    phi_val, (phi_x, phi_y, phi_v) = value_and_gradn(V.phi, p)
+    eta_val, (eta_x, eta_y, eta_v) = value_and_gradn(V.eta, p)
+    total_xi = xi_x + xi_y * y_x + xi_v * v_x
+    phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
+    eta_pr = eta_x + eta_y * y_x + eta_v * v_x - total_xi * v_x
+    return xi_val, phi_val, eta_val, phi_pr, eta_pr
+
+
+def prolong2_apply(V: sym.VectorField3, F, j):
+    """(pr2 V)(F) at j, evaluating the first prolongation three times: once
+    for its values and once for each of D_x(phi^x) and D_x(eta^x), with a
+    fourth pass for D_x(xi)."""
+    x, y, v, y_x, v_x = j.x, j.y, j.v, j.y_x, j.v_x
+    y_xx, v_xx = j.y_xx, j.v_xx
+    xi, phi, eta, phi_pr, eta_pr = prolong1_values(V, x, y, v, y_x, v_x)
+    _, dxi_total = directional(V.xi, (x, y, v), (1.0, y_x, v_x))
+    jet_args = (x, y, v, y_x, v_x)
+    jet_dir = (1.0, y_x, v_x, y_xx, v_xx)
+    _, dx_phi_pr = directional(lambda *a: prolong1_values(V, *a)[3], jet_args, jet_dir)
+    _, dx_eta_pr = directional(lambda *a: prolong1_values(V, *a)[4], jet_args, jet_dir)
+    phi_pr2 = dx_phi_pr - y_xx * dxi_total
+    eta_pr2 = dx_eta_pr - v_xx * dxi_total
+    coeffs7 = (xi, phi, eta, phi_pr, eta_pr, phi_pr2, eta_pr2)
+    return directional(F, (x, y, v, y_x, v_x, y_xx, v_xx), coeffs7)[1]

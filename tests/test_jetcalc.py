@@ -293,6 +293,25 @@ def test_power_overflow_is_a_domain_error():
     assert jc.power(math.inf, 2) == math.inf  # an infinite base is not an overflow
 
 
+@pytest.mark.parametrize("base, exponent, message, index", [
+    (0.0, -1, "pow evaluated at 0.0 (negative power -1 of zero)", None),
+    (np.array([1.0, 0.0]), -1, "pow evaluated at 0.0 (negative power -1 of zero at index (1,))",
+     (1,)),
+    (-1.0, 0.5, "pow evaluated at -1.0 (fractional power 0.5 of a negative base)", None),
+    (np.array([1.0, -1.0]), 0.5,
+     "pow evaluated at -1.0 (fractional power 0.5 of a negative base at index (1,))", (1,)),
+])
+def test_power_of_a_float_an_array_and_a_dual_meets_one_domain_rule(base, exponent, message, index):
+    # plain Python ** raises ZeroDivisionError or returns a complex number here
+    for u in (base, jc.DualScalar(base, 1.0)):
+        with pytest.raises(jc.DomainError) as err:
+            jc.power(u, exponent)
+        assert str(err.value) == message and err.value.index == index
+    with pytest.raises(jc.DomainError) as err:
+        jc.DualScalar(base, 1.0) ** exponent
+    assert str(err.value) == message
+
+
 def test_dual_through_composed_functions_matches_fd():
     def f(x):
         return jc.arctan(jc.tan(x) * jc.sec(x)) + jc.sqrt(1.0 + x * x)

@@ -278,6 +278,24 @@ def test_bracket_table_requires_samples():
         sym.bracket_table(samples=5)
 
 
+def _counting(monkeypatch, name: str) -> list:
+    """Record each call of the symmetries module's binding ``name``."""
+    calls, real = [], getattr(sym, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sym, name, counted)
+    return calls
+
+
+def test_bracket_table_takes_one_gradient_pass_per_generator(monkeypatch):
+    passes = _counting(monkeypatch, "value_and_gradn")
+    sym.bracket_table(samples=10)
+    assert len(passes) == 6
+
+
 def test_identify_rejects_scaled_candidate():
     points = chart.sample_domain(30, 0.1, seed=15)
     with pytest.raises(sym.AmbiguousIdentification):
@@ -316,6 +334,14 @@ def test_prolong2_translation_on_v_independent_function():
 
     j2 = chart.jet2(0.3, 0.1, 2.0, 0.4, -0.2, 0.6, 0.9)
     assert sym.prolong2_apply(sym.chi(6), F, j2) == 0.0
+
+
+def test_prolong2_evaluates_the_first_prolongation_once(monkeypatch):
+    prolongations = _counting(monkeypatch, "_prolong1_values")
+    passes = _counting(monkeypatch, "value_and_gradn")
+    F = geodesics.collapsed_fn(0.25)
+    sym.prolong2_apply(sym.chi(1), F, chart.jet2(0.3, 0.1, 2.0, 0.4, -0.2, 0.6, 0.9))
+    assert len(prolongations) == 1 and len(passes) == 1
 
 
 def test_prolong2_constant_field_on_curvature_slot():
