@@ -131,17 +131,15 @@ def cmd_integrate(args) -> int:
     traj = None
     try:
         traj = geodesics.integrate(j0, args.x_end, args.step)
-    except geodesics.DomainExit as err:
-        status, detail, traj = "DomainExit", str(err), err.trajectory
-    except geodesics.SingularSystem as err:
-        status, detail, traj = "SingularSystem", str(err), err.trajectory
+    except (geodesics.DomainExit, geodesics.SingularSystem) as err:
+        status, detail, traj = type(err).__name__, str(err), err.trajectory
 
     sidecar = {"status": status, "initial": initial, "x_end": args.x_end,
                "step": args.step}
     if detail:
         sidecar["detail"] = detail
     written = [sidecar_path]
-    if traj is not None and len(traj) > 0:
+    if traj is not None:
         traj.to_csv(out)
         written.insert(0, out)
         sidecar["samples"] = len(traj)

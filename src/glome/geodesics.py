@@ -86,12 +86,6 @@ class KConstant:
         return float(self.k)
 
 
-# The integrand as a function of the four live jet slots (v never enters;
-# that independence is exactly what makes the charge conserved).
-def _L(x, y, y_x, v_x):
-    return chart.arc_speed(x, y, y_x, v_x)
-
-
 # Inner seeds of the one-pass core: row i holds argument i's component of
 # the directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x).
 _INNER = np.eye(4)[:, 1:]
@@ -103,8 +97,10 @@ def _curvatures(x, y, y_x, v_x):
     The arguments are floats, or equal-shape arrays with one state per
     element (x may stay a float shared by all of them).  The equations
     L_y - D_x(L_{y_x}) = 0 and L_v - D_x(L_{v_x}) = 0 are linear in the
-    curvatures once the total derivatives are expanded.  One nested dual
-    evaluation of the integrand, seeded with the inner directions
+    curvatures once the total derivatives are expanded.  The integrand
+    :func:`chart.arc_speed` takes the four slots x, y, y_x, v_x: v never
+    enters, so L_v vanishes and the charge is conserved.  One nested dual
+    evaluation of it, seeded with the inner directions
     (E_Y, E_YX, E_VX) and the outer directions (the known part of D_x,
     E_YX, E_VX) along two leading array axes, yields L_y and all six mixed
     second partials; Cramer's rule then runs element by element.  Each
@@ -120,7 +116,8 @@ def _curvatures(x, y, y_x, v_x):
     outer[2, 1] = 1.0
     outer[3, 2] = 1.0
     inner = _INNER.reshape((4, 3) + (1,) * len(shape))
-    partials, mixed = directional(lambda *a: directional(_L, a, inner)[1], (x, y, y_x, v_x), outer)
+    partials, mixed = directional(lambda *a: directional(chart.arc_speed, a, inner)[1],
+                                  (x, y, y_x, v_x), outer)
     L_y = partials[0]
     known_y, m11, m12 = mixed[:, 1]
     known_v, m21, m22 = mixed[:, 2]
@@ -319,12 +316,13 @@ def _x_of(x, c: int) -> float:
 def _stage(x, u: np.ndarray, failed: dict) -> np.ndarray:
     """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissae x for the states u (4, m).
 
-    x holds one abscissa per column, or is a float for a lone column.  A
-    column whose state leaves the chart, raises DomainError or meets a
-    singular system, in that order of precedence, is recorded in
-    ``failed`` (its first failure only: the ChartError, the DomainError or
-    the determinant) and gets zero slopes, so the later stages of the step
-    evaluate it at its step-start state.
+    x holds one abscissa per column, or is a float for a lone column.  One
+    ``failed`` record spans the four stages of a step.  A column whose
+    state leaves the chart, raises DomainError or meets a singular system,
+    in that order of precedence, is recorded there (its first failure in
+    the step only: the ChartError, the DomainError or the determinant) and
+    gets zero slopes, so the later stages of the step evaluate it at its
+    step-start state.
     """
     lim = chart.HALF_PI
     on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < lim) & (abs(x) < lim)
@@ -405,9 +403,10 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     which must lie in [MIN_STEP, MAX_STEP]).  All jets' rows share one
     buffer, allocated for each jet only up to its pole margin, so a far
     x_end costs no memory it cannot use.  Each step's first stage is the
-    curvature at its sample, so a trajectory keeps it; a jet leaves the
-    batch right after that stage at its final sample, and the later
-    stages run only on the jets still stepping.
+    curvature at its sample, so a trajectory keeps it.  The four stages
+    of a step share one failure record, and the jets the step stops leave
+    the batch together at its end; a jet at its final sample rides that
+    step too.
 
     Returns one entry per jet: its Trajectory, or the exception that
     stopped it -- DomainExit when the jet starts outside the 0.05 rad pole
@@ -415,7 +414,13 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     or has a stage leave the chart; SingularSystem when the
     Euler-Lagrange system degenerates.  Both carry the partial trajectory
     integrated so far (None when the jet never started).  A stopped jet
-    freezes; the others continue.
+    freezes; the others continue.  At step i the first of these that
+    applies wins, and a partial trajectory holds rows 0..i:
+
+    1. a stage-1 failure raises its exception at x_i;
+    2. a jet at its final sample is a complete Trajectory, with curvature;
+    3. a stage 2-4 failure raises its exception at x_i;
+    4. a margin breach or a non-finite state raises DomainExit at x_{i+1}.
     """
     for s in np.ravel(step).tolist():
         if not MIN_STEP <= abs(s) <= MAX_STEP:
@@ -477,23 +482,13 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
             failed: dict = {}
             k1 = _stage(x, u, failed)
             curvature[at + i] = k1[2:].T
-            stopped = _stopped(failed, x)
-            if i in ends:
-                for c in np.flatnonzero(n[live] == i).tolist():
-                    stopped.setdefault(c, None)  # its final sample: the trajectory is complete
-            if stopped:
-                keep = retire(live, stopped, i)
-                live, u, k1 = live[keep], u[:, keep], k1[:, keep]
-                if not live.size:
-                    break
-                start, dx, at = gather(live)
-                x = start + i * dx if i else start
-            failed = {}
+            # at its final sample a jet that stage 1 passed is complete, whatever follows
+            complete = [c for c in np.flatnonzero(n[live] == i).tolist()
+                        if c not in failed] if i in ends else []
             k2 = _stage(x + 0.5 * dx, u + 0.5 * dx * k1, failed)
             k3 = _stage(x + 0.5 * dx, u + 0.5 * dx * k2, failed)
             k4 = _stage(x + dx, u + dx * k3, failed)
-            # a stage state left the chart (e.g. runaway slope) or the system degenerated
-            stopped = _stopped(failed, x)
+            stopped = {**_stopped(failed, x), **dict.fromkeys(complete)}
             u = u + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             x = start + (i + 1) * dx
             finite = np.isfinite(u).all(axis=0)
@@ -504,8 +499,6 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
             if stopped:
                 keep = retire(live, stopped, i)
                 live, u = live[keep], u[:, keep]
-                if not live.size:
-                    break
                 start, dx, at = gather(live)
                 x = start + (i + 1) * dx
             rows[at + i + 1, 0] = x

@@ -208,6 +208,7 @@ def variational_residual(V: VectorField3, j: Jet1 | chart.JetColumns):
     xi, phi, eta, phi_pr, eta_pr = _prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
     args = (j.x, j.y, j.v, j.y_x, j.v_x)
     lam, applied = directional(_lagrangian5, args, (xi, phi, eta, phi_pr, eta_pr))
+    # its own pass: the D_x(xi) that _prolong1_values sums differs in the last bit for chi1, chi2
     _, dxi_total = directional(V.xi, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))
     return applied + lam * dxi_total
 

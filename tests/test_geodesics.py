@@ -354,12 +354,14 @@ def _same_outcome(got, want):
     (0.0, [(1.5, 0.0, 20.0, 0.0)], 0.5, 1e-2),
     # singular Euler-Lagrange system at the first sample
     (0.5, [(0.5, 0.0, 1e8, 1e8)], 0.6, 1e-3),
+    # singular at its only sample (x_end = x0): the failure wins over completion
+    (0.5, [(0.5, 0.0, 1e8, 1e8)], 0.5, 1e-3),
     # already outside the margin, and a turning point (singular at x = pi/4)
     (0.0, [(1.54, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)], 0.8, 1e-3),
     # slopes whose integrand overflows: a row Trajectory refuses
     (0.0, [(0.3, 0.0, 1e200, 0.0)], 0.5, 1e-3),
-], ids=["margin", "stage_off_chart", "singular", "initial_and_turning_point",
-        "initial_integrand_overflow"])
+], ids=["margin", "stage_off_chart", "singular", "singular_at_final_sample",
+        "initial_and_turning_point", "initial_integrand_overflow"])
 def test_integrate_batch_freezes_only_the_failing_jet(x0, others, x_end, step):
     healthy = [(0.1, 0.0, 0.2, 0.3), (-0.2, 1.0, -0.1, 0.0)]
     jets = [chart.jet1(x0, *healthy[0]), *(chart.jet1(x0, *o) for o in others),
@@ -370,6 +372,21 @@ def test_integrate_batch_freezes_only_the_failing_jet(x0, others, x_end, step):
     assert all(isinstance(r, (geo.DomainExit, geo.SingularSystem)) for r in results[1:-1])
     for j0, got in zip(jets, results):
         _same_outcome(got, _lone(j0, x_end, step))
+
+
+def test_integrate_batch_completion_wins_over_a_later_stage_failure():
+    # x_end = x0 makes the first sample final (realized step 0); the last jet's
+    # final step starts at y = 1.50 with slope 20, so its stage 2 lands at
+    # y = 1.60, off the chart, after stage 1 found it complete
+    jets = [chart.jet1(0.0, 0.1, 0.0, 0.2, 0.3), chart.jet1(0.0, 1.5, 0.0, 20.0, 0.0),
+            chart.jet1(0.0, -0.2, 1.0, 0.1, 0.0), chart.jet1(0.0, 1.3, 0.0, 20.0, 0.0)]
+    x_end = [0.0, 0.0, 0.01, 0.01]
+    results = geo.integrate_batch(jets, x_end, 1e-2)
+    assert all(isinstance(r, geo.Trajectory) for r in results)
+    assert [len(r) for r in results] == [1, 1, 2, 2]
+    for j0, e, got in zip(jets, x_end, results):
+        assert got.curvature is not None
+        _same_outcome(got, _lone(j0, e, 1e-2))
 
 
 def test_integrate_batch_isolates_a_domain_error(monkeypatch):
