@@ -109,7 +109,8 @@ def arc_speed(x, y, y_x, v_x):
     """
     cx = jetcalc.cos(x)
     cy = jetcalc.cos(y)
-    return jetcalc.sqrt(1.0 + cx * cx * y_x * y_x + cx * cx * cy * cy * v_x * v_x)
+    ccx = cx * cx
+    return jetcalc.sqrt(1.0 + ccx * y_x * y_x + ccx * cy * cy * v_x * v_x)
 
 
 def lagrangian(j: Jet1 | JetColumns):

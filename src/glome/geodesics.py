@@ -86,9 +86,12 @@ class KConstant:
         return float(self.k)
 
 
-# Inner seeds of the one-pass core: row i holds argument i's component of
-# the directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x).
+# Seeds of the one-pass core: row i holds argument i's component of the
+# inner directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x),
+# and of the outer directions (E_X, E_YX, E_VX), whose first one becomes
+# the known part of D_x once y's entry is set to y_x.
 _INNER = np.eye(4)[:, 1:]
+_OUTER = np.eye(4)[:, [0, 2, 3]]
 
 
 def _curvatures(x, y, y_x, v_x):
@@ -110,12 +113,11 @@ def _curvatures(x, y, y_x, v_x):
     floating-point warnings for such states.
     """
     shape = np.shape(y)
-    outer = np.zeros((4, 3, 1) + shape)  # argument, outer direction, (inner), batch
-    outer[0, 0] = 1.0
+    ones = (1,) * len(shape)
+    outer = np.empty((4, 3, 1) + shape)  # argument, outer direction, (inner), batch
+    outer[...] = _OUTER.reshape((4, 3, 1) + ones)
     outer[1, 0] = y_x
-    outer[2, 1] = 1.0
-    outer[3, 2] = 1.0
-    inner = _INNER.reshape((4, 3) + (1,) * len(shape))
+    inner = _INNER.reshape((4, 3) + ones)
     partials, mixed = directional(lambda *a: directional(chart.arc_speed, a, inner)[1],
                                   (x, y, y_x, v_x), outer)
     L_y = partials[0]
@@ -313,6 +315,11 @@ def _x_of(x, c: int) -> float:
     return float(x[c]) if np.ndim(x) else float(x)
 
 
+def _everywhere(test) -> bool:
+    """A float's test, or whether an array's test holds at every element."""
+    return test.all() if isinstance(test, np.ndarray) else test
+
+
 def _stage(x, u: np.ndarray, failed: dict) -> np.ndarray:
     """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissae x for the states u (4, m).
 
@@ -322,24 +329,24 @@ def _stage(x, u: np.ndarray, failed: dict) -> np.ndarray:
     in that order of precedence, is recorded there (its first failure in
     the step only: the ChartError, the DomainError or the determinant) and
     gets zero slopes, so the later stages of the step evaluate it at its
-    step-start state.
+    step-start state.  Each column test first runs once over the whole
+    batch (a nan fails it), and column by column only where that fails.
     """
     lim = chart.HALF_PI
-    on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < lim) & (abs(x) < lim)
-    if not on_chart.all():
+    if not (np.isfinite(u).all() and np.abs(u[0]).max() < lim and _everywhere(abs(x) < lim)):
+        on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < lim) & (abs(x) < lim)
         for c in np.flatnonzero(~on_chart).tolist():
             if c not in failed:
                 try:
                     chart.jet1(_x_of(x, c), *u[:, c].tolist())  # raises with the chart's message
                 except chart.ChartError as err:
                     failed[c] = err
-    args = (u[0], u[2], u[3])
-    if u.shape[1] == 1:
-        args = tuple(a.item() for a in args)  # a lone state runs faster on floats
+    # a lone state runs faster on floats
+    y, _, y_x, v_x = u[:, 0].tolist() if u.shape[1] == 1 else u
     k = np.empty_like(u)
-    k[0], k[1] = u[2], u[3]
+    k[:2] = u[2:]
     try:
-        k[2], k[3], det = _curvatures(x, *args)
+        k[2], k[3], det = _curvatures(x, y, y_x, v_x)
     except jetcalc.DomainError:
         # isolate the offending columns; each one alone repeats its own arithmetic
         det = np.ones(u.shape[1])
@@ -350,9 +357,8 @@ def _stage(x, u: np.ndarray, failed: dict) -> np.ndarray:
                                                              u[3, one])
             except jetcalc.DomainError as err:
                 failed.setdefault(c, err)
-    singular = np.abs(det) < DET_FLOOR
-    if singular.any():
-        for c in np.flatnonzero(singular).tolist():
+    if not _everywhere(abs(det) >= DET_FLOOR):  # a nan determinant is not singular
+        for c in np.flatnonzero(np.abs(det) < DET_FLOOR).tolist():
             failed.setdefault(c, float(np.ravel(det)[c]))
     if failed:
         k[:, list(failed)] = 0.0
@@ -485,17 +491,23 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
             # at its final sample a jet that stage 1 passed is complete, whatever follows
             complete = [c for c in np.flatnonzero(n[live] == i).tolist()
                         if c not in failed] if i in ends else []
-            k2 = _stage(x + 0.5 * dx, u + 0.5 * dx * k1, failed)
-            k3 = _stage(x + 0.5 * dx, u + 0.5 * dx * k2, failed)
+            half = 0.5 * dx
+            mid = x + half
+            k2 = _stage(mid, u + half * k1, failed)
+            k3 = _stage(mid, u + half * k2, failed)
             k4 = _stage(x + dx, u + dx * k3, failed)
-            stopped = {**_stopped(failed, x), **dict.fromkeys(complete)}
+            stopped = {}
+            if failed or complete:
+                stopped = {**_stopped(failed, x), **dict.fromkeys(complete)}
             u = u + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             x = start + (i + 1) * dx
-            finite = np.isfinite(u).all(axis=0)
-            inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
-            for c in np.flatnonzero(~(finite & inside)).tolist():
-                detail = "" if finite[c] else "state became non-finite"
-                stopped.setdefault(c, DomainExit(_x_of(x, c), detail))
+            if not (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
+                    and _everywhere(abs(x) <= lim)):
+                finite = np.isfinite(u).all(axis=0)
+                inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
+                for c in np.flatnonzero(~(finite & inside)).tolist():
+                    detail = "" if finite[c] else "state became non-finite"
+                    stopped.setdefault(c, DomainExit(_x_of(x, c), detail))
             if stopped:
                 keep = retire(live, stopped, i)
                 live, u = live[keep], u[:, keep]

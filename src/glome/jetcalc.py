@@ -164,9 +164,13 @@ def squarable(den):
 def _check_divisor(den, dual: bool) -> None:
     """Raise DomainError where the real part ``den`` of a divisor is zero or,
     for a ``dual`` divisor, too small to square."""
+    if dual:
+        tiny = abs(den) < _SQUARE_UNDERFLOW  # zero included, so one test clears most divisors
+        if not (np.count_nonzero(tiny) if isinstance(tiny, _ndarray) else tiny):
+            return
     _guard(den == 0.0, "divide", den, "zero denominator")
     if dual:
-        _guard(abs(den) < _SQUARE_UNDERFLOW, "divide", den, "squared denominator underflows")
+        _guard(tiny, "divide", den, "squared denominator underflows")
 
 
 class DualScalar:

@@ -1,5 +1,7 @@
 """Oracles that the tests check glome against and glome itself does not
-call: the two Euler-Lagrange expressions on second-order jets, the forward
+call: the two Euler-Lagrange expressions on second-order jets, the
+Euler-Lagrange kernel frozen as it was first written and the geodesic
+equation from the Christoffel symbols of the chart metric, the forward
 reduced relation omega'(tau) from alpha, sums and scalar multiples of
 vector fields, the gradient taken one dual pass per argument (and, for a
 tuple-valued function, per component), and the second prolongation that
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from glome import chart
+from glome import chart, jetcalc
 from glome import reduction as red
 from glome import symmetries as sym
 from glome.jetcalc import DomainError, DualScalar, directional
@@ -44,6 +46,65 @@ def el_expression_v(x, y, v, y_x, v_x, y_xx, v_xx):
     q = (x, y, y_x, v_x)
     _, total = directional(_L_vx, q, (1.0, y_x, y_xx, v_xx))
     return 0.0 - total
+
+
+def _arc_speed(x, y, y_x, v_x):
+    """chart.arc_speed as first written: cos^2 x is formed in each term."""
+    cx = jetcalc.cos(x)
+    cy = jetcalc.cos(y)
+    return jetcalc.sqrt(1.0 + cx * cx * y_x * y_x + cx * cx * cy * cy * v_x * v_x)
+
+
+_INNER = np.eye(4)[:, 1:]
+
+
+def curvatures(x, y, y_x, v_x):
+    """(y_xx, v_xx, det) as geodesics._curvatures first computed them, with
+    its own copy of the integrand: any faster form of the kernel must
+    repeat these floating-point operations bitwise."""
+    shape = np.shape(y)
+    outer = np.zeros((4, 3, 1) + shape)  # argument, outer direction, (inner), batch
+    outer[0, 0] = 1.0
+    outer[1, 0] = y_x
+    outer[2, 1] = 1.0
+    outer[3, 2] = 1.0
+    inner = _INNER.reshape((4, 3) + (1,) * len(shape))
+    partials, mixed = directional(lambda *a: directional(_arc_speed, a, inner)[1],
+                                  (x, y, y_x, v_x), outer)
+    L_y = partials[0]
+    known_y, m11, m12 = mixed[:, 1]
+    known_v, m21, m22 = mixed[:, 2]
+    b1 = L_y - known_y
+    b2 = 0.0 - known_v  # L_v vanishes identically
+    det = m11 * m22 - m12 * m21
+    y_xx = (b1 * m22 - b2 * m12) / det
+    v_xx = (m11 * b2 - m21 * b1) / det
+    return y_xx, v_xx, det
+
+
+def christoffel_curvatures(x, y, y_x, v_x, digits=40):
+    """(y_xx, v_xx) of the geodesic through a state, parametrized by x, as
+    mpmath numbers at ``digits`` significant digits.
+
+    The chart metric is dx^2 + cos^2x dy^2 + cos^2x cos^2y dv^2; with
+    A^i = -Gamma^i_ab q'^a q'^b along q' = (1, y_x, v_x), a geodesic in the
+    parameter x obeys y'' = A^y - y' A^x and v'' = A^v - v' A^x, where
+
+        A^x = -sin x cos x (y'^2 + cos^2y v'^2)
+        A^y = 2 tan x y' - sin y cos y v'^2
+        A^v = 2 tan x v' + 2 tan y y' v'
+
+    No dual number and no code of glome enters.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        x, y, y_x, v_x = (mpmath.mpf(float(a)) for a in (x, y, y_x, v_x))
+        cy = mpmath.cos(y)
+        a_x = -mpmath.sin(x) * mpmath.cos(x) * (y_x**2 + cy**2 * v_x**2)
+        a_y = 2 * mpmath.tan(x) * y_x - mpmath.sin(y) * cy * v_x**2
+        a_v = 2 * mpmath.tan(x) * v_x + 2 * mpmath.tan(y) * y_x * v_x
+        return a_y - y_x * a_x, a_v - v_x * a_x
 
 
 def reduced_omega_prime(tau: float, omega: float, alpha, k, branch="+") -> float:

@@ -266,6 +266,17 @@ def test_integrate_backward_matches_great_circle():
     assert geo.endpoint_error_vs_great_circle(traj) < 1e-7
 
 
+def test_integrate_observed_order_is_four():
+    # each halving of the step divides the endpoint error by about 2^4 = 16
+    # (15.6 and 15.9 here); a third-order slip such as k4 taken from k2
+    # gives about 8, under every tolerance of the report
+    j0 = chart.jet1(0.0, 0.0, 0.0, 0.4, 0.7)
+    errors = [geo.endpoint_error_vs_great_circle(geo.integrate(j0, 0.8, step))
+              for step in (1e-2, 5e-3, 2.5e-3)]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(14.0 <= r <= 18.0 for r in ratios), (errors, ratios)
+
+
 def test_integrate_step_validation():
     j0 = chart.jet1(0.0, 0.0, 0.0, 0.1, 0.1)
     with pytest.raises(ValueError):
