@@ -11,7 +11,7 @@ Submodules:
 - :mod:`glome.cli`: the `glome` command-line entry point
 """
 
-from .chart import ChartPoint, Jet1, embed, lagrangian, sample_domain
+from .chart import embed, lagrangian, sample_domain
 from .geodesics import (
     DomainExit,
     KConstant,
@@ -54,12 +54,10 @@ __all__ = [
     "AmbiguousIdentification",
     "BracketTable",
     "BranchExit",
-    "ChartPoint",
     "DomainError",
     "DomainExit",
     "DualScalar",
     "InversionDomain",
-    "Jet1",
     "KConstant",
     "OutOfRange",
     "SingularSystem",

@@ -14,7 +14,6 @@ unnormalized (trajectories must not jump at the 2*pi seam); reduce mod
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,61 +29,50 @@ class ChartError(ValueError):
     """A chart point or jet fails validation (non-finite or off the open chart)."""
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of the open chart: |x| < pi/2, |y| < pi/2, v any real."""
+class JetColumns(NamedTuple):
+    """n chart points or jets held as one numpy column per jet slot.
 
-    x: float
-    y: float
-    v: float
+    The coordinate-generic functions (the symmetry residuals, the
+    integrand, the charge, omega') read only the slot values, so one
+    array-valued pass evaluates all n samples.  Slots a sample does not
+    fix hold 0.0.  With a float in every slot it is one chart point or
+    jet: :func:`jet1` and :func:`jet2` build those, validated.
+    """
 
-    def __post_init__(self):
-        for name in ("x", "y", "v"):
-            if not math.isfinite(getattr(self, name)):
-                raise ChartError(f"ChartPoint.{name} must be finite")
-        if abs(self.x) >= HALF_PI or abs(self.y) >= HALF_PI:
-            raise ChartError(
-                f"ChartPoint ({self.x}, {self.y}) outside the open chart domain"
-            )
-
-
-@dataclass(frozen=True)
-class Jet1:
-    """First-order jet: a chart point plus the slopes dy/dx and dv/dx."""
-
-    base: ChartPoint
-    y_x: float
-    v_x: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.y_x) and math.isfinite(self.v_x)):
-            raise ChartError("Jet1 slopes must be finite")
-
-    @property
-    def x(self) -> float:
-        return self.base.x
-
-    @property
-    def y(self) -> float:
-        return self.base.y
-
-    @property
-    def v(self) -> float:
-        return self.base.v
+    x: np.ndarray | float
+    y: np.ndarray | float
+    v: np.ndarray | float
+    y_x: np.ndarray | float = 0.0
+    v_x: np.ndarray | float = 0.0
+    y_xx: np.ndarray | float = 0.0
+    v_xx: np.ndarray | float = 0.0
 
 
-def jet1(x: float, y: float, v: float, y_x: float, v_x: float) -> Jet1:
-    """Convenience constructor from five plain numbers."""
-    return Jet1(ChartPoint(x, y, v), y_x, v_x)
+def jet1(x, y, v, y_x, v_x) -> JetColumns:
+    """A validated chart point (zero slopes) or first-order jet from five
+    plain numbers, as float-valued JetColumns.
+
+    The open chart is |x| < pi/2, |y| < pi/2 with v any real; every slot
+    must be finite.
+    """
+    x, y, v, y_x, v_x = float(x), float(y), float(v), float(y_x), float(v_x)
+    for name, value in (("x", x), ("y", y), ("v", v)):
+        if not math.isfinite(value):
+            raise ChartError(f"ChartPoint.{name} must be finite")
+    if abs(x) >= HALF_PI or abs(y) >= HALF_PI:
+        raise ChartError(f"ChartPoint ({x}, {y}) outside the open chart domain")
+    if not (math.isfinite(y_x) and math.isfinite(v_x)):
+        raise ChartError("Jet1 slopes must be finite")
+    return JetColumns(x, y, v, y_x, v_x)
 
 
 def jet2(x, y, v, y_x, v_x, y_xx, v_xx) -> JetColumns:
     """A validated second-order jet from seven plain numbers, as float-valued
     JetColumns (the form prolong2_apply reads)."""
-    jet1(x, y, v, y_x, v_x)
+    j = jet1(x, y, v, y_x, v_x)
     if not (math.isfinite(y_xx) and math.isfinite(v_xx)):
         raise ChartError("jet2 curvatures must be finite")
-    return JetColumns(x, y, v, y_x, v_x, y_xx, v_xx)
+    return j._replace(y_xx=float(y_xx), v_xx=float(v_xx))
 
 
 def ambient_coords(x, y, v):
@@ -95,9 +83,9 @@ def ambient_coords(x, y, v):
     return (cx * cy * cv, cx * cy * sv, cx * sy, sx)
 
 
-def embed(p: ChartPoint) -> np.ndarray:
+def embed(x, y, v) -> np.ndarray:
     """Embed a chart point as a (4,) array; it has unit norm (a trig identity)."""
-    return np.array(ambient_coords(p.x, p.y, p.v))
+    return np.array(ambient_coords(x, y, v))
 
 
 def arc_speed(x, y, y_x, v_x):
@@ -113,28 +101,9 @@ def arc_speed(x, y, y_x, v_x):
     return jetcalc.sqrt(1.0 + ccx * y_x * y_x + ccx * cy * cy * v_x * v_x)
 
 
-def lagrangian(j: Jet1 | JetColumns):
-    """Arclength integrand at a first-order jet (an array over JetColumns); always >= 1."""
+def lagrangian(j: JetColumns):
+    """Arclength integrand at a first-order jet (an array over n columns); always >= 1."""
     return arc_speed(j.x, j.y, j.y_x, j.v_x)
-
-
-class JetColumns(NamedTuple):
-    """n chart points or jets held as one numpy column per jet slot.
-
-    It stands in for a ChartPoint or Jet1 in the coordinate-generic
-    functions (the symmetry residuals, the integrand, the charge, omega'),
-    which read only the slot values, so that one array-valued pass
-    evaluates all n samples.  Slots a sample does not fix hold 0.0.
-    :func:`jet2` fills every slot with a float: one second-order jet.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray | float
-    y_x: np.ndarray | float = 0.0
-    v_x: np.ndarray | float = 0.0
-    y_xx: np.ndarray | float = 0.0
-    v_xx: np.ndarray | float = 0.0
 
 
 def domain_columns(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> JetColumns:
@@ -154,10 +123,10 @@ def domain_columns(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> Jet
     return JetColumns(xs, ys, vs)
 
 
-def sample_domain(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> list[ChartPoint]:
-    """The points of :func:`domain_columns` as ChartPoints."""
+def sample_domain(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> list[JetColumns]:
+    """The points of :func:`domain_columns`, one float JetColumns each."""
     c = domain_columns(n, margin, seed)
-    return [ChartPoint(*row) for row in zip(*(a.tolist() for a in c[:3]))]
+    return [JetColumns(*row) for row in zip(*(a.tolist() for a in c[:3]))]
 
 
 def jet_columns(

@@ -166,7 +166,7 @@ def cmd_reduce(args) -> int:
 def cmd_flow(args) -> int:
     x, y = _parse_floats(args.point, 2, "--point")
     lam = args.lam
-    chart.ChartPoint(x, y, 0.0)
+    chart.jet1(x, y, 0.0, 0.0, 0.0)
     if not math.isfinite(lam):
         raise ConfigError(f"--lambda must be finite, got {lam}")
     X, Y = reduction.global_flow(x, y, lam)

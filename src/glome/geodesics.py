@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chart, jetcalc
-from .chart import Jet1
 from .jetcalc import directional, power
 
 POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus this
@@ -131,7 +130,7 @@ def _curvatures(x, y, y_x, v_x):
     return y_xx, v_xx, det
 
 
-def el_rhs(j: Jet1) -> tuple[float, float]:
+def el_rhs(j: chart.JetColumns) -> tuple[float, float]:
     """Solve both Euler-Lagrange equations for (y_xx, v_xx) at a state.
 
     Raises SingularSystem when the determinant of the 2x2 system drops
@@ -144,7 +143,7 @@ def el_rhs(j: Jet1) -> tuple[float, float]:
     return float(y_xx), float(v_xx)
 
 
-def noether_charge(j: Jet1 | chart.JetColumns):
+def noether_charge(j: chart.JetColumns):
     """The conserved charge dL/dv_x = cos^2x cos^2y v_x / L (an array over JetColumns)."""
     cx = jetcalc.cos(j.x)
     cy = jetcalc.cos(j.y)
@@ -177,7 +176,7 @@ def collapsed_fn(k):
     return F
 
 
-def infer_k(j: Jet1) -> KConstant:
+def infer_k(j: chart.JetColumns) -> KConstant:
     """The collapsed-equation constant for the geodesic through a state.
 
     Eliminating v_x from the second Euler-Lagrange equation via the
@@ -254,9 +253,8 @@ class Trajectory:
         curvature = (None, None) if self.curvature is None else self.curvature.T
         return chart.JetColumns(*self.samples.T, *curvature)
 
-    def jet(self, i: int) -> Jet1:
-        x, y, v, y_x, v_x = (float(c) for c in self.samples[i])
-        return chart.jet1(x, y, v, y_x, v_x)
+    def jet(self, i: int) -> chart.JetColumns:
+        return chart.jet1(*self.samples[i].tolist())
 
     def noether_drift(self) -> float:
         return float(np.max(np.abs(self.noether - self.noether[0])))
@@ -518,7 +516,7 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     return out
 
 
-def integrate(j0: Jet1, x_end: float, step: float = 1e-3) -> Trajectory:
+def integrate(j0: chart.JetColumns, x_end: float, step: float = 1e-3) -> Trajectory:
     """RK4 for one jet: :func:`integrate_batch` of one, raising its exception.
 
     Raises DomainExit when the 0.05 rad pole margin is breached and
@@ -547,13 +545,13 @@ def great_circle(p, w, t: float) -> np.ndarray:
     return math.cos(t) * p + math.sin(t) * w
 
 
-def ambient_state(j: Jet1) -> tuple[np.ndarray, np.ndarray, float]:
+def ambient_state(j: chart.JetColumns) -> tuple[np.ndarray, np.ndarray, float]:
     """Ambient position, unit tangent, and speed of the curve through a jet.
 
     The tangent is d(embed)/dx along any curve matching the jet; its norm
     equals the integrand value (the chain-rule identity the tests lean on).
     """
-    p = chart.embed(j.base)
+    p = chart.embed(j.x, j.y, j.v)
     tangent = np.array(directional(chart.ambient_coords, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))[1])
     speed = float(np.linalg.norm(tangent))
     return p, tangent / speed, speed
@@ -597,5 +595,5 @@ def endpoint_error_vs_great_circle(traj: Trajectory) -> float:
     p, w, _ = ambient_state(traj.jet(0))
     t = arc_length(traj)
     endpoint = traj.jet(len(traj) - 1)
-    q = chart.embed(endpoint.base)
+    q = chart.embed(endpoint.x, endpoint.y, endpoint.v)
     return float(np.linalg.norm(great_circle(p, w, t) - q))

@@ -91,7 +91,7 @@ def wrap_mod_pi(delta):
     return delta - math.pi * np.round(delta / math.pi)
 
 
-def omega_prime(j: chart.Jet1 | chart.JetColumns):
+def omega_prime(j: chart.JetColumns):
     """d(omega)/d(tau) along the curve a jet represents.
 
     Chain rule through x: both coordinate differentials are taken along

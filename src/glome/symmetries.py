@@ -11,8 +11,8 @@ expression trees: every downstream use is a pointwise evaluation with
 dual numbers from :mod:`glome.jetcalc`.
 
 The evaluations are coordinate-generic.  A residual function given a
-:class:`~glome.chart.JetColumns` of n samples in place of a ChartPoint or
-Jet1 returns numpy arrays over the samples, and each element
+:class:`~glome.chart.JetColumns` of n samples in place of one float-valued
+jet returns numpy arrays over the samples, and each element
 equals the result for that sample alone bitwise.  The suites use that to
 evaluate each check in one array-valued dual pass.  Each fact is evaluated
 once: a field's coefficients and their first partials come from one
@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import chart, jetcalc
-from .chart import Jet1, ChartPoint
 from .jetcalc import cos, sin, tan, sec, directional, gradn, value_and_gradn
 
 Coefficient = Callable[[object, object, object], object]
@@ -59,9 +58,6 @@ class VectorField3:
 
     def coefficients(self, x, y, v):
         return (self.xi(x, y, v), self.phi(x, y, v), self.eta(x, y, v))
-
-    def at(self, p: ChartPoint):
-        return self.coefficients(p.x, p.y, p.v)
 
 
 @dataclass(frozen=True)
@@ -197,13 +193,13 @@ def _lagrangian5(x, y, v, y_x, v_x):
     return chart.arc_speed(x, y, y_x, v_x)
 
 
-def variational_residual(V: VectorField3, j: Jet1 | chart.JetColumns):
+def variational_residual(V: VectorField3, j: chart.JetColumns):
     """Residual of the variational-symmetry criterion at a jet.
 
     Applies the prolonged field to the integrand and adds the integrand
     times the total x-derivative of xi; zero (within tolerance) exactly
-    when V generates a variational symmetry at j.  A float at a Jet1, an
-    array over the samples of a JetColumns.
+    when V generates a variational symmetry at j.  A float at one jet, an
+    array over the samples of n columns.
     """
     xi, phi, eta, phi_pr, eta_pr = _prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
     args = (j.x, j.y, j.v, j.y_x, j.v_x)
@@ -213,11 +209,11 @@ def variational_residual(V: VectorField3, j: Jet1 | chart.JetColumns):
     return applied + lam * dxi_total
 
 
-def determining_residuals(V: VectorField3, p: ChartPoint | chart.JetColumns):
+def determining_residuals(V: VectorField3, p: chart.JetColumns):
     """The six monomial-coefficient residuals of the symmetry condition.
 
-    Returns the left sides (floats at a ChartPoint; arrays over the
-    samples, or a constant float, at a JetColumns), in order:
+    Returns the left sides (floats at one chart point; arrays over the
+    samples, or a constant float, at n columns), in order:
       (a) xi_x
       (b) phi_x cos^2 x + xi_y
       (c) eta_x cos^2 y cos^2 x + xi_v
@@ -290,7 +286,7 @@ def _values(F: VectorField3, x, y, v) -> np.ndarray:
 
 def identify_field(
     W: VectorField3,
-    points: Iterable[ChartPoint],
+    points: Iterable[chart.JetColumns],
     tol: float,
 ) -> BracketEntry:
     """Match a field against {0, +/-chi_k} over sample points.

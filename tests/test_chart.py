@@ -1,51 +1,76 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from glome import chart
+import glome
+from glome import chart, geodesics, symmetries
 from glome import jetcalc as jc
 
 
 def test_embed_origin():
-    p = chart.embed(chart.ChartPoint(0.0, 0.0, 0.0))
+    p = chart.embed(0.0, 0.0, 0.0)
     assert p.shape == (4,)
     assert (p[0], p[1], p[2], p[3]) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_embed_quarter_turn():
-    p = chart.embed(chart.ChartPoint(0.0, 0.0, math.pi / 2))
+    p = chart.embed(0.0, 0.0, math.pi / 2)
     assert np.allclose(p, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_embed_unit_norm_sampled():
     for p in chart.sample_domain(1000, 0.1, seed=5):
-        a = chart.embed(p)
+        a = chart.embed(p.x, p.y, p.v)
         assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
 
+def _raises(message, *args):
+    with pytest.raises(chart.ChartError, match=f"^{re.escape(message)}$"):
+        chart.jet1(*args)
+
+
 def test_chart_point_validation():
-    with pytest.raises(chart.ChartError):
-        chart.ChartPoint(math.pi / 2, 0.0, 0.0)
-    with pytest.raises(chart.ChartError):
-        chart.ChartPoint(0.0, -math.pi / 2, 0.0)
-    with pytest.raises(chart.ChartError):
-        chart.ChartPoint(math.nan, 0.0, 0.0)
+    _raises(f"ChartPoint ({math.pi / 2}, 0.0) outside the open chart domain",
+            math.pi / 2, 0.0, 0.0, 0.0, 0.0)
+    _raises(f"ChartPoint (0.0, {-math.pi / 2}) outside the open chart domain",
+            0.0, -math.pi / 2, 0.0, 0.0, 0.0)
+    _raises("ChartPoint.x must be finite", math.nan, 0.0, 0.0, 0.0, 0.0)
+    _raises("ChartPoint.y must be finite", 0.0, math.inf, 0.0, 0.0, 0.0)
+    _raises("ChartPoint.v must be finite", 0.0, 0.0, -math.inf, 0.0, 0.0)
+    # the checks run in order: finiteness, then the domain, then the slopes
+    _raises("ChartPoint.v must be finite", 2.0, 0.0, math.nan, math.nan, 0.0)
+    _raises("ChartPoint (2.0, 0.3) outside the open chart domain", 2.0, 0.3, 0.0, math.inf, 0.0)
     # v is stored unnormalized: any finite real is accepted
-    p = chart.ChartPoint(0.1, 0.2, 31.4)
-    assert p.v == 31.4
+    assert chart.jet1(0.1, 0.2, 31.4, 0.0, 0.0).v == 31.4
 
 
 def test_jet_validation():
-    with pytest.raises(chart.ChartError):
-        chart.jet1(0.0, 0.0, 0.0, math.inf, 0.0)
-    with pytest.raises(chart.ChartError):
+    _raises("Jet1 slopes must be finite", 0.0, 0.0, 0.0, math.inf, 0.0)
+    _raises("Jet1 slopes must be finite", 0.0, 0.0, 0.0, 0.0, math.nan)
+    with pytest.raises(chart.ChartError, match="^jet2 curvatures must be finite$"):
         chart.jet2(0.0, 0.0, 0.0, 0.0, 0.0, math.nan, 0.0)
+
+
+def test_one_float_jet_type():
+    j = chart.jet1(0.1, -0.2, 3, 0.4, -0.5)
+    assert j == chart.JetColumns(0.1, -0.2, 3.0, 0.4, -0.5, 0.0, 0.0)
+    assert all(type(slot) is float for slot in j)
+    assert chart.jet2(0.1, -0.2, 3.0, 0.4, -0.5, 0.6, -0.7) == j._replace(y_xx=0.6, v_xx=-0.7)
+    traj = geodesics.integrate(j, 0.15, 1e-2)
+    last = traj.jet(len(traj) - 1)
+    assert type(last) is chart.JetColumns and all(type(slot) is float for slot in last)
+    assert last[:5] == tuple(traj.samples[-1].tolist()) and last[5:] == (0.0, 0.0)
+    assert not hasattr(glome, "ChartPoint") and not hasattr(glome, "Jet1")
+    assert not hasattr(chart, "ChartPoint") and not hasattr(chart, "Jet1")
+    assert not hasattr(symmetries.VectorField3, "at")
+    assert len(glome.__all__) == 33
 
 
 def test_lagrangian_at_rest_is_one():
     for p in chart.sample_domain(20, 0.1, seed=1):
-        assert chart.lagrangian(chart.Jet1(p, 0.0, 0.0)) == 1.0
+        assert chart.lagrangian(p) == 1.0
 
 
 def test_lagrangian_simple_value():

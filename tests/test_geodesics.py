@@ -16,7 +16,7 @@ def d1(f, x0):
 
 
 def jets_of(columns):
-    """A Jet1 for each sample of a chart.JetColumns."""
+    """One validated float jet (chart.jet1) for each sample of n columns."""
     return [chart.jet1(*row) for row in zip(*(c.tolist() for c in columns[:5]))]
 
 
@@ -24,7 +24,7 @@ def jets_of(columns):
 
 def test_el_rhs_rest_states_are_fixed_points():
     for p in chart.sample_domain(30, 0.1, seed=0):
-        y_xx, v_xx = geo.el_rhs(chart.Jet1(p, 0.0, 0.0))
+        y_xx, v_xx = geo.el_rhs(p)
         assert abs(y_xx) < 1e-15
         assert abs(v_xx) < 1e-15
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from glome import geodesics as geo
-from glome import suites
+from glome import suites, symmetries
 from glome.cli import main
 
 CFG = suites.RunConfig(samples=100, trajectories=5)
@@ -53,3 +53,29 @@ def test_verify_exits_1_on_a_planted_curvature(monkeypatch, tmp_path):
     assert report["passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"collapsed_equation", "noether_drift", "totally_geodesic_s2"}
+
+
+def _symmetry_failures(cfg: suites.RunConfig) -> set[str]:
+    checks = (suites.suite_determining(cfg) + suites.suite_variational(cfg)
+              + list(suites._bracket_checks(cfg)) + suites.suite_collapsed_prolongation(cfg)
+              + suites.suite_flow(cfg))
+    return {c.name for c in checks if not c.passed}
+
+
+def _plant_chi3_phi(monkeypatch) -> None:
+    """Scale chi3's phi coefficient by 1 + SIZE."""
+    chi3 = symmetries._CHI[2]
+    planted = symmetries.VectorField3(chi3.xi, lambda x, y, v: chi3.phi(x, y, v) * (1.0 + SIZE),
+                                      chi3.eta, name=chi3.name)
+    monkeypatch.setattr(symmetries, "_CHI", symmetries._CHI[:2] + (planted,) + symmetries._CHI[3:])
+
+
+@pytest.mark.parametrize("planted, failing", [
+    (False, set()),
+    (True, {"determining_equations", "variational_criterion", "bracket_table",
+            "subgroup_closure", "collapsed_prolongation", "omega_chi3_directional"}),
+], ids=["none", "chi3_phi"])
+def test_symmetry_checks_fail_on_a_planted_generator_coefficient(monkeypatch, planted, failing):
+    if planted:
+        _plant_chi3_phi(monkeypatch)
+    assert _symmetry_failures(CFG) == failing

@@ -493,7 +493,7 @@ def test_variational_and_determining_batch_equal_per_point_bitwise(rows, k):
     for V in fields:
         want = [sym.variational_residual(V, chart.jet1(*r)) for r in rows]
         assert _per_sample(sym.variational_residual(V, cols), len(rows)) == _bits(want)
-        want = [sym.determining_residuals(V, chart.ChartPoint(*r[:3])) for r in rows]
+        want = [sym.determining_residuals(V, chart.jet1(*r[:3], 0.0, 0.0)) for r in rows]
         for got, column in zip(sym.determining_residuals(V, cols), zip(*want)):
             assert _per_sample(got, len(rows)) == _bits(column)
 
@@ -518,12 +518,12 @@ def test_prolong2_batch_equals_per_point_bitwise(rows, k):
 @given(st.lists(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3)), min_size=10, max_size=20),
        st.integers(1, 6), st.integers(1, 6))
 def test_bracket_identification_batch_equals_per_point_bitwise(rows, a, b):
-    points = [chart.ChartPoint(*r) for r in rows]
+    points = [chart.jet1(*r, 0.0, 0.0) for r in rows]
     x, y, v = (np.array(c) for c in zip(*rows))
     W = sym.lie_bracket(sym.chi(a), sym.chi(b))
     per_point = {}
     for label, C in [("W", W)] + _candidate_fields():
-        per_point[label] = np.array([C.at(p) for p in points])
+        per_point[label] = np.array([C.coefficients(p.x, p.y, p.v) for p in points])
         batched = C.coefficients(x, y, v)
         for got, column in zip(batched, per_point[label].T):
             assert _per_sample(got, len(rows)) == _bits(column)

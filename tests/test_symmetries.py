@@ -25,7 +25,7 @@ def field_of(xi, phi, eta, name="test"):
 
 
 def prolong1(V, j):
-    """(xi, phi, eta, phi^x, eta^x) of V's first prolongation at a Jet1."""
+    """(xi, phi, eta, phi^x, eta^x) of V's first prolongation at a jet."""
     return sym._prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
 
 
@@ -34,7 +34,7 @@ def prolong1(V, j):
 def test_chi3_closed_form():
     V = sym.chi(3)
     for p in chart.sample_domain(50, 0.1, seed=0):
-        xi, phi, eta = V.at(p)
+        xi, phi, eta = V.coefficients(p.x, p.y, p.v)
         assert abs(xi - math.sin(p.y)) < 1e-15
         assert abs(phi + math.cos(p.y) * math.tan(p.x)) < 1e-14
         assert eta == 0.0
@@ -43,7 +43,7 @@ def test_chi3_closed_form():
 def test_chi6_is_translation():
     V = sym.chi(6)
     for p in chart.sample_domain(10, 0.1, seed=1):
-        assert V.at(p) == (0.0, 0.0, 1.0)
+        assert V.coefficients(p.x, p.y, p.v) == (0.0, 0.0, 1.0)
 
 
 def test_chi1_at_specific_point():
@@ -60,14 +60,14 @@ def test_chi_index_validation():
 def test_general_symmetry_zero():
     V = sym.general_symmetry([0.0] * 5)
     for p in chart.sample_domain(20, 0.1, seed=2):
-        assert V.at(p) == (0.0, 0.0, 0.0)
+        assert V.coefficients(p.x, p.y, p.v) == (0.0, 0.0, 0.0)
 
 
 def test_general_symmetry_recovers_chi1():
     V = sym.general_symmetry([1.0, 0.0, 0.0, 0.0, 0.0])
     W = sym.chi(1)
     for p in chart.sample_domain(100, 0.1, seed=3):
-        for a, b in zip(V.at(p), W.at(p)):
+        for a, b in zip(V.coefficients(p.x, p.y, p.v), W.coefficients(p.x, p.y, p.v)):
             assert abs(a - b) < 1e-15
 
 
@@ -106,7 +106,7 @@ def test_determining_residuals_each_generator():
 
 def test_determining_residuals_detect_non_symmetry():
     V = field_of(lambda x, y, v: y, sym._zero, sym._zero, "xi=y")
-    res = sym.determining_residuals(V, chart.ChartPoint(0.3, 0.4, 0.0))
+    res = sym.determining_residuals(V, chart.jet1(0.3, 0.4, 0.0, 0.0, 0.0))
     assert res[0] == 0.0  # xi_x
     assert abs(res[1] - 1.0) < 1e-15  # phi_x cos^2 x + xi_y = 1
 
@@ -178,14 +178,14 @@ def test_bracket_with_self_vanishes():
     for i in (1, 3, 5):
         B = sym.lie_bracket(sym.chi(i), sym.chi(i))
         for p in chart.sample_domain(100, 0.1, seed=9):
-            assert B.at(p) == (0.0, 0.0, 0.0)
+            assert B.coefficients(p.x, p.y, p.v) == (0.0, 0.0, 0.0)
 
 
 def test_bracket_antisymmetry():
     X, Y = sym.chi(1), sym.chi(4)
     B1, B2 = sym.lie_bracket(X, Y), sym.lie_bracket(Y, X)
     for p in chart.sample_domain(100, 0.1, seed=10):
-        for a, b in zip(B1.at(p), B2.at(p)):
+        for a, b in zip(B1.coefficients(p.x, p.y, p.v), B2.coefficients(p.x, p.y, p.v)):
             assert abs(a + b) < 1e-12
 
 
@@ -198,7 +198,7 @@ def test_bracket_bilinearity():
         scale(-0.5, sym.lie_bracket(sym.chi(4), Z)),
     )
     for p in chart.sample_domain(100, 0.1, seed=11):
-        for a, b in zip(left.at(p), right.at(p)):
+        for a, b in zip(left.coefficients(p.x, p.y, p.v), right.coefficients(p.x, p.y, p.v)):
             assert abs(a - b) < 1e-12
 
 
@@ -206,14 +206,14 @@ def test_bracket_chi1_chi2_is_minus_chi6():
     B = sym.lie_bracket(sym.chi(1), sym.chi(2))
     M = scale(-1.0, sym.chi(6))
     for p in chart.sample_domain(100, 0.1, seed=12):
-        for a, b in zip(B.at(p), M.at(p)):
+        for a, b in zip(B.coefficients(p.x, p.y, p.v), M.coefficients(p.x, p.y, p.v)):
             assert abs(a - b) < 1e-9
 
 
 def test_bracket_chi3_chi6_vanishes():
     B = sym.lie_bracket(sym.chi(3), sym.chi(6))
     for p in chart.sample_domain(100, 0.1, seed=13):
-        for a in B.at(p):
+        for a in B.coefficients(p.x, p.y, p.v):
             assert abs(a) < 1e-12
 
 
@@ -225,7 +225,7 @@ def test_jacobi_identity_all_triples():
             term = sym.lie_bracket(sym.chi(i), sym.lie_bracket(sym.chi(j), sym.chi(k)))
             J = term if J is None else add(J, term)
         for p in pts:
-            for comp in J.at(p):
+            for comp in J.coefficients(p.x, p.y, p.v):
                 assert abs(comp) < 1e-8
 
 
