@@ -58,7 +58,10 @@ def _add_step(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an --out whose directory is missing before any work is done."""
+    """Refuse an output path that is a directory, or whose directory is
+    missing, before any work is done."""
+    if out and Path(out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", out)
     if out and not Path(out).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, "no directory for --out", str(Path(out).parent))
 
@@ -124,8 +127,9 @@ def cmd_integrate(args) -> int:
         raise ConfigError(f"--x-end must be finite, got {args.x_end}")
 
     out = Path(args.out) if args.out else Path("trajectory.csv")
-    _check_out(str(out))
     sidecar_path = out.with_suffix(".json")
+    _check_out(str(out))
+    _check_out(str(sidecar_path))
     status = "ok"
     detail = ""
     traj = None

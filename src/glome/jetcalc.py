@@ -424,7 +424,9 @@ def value_and_gradn(f, args):
     Argument i is seeded with row i of an identity matrix, on a new
     leading axis in front of every axis that any layer of any argument
     has, and each gradient component is read off that axis.  The value is
-    the seeded pass's own.  It repeats the plain evaluation's
+    the seeded pass's own, read off as one more component: a unit axis that
+    a gradient nested inside ``f`` leaves is dropped, and a float point
+    gives Python floats.  It repeats the plain evaluation's
     floating-point operations, so for the generator coefficients it
     equals ``f(*args)`` bitwise; a dual divided by a plain number is
     multiplied by its reciprocal, though, and a dual's ``**`` is Python's
@@ -456,7 +458,8 @@ def value_and_gradn(f, args):
     def split(r):
         if not isinstance(r, DualScalar):
             return r, (0.0,) * n
-        return r.value, tuple(_directions(r.derivative, n, depth))
+        parts = tuple(_directions(r.derivative, n, depth))
+        return _directions(r.value, 1, depth)[0], parts
 
     if isinstance(result, tuple):
         return tuple(zip(*map(split, result))) or ((), ())

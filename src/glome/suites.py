@@ -8,11 +8,14 @@ combination for the determining equations, 50 points per bracket entry,
 200 on-shell jets per k for the second-prolongation check, and 50
 trajectories of span 0.8 at the configured step for the dynamics suites.
 
-All suites are deterministic given the configuration.  Each check is
-evaluated in one array-valued pass over all its sample points or
-trajectory rows (chart.JetColumns, Trajectory.columns), drawn by the same
+All suites are deterministic given the configuration.  A symmetry or
+flow check evaluates its sample points (chart.JetColumns) in one
+array-valued pass, or one per generator or per k, drawn by the same
 random calls as per-point sampling, so every residual equals its
-per-point value bitwise.
+per-point value bitwise.  A trajectory check runs once per trajectory,
+over that trajectory's rows at once (Trajectory.columns) where it is a
+pointwise formula; tangent_norm_identity is a loop over every
+(len // 40)-th row of each trajectory.
 """
 
 from __future__ import annotations
@@ -88,6 +91,8 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
         if not 0.0 < self.margin < HALF_PI:

@@ -6,9 +6,10 @@ Lie brackets, and numeric identification of brackets against the candidate
 set {0, +/-chi_k} (the bracket table), with the closed 3-generator subsets
 read off the identified table.
 
-Vector-field coefficients are stored as evaluable functions, not
-expression trees: every downstream use is a pointwise evaluation with
-dual numbers from :mod:`glome.jetcalc`.
+A vector field is one function of (x, y, v) that returns its three
+coefficients (xi, phi, eta), not an expression tree: every downstream
+use is a pointwise evaluation with dual numbers from :mod:`glome.jetcalc`,
+and one evaluation yields all three coefficients.
 
 The evaluations are coordinate-generic.  A residual function given a
 :class:`~glome.chart.JetColumns` of n samples in place of one float-valued
@@ -17,8 +18,9 @@ equals the result for that sample alone bitwise.  The suites use that to
 evaluate each check in one array-valued dual pass.  Each fact is evaluated
 once: a field's coefficients and their first partials come from one
 seeded pass (jetcalc.value_and_gradn), the second prolongation takes the
-first and its total derivative from one directional pass, and the
-bracket table takes each generator's coefficients and gradients once for
+first and its total derivative from one directional pass, and one formula
+(_bracket) gives every bracket from those passes: lie_bracket makes one
+pass of each field, and the bracket table makes one of each generator for
 all 36 brackets (6 value_and_gradn calls) and matches every bracket
 against the 13 candidates, evaluated once and stacked, in one broadcast
 reduction; general_symmetry takes column weights, so that many random
@@ -33,10 +35,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import chart, jetcalc
-from .jetcalc import cos, sin, tan, sec, directional, gradn, value_and_gradn
-
-Coefficient = Callable[[object, object, object], object]
+from . import chart
+from .jetcalc import cos, sin, tan, sec, directional, value_and_gradn
 
 
 class AmbiguousIdentification(RuntimeError):
@@ -47,17 +47,13 @@ class AmbiguousIdentification(RuntimeError):
 class VectorField3:
     """Vector field xi d/dx + phi d/dy + eta d/dv on chart space.
 
-    The three coefficients are functions of (x, y, v) built from jetcalc
-    primitives, so they evaluate exactly with dual numbers.
+    ``coefficients(x, y, v)`` returns the tuple (xi, phi, eta), built from
+    jetcalc primitives, so one evaluation with dual numbers gives all three
+    coefficients and their derivatives.
     """
 
-    xi: Coefficient
-    phi: Coefficient
-    eta: Coefficient
+    coefficients: Callable[[object, object, object], tuple]
     name: str = ""
-
-    def coefficients(self, x, y, v):
-        return (self.xi(x, y, v), self.phi(x, y, v), self.eta(x, y, v))
 
 
 @dataclass(frozen=True)
@@ -88,46 +84,37 @@ class BracketTable:
         }
 
 
-def _zero(x, y, v):
-    return 0.0
+# A generator forms a shared factor once, and every product keeps the
+# operand order of its coefficient's own formula, so the bits are those
+# of the three formulas evaluated one by one.
+def _chi1(x, y, v):
+    c, t = cos(v), tan(x)
+    return c * cos(y), c * t * sin(y), sin(v) * t * sec(y)
 
 
-def _one(x, y, v):
-    return 1.0
+def _chi2(x, y, v):
+    s, t = sin(v), tan(x)
+    return s * cos(y), s * t * sin(y), -cos(v) * t * sec(y)
 
 
-_CHI: tuple[VectorField3, ...] = (
-    VectorField3(
-        lambda x, y, v: cos(v) * cos(y),
-        lambda x, y, v: cos(v) * tan(x) * sin(y),
-        lambda x, y, v: sin(v) * tan(x) * sec(y),
-        name="chi1",
-    ),
-    VectorField3(
-        lambda x, y, v: sin(v) * cos(y),
-        lambda x, y, v: sin(v) * tan(x) * sin(y),
-        lambda x, y, v: -cos(v) * tan(x) * sec(y),
-        name="chi2",
-    ),
-    VectorField3(
-        lambda x, y, v: sin(y),
-        lambda x, y, v: -tan(x) * cos(y),
-        _zero,
-        name="chi3",
-    ),
-    VectorField3(
-        _zero,
-        lambda x, y, v: cos(v),
-        lambda x, y, v: sin(v) * tan(y),
-        name="chi4",
-    ),
-    VectorField3(
-        _zero,
-        lambda x, y, v: sin(v),
-        lambda x, y, v: -cos(v) * tan(y),
-        name="chi5",
-    ),
-    VectorField3(_zero, _zero, _one, name="chi6"),
+def _chi3(x, y, v):
+    return sin(y), -tan(x) * cos(y), 0.0
+
+
+def _chi4(x, y, v):
+    return 0.0, cos(v), sin(v) * tan(y)
+
+
+def _chi5(x, y, v):
+    return 0.0, sin(v), -cos(v) * tan(y)
+
+
+def _chi6(x, y, v):
+    return 0.0, 0.0, 1.0
+
+
+_CHI: tuple[VectorField3, ...] = tuple(
+    VectorField3(f, f"chi{i}") for i, f in enumerate((_chi1, _chi2, _chi3, _chi4, _chi5, _chi6), 1)
 )
 
 
@@ -151,24 +138,16 @@ def general_symmetry(k: Sequence) -> VectorField3:
         raise ValueError(f"expected 5 coefficients, got {len(k)}")
     weights = tuple(float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float) for c in k)
 
-    def combo(getter):
-        def f(x, y, v):
-            total = 0.0
-            for w, F in zip(weights, _CHI[:5]):
-                total = total + w * getter(F)(x, y, v)
-            return total
-
-        return f
+    def coefficients(x, y, v):
+        totals = (0.0, 0.0, 0.0)
+        for w, F in zip(weights, _CHI[:5]):
+            totals = tuple(t + w * c for t, c in zip(totals, F.coefficients(x, y, v)))
+        return totals
 
     def label(w):
         return f"{w:g}" if isinstance(w, float) else "[" + ",".join(f"{c:g}" for c in w.flat) + "]"
 
-    return VectorField3(
-        combo(lambda F: F.xi),
-        combo(lambda F: F.phi),
-        combo(lambda F: F.eta),
-        name="general(" + ",".join(map(label, weights)) + ")",
-    )
+    return VectorField3(coefficients, name="general(" + ",".join(map(label, weights)) + ")")
 
 
 def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
@@ -205,7 +184,7 @@ def variational_residual(V: VectorField3, j: chart.JetColumns):
     args = (j.x, j.y, j.v, j.y_x, j.v_x)
     lam, applied = directional(_lagrangian5, args, (xi, phi, eta, phi_pr, eta_pr))
     # its own pass: the D_x(xi) that _prolong1_values sums differs in the last bit for chi1, chi2
-    _, dxi_total = directional(V.xi, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))
+    _, (dxi_total, _, _) = directional(V.coefficients, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))
     return applied + lam * dxi_total
 
 
@@ -236,38 +215,30 @@ def determining_residuals(V: VectorField3, p: chart.JetColumns):
     )
 
 
-def _bracket_component(Xc, Yc, dY, dX):
-    """One component of [X, Y] at the points: sum_j (X^j dY/dx_j - Y^j dX/dx_j),
-    from both fields' coefficients Xc, Yc and the gradients dY, dX of that
-    component of Y and of X."""
-    total = 0.0
-    for Xj, Yj, dYj, dXj in zip(Xc, Yc, dY, dX):
-        total = total + Xj * dYj - Yj * dXj
-    return total
+def _bracket(Xc, dX, Yc, dY) -> tuple:
+    """[X, Y] at the points from both fields' coefficients Xc, Yc and their
+    Jacobians dX, dY (dX[i][j] = dX^i/dx_j):
+
+        [X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j)
+    """
+    out = []
+    for dYi, dXi in zip(dY, dX):
+        total = 0.0
+        for Xj, Yj, dYij, dXij in zip(Xc, Yc, dYi, dXi):
+            total = total + Xj * dYij - Yj * dXij
+        out.append(total)
+    return tuple(out)
 
 
 def lie_bracket(X: VectorField3, Y: VectorField3) -> VectorField3:
-    """Commutator [X, Y]: coefficients evaluate the pointwise formula
+    """Commutator [X, Y]: its coefficients apply _bracket to one
+    value_and_gradn pass of each field at each evaluation point."""
 
-        [X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j)
+    def coefficients(x, y, v):
+        p = (x, y, v)
+        return _bracket(*value_and_gradn(X.coefficients, p), *value_and_gradn(Y.coefficients, p))
 
-    with all partials taken by dual numbers at each evaluation point.
-    """
-
-    def component(get):
-        def f(x, y, v):
-            p = (x, y, v)
-            return _bracket_component(X.coefficients(x, y, v), Y.coefficients(x, y, v),
-                                      gradn(get(Y), p), gradn(get(X), p))
-
-        return f
-
-    return VectorField3(
-        component(lambda F: F.xi),
-        component(lambda F: F.phi),
-        component(lambda F: F.eta),
-        name=f"[{X.name},{Y.name}]",
-    )
+    return VectorField3(coefficients, name=f"[{X.name},{Y.name}]")
 
 
 _CANDIDATE_LABELS = ("zero", "+chi1", "-chi1", "+chi2", "-chi2", "+chi3", "-chi3",
@@ -334,15 +305,11 @@ def _bracket_values(x, y, v) -> list[list[np.ndarray]]:
     column j - 1.
 
     Each generator's three coefficients and their gradients come from one
-    seeded pass (6 value_and_gradn calls) and are combined by lie_bracket's
-    formula, so every value equals lie_bracket's bitwise.
+    seeded pass (6 value_and_gradn calls) and are combined by _bracket, as
+    in lie_bracket, so every value equals lie_bracket's bitwise.
     """
-    coeffs, grads = zip(*(value_and_gradn(F.coefficients, (x, y, v)) for F in _CHI))
-    return [
-        [_stack3([_bracket_component(Xc, Yc, dY[c], dX[c]) for c in range(3)], x.shape)
-         for Yc, dY in zip(coeffs, grads)]
-        for Xc, dX in zip(coeffs, grads)
-    ]
+    passes = [value_and_gradn(F.coefficients, (x, y, v)) for F in _CHI]
+    return [[_stack3(_bracket(*X, *Y), x.shape) for Y in passes] for X in passes]
 
 
 def bracket_table(

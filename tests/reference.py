@@ -2,12 +2,12 @@
 call: the two Euler-Lagrange expressions on second-order jets, the
 Euler-Lagrange kernel frozen as it was first written and the geodesic
 equation from the Christoffel symbols of the chart metric, the forward
-reduced relation omega'(tau) from alpha, sums and scalar multiples of
-vector fields, the gradient taken one dual pass per argument (and, for a
-tuple-valued function, per component), and the second prolongation that
-evaluates the first one three times; and the test of whether numpy's sin
-and cos round like the platform's libm, which the tests of pinned bits
-depend on."""
+reduced relation omega'(tau) from alpha, vector fields built from and read
+as three component functions and their sums and scalar multiples, the
+gradient taken one dual pass per argument (and, for a tuple-valued
+function, per component), and the second prolongation that evaluates the
+first one three times; and the test of whether numpy's sin and cos round
+like the platform's libm, which the tests of pinned bits depend on."""
 
 import math
 
@@ -128,20 +128,32 @@ def reduced_omega_prime(tau: float, omega: float, alpha, k, branch="+") -> float
     return (1.0 - omega * omega) * math.tan(sgn * math.acos(math.sqrt(arg)) + theta)
 
 
+def field(xi, phi, eta, name: str = "") -> sym.VectorField3:
+    """The field with the three component functions xi, phi and eta."""
+    return sym.VectorField3(lambda x, y, v: (xi(x, y, v), phi(x, y, v), eta(x, y, v)), name)
+
+
+def component(V: sym.VectorField3, i: int):
+    """V's i-th coefficient (0 xi, 1 phi, 2 eta) as a function of (x, y, v)."""
+    return lambda x, y, v: V.coefficients(x, y, v)[i]
+
+
 def scale(c: float, V: sym.VectorField3, name: str = "") -> sym.VectorField3:
-    return sym.VectorField3(
-        lambda x, y, v: c * V.xi(x, y, v),
-        lambda x, y, v: c * V.phi(x, y, v),
-        lambda x, y, v: c * V.eta(x, y, v),
+    xi, phi, eta = (component(V, i) for i in range(3))
+    return field(
+        lambda x, y, v: c * xi(x, y, v),
+        lambda x, y, v: c * phi(x, y, v),
+        lambda x, y, v: c * eta(x, y, v),
         name=name or f"{c}*{V.name}",
     )
 
 
 def add(X: sym.VectorField3, Y: sym.VectorField3, name: str = "") -> sym.VectorField3:
-    return sym.VectorField3(
-        lambda x, y, v: X.xi(x, y, v) + Y.xi(x, y, v),
-        lambda x, y, v: X.phi(x, y, v) + Y.phi(x, y, v),
-        lambda x, y, v: X.eta(x, y, v) + Y.eta(x, y, v),
+    (Xxi, Xphi, Xeta), (Yxi, Yphi, Yeta) = ([component(F, i) for i in range(3)] for F in (X, Y))
+    return field(
+        lambda x, y, v: Xxi(x, y, v) + Yxi(x, y, v),
+        lambda x, y, v: Xphi(x, y, v) + Yphi(x, y, v),
+        lambda x, y, v: Xeta(x, y, v) + Yeta(x, y, v),
         name=name or f"{X.name}+{Y.name}",
     )
 
@@ -194,9 +206,10 @@ def prolong1_values(V: sym.VectorField3, x, y, v, y_x, v_x):
     """The first prolongation (xi, phi, eta, phi^x, eta^x) at a jet, one
     value_and_gradn pass per coefficient."""
     p = (x, y, v)
-    xi_val, (xi_x, xi_y, xi_v) = value_and_gradn(V.xi, p)
-    phi_val, (phi_x, phi_y, phi_v) = value_and_gradn(V.phi, p)
-    eta_val, (eta_x, eta_y, eta_v) = value_and_gradn(V.eta, p)
+    xi, phi, eta = (component(V, i) for i in range(3))
+    xi_val, (xi_x, xi_y, xi_v) = value_and_gradn(xi, p)
+    phi_val, (phi_x, phi_y, phi_v) = value_and_gradn(phi, p)
+    eta_val, (eta_x, eta_y, eta_v) = value_and_gradn(eta, p)
     total_xi = xi_x + xi_y * y_x + xi_v * v_x
     phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
     eta_pr = eta_x + eta_y * y_x + eta_v * v_x - total_xi * v_x
@@ -210,7 +223,7 @@ def prolong2_apply(V: sym.VectorField3, F, j):
     x, y, v, y_x, v_x = j.x, j.y, j.v, j.y_x, j.v_x
     y_xx, v_xx = j.y_xx, j.v_xx
     xi, phi, eta, phi_pr, eta_pr = prolong1_values(V, x, y, v, y_x, v_x)
-    _, dxi_total = directional(V.xi, (x, y, v), (1.0, y_x, v_x))
+    _, dxi_total = directional(component(V, 0), (x, y, v), (1.0, y_x, v_x))
     jet_args = (x, y, v, y_x, v_x)
     jet_dir = (1.0, y_x, v_x, y_xx, v_xx)
     _, dx_phi_pr = directional(lambda *a: prolong1_values(V, *a)[3], jet_args, jet_dir)

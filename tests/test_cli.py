@@ -216,13 +216,38 @@ def test_integrate_domain_exit_names_its_cause_and_the_files_written(tmp_path, c
 ], ids=["verify", "brackets", "integrate"])
 def test_out_into_a_missing_directory_fails_before_the_run(tmp_path, monkeypatch, capsys, argv,
                                                            slow):
+    assert "missing" in _usage_error_before_the_run(tmp_path, monkeypatch, capsys, argv, slow)
+
+
+@pytest.mark.parametrize("argv, slow, named", [
+    (["verify", "--out", "{tmp}"], "run_all", "{tmp}"),
+    (["brackets", "--out", "{tmp}"], "bracket_table_for", "{tmp}"),
+    (["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1", "--out", "{tmp}"], None,
+     "{tmp}"),
+    # the sidecar next to the CSV is a directory
+    (["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1", "--out", "{tmp}/t.csv"], None,
+     "{tmp}/t.json"),
+], ids=["verify", "brackets", "integrate", "integrate_sidecar"])
+def test_out_naming_a_directory_fails_before_the_run(tmp_path, monkeypatch, capsys, argv, slow,
+                                                     named):
+    (tmp_path / "t.json").mkdir()
+    err = _usage_error_before_the_run(tmp_path, monkeypatch, capsys, argv, slow)
+    named = named.replace("{tmp}", str(tmp_path))
+    assert err == (f"glome {argv[0]}: usage error: [Errno 21] output path is a directory:"
+                   f" '{named}'\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def _usage_error_before_the_run(tmp_path, monkeypatch, capsys, argv, slow) -> str:
+    """main's one stderr line for ``argv``, which must exit 2 before ``slow``
+    (a cli binding) or any integration runs."""
     if slow:
         monkeypatch.setattr(cli, slow, _raise(AssertionError("ran before checking --out")))
     monkeypatch.setattr(geo, "integrate_batch", _raise(AssertionError("ran before checking --out")))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"glome {argv[0]}: usage error: ") and err.count("\n") == 1
-    assert "missing" in err
+    return err
 
 
 def test_reduce_quotes_a_long_csv_header_in_one_short_line(tmp_path, capsys):
@@ -409,6 +434,9 @@ EXIT_CODES = [
     ("ConfigError_integrate_step", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.5",
                                     "--step", "1e-300", "--out", "{tmp}/t.csv"], None, 2),
     ("ConfigError_verify_step", ["verify", "--step", "1e-300"], None, 2),
+    # a negative seed is a usage error, not numpy's ValueError from default_rng
+    ("ConfigError_verify_negative_seed", ["verify", "--seed", "-8"], None, 2),
+    ("ConfigError_brackets_negative_seed", ["brackets", "--seed", "-30"], None, 2),
     # run sizes past suites.MAX_SAMPLES / MAX_TRAJECTORY_ROWS are usage errors, not allocation
     # failures
     ("ConfigError_verify_samples_bound", ["verify", "--samples", "1000000000000",

@@ -9,6 +9,7 @@ import pytest
 from glome import geodesics as geo
 from glome import suites, symmetries
 from glome.cli import main
+from reference import component, field
 
 CFG = suites.RunConfig(samples=100, trajectories=5)
 SIZE = 1e-6  # relative size of every planted defect
@@ -65,8 +66,8 @@ def _symmetry_failures(cfg: suites.RunConfig) -> set[str]:
 def _plant_chi3_phi(monkeypatch) -> None:
     """Scale chi3's phi coefficient by 1 + SIZE."""
     chi3 = symmetries._CHI[2]
-    planted = symmetries.VectorField3(chi3.xi, lambda x, y, v: chi3.phi(x, y, v) * (1.0 + SIZE),
-                                      chi3.eta, name=chi3.name)
+    xi, phi, eta = (component(chi3, i) for i in range(3))
+    planted = field(xi, lambda x, y, v: phi(x, y, v) * (1.0 + SIZE), eta, name=chi3.name)
     monkeypatch.setattr(symmetries, "_CHI", symmetries._CHI[:2] + (planted,) + symmetries._CHI[3:])
 
 

@@ -8,7 +8,7 @@ from glome import chart, geodesics
 from glome import jetcalc as jc
 from glome import symmetries as sym
 from glome.suites import CLOSED_TRIPLES
-from reference import add, el_expression_v, el_expression_y, scale
+from reference import add, el_expression_v, el_expression_y, field, scale
 
 REFERENCE_TABLE = [
     ["zero", "-chi6", "-chi4", "+chi3", "zero", "+chi2"],
@@ -20,8 +20,8 @@ REFERENCE_TABLE = [
 ]
 
 
-def field_of(xi, phi, eta, name="test"):
-    return sym.VectorField3(xi, phi, eta, name)
+def zero(x, y, v):
+    return 0.0
 
 
 def prolong1(V, j):
@@ -105,7 +105,7 @@ def test_determining_residuals_each_generator():
 
 
 def test_determining_residuals_detect_non_symmetry():
-    V = field_of(lambda x, y, v: y, sym._zero, sym._zero, "xi=y")
+    V = field(lambda x, y, v: y, zero, zero, "xi=y")
     res = sym.determining_residuals(V, chart.jet1(0.3, 0.4, 0.0, 0.0, 0.0))
     assert res[0] == 0.0  # xi_x
     assert abs(res[1] - 1.0) < 1e-15  # phi_x cos^2 x + xi_y = 1
@@ -119,7 +119,7 @@ def test_prolong1_translation_field():
 
 
 def test_prolong1_linear_coefficient_by_hand():
-    V = field_of(sym._zero, lambda x, y, v: y, sym._zero, "phi=y")
+    V = field(zero, lambda x, y, v: y, zero, "phi=y")
     j = chart.jet1(0.1, 0.5, 0.0, 2.0, 0.0)
     _, _, _, phi_x, eta_x = prolong1(V, j)
     assert phi_x == 2.0  # phi_y * y_x
@@ -135,12 +135,11 @@ def finite_difference_prolongation(V, j, y_xx=0.0, v_xx=0.0, h=1e-5):
         y = j.y + j.y_x * t + 0.5 * y_xx * t * t
         v = j.v + j.v_x * t + 0.5 * v_xx * t * t
         y_x = j.y_x + y_xx * t
-        xi = V.xi(x, y, v)
-        phi = V.phi(x, y, v)
+        xi, phi, _ = V.coefficients(x, y, v)
         return phi - xi * y_x
 
     d = (along(h) - along(-h)) / (2.0 * h)
-    return d + V.xi(j.x, j.y, j.v) * y_xx
+    return d + V.coefficients(j.x, j.y, j.v)[0] * y_xx
 
 
 def test_prolong1_matches_finite_difference_oracle():
@@ -167,7 +166,7 @@ def test_variational_residual_all_generators():
 
 
 def test_variational_residual_rejects_x_translation():
-    V = field_of(lambda x, y, v: 1.0, sym._zero, sym._zero, "d/dx")
+    V = field(lambda x, y, v: 1.0, zero, zero, "d/dx")
     j = chart.jet1(0.5, 0.2, 0.0, 1.0, 1.0)
     assert abs(sym.variational_residual(V, j)) > 1e-3
 
@@ -218,15 +217,14 @@ def test_bracket_chi3_chi6_vanishes():
 
 
 def test_jacobi_identity_all_triples():
-    pts = chart.sample_domain(100, 0.1, seed=14)
+    p = chart.domain_columns(100, 0.1, seed=14)
     for (a, b, c) in itertools.combinations(range(1, 7), 3):
         J = None
         for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
             term = sym.lie_bracket(sym.chi(i), sym.lie_bracket(sym.chi(j), sym.chi(k)))
             J = term if J is None else add(J, term)
-        for p in pts:
-            for comp in J.coefficients(p.x, p.y, p.v):
-                assert abs(comp) < 1e-8
+        for comp in J.coefficients(p.x, p.y, p.v):
+            assert np.max(np.abs(comp)) < 1e-8
 
 
 # ------------------------------------------------------------ bracket table
@@ -296,6 +294,17 @@ def test_bracket_table_takes_one_gradient_pass_per_generator(monkeypatch):
     assert len(passes) == 6
 
 
+def test_lie_bracket_takes_one_gradient_pass_per_field(monkeypatch):
+    passes = _counting(monkeypatch, "value_and_gradn")
+    p = chart.domain_columns(10, 0.1, 0)
+    for i, j in itertools.product(range(1, 7), repeat=2):
+        B = sym.lie_bracket(sym.chi(i), sym.chi(j))
+        del passes[:]
+        B.coefficients(p.x, p.y, p.v)
+        assert len(passes) == 2
+        assert [args[0] for args in passes] == [sym.chi(i).coefficients, sym.chi(j).coefficients]
+
+
 def test_identify_rejects_scaled_candidate():
     points = chart.sample_domain(30, 0.1, seed=15)
     with pytest.raises(sym.AmbiguousIdentification):
@@ -345,7 +354,7 @@ def test_prolong2_evaluates_the_first_prolongation_once(monkeypatch):
 
 
 def test_prolong2_constant_field_on_curvature_slot():
-    V = sym.VectorField3(sym._zero, sym._one, sym._zero, "const")
+    V = sym.VectorField3(lambda x, y, v: (0.0, 1.0, 0.0), "const")
 
     def F(x, y, v, y_x, v_x, y_xx, v_xx):
         return y_xx
