@@ -29,8 +29,6 @@ from .geodesics import (
 from .jetcalc import DomainError, DualScalar
 from .reduction import (
     BranchExit,
-    InversionDomain,
-    alpha_from_sample,
     global_flow,
     s2_residual,
 )
@@ -57,13 +55,11 @@ __all__ = [
     "DomainError",
     "DomainExit",
     "DualScalar",
-    "InversionDomain",
     "KConstant",
     "OutOfRange",
     "SingularSystem",
     "Trajectory",
     "VectorField3",
-    "alpha_from_sample",
     "bracket_table",
     "chi",
     "closed_triples",

@@ -4,8 +4,12 @@ omega = cos x cos y is invariant along chi3 = (sin y, -tan x cos y, 0);
 tau = arctan(cot x sin y) translates at unit rate along the closed-form
 one-parameter orbit.  In these coordinates the collapsed second-order
 equation drops to a first-order relation between omega'(tau) and a
-constant alpha; this module inverts that relation for alpha at a sample
-and checks alpha-constancy along integrated geodesics.
+constant alpha; this module inverts that relation for alpha along an
+integrated geodesic and checks that alpha stays constant.  One directional
+pass of (omega, tau) per trajectory gives both coordinates and omega', and
+one mask excludes the rows where sin x is too small to square, omega is
+within 1e-4 of 1, |tan tau| < 1e-6, tau is stationary along the curve
+(omega' not finite), or alpha evaluates non-finite.
 
 Branch conventions: tau is reported as a principal value, and the
 closed-form orbit parametrizes the integral curve of (-sin y,
@@ -20,13 +24,9 @@ import math
 
 import numpy as np
 
-from . import chart, jetcalc
+from . import jetcalc
 from .geodesics import Trajectory, infer_k
 from .jetcalc import arcsin, arctan, atan2, cos, directional, power, sec, sin, tan
-
-
-class InversionDomain(ValueError):
-    """A sample cannot be inverted for alpha (degenerate or out of domain)."""
 
 
 class BranchExit(RuntimeError):
@@ -91,68 +91,28 @@ def wrap_mod_pi(delta):
     return delta - math.pi * np.round(delta / math.pi)
 
 
-def omega_prime(j: chart.JetColumns):
-    """d(omega)/d(tau) along the curve a jet represents.
-
-    Chain rule through x: both coordinate differentials are taken along
-    (1, y_x).  Raises InversionDomain where tau is stationary; over
-    JetColumns the result is an array with NaN at those samples.
-    """
-    _, (d_omega, d_tau) = directional(lambda x, y: (omega_coordinate(x, y), tau_coordinate(x, y)),
-                                      (j.x, j.y), (1.0, j.y_x))
-    if isinstance(d_tau, np.ndarray):
-        return np.divide(d_omega, d_tau, out=np.full(d_tau.shape, np.nan), where=d_tau != 0.0)
-    if d_tau == 0.0:
-        raise InversionDomain("tau is stationary along the jet; omega'(tau) diverges")
-    return d_omega / d_tau
-
-
 def _tan(t):
     """math.tan, per element of an array.  Not jetcalc.tan: tau = arctan(...)
     never sits on a pole, but that guard (|cos| < 1e-12) fires for 0 < |x| < 1e-12."""
     return jetcalc._map(math.tan, t)
 
 
-def _sample_terms(tau, omega, k):
-    """S = omega^2 cos^2 tau + sin^2 tau, R = k/omega^2 - 1 and
-    theta = atan2(omega, tan tau) of the reduced relation, per sample.
+def _alpha(tau, omega, tan_tau, w_prime, k):
+    """alpha from the reduced first-order relation at each admissible sample:
 
-    Raises InversionDomain unless omega lies strictly inside (0, 1) (at
-    every element of an array).
-    """
-    if not np.all((0.0 < omega) & (omega < 1.0)):
-        raise InversionDomain(f"omega must lie strictly inside (0, 1), got {omega}")
-    S = omega * omega * power(cos(tau), 2) + power(sin(tau), 2)
-    R = float(k) / (omega * omega) - 1.0
-    theta = atan2(omega, _tan(tau))
-    return S, R, theta
-
-
-def alpha_from_sample(tau, omega, omega_prime, k):
-    """Invert the reduced first-order relation for alpha at one sample
-    (or at each element of equal-shape arrays).
-
-    With S, R and theta as in _sample_terms:
-
-        alpha = S * (1 + R * cos^2(psi - theta)),  psi = arctan(omega' / (1 - omega^2))
+        alpha = S * (1 + R * cos^2(psi - theta)),
+        S = omega^2 cos^2 tau + sin^2 tau,  R = k/omega^2 - 1,
+        theta = atan2(omega, tan tau),  psi = arctan(omega' / (1 - omega^2))
 
     cos^2 is even, so alpha is the same on both branches of the forward
     relation (and under mod-pi shifts of either angle): the inversion
-    takes no branch.  The branch matters only when reproducing omega'
-    from alpha.  Raises InversionDomain for an inadmissible sample (any
-    element of an array) and for a non-finite float alpha; an array
-    result keeps non-finite alphas for the caller to drop.
+    takes no branch.
     """
-    S, R, theta = _sample_terms(tau, omega, k)
-    if not np.all(np.isfinite(omega_prime)):
-        raise InversionDomain("omega' is not finite")
-    if np.any(_tan(tau) == 0.0):
-        raise InversionDomain("tan tau vanishes; theta undefined")
-    psi = arctan(omega_prime / (1.0 - omega * omega))
-    alpha = S * (1.0 + R * power(cos(psi - theta), 2))
-    if not isinstance(alpha, np.ndarray) and not math.isfinite(alpha):
-        raise InversionDomain("alpha evaluated non-finite")
-    return alpha
+    S = omega * omega * power(cos(tau), 2) + power(sin(tau), 2)
+    R = float(k) / (omega * omega) - 1.0
+    theta = atan2(omega, tan_tau)
+    psi = arctan(w_prime / (1.0 - omega * omega))
+    return S * (1.0 + R * power(cos(psi - theta), 2))
 
 
 def s2_residual(x, y, y_x, y_xx):
@@ -174,24 +134,25 @@ TAU_GUARD = 1e-6
 def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, int]:
     """alpha at every admissible trajectory sample, plus the excluded count.
 
-    A sample is admissible when tau_defined(x) holds (tau is undefined at
-    x = 0, and its derivative divides by sin^2 x), omega is not
-    within OMEGA_GUARD of 1, tan tau is not within TAU_GUARD of 0, tau is
-    not stationary, and omega' and alpha evaluate finite.  The alphas keep
-    the sample order.
+    One directional pass of (omega, tau) along (1, y_x) gives both
+    coordinates and omega' = d omega / d tau.  A sample is excluded when
+    sin x is too small to square (tau_defined fails: tau is undefined at
+    x = 0, and its derivative divides by sin^2 x), omega is within
+    OMEGA_GUARD of 1, |tan tau| < TAU_GUARD, tau is stationary along the
+    curve (omega' not finite), or alpha evaluates non-finite.  The alphas
+    keep the sample order.
     """
     c = traj.columns
-    rows = np.flatnonzero(tau_defined(c.x))
-    x, y = c.x[rows], c.y[rows]
-    # omega' = d omega / d tau overflows where tau is nearly stationary;
-    # the non-finite values that follow fail the guards below
+    defined = tau_defined(c.x)
+    # omega' overflows where tau is nearly stationary; the mask drops those rows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tau, omega = tau_coordinate(x, y), omega_coordinate(x, y)
-        ok = (1.0 - omega >= OMEGA_GUARD) & (np.abs(_tan(tau)) >= TAU_GUARD)
-        rows, tau, omega = rows[ok], tau[ok], omega[ok]
-        w_prime = omega_prime(chart.JetColumns(c.x[rows], c.y[rows], 0.0, c.y_x[rows]))
-    ok = np.isfinite(w_prime)
-    alphas = alpha_from_sample(tau[ok], omega[ok], w_prime[ok], k)
+        (omega, tau), (d_omega, d_tau) = directional(
+            lambda x, y: (omega_coordinate(x, y), tau_coordinate(x, y)),
+            (c.x[defined], c.y[defined]), (1.0, c.y_x[defined]))
+        w_prime = np.divide(d_omega, d_tau, out=np.full(d_tau.shape, np.nan), where=d_tau != 0.0)
+    tan_tau = _tan(tau)
+    ok = (1.0 - omega >= OMEGA_GUARD) & (np.abs(tan_tau) >= TAU_GUARD) & np.isfinite(w_prime)
+    alphas = _alpha(tau[ok], omega[ok], tan_tau[ok], w_prime[ok], k)
     alphas = alphas[np.isfinite(alphas)]
     return alphas, len(traj) - alphas.size
 

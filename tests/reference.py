@@ -1,12 +1,13 @@
 """Oracles that the tests check glome against and glome itself does not
 call: the two Euler-Lagrange expressions on second-order jets, the
 Euler-Lagrange kernel frozen as it was first written and the geodesic
-equation from the Christoffel symbols of the chart metric, the forward
-reduced relation omega'(tau) from alpha, vector fields built from and read
-as three component functions and their sums and scalar multiples, the
-gradient taken one dual pass per argument (and, for a tuple-valued
-function, per component), and the second prolongation that evaluates the
-first one three times; and the test of whether numpy's sin and cos round
+equation from the Christoffel symbols of the chart metric, omega'(tau) and
+the alpha inversion at one sample at a time, the forward reduced relation
+omega'(tau) from alpha, vector fields built from and read as three
+component functions and their sums and scalar multiples, the gradient
+taken one dual pass per argument (and, for a tuple-valued function, per
+component), and the second prolongation that evaluates the first one
+three times; and the test of whether numpy's sin and cos round
 like the platform's libm, which the tests of pinned bits depend on."""
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from glome import chart, jetcalc
 from glome import reduction as red
 from glome import symmetries as sym
-from glome.jetcalc import DomainError, DualScalar, directional
+from glome.jetcalc import DomainError, DualScalar, arctan, atan2, cos, directional, power, sin
 
 
 def numpy_trig_is_math() -> bool:
@@ -107,23 +108,92 @@ def christoffel_curvatures(x, y, y_x, v_x, digits=40):
         return a_y - y_x * a_x, a_v - v_x * a_x
 
 
+class InversionDomain(ValueError):
+    """A sample cannot be inverted for alpha (degenerate or out of domain)."""
+
+
+def omega_prime(j: chart.JetColumns):
+    """d(omega)/d(tau) along the curve a jet represents.
+
+    Chain rule through x: both coordinate differentials are taken along
+    (1, y_x).  Raises InversionDomain where tau is stationary; over
+    JetColumns the result is an array with NaN at those samples.
+    """
+    _, (d_omega, d_tau) = directional(lambda x, y: (red.omega_coordinate(x, y), red.tau_coordinate(x, y)),
+                                      (j.x, j.y), (1.0, j.y_x))
+    if isinstance(d_tau, np.ndarray):
+        return np.divide(d_omega, d_tau, out=np.full(d_tau.shape, np.nan), where=d_tau != 0.0)
+    if d_tau == 0.0:
+        raise InversionDomain("tau is stationary along the jet; omega'(tau) diverges")
+    return d_omega / d_tau
+
+
+def _sample_terms(tau, omega, k):
+    """S = omega^2 cos^2 tau + sin^2 tau, R = k/omega^2 - 1 and
+    theta = atan2(omega, tan tau) of the reduced relation, per sample.
+
+    Raises InversionDomain unless omega lies strictly inside (0, 1) (at
+    every element of an array).
+    """
+    if not np.all((0.0 < omega) & (omega < 1.0)):
+        raise InversionDomain(f"omega must lie strictly inside (0, 1), got {omega}")
+    S = omega * omega * power(cos(tau), 2) + power(sin(tau), 2)
+    R = float(k) / (omega * omega) - 1.0
+    theta = atan2(omega, red._tan(tau))
+    return S, R, theta
+
+
+def alpha_from_sample(tau, omega, omega_prime, k):
+    """Invert the reduced first-order relation for alpha at one sample
+    (or at each element of equal-shape arrays).
+
+    With S, R and theta as in _sample_terms:
+
+        alpha = S * (1 + R * cos^2(psi - theta)),  psi = arctan(omega' / (1 - omega^2))
+
+    cos^2 is even, so alpha is the same on both branches of the forward
+    relation (and under mod-pi shifts of either angle): the inversion
+    takes no branch.  The branch matters only when reproducing omega'
+    from alpha.  Raises InversionDomain for an inadmissible sample (any
+    element of an array) and for a non-finite float alpha; an array
+    result keeps non-finite alphas for the caller to drop.
+    """
+    S, R, theta = _sample_terms(tau, omega, k)
+    if not np.all(np.isfinite(omega_prime)):
+        raise InversionDomain("omega' is not finite")
+    if np.any(red._tan(tau) == 0.0):
+        raise InversionDomain("tan tau vanishes; theta undefined")
+    psi = arctan(omega_prime / (1.0 - omega * omega))
+    alpha = S * (1.0 + R * power(cos(psi - theta), 2))
+    if not isinstance(alpha, np.ndarray) and not math.isfinite(alpha):
+        raise InversionDomain("alpha evaluated non-finite")
+    return alpha
+
+
 def reduced_omega_prime(tau: float, omega: float, alpha, k, branch="+") -> float:
     """Forward reduced relation: omega'(tau) from alpha on branch '+' or '-'.
 
         omega' = (1 - omega^2) tan(branch * arccos(sqrt(arg)) + theta),
         arg = (alpha - S) / (R * S)
 
-    Raises InversionDomain when the arccos argument falls outside [0, 1].
+    S, R and theta are formed here with Python's math, sharing no code
+    with glome or with alpha_from_sample.  Raises InversionDomain unless
+    omega lies strictly inside (0, 1), and when the arccos argument falls
+    outside [0, 1].
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     sgn = 1.0 if branch == "+" else -1.0
-    S, R, theta = red._sample_terms(tau, omega, k)
+    if not 0.0 < omega < 1.0:
+        raise InversionDomain(f"omega must lie strictly inside (0, 1), got {omega}")
+    S = omega * omega * math.cos(tau) ** 2 + math.sin(tau) ** 2
+    R = float(k) / (omega * omega) - 1.0
+    theta = math.atan2(omega, math.tan(tau))
     if R * S == 0.0:
-        raise red.InversionDomain("degenerate sample: R * S = 0")
+        raise InversionDomain("degenerate sample: R * S = 0")
     arg = (float(alpha) - S) / (R * S)
     if arg < -1e-12 or arg > 1.0 + 1e-12:
-        raise red.InversionDomain(f"arccos argument {arg} outside [0, 1]")
+        raise InversionDomain(f"arccos argument {arg} outside [0, 1]")
     arg = min(1.0, max(0.0, arg))
     return (1.0 - omega * omega) * math.tan(sgn * math.acos(math.sqrt(arg)) + theta)
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from glome import geodesics as geo
-from glome import suites, symmetries
+from glome import reduction, suites, symmetries
 from glome.cli import main
 from reference import component, field
 
@@ -80,3 +80,24 @@ def test_symmetry_checks_fail_on_a_planted_generator_coefficient(monkeypatch, pl
     if planted:
         _plant_chi3_phi(monkeypatch)
     assert _symmetry_failures(CFG) == failing
+
+
+
+TAU_SIZE = 1e-4  # at 1e-6 alpha_constancy reads 1.2e-5, too near its 1e-5 tolerance
+
+
+def _reduction_failures(cfg: suites.RunConfig) -> set[str]:
+    checks = suites.suite_flow(cfg) + suites.suite_reduction(cfg, suites.make_batch(cfg))
+    return {c.name for c in checks if not c.passed}
+
+
+@pytest.mark.parametrize("planted, failing", [
+    (False, set()),
+    (True, {"flow_tau_shift", "alpha_constancy"}),
+], ids=["none", "tau"])
+def test_reduction_checks_fail_on_a_planted_tau(monkeypatch, planted, failing):
+    if planted:
+        real = reduction.tau_coordinate
+        monkeypatch.setattr(reduction, "tau_coordinate",
+                            lambda x, y: real(x, y) * (1.0 + TAU_SIZE))
+    assert _reduction_failures(CFG) == failing

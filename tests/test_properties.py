@@ -868,6 +868,7 @@ def test_prolong2_apply_equals_the_three_evaluation_oracle(i, w, k, seed, rows, 
 # ------------------------- trajectory rows and flow samples vs per-row reference
 
 from glome import reduction as red  # noqa: E402
+from reference import InversionDomain, alpha_from_sample, omega_prime  # noqa: E402
 
 row_x = st.sampled_from([0.0, -0.0, 1e-200, 1e-13, -2e-7]) | chart_angle
 traj_row = st.tuples(row_x, chart_angle, st.floats(0.0, 6.3), slope, slope)
@@ -912,8 +913,8 @@ def test_alpha_series_equals_per_row_reference(rows, k):
             tau, omega = red.tau_coordinate(j.x, j.y), red.omega_coordinate(j.x, j.y)
             if 1.0 - omega < red.OMEGA_GUARD or abs(math.tan(tau)) < red.TAU_GUARD:
                 continue
-            want.append(red.alpha_from_sample(tau, omega, red.omega_prime(j), k))
-        except (red.InversionDomain, jc.DomainError):
+            want.append(alpha_from_sample(tau, omega, omega_prime(j), k))
+        except (InversionDomain, jc.DomainError):
             continue
     assert alphas.tobytes() == _bits(want)
     assert excluded == len(rows) - len(want)

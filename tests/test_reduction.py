@@ -7,7 +7,7 @@ from glome import chart, geodesics as geo
 from glome import jetcalc as jc
 from glome import reduction as red
 from glome import symmetries as sym
-from reference import reduced_omega_prime
+from reference import InversionDomain, alpha_from_sample, omega_prime, reduced_omega_prime
 
 
 # -------------------------------------------------------------- canonical
@@ -128,7 +128,7 @@ def test_omega_prime_matches_finite_differences():
     h = 1e-6
     d_omega = (along(h, red.omega_coordinate) - along(-h, red.omega_coordinate)) / (2 * h)
     d_tau = (along(h, red.tau_coordinate) - along(-h, red.tau_coordinate)) / (2 * h)
-    assert abs(red.omega_prime(j) - d_omega / d_tau) < 1e-8
+    assert abs(omega_prime(j) - d_omega / d_tau) < 1e-8
 
 
 def test_omega_prime_stationary_tau_raises():
@@ -136,18 +136,18 @@ def test_omega_prime_stationary_tau_raises():
     x, y = 0.6, 0.4
     g = jc.gradn(lambda a, b, c: red.tau_coordinate(a, b), (x, y, 0.0))
     y_x = -g[0] / g[1]
-    with pytest.raises(red.InversionDomain):
-        red.omega_prime(chart.jet1(x, y, 0.0, y_x, 0.0))
+    with pytest.raises(InversionDomain):
+        omega_prime(chart.jet1(x, y, 0.0, y_x, 0.0))
 
 
 def test_omega_prime_near_x_zero_raises_domain_error():
     # tau's derivative squares sin x, which underflows for 0 < |x| < 1.5e-154
     for x in (1e-200, -1e-160, 5e-324):
         with pytest.raises(jc.DomainError, match="squared denominator underflows"):
-            red.omega_prime(chart.jet1(x, 0.3, 0.0, 0.2, 0.3))
+            omega_prime(chart.jet1(x, 0.3, 0.0, 0.2, 0.3))
     cols = chart.JetColumns(np.array([0.4, 1e-200]), np.array([0.3, 0.3]), 0.0, np.array([0.2, 0.2]))
     with pytest.raises(jc.DomainError, match=r"at index \(1,\)"):
-        red.omega_prime(cols)
+        omega_prime(cols)
 
 
 def test_tau_defined_is_where_omega_prime_evaluates():
@@ -156,10 +156,10 @@ def test_tau_defined_is_where_omega_prime_evaluates():
     for x in xs:
         j = chart.jet1(x, 0.3, 0.0, 0.2, 0.3)
         if red.tau_defined(x):
-            assert math.isfinite(red.omega_prime(j))
+            assert math.isfinite(omega_prime(j))
         else:
             with pytest.raises(jc.DomainError):
-                red.omega_prime(j)
+                omega_prime(j)
     assert red.tau_defined(np.array(xs)).tolist() == [True] * 4 + [False] * 4
 
 
@@ -169,7 +169,7 @@ def test_alpha_trivial_stationary_sample():
     # omega' = 0 with theta ~ 0 (tau near pi/2): alpha = S * k / omega^2
     tau = math.pi / 2 - 1e-9
     omega, k = 0.7, 0.3
-    alpha = float(red.alpha_from_sample(tau, omega, 0.0, k))
+    alpha = float(alpha_from_sample(tau, omega, 0.0, k))
     S = omega**2 * math.cos(tau) ** 2 + math.sin(tau) ** 2
     assert abs(alpha - S * k / omega**2) < 1e-9 * abs(alpha)
 
@@ -184,7 +184,7 @@ def test_alpha_round_trip_reproduces_omega_prime():
         k = float(rng.uniform(0.0, 1.0))
         if abs(math.tan(tau)) < 1e-3:
             continue
-        alpha = red.alpha_from_sample(tau, omega, w_prime, k)
+        alpha = alpha_from_sample(tau, omega, w_prime, k)
         reproduced = [
             reduced_omega_prime(tau, omega, alpha, k, branch)
             for branch in ("+", "-")
@@ -196,21 +196,21 @@ def test_alpha_round_trip_reproduces_omega_prime():
 def test_alpha_branch_symmetry():
     # the inversion takes no branch: omega' from either branch of the
     # forward relation inverts to the same alpha (cos^2 of an odd flip)
-    alpha = float(red.alpha_from_sample(0.8, 0.6, 1.3, 0.4))
+    alpha = float(alpha_from_sample(0.8, 0.6, 1.3, 0.4))
     for branch in ("+", "-"):
         w_prime = reduced_omega_prime(0.8, 0.6, alpha, 0.4, branch)
-        assert abs(float(red.alpha_from_sample(0.8, 0.6, w_prime, 0.4)) - alpha) < 1e-12
+        assert abs(float(alpha_from_sample(0.8, 0.6, w_prime, 0.4)) - alpha) < 1e-12
 
 
 def test_alpha_domain_errors():
-    with pytest.raises(red.InversionDomain):
-        red.alpha_from_sample(0.8, 1.0, 0.5, 0.3)
-    with pytest.raises(red.InversionDomain):
-        red.alpha_from_sample(0.8, 0.0, 0.5, 0.3)
-    with pytest.raises(red.InversionDomain):
-        red.alpha_from_sample(0.0, 0.5, 0.5, 0.3)  # tan tau = 0
-    with pytest.raises(red.InversionDomain):
-        red.alpha_from_sample(0.8, 0.5, math.inf, 0.3)
+    with pytest.raises(InversionDomain):
+        alpha_from_sample(0.8, 1.0, 0.5, 0.3)
+    with pytest.raises(InversionDomain):
+        alpha_from_sample(0.8, 0.0, 0.5, 0.3)
+    with pytest.raises(InversionDomain):
+        alpha_from_sample(0.0, 0.5, 0.5, 0.3)  # tan tau = 0
+    with pytest.raises(InversionDomain):
+        alpha_from_sample(0.8, 0.5, math.inf, 0.3)
     for branch in ("x", 1, -1.0, "plus", "minus"):
         with pytest.raises(ValueError):
             reduced_omega_prime(0.8, 0.5, 0.3, 0.3, branch=branch)
@@ -218,7 +218,7 @@ def test_alpha_domain_errors():
 
 def test_reduced_omega_prime_rejects_bad_arccos_argument():
     # alpha far above the admissible band makes the arccos argument > 1
-    with pytest.raises(red.InversionDomain):
+    with pytest.raises(InversionDomain):
         reduced_omega_prime(0.8, 0.5, 100.0, 0.9)
 
 
@@ -231,6 +231,27 @@ def test_alpha_constant_along_geodesic(standard_trajectory):
     rel_dev = (alphas.max() - alphas.min()) / abs(alphas.mean())
     assert rel_dev < 1e-5
     assert excluded + len(alphas) == len(standard_trajectory)
+
+
+def test_alpha_series_takes_one_pass_and_one_tan_sweep(standard_trajectory, monkeypatch):
+    calls = {"_tan": 0, "directional": 0}
+
+    def counted(name):
+        real = getattr(red, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(red, name, wrapper)
+
+    counted("_tan")
+    counted("directional")
+    alphas, _ = red.alpha_series(standard_trajectory, 0.3)
+    assert len(alphas) > 700
+    assert calls == {"_tan": 1, "directional": 1}
+    for name in ("omega_prime", "_sample_terms", "alpha_from_sample", "InversionDomain"):
+        assert not hasattr(red, name)
 
 
 def test_reduction_report_structure(standard_trajectory):
