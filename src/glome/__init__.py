@@ -14,7 +14,6 @@ Submodules:
 from .chart import embed, lagrangian, sample_domain
 from .geodesics import (
     DomainExit,
-    KConstant,
     OutOfRange,
     SingularSystem,
     Trajectory,
@@ -55,7 +54,6 @@ __all__ = [
     "DomainError",
     "DomainExit",
     "DualScalar",
-    "KConstant",
     "OutOfRange",
     "SingularSystem",
     "Trajectory",

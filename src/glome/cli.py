@@ -148,7 +148,7 @@ def cmd_integrate(args) -> int:
         written.insert(0, out)
         sidecar["samples"] = len(traj)
         sidecar["x_reached"] = float(traj.x[-1])
-        sidecar["k"] = float(geodesics.infer_k(traj.jet(0)))
+        sidecar["k"] = geodesics.infer_k(traj.jet(0))
         sidecar["noether_drift"] = traj.noether_drift()
         if status == "ok":
             sidecar["oracle_endpoint_error"] = geodesics.endpoint_error_vs_great_circle(traj)

@@ -71,20 +71,6 @@ class TrajectoryCSVError(ValueError):
     """A trajectory CSV is malformed or disagrees with its own state columns."""
 
 
-@dataclass(frozen=True)
-class KConstant:
-    """Constant of the collapsed second-order equation; must lie in [0, 1]."""
-
-    k: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and 0.0 <= self.k <= 1.0):
-            raise OutOfRange(f"k must lie in [0, 1], got {self.k}")
-
-    def __float__(self) -> float:
-        return float(self.k)
-
-
 # Seeds of the one-pass core: row i holds argument i's component of the
 # inner directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x),
 # and of the outer directions (E_X, E_YX, E_VX), whose first one becomes
@@ -152,40 +138,40 @@ def noether_charge(j: chart.JetColumns):
 
 def collapsed_E(x, y, y_x, y_xx, k):
     """Left side of the collapsed equation E = 0; dual-capable in the jet slots."""
-    k_value = float(k)
     cx, sx = jetcalc.cos(x), jetcalc.sin(x)
     cy, sy = jetcalc.cos(y), jetcalc.sin(y)
     ccx = cx * cx
     ccy = cy * cy
     return (
-        y_x * sx * cy * (k_value - 2.0 * ccx * ccy)
-        + y_xx * cx * cy * (ccx * ccy - k_value)
-        + k_value * jetcalc.sec(x) * sy
-        + k_value * y_x * y_x * cx * sy
+        y_x * sx * cy * (k - 2.0 * ccx * ccy)
+        + y_xx * cx * cy * (ccx * ccy - k)
+        + k * jetcalc.sec(x) * sy
+        + k * y_x * y_x * cx * sy
         - power(y_x, 3) * ccx * ccx * sx * cy * ccy
     )
 
 
 def collapsed_fn(k):
     """The collapsed equation as a 7-slot jet function (for prolongations)."""
-    kv = float(k)
-
     def F(x, y, v, y_x, v_x, y_xx, v_xx):
-        return collapsed_E(x, y, y_x, y_xx, kv)
+        return collapsed_E(x, y, y_x, y_xx, k)
 
     return F
 
 
-def infer_k(j: chart.JetColumns) -> KConstant:
-    """The collapsed-equation constant for the geodesic through a state.
+def infer_k(j: chart.JetColumns) -> float:
+    """The collapsed-equation constant k in [0, 1] for the geodesic through a state.
 
     Eliminating v_x from the second Euler-Lagrange equation via the
     conserved charge c gives k = c^2; the grid-search oracle in the test
-    suite pins this closed form.  KConstant raises OutOfRange if the value
-    escapes [0, 1] (it cannot for a state in the open chart, up to rounding).
+    suite pins this closed form.  Raises OutOfRange if the value escapes
+    [0, 1] (it cannot for a state in the open chart, up to rounding).
     """
     c = noether_charge(j)
-    return KConstant(c * c)
+    k = c * c
+    if not (math.isfinite(k) and 0.0 <= k <= 1.0):
+        raise OutOfRange(f"k must lie in [0, 1], got {k}")
+    return k
 
 
 def _clipped(text: str) -> str:
@@ -318,27 +304,31 @@ def _everywhere(test) -> bool:
     return test.all() if isinstance(test, np.ndarray) else test
 
 
-def _stage(x, u: np.ndarray, failed: dict) -> np.ndarray:
+def _stage(x, u: np.ndarray, stopped: dict, at) -> np.ndarray:
     """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissae x for the states u (4, m).
 
-    x holds one abscissa per column, or is a float for a lone column.  One
-    ``failed`` record spans the four stages of a step.  A column whose
-    state leaves the chart, raises DomainError or meets a singular system,
-    in that order of precedence, is recorded there (its first failure in
-    the step only: the ChartError, the DomainError or the determinant) and
-    gets zero slopes, so the later stages of the step evaluate it at its
-    step-start state.  Each column test first runs once over the whole
-    batch (a nan fails it), and column by column only where that fails.
+    x and the step-start abscissa ``at`` each hold one abscissa per column,
+    or are floats for a lone column.  One ``stopped`` record spans the
+    four stages of a step and maps a column to its outcome: the exception
+    that stops it, or None once it is complete.  A column with no outcome
+    yet whose state leaves the chart, raises DomainError or meets a
+    singular system, in that order of precedence, gets its exception
+    there: DomainExit at ``at`` with the chart's or the domain guard's
+    message, or SingularSystem with the determinant at ``at``.  Every
+    column in the record gets zero slopes, so the later stages of the
+    step evaluate it at its step-start state.  Each column test first runs
+    once over the whole batch (a nan fails it), and column by column only
+    where that fails.
     """
     lim = chart.HALF_PI
     if not (np.isfinite(u).all() and np.abs(u[0]).max() < lim and _everywhere(abs(x) < lim)):
         on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < lim) & (abs(x) < lim)
         for c in np.flatnonzero(~on_chart).tolist():
-            if c not in failed:
+            if c not in stopped:
                 try:
                     chart.jet1(_x_of(x, c), *u[:, c].tolist())  # raises with the chart's message
                 except chart.ChartError as err:
-                    failed[c] = err
+                    stopped[c] = DomainExit(_x_of(at, c), str(err))
     # a lone state runs faster on floats
     y, _, y_x, v_x = u[:, 0].tolist() if u.shape[1] == 1 else u
     k = np.empty_like(u)
@@ -354,12 +344,12 @@ def _stage(x, u: np.ndarray, failed: dict) -> np.ndarray:
                 k[2, one], k[3, one], det[one] = _curvatures(_x_of(x, c), u[0, one], u[2, one],
                                                              u[3, one])
             except jetcalc.DomainError as err:
-                failed.setdefault(c, err)
+                stopped.setdefault(c, DomainExit(_x_of(at, c), str(err)))
     if not _everywhere(abs(det) >= DET_FLOOR):  # a nan determinant is not singular
         for c in np.flatnonzero(np.abs(det) < DET_FLOOR).tolist():
-            failed.setdefault(c, float(np.ravel(det)[c]))
-    if failed:
-        k[:, list(failed)] = 0.0
+            stopped.setdefault(c, SingularSystem(float(np.ravel(det)[c]), x=_x_of(at, c)))
+    if stopped:
+        k[:, list(stopped)] = 0.0
     return k
 
 
@@ -390,12 +380,6 @@ def _grid(x0: float, x_end: float, step: float) -> tuple[int, float, int]:
     return n, h, last
 
 
-def _stopped(failed: dict, x) -> dict:
-    """The exception that stops each failed column, at its step-start abscissa."""
-    return {c: SingularSystem(err, x=_x_of(x, c)) if isinstance(err, float)
-            else DomainExit(_x_of(x, c), str(err)) for c, err in failed.items()}
-
-
 def integrate_batch(jets, x_end, step=1e-3) -> list:
     """Classic fixed-step RK4 in x for many states (y, v, y_x, v_x) in lockstep.
 
@@ -407,10 +391,11 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     which must lie in [MIN_STEP, MAX_STEP]).  All jets' rows share one
     buffer, allocated for each jet only up to its pole margin, so a far
     x_end costs no memory it cannot use.  Each step's first stage is the
-    curvature at its sample, so a trajectory keeps it.  The four stages
-    of a step share one failure record, and the jets the step stops leave
-    the batch together at its end; a jet at its final sample rides that
-    step too.
+    curvature at its sample, so a trajectory keeps it.  Each step keeps
+    one outcome record per jet, written as the step runs and never
+    overwritten: the exception that stops the jet, or None when it is
+    complete.  The jets the record holds leave the batch together at the
+    step's end; a jet at its final sample rides that step too.
 
     Returns one entry per jet: its Trajectory, or the exception that
     stopped it -- DomainExit when the jet starts outside the 0.05 rad pole
@@ -418,8 +403,9 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     or has a stage leave the chart; SingularSystem when the
     Euler-Lagrange system degenerates.  Both carry the partial trajectory
     integrated so far (None when the jet never started).  A stopped jet
-    freezes; the others continue.  At step i the first of these that
-    applies wins, and a partial trajectory holds rows 0..i:
+    freezes; the others continue.  At step i the record is written in
+    this order, so the first of these that applies wins, and a partial
+    trajectory holds rows 0..i:
 
     1. a stage-1 failure raises its exception at x_i;
     2. a jet at its final sample is a complete Trajectory, with curvature;
@@ -477,26 +463,23 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
         return keep
 
     ends = set(n.tolist())
-    start, dx, at = gather(live)
+    start, dx, base = gather(live)
     with np.errstate(all="ignore"):  # a state that goes non-finite stops its jet below
         for i in range(int(n.max()) + 1):
             if not live.size:
                 break
             x = start + i * dx if i else start
-            failed: dict = {}
-            k1 = _stage(x, u, failed)
-            curvature[at + i] = k1[2:].T
-            # at its final sample a jet that stage 1 passed is complete, whatever follows
-            complete = [c for c in np.flatnonzero(n[live] == i).tolist()
-                        if c not in failed] if i in ends else []
+            stopped: dict = {}
+            k1 = _stage(x, u, stopped, x)
+            curvature[base + i] = k1[2:].T
+            if i in ends:  # at its final sample a jet that stage 1 passed is complete
+                for c in np.flatnonzero(n[live] == i).tolist():
+                    stopped.setdefault(c, None)
             half = 0.5 * dx
             mid = x + half
-            k2 = _stage(mid, u + half * k1, failed)
-            k3 = _stage(mid, u + half * k2, failed)
-            k4 = _stage(x + dx, u + dx * k3, failed)
-            stopped = {}
-            if failed or complete:
-                stopped = {**_stopped(failed, x), **dict.fromkeys(complete)}
+            k2 = _stage(mid, u + half * k1, stopped, x)
+            k3 = _stage(mid, u + half * k2, stopped, x)
+            k4 = _stage(x + dx, u + dx * k3, stopped, x)
             u = u + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             x = start + (i + 1) * dx
             if not (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
@@ -509,10 +492,10 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
             if stopped:
                 keep = retire(live, stopped, i)
                 live, u = live[keep], u[:, keep]
-                start, dx, at = gather(live)
+                start, dx, base = gather(live)
                 x = start + (i + 1) * dx
-            rows[at + i + 1, 0] = x
-            rows[at + i + 1, 1:] = u.T
+            rows[base + i + 1, 0] = x
+            rows[base + i + 1, 1:] = u.T
     return out
 
 
@@ -551,8 +534,8 @@ def ambient_state(j: chart.JetColumns) -> tuple[np.ndarray, np.ndarray, float]:
     The tangent is d(embed)/dx along any curve matching the jet; its norm
     equals the integrand value (the chain-rule identity the tests lean on).
     """
-    p = chart.embed(j.x, j.y, j.v)
-    tangent = np.array(directional(chart.ambient_coords, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))[1])
+    p, tangent = map(np.array, directional(chart.ambient_coords, (j.x, j.y, j.v),
+                                           (1.0, j.y_x, j.v_x)))
     speed = float(np.linalg.norm(tangent))
     return p, tangent / speed, speed
 

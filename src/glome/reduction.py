@@ -109,7 +109,7 @@ def _alpha(tau, omega, tan_tau, w_prime, k):
     takes no branch.
     """
     S = omega * omega * power(cos(tau), 2) + power(sin(tau), 2)
-    R = float(k) / (omega * omega) - 1.0
+    R = k / (omega * omega) - 1.0
     theta = atan2(omega, tan_tau)
     psi = arctan(w_prime / (1.0 - omega * omega))
     return S * (1.0 + R * power(cos(psi - theta), 2))

@@ -271,18 +271,16 @@ def suite_flow(cfg: RunConfig) -> list[CheckResult]:
     X, Y = reduction.global_flow(x, y, lam1)
     worst_omega = _worst(
         0.0, reduction.omega_coordinate(X, Y) - reduction.omega_coordinate(x, y))
-    off = np.abs(x) > 1e-6  # both x-based checks skip x near 0, where tau is undefined
-    both = off & (np.abs(X) > 1e-6)
+    both = reduction.tau_defined(x) & reduction.tau_defined(X)  # tau at the point and its image
     delta = (reduction.tau_coordinate(X[both], Y[both])
              - reduction.tau_coordinate(x[both], y[both]) - lam1[both])
     worst_tau = _worst(0.0, reduction.wrap_mod_pi(delta))
     X2, Y2 = reduction.global_flow(X, Y, lam2)
     X12, Y12 = reduction.global_flow(x, y, lam1 + lam2)
     worst_group = _worst(_worst(0.0, X2 - X12), Y2 - Y12)
-    # invariant coordinate is annihilated by the generator's (xi, phi)
-    xs, ys = x[off], y[off]
+    # invariant coordinate is annihilated by the generator's (xi, phi), regular at x = 0 too
     _, d_omega = jetcalc.directional(
-        reduction.omega_coordinate, (xs, ys), symmetries.chi(3).coefficients(xs, ys, 0.0)[:2])
+        reduction.omega_coordinate, (x, y), symmetries.chi(3).coefficients(x, y, 0.0)[:2])
     return [
         _result(cfg, "flow_omega_invariance", worst_omega),
         _result(cfg, "flow_tau_shift", worst_tau),
@@ -406,11 +404,11 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
     worst_k_gap = 0.0
     for idx, traj in enumerate(batch.trajectories):
         k = geodesics.infer_k(traj.jet(0))
-        worst_E = _worst(worst_E, _collapsed_along(traj, float(k)))
+        worst_E = _worst(worst_E, _collapsed_along(traj, k))
         dev = reduction.reduction_report(traj, k)["alpha_rel_dev"]
         worst_alpha = max(worst_alpha, math.inf if dev is None else dev)
         if idx < 5:  # the oracle sweep is heavy; five trajectories pin the closed form
-            worst_k_gap = max(worst_k_gap, abs(grid_search_k(traj) - float(k)))
+            worst_k_gap = max(worst_k_gap, abs(grid_search_k(traj) - k))
 
     worst_vx = 0.0
     worst_s2 = 0.0

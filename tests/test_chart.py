@@ -65,7 +65,7 @@ def test_one_float_jet_type():
     assert not hasattr(glome, "ChartPoint") and not hasattr(glome, "Jet1")
     assert not hasattr(chart, "ChartPoint") and not hasattr(chart, "Jet1")
     assert not hasattr(symmetries.VectorField3, "at")
-    assert len(glome.__all__) == 31
+    assert len(glome.__all__) == 30
 
 
 def test_lagrangian_at_rest_is_one():

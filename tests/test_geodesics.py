@@ -172,7 +172,7 @@ def test_collapsed_E_vanishes_along_trajectory(standard_trajectory):
 
 def test_infer_k_planar_geodesic_gives_zero(planar_trajectory):
     k = geo.infer_k(planar_trajectory.jet(0))
-    assert float(k) == 0.0
+    assert type(k) is float and k == 0.0
     # with k = 0 the collapsed equation holds along the whole planar run
     worst = 0.0
     for i in range(len(planar_trajectory)):
@@ -185,7 +185,7 @@ def test_infer_k_planar_geodesic_gives_zero(planar_trajectory):
 def test_infer_k_against_grid_search_oracle(standard_trajectory):
     from glome.suites import grid_search_k
 
-    k = float(geo.infer_k(standard_trajectory.jet(0)))
+    k = geo.infer_k(standard_trajectory.jet(0))
     k_star = grid_search_k(standard_trajectory)
     assert abs(k - k_star) < 1e-3
 
@@ -193,7 +193,7 @@ def test_infer_k_against_grid_search_oracle(standard_trajectory):
 def test_infer_k_simple_state():
     # c = 1/sqrt(2) at this state, so the constant is exactly one half
     k = geo.infer_k(chart.jet1(0.0, 0.0, 0.0, 0.0, 1.0))
-    assert abs(float(k) - 0.5) < 1e-15
+    assert abs(k - 0.5) < 1e-15
 
 
 def test_infer_k_simple_state_grid_cross_check():
@@ -202,7 +202,7 @@ def test_infer_k_simple_state_grid_cross_check():
     # for every k and the grid argmin is arbitrary; the meaningful oracle
     # statement is that the inferred k achieves the grid optimum.
     traj = geo.integrate(chart.jet1(0.0, 0.0, 0.0, 0.0, 1.0), 0.7, 1e-3)
-    k = float(geo.infer_k(traj.jet(0)))
+    k = geo.infer_k(traj.jet(0))
     assert abs(k - 0.5) < 1e-15
 
     # the curvature RK4 kept at each sample equals el_rhs there bitwise
@@ -222,18 +222,20 @@ def test_infer_k_simple_state_grid_cross_check():
 
 
 def test_infer_k_constant_along_geodesic(standard_trajectory):
-    k0 = float(geo.infer_k(standard_trajectory.jet(0)))
+    k0 = geo.infer_k(standard_trajectory.jet(0))
     for i in (100, 400, 799):
-        ki = float(geo.infer_k(standard_trajectory.jet(i)))
+        ki = geo.infer_k(standard_trajectory.jet(i))
         assert abs(ki - k0) < 1e-6
 
 
-def test_k_constant_range_validation():
-    with pytest.raises(geo.OutOfRange):
-        geo.KConstant(1.5)
-    with pytest.raises(geo.OutOfRange):
-        geo.KConstant(-0.1)
-    assert float(geo.KConstant(0.25)) == 0.25
+def test_k_constant_range_validation(monkeypatch):
+    j = chart.jet1(0.0, 0.0, 0.0, 0.0, 1.0)
+    assert type(geo.infer_k(j)) is float
+    # a planted charge whose square escapes [0, 1] or is nan
+    for charge, shown in ((1.1, "1.21"), (math.nan, "nan")):
+        monkeypatch.setattr(geo, "noether_charge", lambda j, c=charge: c)
+        with pytest.raises(geo.OutOfRange, match=rf"k must lie in \[0, 1\], got {shown}"):
+            geo.infer_k(j)
 
 
 # ---------------------------------------------------------------- integrate
@@ -294,6 +296,9 @@ def test_integrate_domain_exit_carries_partial_trajectory():
     assert exc.trajectory.curvature is None
     assert exc.x <= 1.55
     assert abs(exc.x) > math.pi / 2 - 0.05 - 1e-9
+    # a breach stops at the step's end x, one step past the last row (1.52)
+    assert exc.trajectory.x[-1] == pytest.approx(1.52, abs=1e-12)
+    assert exc.x == pytest.approx(exc.trajectory.x[-1] + 1e-3, abs=1e-12)
 
 
 def test_integrate_stage_off_chart_is_domain_exit():
@@ -304,16 +309,18 @@ def test_integrate_stage_off_chart_is_domain_exit():
 
 
 def test_stage_records_an_infinite_column_and_does_not_raise():
-    # one column takes the float path, two the array path; both record the
-    # column's ChartError, and the finite column keeps its lone slopes
+    # one column takes the float path, two the array path; both record a
+    # DomainExit at the step start with the chart's message, and the finite
+    # column keeps its lone slopes
     lone = np.array([[math.inf], [0.0], [0.1], [0.1]])
     pair = np.array([[math.inf, 0.2], [0.0, 0.0], [0.1, 0.1], [0.1, 0.1]])
     for u in (lone, pair):
-        failed = {}
-        k = geo._stage(0.3, u, failed)
-        assert list(failed) == [0] and isinstance(failed[0], chart.ChartError)
+        stopped = {}
+        k = geo._stage(0.3, u, stopped, 0.25)
+        assert list(stopped) == [0] and type(stopped[0]) is geo.DomainExit
+        assert stopped[0].x == 0.25 and "ChartPoint.y must be finite" in str(stopped[0])
         assert np.all(k[:, 0] == 0.0)
-    assert k[:, 1].tobytes() == geo._stage(0.3, pair[:, 1:], {})[:, 0].tobytes()
+    assert k[:, 1].tobytes() == geo._stage(0.3, pair[:, 1:], {}, 0.25)[:, 0].tobytes()
 
 
 def test_integrate_propagates_unrelated_value_error(monkeypatch):
@@ -400,6 +407,34 @@ def test_integrate_batch_completion_wins_over_a_later_stage_failure():
         _same_outcome(got, _lone(j0, e, 1e-2))
 
 
+_STAGE_STOPS = [
+    # off the chart at stage 2: y = 1.5 + 0.5 * 1e-2 * 20 = 1.6
+    ((0.0, 1.5, 0.0, 20.0, 0.0), 0.5, 1e-2, geo.DomainExit, 0.0),
+    # singular at the turning point x = pi/4
+    ((0.0, 0.0, 0.0, 0.0, 1.0), 0.8, 1e-3, geo.SingularSystem, 0.785),
+]
+
+
+def _assert_stops_at_step_start(err, kind, x):
+    assert type(err) is kind
+    assert err.x == err.trajectory.x[-1]
+    assert err.x == pytest.approx(x, abs=1e-12)
+
+
+def test_a_stage_failure_stops_at_its_step_start():
+    # a stage abscissa (x_i + h/2 or x_i + h) recorded in place of x_i
+    # would still agree between batch and lone runs; pin x_i itself
+    for state, x_end, step, kind, x in _STAGE_STOPS:
+        with pytest.raises(kind) as err:
+            geo.integrate(chart.jet1(*state), x_end, step)
+        _assert_stops_at_step_start(err.value, kind, x)
+    # one batch, so the step starts are an array with a step per jet
+    results = geo.integrate_batch([chart.jet1(*s[0]) for s in _STAGE_STOPS],
+                                  [s[1] for s in _STAGE_STOPS], [s[2] for s in _STAGE_STOPS])
+    for got, (_, _, _, kind, x) in zip(results, _STAGE_STOPS):
+        _assert_stops_at_step_start(got, kind, x)
+
+
 def test_integrate_batch_isolates_a_domain_error(monkeypatch):
     real = geo._curvatures
 
@@ -416,9 +451,8 @@ def test_integrate_batch_isolates_a_domain_error(monkeypatch):
     _same_trajectory(results[0], want[0])
     _same_trajectory(results[2], want[2])
     err = results[1]
-    assert isinstance(err, geo.DomainExit) and "planted" in str(err)
-    assert 0.0 < err.x < 0.2 and len(err.trajectory) >= 1
-    assert err.trajectory.x[-1] == err.x
+    assert "planted" in str(err)
+    _assert_stops_at_step_start(err, geo.DomainExit, 0.09)
 
 
 def test_integrate_batch_arguments():

@@ -101,3 +101,23 @@ def test_reduction_checks_fail_on_a_planted_tau(monkeypatch, planted, failing):
         monkeypatch.setattr(reduction, "tau_coordinate",
                             lambda x, y: real(x, y) * (1.0 + TAU_SIZE))
     assert _reduction_failures(CFG) == failing
+
+
+@pytest.fixture(scope="module")
+def batch():
+    """The trajectory batch at CFG; infer_k does not enter it, so the k rows share it."""
+    return suites.make_batch(CFG)
+
+
+@pytest.mark.parametrize("size, failing", [
+    (None, set()),
+    # alpha_constancy reads 6.4e-7 against 1e-5
+    (1e-5, {"collapsed_equation"}),
+    # k_grid_agreement reads 4.9e-3 against 1e-3 (at 1e-2 it reads 9.6e-4, too near)
+    (5e-2, {"collapsed_equation", "alpha_constancy", "k_grid_agreement"}),
+], ids=["none", "k_1e-5", "k_5e-2"])
+def test_reduction_checks_fail_on_a_planted_k(monkeypatch, batch, size, failing):
+    if size is not None:
+        real = geo.infer_k
+        monkeypatch.setattr(geo, "infer_k", lambda j: real(j) * (1.0 + size))
+    assert {c.name for c in suites.suite_reduction(CFG, batch) if not c.passed} == failing

@@ -226,7 +226,7 @@ def test_reduced_omega_prime_rejects_bad_arccos_argument():
 
 def test_alpha_constant_along_geodesic(standard_trajectory):
     k = geo.infer_k(standard_trajectory.jet(0))
-    alphas, excluded = red.alpha_series(standard_trajectory, float(k))
+    alphas, excluded = red.alpha_series(standard_trajectory, k)
     assert len(alphas) > 700
     rel_dev = (alphas.max() - alphas.min()) / abs(alphas.mean())
     assert rel_dev < 1e-5

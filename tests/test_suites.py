@@ -99,3 +99,22 @@ def test_swapped_gradient_components_fail_the_determining_and_bracket_checks(mon
     checks = suites.suite_determining(cfg) + suites.suite_bracket_table(cfg)
     assert [(c.name, c.passed) for c in checks] == [("determining_equations", False),
                                                    ("bracket_table", False)]
+
+
+def test_flow_checks_pass_at_points_next_to_x_zero(monkeypatch):
+    # tau is defined wherever sin x squares to a normal float, so these
+    # points enter the tau-shift check; chi3 is regular at x = 0 itself
+    real = chart.domain_columns
+    near = [1e-8, -1e-8, 1e-100, 0.0]
+
+    def with_near_zero(n, margin, seed):
+        c = real(n, margin, seed)
+        x = c.x.copy()
+        x[:len(near)] = near
+        return c._replace(x=x)
+
+    monkeypatch.setattr(chart, "domain_columns", with_near_zero)
+    checks = suites.suite_flow(suites.RunConfig(samples=50))
+    assert [c.name for c in checks] == ["flow_omega_invariance", "flow_tau_shift",
+                                        "flow_group_property", "omega_chi3_directional"]
+    assert all(c.passed for c in checks), [c.as_dict() for c in checks]
