@@ -10,6 +10,7 @@ Subcommands:
 
 The commands raise; main alone maps an error to its exit code, through
 EXIT_TABLE, and prints one stderr line ``glome <command>: <label>: <message>``.
+Every command has --out, and main checks it before the command runs.
 Exit codes: 0 all checks pass; 1 a check fails, integration stops early
 (DomainExit, SingularSystem: results, written to the sidecar) or a runtime
 failure (DomainError, BranchExit, AmbiguousIdentification); 2 a usage error
@@ -94,7 +95,6 @@ def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin,
                     step=args.step, trajectories=args.trajectories,
                     tolerances=_parse_tolerances(args))
-    _check_out(args.out)
     report = run_all(cfg)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
@@ -102,7 +102,6 @@ def cmd_verify(args) -> int:
 
 def cmd_brackets(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin)
-    _check_out(args.out)
     _emit(bracket_table_for(cfg).to_json_dict(), args.out)
     return EXIT_OK
 
@@ -118,6 +117,11 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 
 
 def cmd_integrate(args) -> int:
+    if not args.out:  # Path("") is the working directory, which has no .json sibling
+        raise ConfigError("--out must name the CSV file, got ''")
+    out = Path(args.out)
+    sidecar_path = out.with_suffix(".json")
+    _check_out(str(sidecar_path))
     if not geodesics.MIN_STEP <= args.step <= geodesics.MAX_STEP:
         raise ConfigError(f"--step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
                           f" got {args.step}")
@@ -126,10 +130,6 @@ def cmd_integrate(args) -> int:
     if not math.isfinite(args.x_end):
         raise ConfigError(f"--x-end must be finite, got {args.x_end}")
 
-    out = Path(args.out) if args.out else Path("trajectory.csv")
-    sidecar_path = out.with_suffix(".json")
-    _check_out(str(out))
-    _check_out(str(sidecar_path))
     status = "ok"
     detail = ""
     traj = None
@@ -152,12 +152,11 @@ def cmd_integrate(args) -> int:
         sidecar["noether_drift"] = traj.noether_drift()
         if status == "ok":
             sidecar["oracle_endpoint_error"] = geodesics.endpoint_error_vs_great_circle(traj)
-    text = json.dumps(sidecar, indent=2, allow_nan=False)
-    sidecar_path.write_text(text + "\n")
-    if not args.json:
-        print(f"wrote {' and '.join(map(str, written))} ({status})")
+    _emit(sidecar, str(sidecar_path))
+    if args.json:
+        _emit(sidecar, None)
     else:
-        print(text)
+        print(f"wrote {' and '.join(map(str, written))} ({status})")
     return EXIT_OK if status == "ok" else EXIT_FAIL
 
 
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="x,y,v,y_x,v_x of the initial state")
     p_int.add_argument("--x-end", type=float, required=True, dest="x_end")
     _add_step(p_int)
-    p_int.add_argument("--out", type=str, default=None,
+    p_int.add_argument("--out", type=str, default="trajectory.csv",
                        help="CSV path (default trajectory.csv); the sidecar takes .json")
     p_int.add_argument("--json", action="store_true", help="print the sidecar on stdout")
     p_int.set_defaults(func=cmd_integrate)
@@ -258,6 +257,7 @@ def main(argv=None) -> int:
     try:
         if [] in vars(args).values():  # argparse before Python 3.12 reads --opt=-- as []
             raise ConfigError("an option's value may not be '--'")
+        _check_out(args.out)
         return args.func(args)
     except tuple(t for types, _, _ in EXIT_TABLE for t in types) as err:
         code, label = next((code, label) for types, code, label in EXIT_TABLE

@@ -37,12 +37,12 @@ CSV_ERROR_WIDTH = 200  # characters of a CSV header or cell that an error messag
 class SingularSystem(RuntimeError):
     """The 2x2 Euler-Lagrange coefficient matrix is numerically singular."""
 
-    def __init__(self, det: float, x: float | None = None, trajectory=None):
+    trajectory = None  # the partial trajectory, set when integration stops here
+
+    def __init__(self, det: float, x: float):
         self.det = det
         self.x = x
-        self.trajectory = trajectory
-        loc = f" near x = {x:.6g}" if x is not None else ""
-        super().__init__(f"Euler-Lagrange system singular (det = {det:.3g}){loc}")
+        super().__init__(f"Euler-Lagrange system singular (det = {det:.3g}) near x = {x:.6g}")
 
 
 class DomainExit(RuntimeError):
@@ -53,10 +53,11 @@ class DomainExit(RuntimeError):
     integrand, never starts and carries no trajectory.
     """
 
-    def __init__(self, x: float, detail: str = "", trajectory=None,
+    trajectory = None  # the partial trajectory, set when integration stops here
+
+    def __init__(self, x: float, detail: str = "",
                  cause: str = "trajectory breached the pole margin near"):
         self.x = x
-        self.trajectory = trajectory
         msg = f"{cause} x = {x:.6g}"
         if detail:
             msg = f"{msg} ({detail})"
@@ -247,14 +248,11 @@ class Trajectory:
 
     def to_csv(self, path_or_file) -> None:
         """Write the CSV form (17 significant digits per field)."""
+        cols = np.column_stack([self.samples, self.noether, self.lagrangian,
+                                self.ambient_norm_residual])
         with _open_csv(path_or_file, "w") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_HEADER)
-            cols = np.column_stack(
-                [self.samples, self.noether, self.lagrangian, self.ambient_norm_residual]
-            )
-            for row in cols:
-                writer.writerow([f"{val:.17g}" for val in row])
+            np.savetxt(handle, cols, fmt="%.17g", delimiter=",", header=",".join(CSV_HEADER),
+                       comments="", newline="\r\n")
 
     @classmethod
     def from_csv(cls, path_or_file) -> "Trajectory":

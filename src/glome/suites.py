@@ -310,19 +310,14 @@ def make_batch(cfg: RunConfig) -> TrajectoryBatch:
     long run last, and the first failure in draw order is raised.
     """
     rng = np.random.default_rng(cfg.seed + 71)
+    spans = cfg.trajectories + max(5, cfg.trajectories // 5)
     starts = []
-    for _ in range(cfg.trajectories):
+    for i in range(spans):
         y0 = float(rng.uniform(-0.7, 0.7))
         v0 = float(rng.uniform(0.0, 2.0 * math.pi))
         y_x = float(rng.uniform(-0.5, 0.5))
-        v_x = float(rng.uniform(-0.5, 0.5))
+        v_x = float(rng.uniform(-0.5, 0.5)) if i < cfg.trajectories else 0.0
         starts.append(chart.jet1(0.0, y0, v0, y_x, v_x))
-    for _ in range(max(5, cfg.trajectories // 5)):
-        y0 = float(rng.uniform(-0.7, 0.7))
-        v0 = float(rng.uniform(0.0, 2.0 * math.pi))
-        y_x = float(rng.uniform(-0.5, 0.5))
-        starts.append(chart.jet1(0.0, y0, v0, y_x, 0.0))
-    spans = len(starts)
 
     long_steps = min(10 * cfg.samples, LONG_RUN_MAX_STEPS)
     half = 0.5 * long_steps * LONG_RUN_STEP
@@ -370,10 +365,11 @@ def _collapsed_along(traj: geodesics.Trajectory, k_value: float):
     return geodesics.collapsed_E(c.x, c.y, c.y_x, c.y_xx, k_value)
 
 
+_GRID_SPACING = 1e-4  # of the k grid in grid_search_k
 _GRID_BLOCK = 1 << 16  # elements per block of grid_search_k; 0.5 MB of buffer
 
 
-def grid_search_k(traj: geodesics.Trajectory, spacing: float = 1e-4) -> float:
+def grid_search_k(traj: geodesics.Trajectory) -> float:
     """Brute-force oracle: the k on a uniform grid minimizing max |E|.
 
     E is linear in k, so the per-sample values at k = 0 and k = 1 determine
@@ -383,7 +379,7 @@ def grid_search_k(traj: geodesics.Trajectory, spacing: float = 1e-4) -> float:
     """
     e0 = _collapsed_along(traj, 0.0)
     e1 = _collapsed_along(traj, 1.0) - e0
-    grid = np.arange(0.0, 1.0 + 0.5 * spacing, spacing)
+    grid = np.arange(0.0, 1.0 + 0.5 * _GRID_SPACING, _GRID_SPACING)
     rows = max(1, _GRID_BLOCK // e0.size)
     buffer = np.empty((min(rows, grid.size), e0.size))
     worst = np.empty(grid.size)

@@ -7,8 +7,10 @@ omega'(tau) from alpha, vector fields built from and read as three
 component functions and their sums and scalar multiples, the gradient
 taken one dual pass per argument (and, for a tuple-valued function, per
 component), and the second prolongation that evaluates the first one
-three times; and the test of whether numpy's sin and cos round
-like the platform's libm, which the tests of pinned bits depend on."""
+three times; the plane of R^4 that each generator rotates, and the
+bracket table derived from those rotations; and the test of whether
+numpy's sin and cos round like the platform's libm, which the tests of
+pinned bits depend on."""
 
 import math
 
@@ -302,3 +304,40 @@ def prolong2_apply(V: sym.VectorField3, F, j):
     eta_pr2 = dx_eta_pr - v_xx * dxi_total
     coeffs7 = (xi, phi, eta, phi_pr, eta_pr, phi_pr2, eta_pr2)
     return directional(F, (x, y, v, y_x, v_x, y_xx, v_xx), coeffs7)[1]
+
+
+# chi_i rotates the plane (a, b) of R^4, in the order of chart.ambient_coords:
+# its push-forward is the field x_a d_b - x_b d_a, every sign +.
+PLANES = ((0, 3), (1, 3), (2, 3), (0, 2), (1, 2), (0, 1))
+
+
+def rotation(i: int) -> np.ndarray:
+    """The integer 4x4 matrix A of chi_i's rotation field A x (chi1 is i = 1)."""
+    a, b = PLANES[i - 1]
+    A = np.zeros((4, 4), dtype=int)
+    A[b, a], A[a, b] = 1, -1
+    return A
+
+
+def structure_constants() -> np.ndarray:
+    """c[i, j, k] with [chi_(i+1), chi_(j+1)] = sum_k c[i, j, k] chi_(k+1), from
+    the 4x4 commutators: linear fields A x and B x bracket to (BA - AB) x."""
+    A = [rotation(i) for i in range(1, 7)]
+    c = np.zeros((6, 6, 6), dtype=int)
+    for i, j in np.ndindex(6, 6):
+        C = A[j] @ A[i] - A[i] @ A[j]
+        c[i, j] = [C[b, a] for a, b in PLANES]  # each A_k has its +1 at (b, a) alone
+        assert np.array_equal(C, np.einsum("k,kmn->mn", c[i, j], A)), "left so(4)"
+    return c
+
+
+def bracket_table() -> list[list[str]]:
+    """The 6x6 table in suites.REFERENCE_TABLE's names: row i column j
+    names [chi_i, chi_j], "zero" or a signed generator."""
+    def name(row) -> str:
+        if not row.any():
+            return "zero"
+        (k,) = np.flatnonzero(row)  # two plane rotations bracket to zero or one rotation
+        return f"{'+' if row[k] > 0 else '-'}chi{k + 1}"
+
+    return [[name(row) for row in rows] for rows in structure_constants()]

@@ -14,15 +14,9 @@ import pytest
 
 from glome import chart, geodesics as geo
 from glome import symmetries as sym
+from reference import bracket_table
 
-REFERENCE_TABLE = [
-    ["zero", "-chi6", "-chi4", "+chi3", "zero", "+chi2"],
-    ["+chi6", "zero", "-chi5", "zero", "+chi3", "-chi1"],
-    ["+chi4", "+chi5", "zero", "-chi1", "-chi2", "zero"],
-    ["-chi3", "zero", "+chi1", "zero", "-chi6", "+chi5"],
-    ["zero", "-chi3", "+chi2", "+chi6", "zero", "-chi4"],
-    ["-chi2", "+chi1", "zero", "-chi5", "+chi4", "zero"],
-]
+REFERENCE_TABLE = bracket_table()  # derived from the planes the generators rotate
 
 
 def by_name(report):

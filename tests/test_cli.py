@@ -10,19 +10,12 @@ import pytest
 from glome import geodesics as geo
 from glome import cli, jetcalc, reduction, symmetries
 from glome.cli import main
-from reference import numpy_trig_is_math
+from reference import bracket_table, numpy_trig_is_math
 
 FAST = ["--samples", "60", "--seed", "0"]
 FAST_VERIFY = FAST + ["--trajectories", "2"]
 
-REFERENCE_TABLE = [
-    ["zero", "-chi6", "-chi4", "+chi3", "zero", "+chi2"],
-    ["+chi6", "zero", "-chi5", "zero", "+chi3", "-chi1"],
-    ["+chi4", "+chi5", "zero", "-chi1", "-chi2", "zero"],
-    ["-chi3", "zero", "+chi1", "zero", "-chi6", "+chi5"],
-    ["zero", "-chi3", "+chi2", "+chi6", "zero", "-chi4"],
-    ["-chi2", "+chi1", "zero", "-chi5", "+chi4", "zero"],
-]
+REFERENCE_TABLE = bracket_table()  # derived from the planes the generators rotate
 
 
 CSV_HEADER = "x,y,v,y_x,v_x,noether_c,lagrangian,ambient_norm_residual"
@@ -138,6 +131,23 @@ def test_brackets_default_stdout_bytes_are_pinned(capsys):
         "efcde4e62b543849cd834e5c785dc4270b323e0866dbb3b1ba1902988e6d69f8")
 
 
+@pytest.mark.skipif(not numpy_trig_is_math(),
+                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
+                           " from math's here")
+def test_integrate_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["integrate", "--initial=0,0.2,0.3,0.1,0.2", "--x-end", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "208a226be87fc6bdcceeadd1bdc35d0025add1441a8126c6df4a8c016c265ed3")
+    sidecar = out.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == (
+        "e1c3b8e98c6a8b1931025f62ea12bd86a3bc4016336b9091528a7c300ee34699")
+    capsys.readouterr()
+    assert main([*argv, "--json"]) == 0  # --json prints the bytes the sidecar holds
+    assert capsys.readouterr().out.encode() == sidecar
+
+
 def test_integrate_constant_state(tmp_path):
     out = tmp_path / "flat.csv"
     code = main(["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5",
@@ -208,26 +218,34 @@ def test_integrate_domain_exit_names_its_cause_and_the_files_written(tmp_path, c
     assert capsys.readouterr().out == f"wrote {written} (DomainExit)\n"
 
 
-@pytest.mark.parametrize("argv, slow", [
-    (["verify", "--out", "{tmp}/missing/r.json"], "run_all"),
-    (["brackets", "--out", "{tmp}/missing/t.json"], "bracket_table_for"),
-    (["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1", "--out", "{tmp}/missing/t.csv"],
-     None),
-], ids=["verify", "brackets", "integrate"])
+# Each command with the step that --out must precede: a (module or class,
+# attribute) that is replaced to fail the test if it runs.
+INTEGRATE = ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1"]
+FLOW = ["flow", "--point", "0.5,0.3", "--lambda", "0.2"]
+OUT_BEFORE = [
+    (["verify"], (cli, "run_all")),
+    (["brackets"], (cli, "bracket_table_for")),
+    (INTEGRATE, None),
+    (["reduce", "{tmp}/t.csv"], (geo.Trajectory, "from_csv")),
+    (FLOW, (reduction, "global_flow")),
+]
+OUT_IDS = ["verify", "brackets", "integrate", "reduce", "flow"]
+
+
+@pytest.mark.parametrize("argv, slow", OUT_BEFORE, ids=OUT_IDS)
 def test_out_into_a_missing_directory_fails_before_the_run(tmp_path, monkeypatch, capsys, argv,
                                                            slow):
-    assert "missing" in _usage_error_before_the_run(tmp_path, monkeypatch, capsys, argv, slow)
+    argv = [*argv, "--out", "{tmp}/missing/out"]
+    err = _usage_error_before_the_run(tmp_path, monkeypatch, capsys, argv, slow)
+    assert err == (f"glome {argv[0]}: usage error: [Errno 2] no directory for --out:"
+                   f" '{tmp_path}/missing'\n")
 
 
 @pytest.mark.parametrize("argv, slow, named", [
-    (["verify", "--out", "{tmp}"], "run_all", "{tmp}"),
-    (["brackets", "--out", "{tmp}"], "bracket_table_for", "{tmp}"),
-    (["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1", "--out", "{tmp}"], None,
-     "{tmp}"),
+    *[([*argv, "--out", "{tmp}"], slow, "{tmp}") for argv, slow in OUT_BEFORE],
     # the sidecar next to the CSV is a directory
-    (["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end", "0.1", "--out", "{tmp}/t.csv"], None,
-     "{tmp}/t.json"),
-], ids=["verify", "brackets", "integrate", "integrate_sidecar"])
+    ([*INTEGRATE, "--out", "{tmp}/t.csv"], None, "{tmp}/t.json"),
+], ids=[*OUT_IDS, "integrate_sidecar"])
 def test_out_naming_a_directory_fails_before_the_run(tmp_path, monkeypatch, capsys, argv, slow,
                                                      named):
     (tmp_path / "t.json").mkdir()
@@ -240,9 +258,9 @@ def test_out_naming_a_directory_fails_before_the_run(tmp_path, monkeypatch, caps
 
 def _usage_error_before_the_run(tmp_path, monkeypatch, capsys, argv, slow) -> str:
     """main's one stderr line for ``argv``, which must exit 2 before ``slow``
-    (a cli binding) or any integration runs."""
+    (an (owner, attribute) pair) or any integration runs."""
     if slow:
-        monkeypatch.setattr(cli, slow, _raise(AssertionError("ran before checking --out")))
+        monkeypatch.setattr(*slow, _raise(AssertionError("ran before checking --out")))
     monkeypatch.setattr(geo, "integrate_batch", _raise(AssertionError("ran before checking --out")))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -457,6 +475,8 @@ EXIT_CODES = [
     ("OSError_reduce_out", ["reduce", "{tmp}/ok.csv", "--out", "{tmp}/missing/r.json"], None, 2),
     ("OSError_flow_out", ["flow", "--point", "0.5,0.3", "--lambda", "0.2",
                           "--out", "{tmp}/missing/f.json"], None, 2),
+    ("ConfigError_integrate_empty_out", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end",
+                                         "0.1", "--out", ""], None, 2),
     # one field past the csv module's 131072-character limit
     ("TrajectoryCSVError_long_field", ["reduce", "{tmp}/long_field.csv"], None, 2),
     # a non-finite tolerance is refused before any suite runs

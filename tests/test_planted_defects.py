@@ -1,30 +1,35 @@
-"""Planted defects: each row breaks one computed quantity by a small relative
-amount and names the checks that must fail.  No tolerance is moved; a row
-shows that its checks' margins do not hide a defect of that size."""
+"""Planted defects: each row breaks one computed quantity by a small amount
+and names the checks that must fail.  No tolerance is moved; a row shows
+that its checks' margins do not hide a defect of that size."""
 
 import json
 
 import pytest
 
-from glome import geodesics as geo
+from glome import chart, geodesics as geo
 from glome import reduction, suites, symmetries
 from glome.cli import main
 from reference import component, field
 
 CFG = suites.RunConfig(samples=100, trajectories=5)
-SIZE = 1e-6  # relative size of every planted defect
+SIZE = 1e-6  # relative size of a planted defect where a row names no other
 
 
-def _plant_curvature(monkeypatch, component: int) -> None:
-    """Scale the RK4 kernel's y_xx (component 0) or v_xx (1) by 1 + SIZE."""
-    real = geo._curvatures
+def _plant(monkeypatch, owner, name: str, index: int, defect) -> None:
+    """Replace ``owner.name`` by the function whose output ``index`` is
+    ``defect`` of the real one's; its other outputs are the real ones."""
+    real = getattr(owner, name)
 
-    def planted(x, y, y_x, v_x):
-        out = list(real(x, y, y_x, v_x))
-        out[component] = out[component] * (1.0 + SIZE)
+    def planted(*args):
+        out = list(real(*args))
+        out[index] = defect(out[index])
         return tuple(out)
 
-    monkeypatch.setattr(geo, "_curvatures", planted)
+    monkeypatch.setattr(owner, name, planted)
+
+
+def _scaled(size: float):
+    return lambda value: value * (1.0 + size)
 
 
 def _dynamics_failures(cfg: suites.RunConfig) -> set[str]:
@@ -34,19 +39,43 @@ def _dynamics_failures(cfg: suites.RunConfig) -> set[str]:
     return {c.name for c in checks if not c.passed}
 
 
-@pytest.mark.parametrize("component, failing", [
-    (None, set()),
-    (0, {"collapsed_equation", "noether_drift", "totally_geodesic_s2"}),
-    (1, {"noether_drift"}),
-], ids=["none", "y_xx", "v_xx"])
-def test_dynamics_checks_fail_on_a_planted_curvature(monkeypatch, component, failing):
+# component 0 of the RK4 kernel is y_xx, 1 is v_xx
+@pytest.mark.parametrize("component, defect, failing", [
+    (None, None, set()),
+    (0, _scaled(SIZE), {"collapsed_equation", "noether_drift", "totally_geodesic_s2"}),
+    (1, _scaled(SIZE), {"noether_drift"}),
+    # v_xx is 0 on the planar runs, so only a shift moves them:
+    # totally_geodesic_vx reads 1.6e-9 against 1e-10
+    (1, lambda v_xx: v_xx + 1e-9, {"totally_geodesic_vx"}),
+], ids=["none", "y_xx", "v_xx", "v_xx_shift"])
+def test_dynamics_checks_fail_on_a_planted_curvature(monkeypatch, component, defect, failing):
     if component is not None:
-        _plant_curvature(monkeypatch, component)
+        _plant(monkeypatch, geo, "_curvatures", component, defect)
     assert _dynamics_failures(CFG) == failing
 
 
+@pytest.mark.parametrize("owner, name, index, size, failing", [
+    # the first ambient coordinate: ambient_norm_residual reads 9.3e-12 against 1e-12
+    (chart, "ambient_coords", 0, 1e-11, {"ambient_norm_residual"}),
+    # the ambient speed: tangent_norm_identity reads 1.0e-9 against 1e-10
+    (geo, "ambient_state", 2, 1e-9, {"tangent_norm_identity"}),
+], ids=["ambient_coords", "ambient_speed"])
+def test_embedding_checks_fail_on_a_planted_ambient_quantity(monkeypatch, owner, name, index,
+                                                             size, failing):
+    _plant(monkeypatch, owner, name, index, _scaled(size))
+    assert _dynamics_failures(CFG) == failing
+
+
+def test_flow_checks_fail_on_a_planted_orbit(monkeypatch):
+    # the image's Y: flow_omega_invariance reads 1.4e-8 against 1e-12,
+    # flow_group_property 2.9e-8 and flow_tau_shift 4.6e-9 against 1e-9
+    _plant(monkeypatch, reduction, "global_flow", 1, _scaled(1e-8))
+    assert {c.name for c in suites.suite_flow(CFG) if not c.passed} == {
+        "flow_omega_invariance", "flow_group_property", "flow_tau_shift"}
+
+
 def test_verify_exits_1_on_a_planted_curvature(monkeypatch, tmp_path):
-    _plant_curvature(monkeypatch, 0)
+    _plant(monkeypatch, geo, "_curvatures", 0, _scaled(SIZE))
     out = tmp_path / "report.json"
     args = ["verify", "--samples", str(CFG.samples), "--trajectories", str(CFG.trajectories)]
     assert main([*args, "--out", str(out)]) == 1

@@ -7,17 +7,12 @@ import pytest
 from glome import chart, geodesics
 from glome import jetcalc as jc
 from glome import symmetries as sym
+from glome import suites
 from glome.suites import CLOSED_TRIPLES
-from reference import add, el_expression_v, el_expression_y, field, scale
+from reference import (add, bracket_table, el_expression_v, el_expression_y, field, rotation,
+                       scale, structure_constants)
 
-REFERENCE_TABLE = [
-    ["zero", "-chi6", "-chi4", "+chi3", "zero", "+chi2"],
-    ["+chi6", "zero", "-chi5", "zero", "+chi3", "-chi1"],
-    ["+chi4", "+chi5", "zero", "-chi1", "-chi2", "zero"],
-    ["-chi3", "zero", "+chi1", "zero", "-chi6", "+chi5"],
-    ["zero", "-chi3", "+chi2", "+chi6", "zero", "-chi4"],
-    ["-chi2", "+chi1", "zero", "-chi5", "+chi4", "zero"],
-]
+REFERENCE_TABLE = bracket_table()  # derived from the planes the generators rotate
 
 
 def zero(x, y, v):
@@ -235,6 +230,41 @@ def test_bracket_table_matches_reference():
     assert grid == REFERENCE_TABLE
     worst = max(e.residual for row in table.entries for e in row)
     assert worst < 1e-8
+
+
+def test_each_generator_rotates_its_plane_of_r4():
+    # the plane map behind the derived table: chi_i pushed forward through the
+    # embedding is rotation(i) applied to the embedded point
+    p = chart.domain_columns(200, chart.DEFAULT_MARGIN, 11)
+    ambient = np.array(chart.ambient_coords(p.x, p.y, p.v))
+    for i in range(1, 7):
+        _, pushed = jc.directional(chart.ambient_coords, (p.x, p.y, p.v),
+                                   sym.chi(i).coefficients(p.x, p.y, p.v))
+        assert np.max(np.abs(np.array(pushed) - rotation(i) @ ambient)) < 1e-14
+
+
+def test_derived_table_is_the_reference_so4():
+    assert bracket_table() == [list(row) for row in suites.REFERENCE_TABLE]
+    c = structure_constants()
+    # Killing form tr(ad_i ad_j), with (ad_i)[k, l] = c[i, l, k]: -4 I, negative
+    # definite, so the algebra is compact and semisimple
+    assert np.array_equal(np.einsum("ilk,jkl->ij", c, c), -4 * np.eye(6, dtype=int))
+
+    def bracket(u, w):
+        return np.einsum("i,j,ijk->k", u, w, c)
+
+    # so(4) = so(3) + so(3): {chi6 + chi3, chi4 - chi2, chi1 + chi5} and
+    # {chi6 - chi3, chi4 + chi2, chi1 - chi5}, rows of coefficients of chi1..chi6
+    left = np.array([[0, 0, 1, 0, 0, 1], [0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]])
+    right = np.array([[0, 0, -1, 0, 0, 1], [0, 1, 0, 1, 0, 0], [1, 0, 0, 0, -1, 0]])
+    for u, w in itertools.product(left, right):
+        assert not bracket(u, w).any()
+    for ideal in (left, right):
+        for u, w in itertools.product(ideal, ideal):
+            assert np.linalg.matrix_rank(np.vstack([ideal, bracket(u, w)])) == 3
+        # [I, I] = I: neither ideal is abelian
+        brackets = [bracket(u, w) for u, w in itertools.combinations(ideal, 2)]
+        assert np.linalg.matrix_rank(np.array(brackets)) == 3
 
 
 def test_bracket_table_antisymmetry_and_diagonal():
