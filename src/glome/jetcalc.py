@@ -439,9 +439,8 @@ def value_and_gradn(f, args):
     """
     n = len(args)
     depth = max(map(_depth, args), default=0)
-    seeds = np.eye(n).reshape((n, n) + (1,) * depth)
     try:
-        result = f(*map(DualScalar, args, seeds))
+        value, derivative = directional(f, args, np.eye(n).reshape((n, n) + (1,) * depth))
     except DomainError as err:
         if any(isinstance(a, DualScalar) for a in args):
             raise
@@ -455,15 +454,12 @@ def value_and_gradn(f, args):
             f"at evaluation point {point!r}, index {err.index}", err.index,
         ) from err
 
-    def split(r):
-        if not isinstance(r, DualScalar):
-            return r, (0.0,) * n
-        parts = tuple(_directions(r.derivative, n, depth))
-        return _directions(r.value, 1, depth)[0], parts
+    def read(value, derivative):
+        return _directions(value, 1, depth)[0], tuple(_directions(derivative, n, depth))
 
-    if isinstance(result, tuple):
-        return tuple(zip(*map(split, result))) or ((), ())
-    return split(result)
+    if isinstance(value, tuple):
+        return tuple(zip(*map(read, value, derivative))) or ((), ())
+    return read(value, derivative)
 
 
 def gradn(f, args):

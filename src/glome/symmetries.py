@@ -15,16 +15,17 @@ The evaluations are coordinate-generic.  A residual function given a
 :class:`~glome.chart.JetColumns` of n samples in place of one float-valued
 jet returns numpy arrays over the samples, and each element
 equals the result for that sample alone bitwise.  The suites use that to
-evaluate each check in one array-valued dual pass.  Each fact is evaluated
-once: a field's coefficients and their first partials come from one
-seeded pass (jetcalc.value_and_gradn), the second prolongation takes the
-first and its total derivative from one directional pass, and one formula
-(_bracket) gives every bracket from those passes: lie_bracket makes one
-pass of each field, and the bracket table makes one of each generator for
-all 36 brackets (6 value_and_gradn calls) and matches every bracket
-against the 13 candidates, evaluated once and stacked, in one broadcast
-reduction; general_symmetry takes column weights, so that many random
-combinations, each over its own points, evaluate in one pass.
+evaluate each check in one array-valued dual pass.  Each check evaluates
+each generator once: its coefficients and their first partials come from
+one seeded pass (jetcalc.value_and_gradn), from which the first
+prolongation also sums the D_x xi that the variational criterion reads;
+the second prolongation takes the first and its total derivative from one
+directional pass; one formula (_bracket) gives every bracket from those
+passes.  lie_bracket makes one pass of each field; the bracket table takes
+all 36 brackets and the 13 candidates from one pass of each generator and
+matches them in one broadcast reduction; general_symmetry takes column
+weights, so that many random combinations, each over its own points,
+evaluate in one pass.
 """
 
 from __future__ import annotations
@@ -151,10 +152,12 @@ def general_symmetry(k: Sequence) -> VectorField3:
 
 
 def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
-    """Generic (dual-capable) first-prolongation components at a jet.
+    """Generic (dual-capable) first-prolongation components at a jet,
+    (xi, phi, eta, phi^x, eta^x, D_x xi):
 
-    phi^x = phi_x + phi_y y_x + phi_v v_x - (xi_x + xi_y y_x + xi_v v_x) y_x
-    eta^x = eta_x + eta_y y_x + eta_v v_x - (xi_x + xi_y y_x + xi_v v_x) v_x
+    D_x xi = xi_x + xi_y y_x + xi_v v_x
+    phi^x = phi_x + phi_y y_x + phi_v v_x - (D_x xi) y_x
+    eta^x = eta_x + eta_y y_x + eta_v v_x - (D_x xi) v_x
 
     The second-order jet terms cancel identically in this expansion, so
     only first partials of the coefficients appear.
@@ -164,27 +167,20 @@ def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
     total_xi = xi_x + xi_y * y_x + xi_v * v_x
     phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
     eta_pr = eta_x + eta_y * y_x + eta_v * v_x - total_xi * v_x
-    return xi_val, phi_val, eta_val, phi_pr, eta_pr
-
-
-def _lagrangian5(x, y, v, y_x, v_x):
-    # five-slot view of the integrand; the v slot is inert by construction
-    return chart.arc_speed(x, y, y_x, v_x)
+    return xi_val, phi_val, eta_val, phi_pr, eta_pr, total_xi
 
 
 def variational_residual(V: VectorField3, j: chart.JetColumns):
     """Residual of the variational-symmetry criterion at a jet.
 
-    Applies the prolonged field to the integrand and adds the integrand
-    times the total x-derivative of xi; zero (within tolerance) exactly
-    when V generates a variational symmetry at j.  A float at one jet, an
-    array over the samples of n columns.
+    Applies the prolonged field to the integrand (which does not read v,
+    so eta does not enter) and adds the integrand times the prolongation's
+    D_x xi; zero (within tolerance) exactly when V generates a variational
+    symmetry at j.  A float at one jet, an array over the samples of n columns.
     """
-    xi, phi, eta, phi_pr, eta_pr = _prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
-    args = (j.x, j.y, j.v, j.y_x, j.v_x)
-    lam, applied = directional(_lagrangian5, args, (xi, phi, eta, phi_pr, eta_pr))
-    # its own pass: the D_x(xi) that _prolong1_values sums differs in the last bit for chi1, chi2
-    _, (dxi_total, _, _) = directional(V.coefficients, (j.x, j.y, j.v), (1.0, j.y_x, j.v_x))
+    xi, phi, _, phi_pr, eta_pr, dxi_total = _prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
+    lam, applied = directional(chart.arc_speed, (j.x, j.y, j.y_x, j.v_x),
+                               (xi, phi, phi_pr, eta_pr))
     return applied + lam * dxi_total
 
 
@@ -269,14 +265,14 @@ def identify_field(
     candidate are evaluated once, over all points together.
     """
     x, y, v = (np.array(c) for c in zip(*((p.x, p.y, p.v) for p in points)))
-    return _match(W.name, _values(W, x, y, v), _candidate_values(x, y, v), tol)
-
-
-def _candidate_values(x, y, v) -> np.ndarray:
-    """The 13 candidates' values at n points as a (13, n, 3) array, in the
-    order of _CANDIDATE_LABELS: zero, then +g and -g for each generator's
-    values g (negation is exact, so -g is -chi_k's values bitwise)."""
     generators = [_values(F, x, y, v) for F in _CHI]
+    return _match(W.name, _values(W, x, y, v), _candidates(generators), tol)
+
+
+def _candidates(generators: Sequence[np.ndarray]) -> np.ndarray:
+    """The 13 candidates as a (13, n, 3) array, in the order of
+    _CANDIDATE_LABELS: zero, then +g and -g for each generator's (n, 3)
+    values g (negation is exact, so -g is -chi_k's values bitwise)."""
     return np.stack([np.zeros_like(generators[0])] + [s for g in generators for s in (g, -g)])
 
 
@@ -300,16 +296,18 @@ def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> 
     return BracketEntry(label, residual)
 
 
-def _bracket_values(x, y, v) -> list[list[np.ndarray]]:
-    """The (n, 3) values of [chi_i, chi_j] at n points, in row i - 1 and
-    column j - 1.
+def _bracket_values(x, y, v) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """The six generators' (n, 3) values at n points, and the (n, 3) values
+    of [chi_i, chi_j] there in row i - 1 and column j - 1.
 
     Each generator's three coefficients and their gradients come from one
-    seeded pass (6 value_and_gradn calls) and are combined by _bracket, as
-    in lie_bracket, so every value equals lie_bracket's bitwise.
+    seeded pass (6 value_and_gradn calls), whose values equal a plain
+    evaluation's bitwise, and are combined by _bracket, as in lie_bracket,
+    so every bracket equals lie_bracket's bitwise.
     """
     passes = [value_and_gradn(F.coefficients, (x, y, v)) for F in _CHI]
-    return [[_stack3(_bracket(*X, *Y), x.shape) for Y in passes] for X in passes]
+    generators = [_stack3(values, x.shape) for values, _ in passes]
+    return generators, [[_stack3(_bracket(*X, *Y), x.shape) for Y in passes] for X in passes]
 
 
 def bracket_table(
@@ -319,19 +317,20 @@ def bracket_table(
     margin: float = chart.DEFAULT_MARGIN,
 ) -> BracketTable:
     """Identify all 36 pairwise brackets of chi_1..chi_6 by identify_field's
-    rule, at the points of chart.domain_columns.  The generators' gradients
-    are taken once for all 36 brackets (_bracket_values) and the 13
-    candidates are evaluated once.
+    rule, at the points of chart.domain_columns.  Each generator is
+    evaluated once: its values and gradients from one pass give all 36
+    brackets and the 13 candidates (_bracket_values).
 
     Deterministic for fixed (samples, tol, seed, margin).
     """
     if samples < 10:
         raise ValueError(f"need at least 10 sample points, got {samples}")
     p = chart.domain_columns(samples, margin, seed)
-    candidates = _candidate_values(p.x, p.y, p.v)
+    generators, brackets = _bracket_values(p.x, p.y, p.v)
+    candidates = _candidates(generators)
     return BracketTable(tuple(
         tuple(_match(f"[{X.name},{Y.name}]", W, candidates, tol) for Y, W in zip(_CHI, row))
-        for X, row in zip(_CHI, _bracket_values(p.x, p.y, p.v))
+        for X, row in zip(_CHI, brackets)
     ))
 
 
@@ -367,7 +366,7 @@ def prolong2_apply(V: VectorField3, F, j: chart.JetColumns):
     """
     x, y, v, y_x, v_x = j.x, j.y, j.v, j.y_x, j.v_x
     y_xx, v_xx = j.y_xx, j.v_xx
-    (xi, phi, eta, phi_pr, eta_pr), (dxi_total, _, _, dx_phi_pr, dx_eta_pr) = directional(
+    (xi, phi, eta, phi_pr, eta_pr, _), (dxi_total, _, _, dx_phi_pr, dx_eta_pr, _) = directional(
         lambda *a: _prolong1_values(V, *a), (x, y, v, y_x, v_x), (1.0, y_x, v_x, y_xx, v_xx))
     phi_pr2 = dx_phi_pr - y_xx * dxi_total
     eta_pr2 = dx_eta_pr - v_xx * dxi_total

@@ -2,6 +2,7 @@
 and names the checks that must fail.  No tolerance is moved; a row shows
 that its checks' margins do not hide a defect of that size."""
 
+import itertools
 import json
 
 import pytest
@@ -72,6 +73,23 @@ def test_flow_checks_fail_on_a_planted_orbit(monkeypatch):
     _plant(monkeypatch, reduction, "global_flow", 1, _scaled(1e-8))
     assert {c.name for c in suites.suite_flow(CFG) if not c.passed} == {
         "flow_omega_invariance", "flow_group_property", "flow_tau_shift"}
+
+
+def test_dynamics_checks_fail_on_a_planted_rk4_stage(monkeypatch):
+    # stage 3 of each step gets stage 2's input, so k3 comes from u + h/2 k1:
+    # noether_drift reads 1.7e-7 against 1e-8, oracle_endpoint 2.5e-7 against 1e-7
+    real, stage, held = geo._stage, itertools.count(), {}
+
+    def planted(x, u, stopped, at):
+        n = next(stage) % 4  # geo.integrate_batch calls the four stages of a step in order
+        if n == 1:
+            held["u"] = u
+        elif n == 2:
+            u = held["u"]
+        return real(x, u, stopped, at)
+
+    monkeypatch.setattr(geo, "_stage", planted)
+    assert _dynamics_failures(CFG) == {"noether_drift", "oracle_endpoint"}
 
 
 def test_verify_exits_1_on_a_planted_curvature(monkeypatch, tmp_path):

@@ -559,7 +559,9 @@ points3 = st.lists(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3)), min
 @given(points3)
 def test_shared_jacobian_brackets_equal_lie_bracket_bitwise(rows):
     x, y, v = (np.array(c) for c in zip(*rows))
-    got = sym._bracket_values(x, y, v)
+    generators, got = sym._bracket_values(x, y, v)
+    for F, values in zip(sym._CHI, generators):  # the passes' values are plain evaluations
+        assert values.tobytes() == sym._values(F, x, y, v).tobytes()
     for i in range(1, 7):
         for j in range(1, 7):
             want = sym._values(sym.lie_bracket(sym.chi(i), sym.chi(j)), x, y, v)
@@ -607,8 +609,9 @@ def test_stacked_match_equals_per_candidate_rule(rows, a, i, b, j, noise, tol):
     Wvals = (a * sym._values(sym.chi(i), x, y, v) + b * sym._values(sym.chi(j), x, y, v)
              + noise * ramp)
     want = _match_reference("W", Wvals, x, y, v, tol)
+    candidates = sym._candidates([sym._values(F, x, y, v) for F in sym._CHI])
     try:
-        entry = sym._match("W", Wvals, sym._candidate_values(x, y, v), tol)
+        entry = sym._match("W", Wvals, candidates, tol)
     except sym.AmbiguousIdentification as err:
         assert str(err) == want
         return

@@ -1,9 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
 from glome import chart
 from glome import geodesics as geo
-from glome import suites
+from glome import suites, symmetries
 
 
 @pytest.mark.parametrize("samples, start, end", [
@@ -118,3 +120,30 @@ def test_flow_checks_pass_at_points_next_to_x_zero(monkeypatch):
     assert [c.name for c in checks] == ["flow_omega_invariance", "flow_tau_shift",
                                         "flow_group_property", "omega_chi3_directional"]
     assert all(c.passed for c in checks), [c.as_dict() for c in checks]
+
+
+def _once(*generators):
+    return {f"chi{i}": 1 for i in generators}
+
+
+@pytest.mark.parametrize("suite, evaluations", [
+    (suites.suite_determining, _once(1, 2, 3, 4, 5)),
+    (suites.suite_variational, _once(1, 2, 3, 4, 5, 6)),
+    (suites.suite_bracket_table, _once(1, 2, 3, 4, 5, 6)),
+    (suites.suite_collapsed_prolongation, {"chi3": 4}),  # one per k
+    (suites.suite_flow, _once(3)),
+], ids=["determining", "variational", "bracket_table", "collapsed_prolongation", "flow"])
+def test_each_symmetry_check_evaluates_each_generator_once(monkeypatch, suite, evaluations):
+    calls = collections.Counter()
+
+    def counted(F):
+        def coefficients(x, y, v):
+            calls[F.name] += 1
+            return F.coefficients(x, y, v)
+
+        return symmetries.VectorField3(coefficients, F.name)
+
+    monkeypatch.setattr(symmetries, "_CHI", tuple(map(counted, symmetries._CHI)))
+    checks = suite(suites.RunConfig(samples=100))
+    assert all(c.passed for c in checks)
+    assert dict(calls) == evaluations

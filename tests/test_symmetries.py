@@ -21,7 +21,7 @@ def zero(x, y, v):
 
 def prolong1(V, j):
     """(xi, phi, eta, phi^x, eta^x) of V's first prolongation at a jet."""
-    return sym._prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
+    return sym._prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)[:5]
 
 
 # ---------------------------------------------------------------- generators
@@ -119,6 +119,13 @@ def test_prolong1_linear_coefficient_by_hand():
     _, _, _, phi_x, eta_x = prolong1(V, j)
     assert phi_x == 2.0  # phi_y * y_x
     assert eta_x == 0.0
+
+
+def test_prolong1_total_derivative_of_xi_by_hand():
+    V = field(lambda x, y, v: x * y, zero, zero, "xi=xy")
+    j = chart.jet1(0.5, 0.25, 0.0, 2.0, 3.0)
+    dxi_total = sym._prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)[5]
+    assert dxi_total == 0.25 + 0.5 * 2.0  # xi_x + xi_y y_x; xi_v = 0
 
 
 def finite_difference_prolongation(V, j, y_xx=0.0, v_xx=0.0, h=1e-5):
@@ -333,6 +340,13 @@ def test_lie_bracket_takes_one_gradient_pass_per_field(monkeypatch):
         B.coefficients(p.x, p.y, p.v)
         assert len(passes) == 2
         assert [args[0] for args in passes] == [sym.chi(i).coefficients, sym.chi(j).coefficients]
+
+
+def test_variational_residual_reads_the_prolongations_total_derivative(monkeypatch):
+    gradients = _counting(monkeypatch, "value_and_gradn")
+    directionals = _counting(monkeypatch, "directional")
+    sym.variational_residual(sym.chi(1), chart.jet_columns(10, 0.1, seed=7))
+    assert len(gradients) == 1 and len(directionals) == 1
 
 
 def test_identify_rejects_scaled_candidate():
