@@ -58,11 +58,11 @@ def jet1(x, y, v, y_x, v_x) -> JetColumns:
     x, y, v, y_x, v_x = float(x), float(y), float(v), float(y_x), float(v_x)
     for name, value in (("x", x), ("y", y), ("v", v)):
         if not math.isfinite(value):
-            raise ChartError(f"ChartPoint.{name} must be finite")
+            raise ChartError(f"{name} must be finite, got {value}")
     if abs(x) >= HALF_PI or abs(y) >= HALF_PI:
-        raise ChartError(f"ChartPoint ({x}, {y}) outside the open chart domain")
+        raise ChartError(f"(x, y) = ({x}, {y}) lies outside the open chart |x|, |y| < pi/2")
     if not (math.isfinite(y_x) and math.isfinite(v_x)):
-        raise ChartError("Jet1 slopes must be finite")
+        raise ChartError(f"slopes (y_x, v_x) = ({y_x}, {v_x}) must be finite")
     return JetColumns(x, y, v, y_x, v_x)
 
 
@@ -71,7 +71,7 @@ def jet2(x, y, v, y_x, v_x, y_xx, v_xx) -> JetColumns:
     JetColumns (the form prolong2_apply reads)."""
     j = jet1(x, y, v, y_x, v_x)
     if not (math.isfinite(y_xx) and math.isfinite(v_xx)):
-        raise ChartError("jet2 curvatures must be finite")
+        raise ChartError(f"curvatures (y_xx, v_xx) = ({y_xx}, {v_xx}) must be finite")
     return j._replace(y_xx=float(y_xx), v_xx=float(v_xx))
 
 

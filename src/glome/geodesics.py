@@ -241,7 +241,7 @@ class Trajectory:
         return chart.JetColumns(*self.samples.T, *curvature)
 
     def jet(self, i: int) -> chart.JetColumns:
-        return chart.jet1(*self.samples[i].tolist())
+        return chart.JetColumns(*self.samples[i].tolist())
 
     def noether_drift(self) -> float:
         return float(np.max(np.abs(self.noether - self.noether[0])))
@@ -311,22 +311,20 @@ def _stage(x, u: np.ndarray, stopped: dict, at) -> np.ndarray:
     that stops it, or None once it is complete.  A column with no outcome
     yet whose state leaves the chart, raises DomainError or meets a
     singular system, in that order of precedence, gets its exception
-    there: DomainExit at ``at`` with the chart's or the domain guard's
-    message, or SingularSystem with the determinant at ``at``.  Every
-    column in the record gets zero slopes, so the later stages of the
-    step evaluate it at its step-start state.  Each column test first runs
-    once over the whole batch (a nan fails it), and column by column only
-    where that fails.
+    there: DomainExit at ``at`` naming the stage's abscissa and state, or
+    with the domain guard's message; SingularSystem with the determinant
+    at ``at``.  Every column in the record gets zero slopes, so the later
+    stages of the step evaluate it at its step-start state.  Each column
+    test first runs once over the whole batch (a nan fails it), and
+    column by column only where that fails.
     """
-    lim = chart.HALF_PI
-    if not (np.isfinite(u).all() and np.abs(u[0]).max() < lim and _everywhere(abs(x) < lim)):
-        on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < lim) & (abs(x) < lim)
+    # x needs no test: |x_i| <= pi/2 - POLE_MARGIN and |x - x_i| <= MAX_STEP < POLE_MARGIN
+    if not (np.isfinite(u).all() and np.abs(u[0]).max() < chart.HALF_PI):
+        on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < chart.HALF_PI)
         for c in np.flatnonzero(~on_chart).tolist():
-            if c not in stopped:
-                try:
-                    chart.jet1(_x_of(x, c), *u[:, c].tolist())  # raises with the chart's message
-                except chart.ChartError as err:
-                    stopped[c] = DomainExit(_x_of(at, c), str(err))
+            state = tuple(u[:, c].tolist())
+            stopped.setdefault(c, DomainExit(_x_of(at, c), f"stage at x = {_x_of(x, c)!r} has"
+                                             f" (y, v, y_x, v_x) = {state}, off the open chart"))
     # a lone state runs faster on floats
     y, _, y_x, v_x = u[:, 0].tolist() if u.shape[1] == 1 else u
     k = np.empty_like(u)
@@ -462,11 +460,11 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
 
     ends = set(n.tolist())
     start, dx, base = gather(live)
+    x = start
     with np.errstate(all="ignore"):  # a state that goes non-finite stops its jet below
         for i in range(int(n.max()) + 1):
             if not live.size:
                 break
-            x = start + i * dx if i else start
             stopped: dict = {}
             k1 = _stage(x, u, stopped, x)
             curvature[base + i] = k1[2:].T

@@ -398,19 +398,19 @@ def _depth(u) -> int:
     return u.ndim if isinstance(u, _ndarray) else 0
 
 
-def _directions(c, n: int, depth: int) -> list:
-    """The n parts of ``c``, a derivative seeded along a leading axis of n
-    directions in front of ``depth`` axes, read off that axis layer by
-    layer; at ``depth`` 0 the parts are Python floats.  A layer without
-    the axis is shared by all directions: one with at most ``depth``
-    axes, or a unit leading axis, which a gradient nested inside this
-    one leaves where this pass's seed axis had not reached it."""
+def _directions(c, what: str, n: int, depth: int) -> list:
+    """The n parts of ``c``, the pass's ``what`` (value or derivative),
+    seeded along a leading axis of n directions in front of ``depth`` axes,
+    read off that axis layer by layer; at ``depth`` 0 they are Python
+    floats.  A layer without the axis is shared by all directions: one with
+    at most ``depth`` axes, or a unit leading axis, which a gradient nested
+    inside this one leaves where this pass's seed axis had not reached it."""
     if isinstance(c, DualScalar):
-        return list(map(DualScalar, _directions(c.value, n, depth),
-                        _directions(c.derivative, n, depth)))
+        return list(map(DualScalar, _directions(c.value, what, n, depth),
+                        _directions(c.derivative, what, n, depth)))
     if isinstance(c, _ndarray) and c.ndim > depth:
         if c.ndim > depth + 1:
-            raise ValueError(f"a derivative has {c.ndim} axes, but the seed axis is"
+            raise ValueError(f"the {what} has {c.ndim} axes, but the seed axis is"
                              f" in front of the {depth} of the arguments")
         if len(c) == n:
             return c.tolist() if depth == 0 else list(c)
@@ -455,7 +455,8 @@ def value_and_gradn(f, args):
         ) from err
 
     def read(value, derivative):
-        return _directions(value, 1, depth)[0], tuple(_directions(derivative, n, depth))
+        return (_directions(value, "value", 1, depth)[0],
+                tuple(_directions(derivative, "derivative", n, depth)))
 
     if isinstance(value, tuple):
         return tuple(zip(*map(read, value, derivative))) or ((), ())

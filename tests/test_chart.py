@@ -32,24 +32,26 @@ def _raises(message, *args):
 
 
 def test_chart_point_validation():
-    _raises(f"ChartPoint ({math.pi / 2}, 0.0) outside the open chart domain",
+    _raises(f"(x, y) = ({math.pi / 2}, 0.0) lies outside the open chart |x|, |y| < pi/2",
             math.pi / 2, 0.0, 0.0, 0.0, 0.0)
-    _raises(f"ChartPoint (0.0, {-math.pi / 2}) outside the open chart domain",
+    _raises(f"(x, y) = (0.0, {-math.pi / 2}) lies outside the open chart |x|, |y| < pi/2",
             0.0, -math.pi / 2, 0.0, 0.0, 0.0)
-    _raises("ChartPoint.x must be finite", math.nan, 0.0, 0.0, 0.0, 0.0)
-    _raises("ChartPoint.y must be finite", 0.0, math.inf, 0.0, 0.0, 0.0)
-    _raises("ChartPoint.v must be finite", 0.0, 0.0, -math.inf, 0.0, 0.0)
+    _raises("x must be finite, got nan", math.nan, 0.0, 0.0, 0.0, 0.0)
+    _raises("y must be finite, got inf", 0.0, math.inf, 0.0, 0.0, 0.0)
+    _raises("v must be finite, got -inf", 0.0, 0.0, -math.inf, 0.0, 0.0)
     # the checks run in order: finiteness, then the domain, then the slopes
-    _raises("ChartPoint.v must be finite", 2.0, 0.0, math.nan, math.nan, 0.0)
-    _raises("ChartPoint (2.0, 0.3) outside the open chart domain", 2.0, 0.3, 0.0, math.inf, 0.0)
+    _raises("v must be finite, got nan", 2.0, 0.0, math.nan, math.nan, 0.0)
+    _raises("(x, y) = (2.0, 0.3) lies outside the open chart |x|, |y| < pi/2",
+            2.0, 0.3, 0.0, math.inf, 0.0)
     # v is stored unnormalized: any finite real is accepted
     assert chart.jet1(0.1, 0.2, 31.4, 0.0, 0.0).v == 31.4
 
 
 def test_jet_validation():
-    _raises("Jet1 slopes must be finite", 0.0, 0.0, 0.0, math.inf, 0.0)
-    _raises("Jet1 slopes must be finite", 0.0, 0.0, 0.0, 0.0, math.nan)
-    with pytest.raises(chart.ChartError, match="^jet2 curvatures must be finite$"):
+    _raises("slopes (y_x, v_x) = (inf, 0.0) must be finite", 0.0, 0.0, 0.0, math.inf, 0.0)
+    _raises("slopes (y_x, v_x) = (0.0, nan) must be finite", 0.0, 0.0, 0.0, 0.0, math.nan)
+    with pytest.raises(chart.ChartError,
+                       match=r"^curvatures \(y_xx, v_xx\) = \(nan, 0\.0\) must be finite$"):
         chart.jet2(0.0, 0.0, 0.0, 0.0, 0.0, math.nan, 0.0)
 
 

@@ -308,17 +308,38 @@ def test_integrate_stage_off_chart_is_domain_exit():
     assert len(err.value.trajectory) == 1
 
 
+def test_stage_abscissae_stay_on_the_chart(monkeypatch):
+    # _stage tests only the state: every row has |x| <= pi/2 - POLE_MARGIN and a
+    # stage lies at most one step ahead of its row, so this keeps |x| < pi/2
+    assert geo.MAX_STEP < geo.POLE_MARGIN
+    real, seen = geo._stage, []
+
+    def recording(x, u, stopped, at):
+        seen.append(float(np.max(np.abs(x))))
+        return real(x, u, stopped, at)
+
+    monkeypatch.setattr(geo, "_stage", recording)
+    lim = chart.HALF_PI - geo.POLE_MARGIN
+    jets = [chart.jet1(x0, 0.0, 0.0, 0.0, 0.0) for x0 in (1.3, -1.3, 1.3, -1.3)]
+    results = geo.integrate_batch(jets, [lim, -lim, 1.6, -1.6],
+                                  [geo.MAX_STEP, -geo.MAX_STEP, geo.MAX_STEP, -geo.MAX_STEP])
+    assert [type(r) for r in results] == [geo.Trajectory] * 2 + [geo.DomainExit] * 2
+    assert results[0].x[-1] == pytest.approx(lim, abs=1e-12)
+    assert max(seen) > lim and max(seen) < chart.HALF_PI
+
+
 def test_stage_records_an_infinite_column_and_does_not_raise():
     # one column takes the float path, two the array path; both record a
-    # DomainExit at the step start with the chart's message, and the finite
-    # column keeps its lone slopes
+    # DomainExit at the step start naming the stage's abscissa and state, and
+    # the finite column keeps its lone slopes
     lone = np.array([[math.inf], [0.0], [0.1], [0.1]])
     pair = np.array([[math.inf, 0.2], [0.0, 0.0], [0.1, 0.1], [0.1, 0.1]])
     for u in (lone, pair):
         stopped = {}
         k = geo._stage(0.3, u, stopped, 0.25)
         assert list(stopped) == [0] and type(stopped[0]) is geo.DomainExit
-        assert stopped[0].x == 0.25 and "ChartPoint.y must be finite" in str(stopped[0])
+        detail = "stage at x = 0.3 has (y, v, y_x, v_x) = (inf, 0.0, 0.1, 0.1), off the open chart"
+        assert stopped[0].x == 0.25 and detail in str(stopped[0])
         assert np.all(k[:, 0] == 0.0)
     assert k[:, 1].tobytes() == geo._stage(0.3, pair[:, 1:], {}, 0.25)[:, 0].tobytes()
 

@@ -282,6 +282,17 @@ def test_gradn_refuses_a_result_with_more_axes_than_its_arguments():
         jc.gradn(lambda x, y: x * np.ones((4, 1)) + y, (0.5, 0.25))
 
 
+@pytest.mark.parametrize("f, part", [
+    (lambda x: np.ones((2, 2)), "value"),
+    # a dual constant whose derivative alone has the extra axes
+    (lambda x: x * jc.DualScalar(1.0, np.ones((3, 2))), "derivative"),
+], ids=["value", "derivative"])
+def test_value_and_gradn_names_the_part_with_too_many_axes(f, part):
+    message = f"the {part} has 2 axes, but the seed axis is in front of the 0 of the arguments"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        jc.value_and_gradn(f, (1.0,))
+
+
 def test_power_overflow_is_a_domain_error():
     with pytest.raises(jc.DomainError, match=r"pow evaluated at 1e\+200 \(power 2 overflows\)$"):
         jc.power(1e200, 2)

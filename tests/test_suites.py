@@ -40,6 +40,21 @@ def test_long_run_is_capped_at_ten_thousand_steps(monkeypatch, samples, start, e
     assert len(batch.trajectories) == 1 and len(batch.planar) == 5
 
 
+def test_jet1_validates_only_the_drawn_starts(monkeypatch):
+    # a run validates numbers once, where they become a jet: the 5 trajectories,
+    # 5 totally geodesic runs and the long run of make_batch; rows that a
+    # Trajectory already holds are read as they are
+    real, calls = chart.jet1, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chart, "jet1", counting)
+    suites.run_all(suites.RunConfig(samples=50, trajectories=5, step=5e-3))
+    assert len(calls) == 11
+
+
 def test_make_batch_raises_the_first_failure_in_draw_order(monkeypatch):
     def failing(jets, x_end, step):
         return [geo.DomainExit(0.1 * i, f"run {i}") if i in (2, 4) else None
