@@ -6,7 +6,7 @@ Subcommands:
   brackets    identify the 6x6 bracket table, emit JSON
   integrate   integrate one geodesic to CSV plus a JSON sidecar
   reduce      map a trajectory CSV through the reduction, emit JSON
-  flow        evaluate the closed-form orbit at one point
+  flow        evaluate the closed-form orbit at one point, emit JSON
 
 The commands raise; main alone maps an error to its exit code, through
 EXIT_TABLE, and prints one stderr line ``glome <command>: <label>: <message>``.
@@ -15,8 +15,9 @@ Exit codes: 0 all checks pass; 1 a check fails, integration stops early
 (DomainExit, SingularSystem: results, written to the sidecar) or a runtime
 failure (DomainError, BranchExit, AmbiguousIdentification); 2 a usage error
 (ConfigError, ChartError, OutOfRange, TrajectoryCSVError, OSError).  Any
-other exception is a bug and propagates with its traceback.  Reports are
-byte-identical for identical inputs.
+other exception is a bug and propagates with its traceback.  Every command
+prints its JSON result on stdout, or writes it to --out; integrate writes its
+sidecar and prints it.  Reports are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -142,10 +143,8 @@ def cmd_integrate(args) -> int:
                "step": args.step}
     if detail:
         sidecar["detail"] = detail
-    written = [sidecar_path]
     if traj is not None:
         traj.to_csv(out)
-        written.insert(0, out)
         sidecar["samples"] = len(traj)
         sidecar["x_reached"] = float(traj.x[-1])
         sidecar["k"] = geodesics.infer_k(traj.jet(0))
@@ -153,10 +152,7 @@ def cmd_integrate(args) -> int:
         if status == "ok":
             sidecar["oracle_endpoint_error"] = geodesics.endpoint_error_vs_great_circle(traj)
     _emit(sidecar, str(sidecar_path))
-    if args.json:
-        _emit(sidecar, None)
-    else:
-        print(f"wrote {' and '.join(map(str, written))} ({status})")
+    _emit(sidecar, None)
     return EXIT_OK if status == "ok" else EXIT_FAIL
 
 
@@ -191,14 +187,7 @@ def cmd_flow(args) -> int:
     if tau_residual is None:
         payload["tau_shift_reason"] = ("tau is undefined where sin x is zero or too small"
                                        " to square (point or image)")
-    if args.json or args.out:
-        _emit(payload, args.out)
-    else:
-        print(f"X = {X:.17g}")
-        print(f"Y = {Y:.17g}")
-        print(f"omega residual     = {omega_residual:.3e}")
-        tau_text = payload.get("tau_shift_reason") or f"{tau_residual:.3e}"
-        print(f"tau shift residual = {tau_text}")
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -235,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step(p_int)
     p_int.add_argument("--out", type=str, default="trajectory.csv",
                        help="CSV path (default trajectory.csv); the sidecar takes .json")
-    p_int.add_argument("--json", action="store_true", help="print the sidecar on stdout")
     p_int.set_defaults(func=cmd_integrate)
 
     p_red = sub.add_parser("reduce", help="reduction report for a trajectory CSV")
@@ -247,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--point", required=True, help="x,y of the seed point")
     p_flow.add_argument("--lambda", type=float, required=True, dest="lam")
     p_flow.add_argument("--out", type=str, default=None)
-    p_flow.add_argument("--json", action="store_true")
     p_flow.set_defaults(func=cmd_flow)
     return parser
 

@@ -48,15 +48,14 @@ class SingularSystem(RuntimeError):
 class DomainExit(RuntimeError):
     """Integration stopped at the chart pole margin; carries the partial trajectory.
 
-    ``cause`` names why: by default the trajectory breached the margin; a
-    jet that starts outside it, or with slopes that overflow the
+    ``cause`` names why, and reads as a sentence ending before ``x = ...``.
+    A jet that starts outside the margin, or with slopes that overflow the
     integrand, never starts and carries no trajectory.
     """
 
     trajectory = None  # the partial trajectory, set when integration stops here
 
-    def __init__(self, x: float, detail: str = "",
-                 cause: str = "trajectory breached the pole margin near"):
+    def __init__(self, x: float, cause: str, detail: str = ""):
         self.x = x
         msg = f"{cause} x = {x:.6g}"
         if detail:
@@ -323,8 +322,9 @@ def _stage(x, u: np.ndarray, stopped: dict, at) -> np.ndarray:
         on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < chart.HALF_PI)
         for c in np.flatnonzero(~on_chart).tolist():
             state = tuple(u[:, c].tolist())
-            stopped.setdefault(c, DomainExit(_x_of(at, c), f"stage at x = {_x_of(x, c)!r} has"
-                                             f" (y, v, y_x, v_x) = {state}, off the open chart"))
+            detail = f"stage at x = {_x_of(x, c)!r} has (y, v, y_x, v_x) = {state}"
+            stopped.setdefault(c, DomainExit(_x_of(at, c), "an RK4 stage left the open chart in"
+                                             " the step from", detail))
     # a lone state runs faster on floats
     y, _, y_x, v_x = u[:, 0].tolist() if u.shape[1] == 1 else u
     k = np.empty_like(u)
@@ -340,7 +340,8 @@ def _stage(x, u: np.ndarray, stopped: dict, at) -> np.ndarray:
                 k[2, one], k[3, one], det[one] = _curvatures(_x_of(x, c), u[0, one], u[2, one],
                                                              u[3, one])
             except jetcalc.DomainError as err:
-                stopped.setdefault(c, DomainExit(_x_of(at, c), str(err)))
+                stopped.setdefault(c, DomainExit(_x_of(at, c), "an RK4 stage failed a domain guard"
+                                                 " in the step from", str(err)))
     if not _everywhere(abs(det) >= DET_FLOOR):  # a nan determinant is not singular
         for c in np.flatnonzero(np.abs(det) < DET_FLOOR).tolist():
             stopped.setdefault(c, SingularSystem(float(np.ravel(det)[c]), x=_x_of(at, c)))
@@ -380,7 +381,8 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     """Classic fixed-step RK4 in x for many states (y, v, y_x, v_x) in lockstep.
 
     Each jet starts at its own x; x_end and step are floats shared by all
-    jets or sequences with one value per jet.  Each element repeats the
+    jets or sequences with one value per jet (x_end may be infinite, not
+    nan).  Each element repeats the
     arithmetic of a lone run, so the result for a jet does not depend on
     its batch.  A jet's step count is chosen so its grid lands exactly on
     its x_end (the realized step never exceeds the requested magnitude,
@@ -395,8 +397,9 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
 
     Returns one entry per jet: its Trajectory, or the exception that
     stopped it -- DomainExit when the jet starts outside the 0.05 rad pole
-    margin or with slopes that overflow the integrand, breaches the margin
-    or has a stage leave the chart; SingularSystem when the
+    margin or with slopes that overflow the integrand, has a stage leave
+    the chart or fail a domain guard, breaches the margin or becomes
+    non-finite; SingularSystem when the
     Euler-Lagrange system degenerates.  Both carry the partial trajectory
     integrated so far (None when the jet never started).  A stopped jet
     freezes; the others continue.  At step i the record is written in
@@ -411,6 +414,8 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     for s in np.ravel(step).tolist():
         if not MIN_STEP <= abs(s) <= MAX_STEP:
             raise ValueError(f"|step| must lie in [{MIN_STEP:g}, {MAX_STEP:g}], got {s}")
+    if np.isnan(x_end).any():  # ±inf is clamped by _grid; nan has no grid
+        raise ValueError(f"x_end must not be nan, got {x_end}")
     jets = list(jets)
     grids = [_grid(j.x, e, s) for j, e, s in zip(jets, _per_jet(x_end, len(jets), "x_end"),
                                                  _per_jet(step, len(jets), "step"))]
@@ -427,9 +432,9 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     out: list = [None] * len(jets)
     for c, j in enumerate(jets):
         if not (abs(j.x) <= lim and abs(j.y) <= lim):
-            out[c] = DomainExit(j.x, cause="initial state lies outside the pole margin at")
+            out[c] = DomainExit(j.x, "initial state lies outside the pole margin at")
         elif not math.isfinite(chart.lagrangian(j)):  # a row Trajectory refuses
-            out[c] = DomainExit(j.x, cause="initial slopes overflow the integrand at")
+            out[c] = DomainExit(j.x, "initial slopes overflow the integrand at")
     live = np.array([c for c in range(len(jets)) if out[c] is None], dtype=int)
     u = rows[first[live], 1:].T.copy()  # (4, live)
 
@@ -483,8 +488,9 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
                 finite = np.isfinite(u).all(axis=0)
                 inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
                 for c in np.flatnonzero(~(finite & inside)).tolist():
-                    detail = "" if finite[c] else "state became non-finite"
-                    stopped.setdefault(c, DomainExit(_x_of(x, c), detail))
+                    cause = ("trajectory breached the pole margin near" if finite[c]
+                             else "trajectory state became non-finite at")
+                    stopped.setdefault(c, DomainExit(_x_of(x, c), cause))
             if stopped:
                 keep = retire(live, stopped, i)
                 live, u = live[keep], u[:, keep]

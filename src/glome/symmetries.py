@@ -69,10 +69,6 @@ class BracketTable:
 
     entries: tuple  # 6 rows x 6 columns of BracketEntry
 
-    def entry(self, i: int, j: int) -> BracketEntry:
-        """1-based lookup: the bracket of generator i with generator j."""
-        return self.entries[i - 1][j - 1]
-
     def identified_grid(self) -> list[list[str]]:
         return [[e.identified for e in row] for row in self.entries]
 

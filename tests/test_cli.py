@@ -92,6 +92,8 @@ def test_verify_tolerance_applies_on_top_of_tol_all(tmp_path):
 def test_subcommands_reject_flags_they_do_not_read():
     for argv in (["verify", "--json"], ["brackets", "--json"], ["brackets", "--step", "1e-3"],
                  ["reduce", "t.csv", "--json"],
+                 ["flow", "--point", "0.5,0.3", "--lambda", "0.2", "--json"],
+                 ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--json"],
                  ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--seed", "1"],
                  ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--samples", "9"],
                  ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--margin", "0.2"]):
@@ -138,14 +140,13 @@ def test_integrate_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "t.csv"
     argv = ["integrate", "--initial=0,0.2,0.3,0.1,0.2", "--x-end", "0.5", "--out", str(out)]
     assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "208a226be87fc6bdcceeadd1bdc35d0025add1441a8126c6df4a8c016c265ed3")
     sidecar = out.with_suffix(".json").read_bytes()
     assert hashlib.sha256(sidecar).hexdigest() == (
         "e1c3b8e98c6a8b1931025f62ea12bd86a3bc4016336b9091528a7c300ee34699")
-    capsys.readouterr()
-    assert main([*argv, "--json"]) == 0  # --json prints the bytes the sidecar holds
-    assert capsys.readouterr().out.encode() == sidecar
+    assert printed == sidecar  # stdout holds the bytes the sidecar holds
 
 
 def test_integrate_constant_state(tmp_path):
@@ -201,21 +202,49 @@ def test_integrate_overflowing_initial_integrand_is_domain_exit(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("initial, x_end, cause, trajectory", [
-    ("1.54,0,0,0,0", "1.55", "initial state lies outside the pole margin at x = 1.54", False),
-    ("0,0.3,0,1e308,1e308", "0", "initial slopes overflow the integrand at x = 0", False),
-    ("1.4,0,0,0,0", "1.55", "trajectory breached the pole margin near x = 1.52", True),
-], ids=["initial_outside_margin", "initial_slopes_overflow", "margin_breach"])
-def test_integrate_domain_exit_names_its_cause_and_the_files_written(tmp_path, capsys, initial,
-                                                                    x_end, cause, trajectory):
+def _planted_curvatures(v_xx=0.0, error=None):
+    """A stand-in for geodesics._curvatures: zero y_xx, the given v_xx and a
+    unit determinant, or ``error`` raised at every stage."""
+    def curvatures(x, y, y_x, v_x):
+        if error is not None:
+            raise error
+        return 0.0 * y, 0.0 * y + v_xx, 1.0 + 0.0 * y
+    return curvatures
+
+
+@pytest.mark.parametrize("initial, x_end, step, cause, trajectory, curvatures", [
+    ("1.54,0,0,0,0", "1.55", "1e-3", "initial state lies outside the pole margin at x = 1.54",
+     False, None),
+    ("0,0.3,0,1e308,1e308", "0", "1e-3", "initial slopes overflow the integrand at x = 0", False,
+     None),
+    ("1.4,0,0,0,0", "1.55", "1e-3", "trajectory breached the pole margin near x = 1.521", True,
+     None),
+    # stage 2 lands at y = 1.5 + 0.005 * 20 = 1.6, past pi/2; the rows never leave the margin
+    ("0,1.5,0,20,0", "0.5", "1e-2", "an RK4 stage left the open chart in the step from x = 0"
+     " (stage at x = 0.005 has (y, v, y_x, v_x) = (1.6, 0.0, 20.0, 0.0))", True, None),
+    ("0,0.1,0,0.2,0", "0.5", "1e-2", "an RK4 stage failed a domain guard in the step from x = 0"
+     " (sqrt evaluated at -1.0 (planted))", True,
+     _planted_curvatures(error=jetcalc.DomainError("sqrt", -1.0, "planted"))),
+    # every stage is finite, but the weighted sum of four v_xx = 1e308 overflows
+    ("0,0.1,0,0.2,0", "0.5", "1e-2", "trajectory state became non-finite at x = 0.01", True,
+     _planted_curvatures(v_xx=1e308)),
+], ids=["initial_outside_margin", "initial_slopes_overflow", "margin_breach", "stage_off_chart",
+        "stage_domain_guard", "non_finite_state"])
+def test_integrate_domain_exit_names_its_cause_and_the_files_written(tmp_path, monkeypatch, capsys,
+                                                                    initial, x_end, step, cause,
+                                                                    trajectory, curvatures):
+    if curvatures is not None:
+        monkeypatch.setattr(geo, "_curvatures", curvatures)
     out = tmp_path / "t.csv"
-    assert main(["integrate", f"--initial={initial}", f"--x-end={x_end}", "--out", str(out)]) == 1
-    sidecar = read_json(out.with_suffix(".json"))
+    assert main(["integrate", f"--initial={initial}", f"--x-end={x_end}", f"--step={step}",
+                 "--out", str(out)]) == 1
+    sidecar_bytes = out.with_suffix(".json").read_bytes()
+    sidecar = loads_strict(sidecar_bytes)
     assert sidecar["status"] == "DomainExit"
-    assert sidecar["detail"].startswith(cause)
+    assert sidecar["detail"] == cause
     assert out.exists() == trajectory
-    written = f"{out} and {out.with_suffix('.json')}" if trajectory else f"{out.with_suffix('.json')}"
-    assert capsys.readouterr().out == f"wrote {written} (DomainExit)\n"
+    assert ("samples" in sidecar) == trajectory
+    assert capsys.readouterr().out.encode() == sidecar_bytes
 
 
 # Each command with the step that --out must precede: a (module or class,
@@ -366,7 +395,7 @@ def test_reduce_excludes_rows_whose_tau_derivative_underflows(tmp_path, capsys):
 def test_flow_on_axis_emits_null_tau_shift(capsys):
     # sin x = 0, or too small to square (cot x overflowed to a NaN shift at one time)
     for point, lam in (("0,0.3", "0.2"), ("5e-324,0", "-0.0"), ("1e-200,0.3", "0.2")):
-        assert main(["flow", "--point", point, f"--lambda={lam}", "--json"]) == 0
+        assert main(["flow", "--point", point, f"--lambda={lam}"]) == 0
         payload = loads_strict(capsys.readouterr().out)
         assert payload["tau_shift_residual"] is None
         assert "tau_shift_reason" in payload
@@ -393,10 +422,9 @@ def test_flow_json(tmp_path):
 def test_flow_prints_image(capsys):
     code = main(["flow", "--point", "0.5,0.3", "--lambda", "0.0"])
     assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    values = {line.split("=")[0].strip(): line.split("=")[1].strip() for line in lines}
-    assert abs(float(values["X"]) - 0.5) < 1e-15
-    assert abs(float(values["Y"]) - 0.3) < 1e-15
+    X, Y = loads_strict(capsys.readouterr().out)["image"]
+    assert abs(X - 0.5) < 1e-15
+    assert abs(Y - 0.3) < 1e-15
 
 
 def test_flow_rejects_bad_point():
@@ -407,13 +435,27 @@ def test_flow_rejects_bad_point():
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "glome.cli", "flow", "--point", "0.4,0.2",
-         "--lambda", "0.1", "--json"],
+         "--lambda", "0.1"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     payload = loads_strict(proc.stdout)
     assert payload["point"] == [0.4, 0.2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *FAST_VERIFY],
+    ["brackets", *FAST],
+    ["integrate", "--initial=0,0.2,0.3,0.1,0.2", "--x-end", "0.5", "--out", "{tmp}/t.csv"],
+    ["reduce", "{tmp}/ok.csv"],
+    FLOW,
+], ids=OUT_IDS)
+def test_every_command_prints_strict_json(tmp_path, capsys, argv):
+    geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4], [0.2, 0.25, 0.1, 0.3, 0.4]])).to_csv(
+        tmp_path / "ok.csv")
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 0
+    assert isinstance(loads_strict(capsys.readouterr().out), dict)
 
 
 def _raise(err):

@@ -338,8 +338,9 @@ def test_stage_records_an_infinite_column_and_does_not_raise():
         stopped = {}
         k = geo._stage(0.3, u, stopped, 0.25)
         assert list(stopped) == [0] and type(stopped[0]) is geo.DomainExit
-        detail = "stage at x = 0.3 has (y, v, y_x, v_x) = (inf, 0.0, 0.1, 0.1), off the open chart"
-        assert stopped[0].x == 0.25 and detail in str(stopped[0])
+        assert stopped[0].x == 0.25 and str(stopped[0]) == (
+            "an RK4 stage left the open chart in the step from x = 0.25"
+            " (stage at x = 0.3 has (y, v, y_x, v_x) = (inf, 0.0, 0.1, 0.1))")
         assert np.all(k[:, 0] == 0.0)
     assert k[:, 1].tobytes() == geo._stage(0.3, pair[:, 1:], {}, 0.25)[:, 0].tobytes()
 
@@ -472,7 +473,8 @@ def test_integrate_batch_isolates_a_domain_error(monkeypatch):
     _same_trajectory(results[0], want[0])
     _same_trajectory(results[2], want[2])
     err = results[1]
-    assert "planted" in str(err)
+    assert str(err) == ("an RK4 stage failed a domain guard in the step from x = 0.09"
+                        " (sqrt evaluated at -1.0 (planted))")
     _assert_stops_at_step_start(err, geo.DomainExit, 0.09)
 
 
@@ -489,6 +491,10 @@ def test_integrate_batch_arguments():
         geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0)], 0.5, 0.02)
     with pytest.raises(ValueError, match="step"):
         geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.0, 0.0)], 0.5, 0.5 * geo.MIN_STEP)
+    with pytest.raises(ValueError, match="x_end must not be nan, got nan"):
+        geo.integrate_batch([chart.jet1(0.0, 0.1, 0.0, 0.2, 0.0)], math.nan, 1e-2)
+    with pytest.raises(ValueError, match=r"x_end must not be nan, got \[0.5, nan\]"):
+        geo.integrate_batch(pair, [0.5, math.nan], 1e-3)
 
 
 def test_integrate_far_x_end_stops_at_the_margin():

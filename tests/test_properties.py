@@ -1097,7 +1097,7 @@ def _strict(text):
 def _flow_argv(draw, tmp):
     point = draw(_edited([repr(draw(chart_angle)), repr(draw(chart_angle))]))
     lam = draw(st.one_of(st.floats(-3.0, 3.0).map(repr), cli_token))
-    return ["flow", f"--point={point}", f"--lambda={lam}", "--json"]
+    return ["flow", f"--point={point}", f"--lambda={lam}"]
 
 
 def _integrate_argv(draw, tmp):
@@ -1107,7 +1107,7 @@ def _integrate_argv(draw, tmp):
     step = draw(st.one_of(st.sampled_from(["0.001", "0.01"]),
                           st.sampled_from(["0", "-0.001", "5e-324", "1e308", "nan", "abc"])))
     return ["integrate", f"--initial={draw(_edited(map(repr, initial)))}", f"--x-end={x_end}",
-            f"--step={step}", "--out", str(tmp / "t.csv"), "--json"]
+            f"--step={step}", "--out", str(tmp / "t.csv")]
 
 
 def _reduce_argv(draw, tmp):

@@ -57,7 +57,7 @@ def test_jet1_validates_only_the_drawn_starts(monkeypatch):
 
 def test_make_batch_raises_the_first_failure_in_draw_order(monkeypatch):
     def failing(jets, x_end, step):
-        return [geo.DomainExit(0.1 * i, f"run {i}") if i in (2, 4) else None
+        return [geo.DomainExit(0.1 * i, f"run {i} stopped at") if i in (2, 4) else None
                 for i, _ in enumerate(jets)]
 
     monkeypatch.setattr(geo, "integrate_batch", failing)

@@ -282,16 +282,18 @@ def test_bracket_table_antisymmetry_and_diagonal():
             return "zero"
         return ("-" if label[0] == "+" else "+") + label[1:]
 
-    for i in range(1, 7):
-        assert table.entry(i, i).identified == "zero"
-        for j in range(1, 7):
-            assert table.entry(i, j).identified == negate(table.entry(j, i).identified)
+    grid = table.identified_grid()
+    for i in range(6):
+        assert grid[i][i] == "zero"
+        for j in range(6):
+            assert grid[i][j] == negate(grid[j][i])
 
 
 def test_bracket_table_specific_entries():
     table = sym.bracket_table(samples=50, tol=1e-8, seed=7)
-    assert table.entry(3, 6).identified == "zero"
-    assert table.entry(2, 6).identified == "-chi1"
+    grid = table.identified_grid()  # [chi_i, chi_j] at grid[i - 1][j - 1]
+    assert grid[2][5] == "zero"
+    assert grid[1][5] == "-chi1"
 
 
 def test_bracket_table_json_shape():
