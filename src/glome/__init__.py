@@ -34,7 +34,6 @@ from .reduction import (
 from .symmetries import (
     AmbiguousIdentification,
     BracketTable,
-    VectorField3,
     bracket_table,
     chi,
     closed_triples,
@@ -57,7 +56,6 @@ __all__ = [
     "OutOfRange",
     "SingularSystem",
     "Trajectory",
-    "VectorField3",
     "bracket_table",
     "chi",
     "closed_triples",

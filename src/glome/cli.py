@@ -122,6 +122,8 @@ def cmd_integrate(args) -> int:
         raise ConfigError("--out must name the CSV file, got ''")
     out = Path(args.out)
     sidecar_path = out.with_suffix(".json")
+    if sidecar_path == out:
+        raise ConfigError(f"--out must not end in .json, which the sidecar takes, got {args.out!r}")
     _check_out(str(sidecar_path))
     if not geodesics.MIN_STEP <= args.step <= geodesics.MAX_STEP:
         raise ConfigError(f"--step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"

@@ -65,6 +65,11 @@ TRAJECTORY_SPAN = 0.8  # rad; keeps randomly-slanted geodesics clear of turning 
 LONG_RUN_STEP = 2.5e-4  # the widest admissible x-interval divided by 1e4 steps
 LONG_RUN_MAX_STEPS = 10_000  # so the long run never leaves [-1.25, 1.25]
 
+# On-shell draws keep |x| >= this clearance from the x = 0 line used elsewhere.
+# RunConfig bounds the margin so that at least half of their x-interval
+# [-(pi/2 - margin), pi/2 - margin] is clear of the line: else the sampler never ends.
+_X_CLEARANCE = 0.05
+
 
 # Upper bounds on a run's size, past which a request is a usage error rather
 # than a numpy memory error.  The suites allocate columns in proportion to
@@ -95,8 +100,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
-        if not 0.0 < self.margin < HALF_PI:
-            raise ConfigError(f"margin must lie in (0, pi/2), got {self.margin}")
+        if not 0.0 < self.margin <= HALF_PI - 2 * _X_CLEARANCE:
+            raise ConfigError(f"margin must lie in (0, pi/2 - {2 * _X_CLEARANCE:g}],"
+                              f" got {self.margin}")
         if not geodesics.MIN_STEP <= self.step <= geodesics.MAX_STEP:
             raise ConfigError(f"step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
                               f" got {self.step}")
@@ -240,8 +246,7 @@ def _onshell_collapsed_jets(cfg: RunConfig, k_value: float, n: int, seed: int):
         x, y, y_x = rng.uniform([-lim, -lim, -2.0], [lim, lim, 2.0], (2 * n, 3)).T
         cx, cy = np.cos(x), np.cos(y)
         coeff = cx * cy * (cx * cx * cy * cy - k_value)
-        # |x| >= 0.05: sec x is fine there, but keep clear of the x = 0 line used elsewhere
-        keep = np.flatnonzero((np.abs(x) >= 0.05) & (np.abs(coeff) >= 0.05))
+        keep = np.flatnonzero((np.abs(x) >= _X_CLEARANCE) & (np.abs(coeff) >= 0.05))
         x, y, y_x, coeff = x[keep], y[keep], y_x[keep], coeff[keep]
         y_xx = -geodesics.collapsed_E(x, y, y_x, 0.0, k_value) / coeff
         keep = np.abs(y_xx) <= 50.0
@@ -280,7 +285,7 @@ def suite_flow(cfg: RunConfig) -> list[CheckResult]:
     worst_group = _worst(_worst(0.0, X2 - X12), Y2 - Y12)
     # invariant coordinate is annihilated by the generator's (xi, phi), regular at x = 0 too
     _, d_omega = jetcalc.directional(
-        reduction.omega_coordinate, (x, y), symmetries.chi(3).coefficients(x, y, 0.0)[:2])
+        reduction.omega_coordinate, (x, y), symmetries.chi(3)(x, y, 0.0)[:2])
     return [
         _result(cfg, "flow_omega_invariance", worst_omega),
         _result(cfg, "flow_tau_shift", worst_tau),

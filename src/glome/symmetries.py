@@ -6,10 +6,10 @@ Lie brackets, and numeric identification of brackets against the candidate
 set {0, +/-chi_k} (the bracket table), with the closed 3-generator subsets
 read off the identified table.
 
-A vector field is one function of (x, y, v) that returns its three
-coefficients (xi, phi, eta), not an expression tree: every downstream
-use is a pointwise evaluation with dual numbers from :mod:`glome.jetcalc`,
-and one evaluation yields all three coefficients.
+A vector field is its coefficient function: one function of (x, y, v)
+that returns (xi, phi, eta), not an expression tree nor a wrapper type.
+Every downstream use is a pointwise evaluation with dual numbers from
+:mod:`glome.jetcalc`, and one evaluation yields all three coefficients.
 
 The evaluations are coordinate-generic.  A residual function given a
 :class:`~glome.chart.JetColumns` of n samples in place of one float-valued
@@ -44,17 +44,8 @@ class AmbiguousIdentification(RuntimeError):
     """No unique candidate passed the bracket-identification separation test."""
 
 
-@dataclass(frozen=True)
-class VectorField3:
-    """Vector field xi d/dx + phi d/dy + eta d/dv on chart space.
-
-    ``coefficients(x, y, v)`` returns the tuple (xi, phi, eta), built from
-    jetcalc primitives, so one evaluation with dual numbers gives all three
-    coefficients and their derivatives.
-    """
-
-    coefficients: Callable[[object, object, object], tuple]
-    name: str = ""
+# A vector field: (x, y, v) -> (xi, phi, eta).
+_Field = Callable[[object, object, object], tuple]
 
 
 @dataclass(frozen=True)
@@ -110,20 +101,19 @@ def _chi6(x, y, v):
     return 0.0, 0.0, 1.0
 
 
-_CHI: tuple[VectorField3, ...] = tuple(
-    VectorField3(f, f"chi{i}") for i, f in enumerate((_chi1, _chi2, _chi3, _chi4, _chi5, _chi6), 1)
-)
+_CHI: tuple[_Field, ...] = (_chi1, _chi2, _chi3, _chi4, _chi5, _chi6)
 
 
-def chi(i: int) -> VectorField3:
+def chi(i: int) -> _Field:
     """The i-th generator (1-based); chi6 is the v-translation."""
     if not 1 <= i <= 6:
         raise ValueError(f"generator index must be 1..6, got {i}")
     return _CHI[i - 1]
 
 
-def general_symmetry(k: Sequence) -> VectorField3:
-    """The 5-parameter combination sum_i k_i chi_i, i = 1..5.
+def general_symmetry(k: Sequence) -> _Field:
+    """The 5-parameter combination sum_i k_i chi_i, i = 1..5, as its
+    coefficient function.
 
     Each weight is a float or a numpy column.  Columns broadcast against
     the evaluation points: five (m, 1) weights over (m, n) points evaluate
@@ -138,16 +128,13 @@ def general_symmetry(k: Sequence) -> VectorField3:
     def coefficients(x, y, v):
         totals = (0.0, 0.0, 0.0)
         for w, F in zip(weights, _CHI[:5]):
-            totals = tuple(t + w * c for t, c in zip(totals, F.coefficients(x, y, v)))
+            totals = tuple(t + w * c for t, c in zip(totals, F(x, y, v)))
         return totals
 
-    def label(w):
-        return f"{w:g}" if isinstance(w, float) else "[" + ",".join(f"{c:g}" for c in w.flat) + "]"
-
-    return VectorField3(coefficients, name="general(" + ",".join(map(label, weights)) + ")")
+    return coefficients
 
 
-def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
+def _prolong1_values(V: _Field, x, y, v, y_x, v_x):
     """Generic (dual-capable) first-prolongation components at a jet,
     (xi, phi, eta, phi^x, eta^x, D_x xi):
 
@@ -158,7 +145,7 @@ def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
     The second-order jet terms cancel identically in this expansion, so
     only first partials of the coefficients appear.
     """
-    (xi_val, phi_val, eta_val), grads = value_and_gradn(V.coefficients, (x, y, v))
+    (xi_val, phi_val, eta_val), grads = value_and_gradn(V, (x, y, v))
     (xi_x, xi_y, xi_v), (phi_x, phi_y, phi_v), (eta_x, eta_y, eta_v) = grads
     total_xi = xi_x + xi_y * y_x + xi_v * v_x
     phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
@@ -166,7 +153,7 @@ def _prolong1_values(V: VectorField3, x, y, v, y_x, v_x):
     return xi_val, phi_val, eta_val, phi_pr, eta_pr, total_xi
 
 
-def variational_residual(V: VectorField3, j: chart.JetColumns):
+def variational_residual(V: _Field, j: chart.JetColumns):
     """Residual of the variational-symmetry criterion at a jet.
 
     Applies the prolonged field to the integrand (which does not read v,
@@ -180,7 +167,7 @@ def variational_residual(V: VectorField3, j: chart.JetColumns):
     return applied + lam * dxi_total
 
 
-def determining_residuals(V: VectorField3, p: chart.JetColumns):
+def determining_residuals(V: _Field, p: chart.JetColumns):
     """The six monomial-coefficient residuals of the symmetry condition.
 
     Returns the left sides (floats at one chart point; arrays over the
@@ -193,7 +180,7 @@ def determining_residuals(V: VectorField3, p: chart.JetColumns):
       (f) eta_y cos^2 x cos^2 y + phi_v cos^2 x
     """
     x, y, v = p.x, p.y, p.v
-    (xi_val, phi_val, _), grads = value_and_gradn(V.coefficients, (x, y, v))
+    (xi_val, phi_val, _), grads = value_and_gradn(V, (x, y, v))
     (xi_x, xi_y, xi_v), (phi_x, phi_y, phi_v), (eta_x, eta_y, eta_v) = grads
     cx, sx = cos(x), sin(x)
     cy, sy = cos(y), sin(y)
@@ -222,15 +209,15 @@ def _bracket(Xc, dX, Yc, dY) -> tuple:
     return tuple(out)
 
 
-def lie_bracket(X: VectorField3, Y: VectorField3) -> VectorField3:
-    """Commutator [X, Y]: its coefficients apply _bracket to one
-    value_and_gradn pass of each field at each evaluation point."""
+def lie_bracket(X: _Field, Y: _Field) -> _Field:
+    """Commutator [X, Y], itself a coefficient function: at each evaluation
+    point it applies _bracket to one value_and_gradn pass of each field."""
 
     def coefficients(x, y, v):
         p = (x, y, v)
-        return _bracket(*value_and_gradn(X.coefficients, p), *value_and_gradn(Y.coefficients, p))
+        return _bracket(*value_and_gradn(X, p), *value_and_gradn(Y, p))
 
-    return VectorField3(coefficients, name=f"[{X.name},{Y.name}]")
+    return coefficients
 
 
 _CANDIDATE_LABELS = ("zero", "+chi1", "-chi1", "+chi2", "-chi2", "+chi3", "-chi3",
@@ -242,13 +229,13 @@ def _stack3(components, shape) -> np.ndarray:
     return np.stack([np.broadcast_to(c, shape) for c in components], axis=1)
 
 
-def _values(F: VectorField3, x, y, v) -> np.ndarray:
+def _values(F: _Field, x, y, v) -> np.ndarray:
     """F's coefficients at n points as an (n, 3) array, one row per point."""
-    return _stack3(F.coefficients(x, y, v), x.shape)
+    return _stack3(F(x, y, v), x.shape)
 
 
 def identify_field(
-    W: VectorField3,
+    W: _Field,
     points: Iterable[chart.JetColumns],
     tol: float,
 ) -> BracketEntry:
@@ -262,7 +249,7 @@ def identify_field(
     """
     x, y, v = (np.array(c) for c in zip(*((p.x, p.y, p.v) for p in points)))
     generators = [_values(F, x, y, v) for F in _CHI]
-    return _match(W.name, _values(W, x, y, v), _candidates(generators), tol)
+    return _match("the field", _values(W, x, y, v), _candidates(generators), tol)
 
 
 def _candidates(generators: Sequence[np.ndarray]) -> np.ndarray:
@@ -301,7 +288,7 @@ def _bracket_values(x, y, v) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
     evaluation's bitwise, and are combined by _bracket, as in lie_bracket,
     so every bracket equals lie_bracket's bitwise.
     """
-    passes = [value_and_gradn(F.coefficients, (x, y, v)) for F in _CHI]
+    passes = [value_and_gradn(F, (x, y, v)) for F in _CHI]
     generators = [_stack3(values, x.shape) for values, _ in passes]
     return generators, [[_stack3(_bracket(*X, *Y), x.shape) for Y in passes] for X in passes]
 
@@ -325,8 +312,8 @@ def bracket_table(
     generators, brackets = _bracket_values(p.x, p.y, p.v)
     candidates = _candidates(generators)
     return BracketTable(tuple(
-        tuple(_match(f"[{X.name},{Y.name}]", W, candidates, tol) for Y, W in zip(_CHI, row))
-        for X, row in zip(_CHI, brackets)
+        tuple(_match(f"[chi{i},chi{j}]", W, candidates, tol) for j, W in enumerate(row, 1))
+        for i, row in enumerate(brackets, 1)
     ))
 
 
@@ -345,7 +332,7 @@ def closed_triples(grid: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
     return closed
 
 
-def prolong2_apply(V: VectorField3, F, j: chart.JetColumns):
+def prolong2_apply(V: _Field, F, j: chart.JetColumns):
     """Apply the second prolongation of V to a second-order jet function.
 
     F takes the seven slots (x, y, v, y_x, v_x, y_xx, v_xx) and must be

@@ -13,12 +13,12 @@ numpy's sin and cos round like the platform's libm, which the tests of
 pinned bits depend on."""
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from glome import chart, jetcalc
 from glome import reduction as red
-from glome import symmetries as sym
 from glome.jetcalc import DomainError, DualScalar, arctan, atan2, cos, directional, power, sin
 
 
@@ -200,33 +200,32 @@ def reduced_omega_prime(tau: float, omega: float, alpha, k, branch="+") -> float
     return (1.0 - omega * omega) * math.tan(sgn * math.acos(math.sqrt(arg)) + theta)
 
 
-def field(xi, phi, eta, name: str = "") -> sym.VectorField3:
-    """The field with the three component functions xi, phi and eta."""
-    return sym.VectorField3(lambda x, y, v: (xi(x, y, v), phi(x, y, v), eta(x, y, v)), name)
+def field(xi, phi, eta) -> Callable:
+    """The field, (x, y, v) -> (xi, phi, eta), with the three component
+    functions xi, phi and eta."""
+    return lambda x, y, v: (xi(x, y, v), phi(x, y, v), eta(x, y, v))
 
 
-def component(V: sym.VectorField3, i: int):
+def component(V: Callable, i: int):
     """V's i-th coefficient (0 xi, 1 phi, 2 eta) as a function of (x, y, v)."""
-    return lambda x, y, v: V.coefficients(x, y, v)[i]
+    return lambda x, y, v: V(x, y, v)[i]
 
 
-def scale(c: float, V: sym.VectorField3, name: str = "") -> sym.VectorField3:
+def scale(c: float, V: Callable) -> Callable:
     xi, phi, eta = (component(V, i) for i in range(3))
     return field(
         lambda x, y, v: c * xi(x, y, v),
         lambda x, y, v: c * phi(x, y, v),
         lambda x, y, v: c * eta(x, y, v),
-        name=name or f"{c}*{V.name}",
     )
 
 
-def add(X: sym.VectorField3, Y: sym.VectorField3, name: str = "") -> sym.VectorField3:
+def add(X: Callable, Y: Callable) -> Callable:
     (Xxi, Xphi, Xeta), (Yxi, Yphi, Yeta) = ([component(F, i) for i in range(3)] for F in (X, Y))
     return field(
         lambda x, y, v: Xxi(x, y, v) + Yxi(x, y, v),
         lambda x, y, v: Xphi(x, y, v) + Yphi(x, y, v),
         lambda x, y, v: Xeta(x, y, v) + Yeta(x, y, v),
-        name=name or f"{X.name}+{Y.name}",
     )
 
 
@@ -274,7 +273,7 @@ def value_and_gradn(f, args):
     return tuple(part(*args) for part in parts), tuple(gradn(part, args) for part in parts)
 
 
-def prolong1_values(V: sym.VectorField3, x, y, v, y_x, v_x):
+def prolong1_values(V: Callable, x, y, v, y_x, v_x):
     """The first prolongation (xi, phi, eta, phi^x, eta^x) at a jet, one
     value_and_gradn pass per coefficient."""
     p = (x, y, v)
@@ -288,7 +287,7 @@ def prolong1_values(V: sym.VectorField3, x, y, v, y_x, v_x):
     return xi_val, phi_val, eta_val, phi_pr, eta_pr
 
 
-def prolong2_apply(V: sym.VectorField3, F, j):
+def prolong2_apply(V: Callable, F, j):
     """(pr2 V)(F) at j, evaluating the first prolongation three times: once
     for its values and once for each of D_x(phi^x) and D_x(eta^x), with a
     fourth pass for D_x(xi)."""

@@ -66,8 +66,8 @@ def test_one_float_jet_type():
     assert last[:5] == tuple(traj.samples[-1].tolist()) and last[5:] == (0.0, 0.0)
     assert not hasattr(glome, "ChartPoint") and not hasattr(glome, "Jet1")
     assert not hasattr(chart, "ChartPoint") and not hasattr(chart, "Jet1")
-    assert not hasattr(symmetries.VectorField3, "at")
-    assert len(glome.__all__) == 30
+    assert not hasattr(glome, "VectorField3") and not hasattr(symmetries, "VectorField3")
+    assert len(glome.__all__) == 29
 
 
 def test_lagrangian_at_rest_is_one():

@@ -519,6 +519,12 @@ EXIT_CODES = [
                           "--out", "{tmp}/missing/f.json"], None, 2),
     ("ConfigError_integrate_empty_out", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end",
                                          "0.1", "--out", ""], None, 2),
+    # the sidecar of t.json would be t.json itself and overwrite the CSV
+    ("ConfigError_integrate_json_out", ["integrate", "--initial=0,0.2,0.3,0.1,0.2", "--x-end",
+                                        "0.5", "--out", "{tmp}/t.json"], None, 2),
+    # a margin past pi/2 - 0.1 leaves the on-shell sampler of verify few draws clear of
+    # x = 0 (none past about 1.52); brackets shares verify's RunConfig and refuses it too
+    ("ConfigError_brackets_margin_bound", ["brackets", "--margin", "1.55"], None, 2),
     # one field past the csv module's 131072-character limit
     ("TrajectoryCSVError_long_field", ["reduce", "{tmp}/long_field.csv"], None, 2),
     # a non-finite tolerance is refused before any suite runs
@@ -555,6 +561,9 @@ def test_typed_errors_map_to_documented_exit_codes(tmp_path, monkeypatch, capsys
     if code == 2 or captured.err:  # one line, in main's one format
         assert captured.err.startswith(f"glome {argv[0]}: {LABELS[code]}: ")
         assert captured.err.count("\n") == 1
+    if code == 2:  # a usage error is met before any file is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "huge_slope.csv", "long_field.csv", "ok.csv"]
     if argv[0] == "integrate" and code == 1:  # the sidecar names the error met
         assert read_json(tmp_path / "t.json")["status"] == error.partition("_")[0]
         assert (tmp_path / "t.csv").exists()  # with the partial trajectory

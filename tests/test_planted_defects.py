@@ -114,7 +114,7 @@ def _plant_chi3_phi(monkeypatch) -> None:
     """Scale chi3's phi coefficient by 1 + SIZE."""
     chi3 = symmetries._CHI[2]
     xi, phi, eta = (component(chi3, i) for i in range(3))
-    planted = field(xi, lambda x, y, v: phi(x, y, v) * (1.0 + SIZE), eta, name=chi3.name)
+    planted = field(xi, lambda x, y, v: phi(x, y, v) * (1.0 + SIZE), eta)
     monkeypatch.setattr(symmetries, "_CHI", symmetries._CHI[:2] + (planted,) + symmetries._CHI[3:])
 
 

@@ -493,7 +493,9 @@ def _columns(rows):
 def _candidate_fields():
     """identify_field's 13 candidates as fields, labelled: zero, then chi_k
     and scale(-1.0, chi_k) for each generator."""
-    zero = sym.VectorField3(lambda x, y, v: (0.0, 0.0, 0.0), "0")
+    def zero(x, y, v):
+        return 0.0, 0.0, 0.0
+
     cands = [("zero", zero)]
     for i in range(1, 7):
         cands += [(f"+chi{i}", sym.chi(i)), (f"-chi{i}", scale(-1.0, sym.chi(i)))]
@@ -539,8 +541,8 @@ def test_bracket_identification_batch_equals_per_point_bitwise(rows, a, b):
     W = sym.lie_bracket(sym.chi(a), sym.chi(b))
     per_point = {}
     for label, C in [("W", W)] + _candidate_fields():
-        per_point[label] = np.array([C.coefficients(p.x, p.y, p.v) for p in points])
-        batched = C.coefficients(x, y, v)
+        per_point[label] = np.array([C(p.x, p.y, p.v) for p in points])
+        batched = C(x, y, v)
         for got, column in zip(batched, per_point[label].T):
             assert _per_sample(got, len(rows)) == _bits(column)
     try:
@@ -789,10 +791,10 @@ def test_seeded_gradient_nested_in_a_gradient_equals_the_oracle(rows, a, b, c, a
     # a bracket of a bracket takes a gradient inside a gradient
     point = rows[0] if at_float else tuple(np.array(col) for col in zip(*rows))
     W = sym.lie_bracket(sym.lie_bracket(sym.chi(a), sym.chi(b)), sym.chi(c))
-    got = W.coefficients(*point)
+    got = W(*point)
     with pytest.MonkeyPatch.context() as mp:
         _oracle_symmetries(mp)
-        want = W.coefficients(*point)
+        want = W(*point)
     _same_bits(got, want)
     if at_float:
         assert _floats_only(got)

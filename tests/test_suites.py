@@ -76,6 +76,16 @@ def test_run_size_bounds():
             suites.RunConfig(trajectories=most + 1, step=step)
 
 
+def test_margin_leaves_the_onshell_sampler_clear_of_x_zero():
+    # past pi/2 - 0.1 the on-shell sampler's x-clearance rejects more than half of the
+    # draws, and past about 1.52 every draw, so the sampler never ended
+    for margin in (1.55, chart.HALF_PI - 0.0999, chart.HALF_PI, 0.0):
+        with pytest.raises(suites.ConfigError, match=r"margin must lie in \(0, pi/2 - 0\.1\]"):
+            suites.RunConfig(margin=margin)
+    cfg = suites.RunConfig(samples=50, margin=chart.HALF_PI - 0.1)
+    assert [c.name for c in suites.suite_collapsed_prolongation(cfg)] == ["collapsed_prolongation"]
+
+
 def test_grid_search_k_does_not_depend_on_its_block_size(monkeypatch):
     traj = geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.15, 0.2), 0.8, 1e-2)
     k = suites.grid_search_k(traj)
@@ -138,27 +148,28 @@ def test_flow_checks_pass_at_points_next_to_x_zero(monkeypatch):
 
 
 def _once(*generators):
-    return {f"chi{i}": 1 for i in generators}
+    return dict.fromkeys(generators, 1)
 
 
 @pytest.mark.parametrize("suite, evaluations", [
     (suites.suite_determining, _once(1, 2, 3, 4, 5)),
     (suites.suite_variational, _once(1, 2, 3, 4, 5, 6)),
     (suites.suite_bracket_table, _once(1, 2, 3, 4, 5, 6)),
-    (suites.suite_collapsed_prolongation, {"chi3": 4}),  # one per k
+    (suites.suite_collapsed_prolongation, {3: 4}),  # one per k
     (suites.suite_flow, _once(3)),
 ], ids=["determining", "variational", "bracket_table", "collapsed_prolongation", "flow"])
 def test_each_symmetry_check_evaluates_each_generator_once(monkeypatch, suite, evaluations):
     calls = collections.Counter()
 
-    def counted(F):
+    def counted(i, F):  # chi_i, counting its evaluations by generator index
         def coefficients(x, y, v):
-            calls[F.name] += 1
-            return F.coefficients(x, y, v)
+            calls[i] += 1
+            return F(x, y, v)
 
-        return symmetries.VectorField3(coefficients, F.name)
+        return coefficients
 
-    monkeypatch.setattr(symmetries, "_CHI", tuple(map(counted, symmetries._CHI)))
+    monkeypatch.setattr(symmetries, "_CHI",
+                        tuple(counted(i, F) for i, F in enumerate(symmetries._CHI, 1)))
     checks = suite(suites.RunConfig(samples=100))
     assert all(c.passed for c in checks)
     assert dict(calls) == evaluations
