@@ -57,25 +57,6 @@ import numpy as np
 
 _ndarray = np.ndarray
 
-__all__ = [
-    "DomainError",
-    "DualScalar",
-    "real_value",
-    "sin",
-    "cos",
-    "tan",
-    "sec",
-    "sqrt",
-    "arcsin",
-    "arctan",
-    "atan2",
-    "power",
-    "squarable",
-    "directional",
-    "gradn",
-    "value_and_gradn",
-]
-
 # |cos| below this counts as a tan/sec pole; generous enough to catch
 # float(pi/2) itself (cos of it is ~6.1e-17) while never firing on the
 # open chart sampled with the default 0.1 rad margin.

@@ -70,11 +70,14 @@ def global_flow(x, y, lam):
     Y = arctan(tan y cos lam + tan x sec y sin lam)
 
     Valid for any lambda while the arcsin argument stays strictly inside
-    (-1, 1); on the open chart its magnitude is bounded by
-    sqrt(1 - omega^2) < 1, so BranchExit fires only for inputs at or
-    beyond the chart poles.  Dual-capable in all three arguments, and
-    array-valued over arrays of points (BranchExit names the first lambda
-    that leaves the branch).
+    (-1, 1).  On the open chart its magnitude is bounded by
+    sqrt(1 - omega^2) < 1, but in floats it rounds to 1 where omega is
+    below about 1.05e-8, next to a chart pole: at lambda = 0 the argument
+    is sin x, which rounds to +-1 within about 1.05e-8 of x = +-pi/2.
+    BranchExit fires there, as it does at or beyond the poles; the image
+    arcsin(+-1) = +-pi/2 would lie off the chart.  Dual-capable in all
+    three arguments, and array-valued over arrays of points (BranchExit
+    names the first lambda that leaves the branch).
     """
     s = sin(x) * cos(lam) - cos(x) * sin(y) * sin(lam)
     off = np.abs(jetcalc.real_value(s)) >= 1.0

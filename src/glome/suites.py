@@ -121,9 +121,6 @@ class RunConfig:
                 raise ConfigError(f"tolerance {name} must be finite, got {value}")
         self.tolerances = merged
 
-    def tol(self, name: str) -> float:
-        return self.tolerances[name]
-
 
 @dataclass
 class CheckResult:
@@ -149,7 +146,7 @@ class CheckResult:
 
 
 def _result(cfg: RunConfig, name: str, residual: float, **extra) -> CheckResult:
-    tol = cfg.tol(name)
+    tol = cfg.tolerances[name]
     return CheckResult(name, residual < tol, float(residual), tol, extra)
 
 
@@ -191,7 +188,7 @@ def bracket_table_for(cfg: RunConfig) -> symmetries.BracketTable:
     points drawn with seed + 17 inside the configured margin, at the
     bracket_table tolerance.  Raises AmbiguousIdentification."""
     return symmetries.bracket_table(samples=max(10, cfg.samples // 20),
-                                    tol=cfg.tol("bracket_table"),
+                                    tol=cfg.tolerances["bracket_table"],
                                     seed=cfg.seed + 17, margin=cfg.margin)
 
 
@@ -204,7 +201,7 @@ def _bracket_checks(cfg: RunConfig) -> tuple[CheckResult, CheckResult]:
     try:
         table = bracket_table_for(cfg)
     except symmetries.AmbiguousIdentification as err:
-        return tuple(CheckResult(name, False, math.inf, cfg.tol(name), {"error": str(err)})
+        return tuple(CheckResult(name, False, math.inf, cfg.tolerances[name], {"error": str(err)})
                      for name in ("bracket_table", "subgroup_closure"))
     grid = table.identified_grid()
     matches = grid == [list(row) for row in REFERENCE_TABLE]

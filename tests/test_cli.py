@@ -483,6 +483,8 @@ EXIT_CODES = [
      (symmetries, "bracket_table", symmetries.AmbiguousIdentification("no unique candidate")), 1),
     ("BranchExit", ["flow", "--point", "0.5,0.3", "--lambda", "0.2"],
      (reduction, "global_flow", reduction.BranchExit(0.2)), 1),
+    # sin x rounds to 1 within about 1.05e-8 of pi/2, so the flow by lambda = 0 leaves the branch
+    ("BranchExit_next_to_pole", ["flow", "--point", "1.57079632,0", "--lambda", "0"], None, 1),
     ("DomainError", ["flow", "--point", "0.5,0.3", "--lambda", "0.2"],
      (reduction, "omega_coordinate", jetcalc.DomainError("sqrt", -1.0, "planted")), 1),
     # rows are allocated only up to the pole margin: a far x_end stops there
