@@ -74,9 +74,12 @@ class TrajectoryCSVError(ValueError):
 # Seeds of the one-pass core: row i holds argument i's component of the
 # inner directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x),
 # and of the outer directions (E_X, E_YX, E_VX), whose first one becomes
-# the known part of D_x once y's entry is set to y_x.
+# the known part of D_x once y's entry is set to y_x.  A lone state takes
+# its constant rows from the tuples, built once.
 _INNER = np.eye(4)[:, 1:]
-_OUTER = np.eye(4)[:, [0, 2, 3]]
+_OUTER = np.ascontiguousarray(np.eye(4)[:, [0, 2, 3]])  # a contiguous row is a faster operand
+_LONE_INNER = tuple(_INNER)
+_LONE_OUTER = tuple(_OUTER[:, :, None])
 
 
 def _curvatures(x, y, y_x, v_x):
@@ -91,26 +94,38 @@ def _curvatures(x, y, y_x, v_x):
     evaluation of it, seeded with the inner directions
     (E_Y, E_YX, E_VX) and the outer directions (the known part of D_x,
     E_YX, E_VX) along two leading array axes, yields L_y and all six mixed
-    second partials; Cramer's rule then runs element by element.  Each
-    element repeats the floating-point operations of seven separate
-    scalar passes exactly.  The caller checks |det| against DET_FLOOR
-    (below it the curvatures are meaningless) and silences numpy's
-    floating-point warnings for such states.
+    second partials; Cramer's rule then runs element by element, on Python
+    floats for a float state.  Each element repeats the floating-point
+    operations of seven separate scalar passes exactly.  The caller checks
+    |det| against DET_FLOOR (below it the curvatures are meaningless) and
+    silences numpy's floating-point warnings for such states.
     """
     shape = np.shape(y)
-    ones = (1,) * len(shape)
-    outer = np.empty((4, 3, 1) + shape)  # argument, outer direction, (inner), batch
-    outer[...] = _OUTER.reshape((4, 3, 1) + ones)
-    outer[1, 0] = y_x
-    inner = _INNER.reshape((4, 3) + ones)
+    if shape:
+        ones = (1,) * len(shape)
+        outer = np.empty((4, 3, 1) + shape)  # argument, outer direction, (inner), batch
+        outer[...] = _OUTER.reshape((4, 3, 1) + ones)
+        outer[1, 0] = y_x
+        inner = _INNER.reshape((4, 3) + ones)
+    else:
+        y_row = np.zeros((3, 1))
+        y_row[0, 0] = y_x
+        outer = _LONE_OUTER[0], y_row, *_LONE_OUTER[2:]
+        inner = _LONE_INNER
     partials, mixed = directional(lambda *a: directional(chart.arc_speed, a, inner)[1],
                                   (x, y, y_x, v_x), outer)
-    L_y = partials[0]
-    known_y, m11, m12 = mixed[:, 1]
-    known_v, m21, m22 = mixed[:, 2]
+    if shape:
+        L_y = partials[0]
+        known_y, m11, m12 = mixed[:, 1]
+        known_v, m21, m22 = mixed[:, 2]
+    else:
+        L_y = partials.item(0)
+        (known_y, m11, m12), (known_v, m21, m22) = mixed[:, 1:].T.tolist()
     b1 = L_y - known_y
     b2 = 0.0 - known_v  # L_v vanishes identically
     det = m11 * m22 - m12 * m21
+    if not shape and det == 0.0:  # a float divides by zero as numpy does
+        det = np.float64(det)
     y_xx = (b1 * m22 - b2 * m12) / det
     v_xx = (m11 * b2 - m21 * b1) / det
     return y_xx, v_xx, det
@@ -313,20 +328,26 @@ def _stage(x, u: np.ndarray, stopped: dict, at) -> np.ndarray:
     there: DomainExit at ``at`` naming the stage's abscissa and state, or
     with the domain guard's message; SingularSystem with the determinant
     at ``at``.  Every column in the record gets zero slopes, so the later
-    stages of the step evaluate it at its step-start state.  Each column
-    test first runs once over the whole batch (a nan fails it), and
-    column by column only where that fails.
+    stages of the step evaluate it at its step-start state.  A lone state
+    is read as four floats, and the chart test runs on them; a batch's
+    chart test runs once over the whole array (a nan fails it).  Each
+    test runs column by column only where that fails.
     """
     # x needs no test: |x_i| <= pi/2 - POLE_MARGIN and |x - x_i| <= MAX_STEP < POLE_MARGIN
-    if not (np.isfinite(u).all() and np.abs(u[0]).max() < chart.HALF_PI):
+    if u.shape[1] == 1:
+        state = u[:, 0].tolist()
+        y, _, y_x, v_x = state
+        fits = abs(y) < chart.HALF_PI and all(map(math.isfinite, state))
+    else:
+        y, _, y_x, v_x = u
+        fits = np.isfinite(u).all() and np.abs(y).max() < chart.HALF_PI
+    if not fits:
         on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < chart.HALF_PI)
         for c in np.flatnonzero(~on_chart).tolist():
             state = tuple(u[:, c].tolist())
             detail = f"stage at x = {_x_of(x, c)!r} has (y, v, y_x, v_x) = {state}"
             stopped.setdefault(c, DomainExit(_x_of(at, c), "an RK4 stage left the open chart in"
                                              " the step from", detail))
-    # a lone state runs faster on floats
-    y, _, y_x, v_x = u[:, 0].tolist() if u.shape[1] == 1 else u
     k = np.empty_like(u)
     k[:2] = u[2:]
     try:
@@ -393,7 +414,11 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     one outcome record per jet, written as the step runs and never
     overwritten: the exception that stops the jet, or None when it is
     complete.  The jets the record holds leave the batch together at the
-    step's end; a jet at its final sample rides that step too.
+    step's end; a jet at its final sample rides that step too.  Once one
+    jet is live, its start x and step are floats and its first row an int,
+    so its rows and curvatures are written by plain indexing, and its
+    state is read and tested as floats at each stage (in :func:`_stage`)
+    and at each step's end; a batch runs each test once over its arrays.
 
     Returns one entry per jet: its Trajectory, or the exception that
     stopped it -- DomainExit when the jet starts outside the 0.05 rad pole
@@ -439,12 +464,11 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     u = rows[first[live], 1:].T.copy()  # (4, live)
 
     def gather(live):
-        """Start x and realized step of the live jets, floats for a lone jet as
-        in a lone run, and their first rows."""
-        start, dx = x0[live], h[live]
+        """Start x, realized step and first row of the live jets; for a lone
+        jet, floats as in a lone run and an int row."""
         if live.size == 1:
-            start, dx = start.item(), dx.item()
-        return start, dx, first[live]
+            return x0[live].item(), h[live].item(), first[live].item()
+        return x0[live], h[live], first[live]
 
     def retire(live, stopped: dict, i: int) -> np.ndarray:
         """Store each stopped column's result and return the mask of the
@@ -483,8 +507,13 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
             k4 = _stage(x + dx, u + dx * k3, stopped, x)
             u = u + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             x = start + (i + 1) * dx
-            if not (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
-                    and _everywhere(abs(x) <= lim)):
+            if live.size == 1:  # a lone state is tested as floats
+                y, *rest = u[:, 0].tolist()
+                fits = abs(y) <= lim and abs(x) <= lim and all(map(math.isfinite, rest))
+            else:
+                fits = (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
+                        and (np.abs(x) <= lim).all())
+            if not fits:
                 finite = np.isfinite(u).all(axis=0)
                 inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
                 for c in np.flatnonzero(~(finite & inside)).tolist():

@@ -149,6 +149,24 @@ def test_integrate_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
     assert printed == sidecar  # stdout holds the bytes the sidecar holds
 
 
+@pytest.mark.skipif(not numpy_trig_is_math(),
+                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
+                           " from math's here")
+def test_integrate_stopped_run_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
+    # a lone run that breaches the pole margin exits 1 and writes its partial
+    # trajectory and its DomainExit sidecar
+    out = tmp_path / "t.csv"
+    argv = ["integrate", "--initial=0,1.4,0,5,0", "--x-end", "0.5", "--out", str(out)]
+    assert main(argv) == 1
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fe439f6191514196c69ea4add772c2bceffca81b94c8082a022d8e1791111cf0")
+    sidecar = out.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == (
+        "d11c2edc7e0558cefdb8893be1d4faa675649991c7d2c725814d399c1cd97379")
+    assert printed == sidecar
+
+
 def test_integrate_constant_state(tmp_path):
     out = tmp_path / "flat.csv"
     code = main(["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5",

@@ -96,6 +96,19 @@ def test_el_rhs_singular_far_outside_conditioning():
         geo.el_rhs(chart.jet1(0.5, 0.5, 0.0, 1e8, 1e8))
 
 
+def test_lone_kernel_divides_by_a_zero_determinant_as_an_array_does():
+    # slopes of 1e154 underflow the determinant to 0.0: Cramer's rule on a
+    # float state gives numpy's quotients, not a ZeroDivisionError
+    state = (0.5, 0.5, 1e154, 1e154)
+    with np.errstate(all="ignore"):
+        lone = geo._curvatures(*state)
+        column = geo._curvatures(*(np.array([a]) for a in state))
+    assert lone[2] == 0.0
+    assert np.array(lone).tobytes() == np.concatenate(column).tobytes()
+    with pytest.raises(geo.SingularSystem, match=r"det = 0\)"):
+        geo.el_rhs(chart.jet1(0.5, 0.5, 0.0, 1e154, 1e154))
+
+
 def test_el_expressions_vanish_on_shell():
     for j in jets_of(chart.jet_columns(50, 0.1, seed=3)):
         y_xx, v_xx = geo.el_rhs(j)
@@ -328,21 +341,41 @@ def test_stage_abscissae_stay_on_the_chart(monkeypatch):
     assert max(seen) > lim and max(seen) < chart.HALF_PI
 
 
-def test_stage_records_an_infinite_column_and_does_not_raise():
-    # one column takes the float path, two the array path; both record a
-    # DomainExit at the step start naming the stage's abscissa and state, and
-    # the finite column keeps its lone slopes
-    lone = np.array([[math.inf], [0.0], [0.1], [0.1]])
-    pair = np.array([[math.inf, 0.2], [0.0, 0.0], [0.1, 0.1], [0.1, 0.1]])
-    for u in (lone, pair):
+_OFF_CHART = [pytest.param(slot, value, id=f"{name}-{label}")
+              for slot, name in enumerate(["y", "v", "y_x", "v_x"])
+              for value, label in [(math.inf, "inf"), (-math.inf, "neg_inf"), (math.nan, "nan")]]
+_OFF_CHART += [pytest.param(0, chart.HALF_PI, id="y-half_pi"),
+               pytest.param(0, -chart.HALF_PI, id="y-neg_half_pi"),
+               pytest.param(0, math.nextafter(chart.HALF_PI, 0.0), id="y-below_half_pi")]
+
+
+@pytest.mark.parametrize("slot, value", _OFF_CHART)
+def test_stage_records_an_infinite_column_and_does_not_raise(slot, value):
+    # one column takes the float path, two the array path, and both record
+    # the same outcome at the step start: a DomainExit naming the stage's
+    # abscissa and state for a state off the open chart, or non-finite; the
+    # last state y just below pi/2 passes the chart test and its kernel meets
+    # a singular system.  The healthy column keeps its lone slopes.
+    state = [0.0, 0.0, 0.1, 0.1]
+    state[slot] = value
+    healthy = [0.2, 0.0, 0.1, 0.1]
+    records = []
+    for u in (np.array([state]).T, np.array([state, healthy]).T):
         stopped = {}
-        k = geo._stage(0.3, u, stopped, 0.25)
-        assert list(stopped) == [0] and type(stopped[0]) is geo.DomainExit
-        assert stopped[0].x == 0.25 and str(stopped[0]) == (
-            "an RK4 stage left the open chart in the step from x = 0.25"
-            " (stage at x = 0.3 has (y, v, y_x, v_x) = (inf, 0.0, 0.1, 0.1))")
+        with np.errstate(all="ignore"):
+            k = geo._stage(0.3, u, stopped, 0.25)
+        assert list(stopped) == [0]
         assert np.all(k[:, 0] == 0.0)
-    assert k[:, 1].tobytes() == geo._stage(0.3, pair[:, 1:], {}, 0.25)[:, 0].tobytes()
+        records.append((type(stopped[0]), stopped[0].x, str(stopped[0])))
+    assert records[0] == records[1]
+    if abs(value) < chart.HALF_PI:
+        assert records[0][:2] == (geo.SingularSystem, 0.25)
+    else:
+        assert records[0] == (geo.DomainExit, 0.25,
+                              "an RK4 stage left the open chart in the step from x = 0.25"
+                              f" (stage at x = 0.3 has (y, v, y_x, v_x) = {tuple(state)!r})")
+    alone = geo._stage(0.3, np.array([healthy]).T, {}, 0.25)
+    assert k[:, 1].tobytes() == alone[:, 0].tobytes()
 
 
 def test_integrate_propagates_unrelated_value_error(monkeypatch):
