@@ -46,17 +46,18 @@ EXIT_TABLE = (
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--samples", type=int, default=1000,
-                        help="sample-count knob; 1000 reproduces the standard counts")
-    parser.add_argument("--margin", type=float, default=chart.DEFAULT_MARGIN,
-                        help="chart sampling margin in radians (default 0.1)")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed,
+                        help="RNG seed (default %(default)s)")
+    parser.add_argument("--samples", type=int, default=RunConfig.samples,
+                        help="sample-count knob; %(default)s reproduces the standard counts")
+    parser.add_argument("--margin", type=float, default=RunConfig.margin,
+                        help="chart sampling margin in radians (default %(default)s)")
 
 
 def _add_step(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--step", type=float, default=1e-3,
+    parser.add_argument("--step", type=float, default=RunConfig.step,
                         help=f"RK4 step in x, in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}]"
-                             " (default 1e-3)")
+                             " (default %(default)s)")
 
 
 def _check_out(out: str | None) -> None:
@@ -103,7 +104,7 @@ def cmd_verify(args) -> int:
 
 def cmd_brackets(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin)
-    _emit(bracket_table_for(cfg).to_json_dict(), args.out)
+    _emit(bracket_table_for(cfg), args.out)
     return EXIT_OK
 
 
@@ -204,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run all verification suites")
     _add_sampling(p_verify)
     _add_step(p_verify)
-    p_verify.add_argument("--trajectories", type=int, default=50,
-                          help="geodesics per dynamics suite (default 50)")
+    p_verify.add_argument("--trajectories", type=int, default=RunConfig.trajectories,
+                          help="geodesics per dynamics suite (default %(default)s)")
     p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
                           help="override one tolerance (repeatable)")
     p_verify.add_argument("--tol-all", type=float, default=None,

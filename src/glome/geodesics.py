@@ -398,7 +398,7 @@ def _grid(x0: float, x_end: float, step: float) -> tuple[int, float, int]:
     return n, h, last
 
 
-def integrate_batch(jets, x_end, step=1e-3) -> list:
+def integrate_batch(jets, x_end, step) -> list:
     """Classic fixed-step RK4 in x for many states (y, v, y_x, v_x) in lockstep.
 
     Each jet starts at its own x; x_end and step are floats shared by all
@@ -530,7 +530,7 @@ def integrate_batch(jets, x_end, step=1e-3) -> list:
     return out
 
 
-def integrate(j0: chart.JetColumns, x_end: float, step: float = 1e-3) -> Trajectory:
+def integrate(j0: chart.JetColumns, x_end: float, step: float) -> Trajectory:
     """RK4 for one jet: :func:`integrate_batch` of one, raising its exception.
 
     Raises DomainExit when the 0.05 rad pole margin is breached and

@@ -15,6 +15,16 @@ of nested gradients apart: a gradient inside a gradient (a bracket of a
 bracket) seeds its own axis in front of the outer one.  `directional` and
 `value_and_gradn` read every component of a tuple result off one pass.
 
+The rule for nesting: every dual that ``f`` reads enters through ``args``
+(or ``direction``).  Duals carry no tag telling the passes apart, so an
+``f`` that closes over a dual of an enclosing pass reads that pass's
+infinitesimal as its own and returns a wrong number without an error
+(perturbation confusion): ``directional(lambda s: value_and_gradn(lambda
+b: s * b, (1.0,)), (2.0,), (1.0,))`` gives d/db (s b) = 3.0 at s = 2.
+Every pass in this package passes its outer duals as arguments, and the
+functions it hands over close over constants, seeds and coefficient
+functions only.
+
 The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
 `arctan`, `atan2`) and `power` accept plain floats or :class:`DualScalar`
 values and can be nested to any depth.  They raise :class:`DomainError`

@@ -32,12 +32,9 @@ from .jetcalc import arcsin, arctan, atan2, cos, directional, power, sec, sin, t
 class BranchExit(RuntimeError):
     """The closed-form orbit left its principal branches."""
 
-    def __init__(self, lam: float, detail: str = ""):
+    def __init__(self, lam: float):
         self.lam = lam
-        msg = f"flow left the principal branch at lambda = {lam:.6g}"
-        if detail:
-            msg = f"{msg} ({detail})"
-        super().__init__(msg)
+        super().__init__(f"flow left the principal branch at lambda = {lam:.6g}")
 
 
 def omega_coordinate(x, y):

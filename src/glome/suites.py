@@ -21,7 +21,7 @@ pointwise formula; tangent_norm_identity is a loop over every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def suite_variational(cfg: RunConfig) -> list[CheckResult]:
     return [_result(cfg, "variational_criterion", worst)]
 
 
-def bracket_table_for(cfg: RunConfig) -> symmetries.BracketTable:
+def bracket_table_for(cfg: RunConfig) -> dict:
     """The bracket table a configuration identifies: max(10, samples // 20)
     points drawn with seed + 17 inside the configured margin, at the
     bracket_table tolerance.  Raises AmbiguousIdentification."""
@@ -203,11 +203,10 @@ def _bracket_checks(cfg: RunConfig) -> tuple[CheckResult, CheckResult]:
     except symmetries.AmbiguousIdentification as err:
         return tuple(CheckResult(name, False, math.inf, cfg.tolerances[name], {"error": str(err)})
                      for name in ("bracket_table", "subgroup_closure"))
-    grid = table.identified_grid()
+    grid = [[e["id"] for e in row] for row in table["entries"]]
     matches = grid == [list(row) for row in REFERENCE_TABLE]
-    worst = max(e.residual for row in table.entries for e in row)
-    brackets = _result(cfg, "bracket_table", worst, table=table.to_json_dict(),
-                       matches_reference=matches)
+    worst = max(e["residual"] for row in table["entries"] for e in row)
+    brackets = _result(cfg, "bracket_table", worst, table=table, matches_reference=matches)
     brackets.passed = brackets.passed and matches
     closed = [list(t) for t in symmetries.closed_triples(grid)]
     expected = [list(t) for t in CLOSED_TRIPLES]
@@ -436,13 +435,7 @@ def run_all(cfg: RunConfig) -> dict:
     checks += suite_oracle(cfg, batch)
     checks += suite_reduction(cfg, batch)
     return {
-        "config": {
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "margin": cfg.margin,
-            "step": cfg.step,
-            "trajectories": cfg.trajectories,
-        },
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "tolerances"},
         "passed": all(c.passed for c in checks),
         "checks": [c.as_dict() for c in checks],
     }

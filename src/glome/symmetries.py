@@ -31,7 +31,6 @@ evaluate in one pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,30 +45,6 @@ class AmbiguousIdentification(RuntimeError):
 
 # A vector field: (x, y, v) -> (xi, phi, eta).
 _Field = Callable[[object, object, object], tuple]
-
-
-@dataclass(frozen=True)
-class BracketEntry:
-    identified: str  # one of "zero", "+chi1", ..., "-chi6"
-    residual: float
-
-
-@dataclass(frozen=True)
-class BracketTable:
-    """6x6 grid of identified Lie brackets with identification residuals."""
-
-    entries: tuple  # 6 rows x 6 columns of BracketEntry
-
-    def identified_grid(self) -> list[list[str]]:
-        return [[e.identified for e in row] for row in self.entries]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                [{"id": e.identified, "residual": e.residual} for e in row]
-                for row in self.entries
-            ]
-        }
 
 
 # A generator forms a shared factor once, and every product keeps the
@@ -238,8 +213,9 @@ def identify_field(
     W: _Field,
     points: Iterable[chart.JetColumns],
     tol: float,
-) -> BracketEntry:
-    """Match a field against {0, +/-chi_k} over sample points.
+) -> dict:
+    """Match a field against {0, +/-chi_k} over sample points, as
+    ``{"id": label, "residual": residual}``.
 
     Selection is least-squares over all samples and components; the
     reported residual is the max pointwise deviation from the winner.
@@ -259,7 +235,7 @@ def _candidates(generators: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([np.zeros_like(generators[0])] + [s for g in generators for s in (g, -g)])
 
 
-def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> BracketEntry:
+def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> dict:
     """identify_field's rule for the field ``name`` with (n, 3) values
     ``Wvals`` against the (13, n, 3) ``candidates``: every candidate's sum
     of squares and max deviation come from one broadcast reduction."""
@@ -276,7 +252,7 @@ def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> 
             raise AmbiguousIdentification(
                 f"{name} matches both {label} and {other} within {10*tol:g}"
             )
-    return BracketEntry(label, residual)
+    return {"id": label, "residual": residual}
 
 
 def _bracket_values(x, y, v) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
@@ -293,16 +269,14 @@ def _bracket_values(x, y, v) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
     return generators, [[_stack3(_bracket(*X, *Y), x.shape) for Y in passes] for X in passes]
 
 
-def bracket_table(
-    samples: int = 50,
-    tol: float = 1e-8,
-    seed: int = 7,
-    margin: float = chart.DEFAULT_MARGIN,
-) -> BracketTable:
+def bracket_table(samples: int, tol: float, seed: int,
+                  margin: float = chart.DEFAULT_MARGIN) -> dict:
     """Identify all 36 pairwise brackets of chi_1..chi_6 by identify_field's
-    rule, at the points of chart.domain_columns.  Each generator is
-    evaluated once: its values and gradients from one pass give all 36
-    brackets and the 13 candidates (_bracket_values).
+    rule, at the points of chart.domain_columns, as ``{"entries": grid}``:
+    6 rows of 6 identify_field results, [chi_i, chi_j] in row i - 1 and
+    column j - 1.  Each generator is evaluated once: its values and
+    gradients from one pass give all 36 brackets and the 13 candidates
+    (_bracket_values).
 
     Deterministic for fixed (samples, tol, seed, margin).
     """
@@ -311,17 +285,17 @@ def bracket_table(
     p = chart.domain_columns(samples, margin, seed)
     generators, brackets = _bracket_values(p.x, p.y, p.v)
     candidates = _candidates(generators)
-    return BracketTable(tuple(
-        tuple(_match(f"[chi{i},chi{j}]", W, candidates, tol) for j, W in enumerate(row, 1))
+    return {"entries": [
+        [_match(f"[chi{i},chi{j}]", W, candidates, tol) for j, W in enumerate(row, 1)]
         for i, row in enumerate(brackets, 1)
-    ))
+    ]}
 
 
 def closed_triples(grid: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:
     """The generator triples (1-based, ascending) that close under the bracket.
 
-    ``grid[i][j]`` is the identified label of [chi_{i+1}, chi_{j+1}], as in
-    :meth:`BracketTable.identified_grid`.  A triple closes when each of its
+    ``grid[i][j]`` is the identified label of [chi_{i+1}, chi_{j+1}], the
+    ``"id"`` of bracket_table's entry there.  A triple closes when each of its
     three pairwise brackets is "zero" or +/-chi_k with k in the triple.
     """
     closed = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from glome import chart, geodesics, reduction, suites, symmetries
 from glome import jetcalc as jc
 
 
@@ -369,3 +370,74 @@ def test_array_branches_broadcast_directions():
     scalar = [jc.sqrt(1.0 + jc.sin(jc.DualScalar(0.3, d)) * jc.cos(jc.DualScalar(0.3, d)))
               for d in (1.0, 0.0, 2.0)]
     assert out.derivative.tolist() == [s.derivative for s in scalar]
+
+
+# ------------------------------------------------------- perturbation confusion
+
+def _closes_over_a_dual(f) -> bool:
+    """Whether f reads a DualScalar that is not an argument: one held in a
+    closure cell, in a tuple or list in one, or in the closure of a
+    function held in one, to any depth."""
+    stack, seen = [f], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, jc.DualScalar):
+            return True
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        for cell in getattr(obj, "__closure__", None) or ():
+            try:
+                stack.append(cell.cell_contents)
+            except ValueError:  # a cell not yet bound
+                pass
+    return False
+
+
+def _scan_directional(monkeypatch) -> dict:
+    """Wrap every module binding of jc.directional (value_and_gradn and
+    gradn call it too) to count its calls and keep each function passed in
+    that closes over a dual."""
+    real, seen = jc.directional, {"calls": 0, "flagged": []}
+
+    def scanned(f, args, direction):
+        seen["calls"] += 1
+        if _closes_over_a_dual(f):
+            seen["flagged"].append(f)
+        return real(f, args, direction)
+
+    for module in (jc, chart, geodesics, reduction, suites, symmetries):
+        if getattr(module, "directional", None) is real:
+            monkeypatch.setattr(module, "directional", scanned)
+    return seen
+
+
+def test_scan_flags_a_closure_over_an_outer_dual(monkeypatch):
+    # duals carry no tag: b's pass reads s's infinitesimal as its own, so
+    # d/db (s b) comes out 3.0 where it is 2.0
+    seen = _scan_directional(monkeypatch)
+    jc.directional(lambda s: jc.value_and_gradn(lambda b: s * b, (1.0,)), (2.0,), (1.0,))
+    assert seen["calls"] == 2 and len(seen["flagged"]) == 1
+    # nested in a tuple, and in the closure of a nested function
+    pair = (0.0, [jc.DualScalar(1.0, 1.0)])
+
+    def inner():
+        return pair
+
+    assert _closes_over_a_dual(lambda: inner)
+    assert not _closes_over_a_dual(lambda b: b * 2.0)
+
+
+def test_no_pass_in_the_package_closes_over_a_dual(monkeypatch):
+    # the rule of jetcalc's docstring: every dual that f reads enters through args
+    seen = _scan_directional(monkeypatch)
+    suites.run_all(suites.RunConfig(samples=50, trajectories=5, step=5e-3))
+    calls = [seen["calls"]]
+    traj = geodesics.integrate(chart.jet1(0.0, 0.2, 0.3, 0.1, 0.2), 0.5, 1e-3)
+    calls.append(seen["calls"])
+    reduction.reduction_report(traj)
+    calls.append(seen["calls"])
+    assert 0 < calls[0] < calls[1] < calls[2]  # each run makes passes
+    assert seen["flagged"] == []

@@ -549,8 +549,9 @@ def test_bracket_identification_batch_equals_per_point_bitwise(rows, a, b):
         entry = sym.identify_field(W, points, 1e-8)
     except sym.AmbiguousIdentification:
         return
-    want = float(np.max(np.abs(per_point["W"] - per_point[entry.identified])))
-    assert _bits([entry.residual]) == _bits([want])
+    assert set(entry) == {"id", "residual"}
+    want = float(np.max(np.abs(per_point["W"] - per_point[entry["id"]])))
+    assert _bits([entry["residual"]]) == _bits([want])
 
 
 points3 = st.lists(st.tuples(chart_angle, chart_angle, st.floats(0.0, 6.3)), min_size=1, max_size=12)
@@ -617,7 +618,8 @@ def test_stacked_match_equals_per_candidate_rule(rows, a, i, b, j, noise, tol):
     except sym.AmbiguousIdentification as err:
         assert str(err) == want
         return
-    assert (entry.identified, _bits([entry.residual])) == (want[0], _bits([want[1]]))
+    assert set(entry) == {"id", "residual"}
+    assert (entry["id"], _bits([entry["residual"]])) == (want[0], _bits([want[1]]))
 
 
 trial_weights = st.lists(st.floats(-2.0, 2.0) | st.just(0.0), min_size=5, max_size=5)

@@ -225,11 +225,16 @@ def test_jacobi_identity_all_triples():
 
 # ------------------------------------------------------------ bracket table
 
+def _ids(table: dict) -> list[list[str]]:
+    """The identified labels of a bracket_table result, row by row."""
+    return [[e["id"] for e in row] for row in table["entries"]]
+
+
 def test_bracket_table_matches_reference():
     table = sym.bracket_table(samples=50, tol=1e-8, seed=7)
-    grid = table.identified_grid()
+    grid = _ids(table)
     assert grid == REFERENCE_TABLE
-    worst = max(e.residual for row in table.entries for e in row)
+    worst = max(e["residual"] for row in table["entries"] for e in row)
     assert worst < 1e-8
 
 
@@ -276,7 +281,7 @@ def test_bracket_table_antisymmetry_and_diagonal():
             return "zero"
         return ("-" if label[0] == "+" else "+") + label[1:]
 
-    grid = table.identified_grid()
+    grid = _ids(table)
     for i in range(6):
         assert grid[i][i] == "zero"
         for j in range(6):
@@ -285,14 +290,13 @@ def test_bracket_table_antisymmetry_and_diagonal():
 
 def test_bracket_table_specific_entries():
     table = sym.bracket_table(samples=50, tol=1e-8, seed=7)
-    grid = table.identified_grid()  # [chi_i, chi_j] at grid[i - 1][j - 1]
+    grid = _ids(table)  # [chi_i, chi_j] at grid[i - 1][j - 1]
     assert grid[2][5] == "zero"
     assert grid[1][5] == "-chi1"
 
 
 def test_bracket_table_json_shape():
-    table = sym.bracket_table(samples=10, tol=1e-8, seed=3)
-    payload = table.to_json_dict()
+    payload = sym.bracket_table(samples=10, tol=1e-8, seed=3)
     assert set(payload) == {"entries"}
     assert len(payload["entries"]) == 6
     valid = {"zero"} | {f"{s}chi{k}" for k in range(1, 7) for s in "+-"}
@@ -306,7 +310,7 @@ def test_bracket_table_json_shape():
 
 def test_bracket_table_requires_samples():
     with pytest.raises(ValueError):
-        sym.bracket_table(samples=5)
+        sym.bracket_table(samples=5, tol=1e-8, seed=7)
 
 
 def _counting(monkeypatch, name: str) -> list:
@@ -323,7 +327,7 @@ def _counting(monkeypatch, name: str) -> list:
 
 def test_bracket_table_takes_one_gradient_pass_per_generator(monkeypatch):
     passes = _counting(monkeypatch, "value_and_gradn")
-    sym.bracket_table(samples=10)
+    sym.bracket_table(samples=10, tol=1e-8, seed=7)
     assert len(passes) == 6
 
 
@@ -371,7 +375,8 @@ def test_counterexample_subgroup_fails():
 
 
 def test_exactly_four_triples_close():
-    grid = sym.bracket_table(samples=50, seed=7).identified_grid()
+    table = sym.bracket_table(samples=50, tol=1e-8, seed=7)
+    grid = _ids(table)
     assert sym.closed_triples(grid) == PAPER_TRIPLES
 
 
