@@ -21,11 +21,13 @@ one seeded pass (jetcalc.value_and_gradn), from which the first
 prolongation also sums the D_x xi that the variational criterion reads;
 the second prolongation takes the first and its total derivative from one
 directional pass; one formula (_bracket) gives every bracket from those
-passes.  lie_bracket makes one pass of each field; the bracket table takes
-all 36 brackets and the 13 candidates from one pass of each generator and
-matches them in one broadcast reduction; general_symmetry takes column
-weights, so that many random combinations, each over its own points,
-evaluate in one pass.
+passes.  lie_bracket makes one pass of each field.  The bracket table
+stacks one pass of each generator, values as (6, 3, n) and Jacobians as
+(6, 3, 3, n), makes one _bracket call with X on axis 0 and Y on axis 1 for
+all 36 brackets, and matches all 36 against the 13 candidates in one
+broadcast reduction; identify_field is that rule's one-field case.
+general_symmetry takes column weights, so that many random combinations,
+each over its own points, evaluate in one pass.
 """
 
 from __future__ import annotations
@@ -199,14 +201,9 @@ _CANDIDATE_LABELS = ("zero", "+chi1", "-chi1", "+chi2", "-chi2", "+chi3", "-chi3
                      "+chi4", "-chi4", "+chi5", "-chi5", "+chi6", "-chi6")
 
 
-def _stack3(components, shape) -> np.ndarray:
-    """Three coefficient values (arrays or constants) as an (n, 3) array."""
-    return np.stack([np.broadcast_to(c, shape) for c in components], axis=1)
-
-
 def _values(F: _Field, x, y, v) -> np.ndarray:
     """F's coefficients at n points as an (n, 3) array, one row per point."""
-    return _stack3(F(x, y, v), x.shape)
+    return np.stack([np.broadcast_to(c, x.shape) for c in F(x, y, v)], axis=1)
 
 
 def identify_field(
@@ -221,52 +218,83 @@ def identify_field(
     reported residual is the max pointwise deviation from the winner.
     Identification requires the winner's residual < tol while every other
     candidate deviates by more than 10*tol somewhere.  W and each
-    candidate are evaluated once, over all points together.
+    candidate are evaluated once, over all points together, and matched
+    by _match, the rule bracket_table applies to all 36 brackets at once.
     """
-    x, y, v = (np.array(c) for c in zip(*((p.x, p.y, p.v) for p in points)))
-    generators = [_values(F, x, y, v) for F in _CHI]
-    return _match("the field", _values(W, x, y, v), _candidates(generators), tol)
+    rows = [(p.x, p.y, p.v) for p in points]
+    if not rows:
+        raise ValueError("identify_field needs at least one sample point, got none")
+    x, y, v = (np.array(c) for c in zip(*rows))
+    generators = np.stack([_values(F, x, y, v) for F in _CHI])
+    return _match(["the field"], _values(W, x, y, v)[None], _candidates(generators), tol)[0]
 
 
-def _candidates(generators: Sequence[np.ndarray]) -> np.ndarray:
+def _candidates(generators: np.ndarray) -> np.ndarray:
     """The 13 candidates as a (13, n, 3) array, in the order of
     _CANDIDATE_LABELS: zero, then +g and -g for each generator's (n, 3)
-    values g (negation is exact, so -g is -chi_k's values bitwise)."""
-    return np.stack([np.zeros_like(generators[0])] + [s for g in generators for s in (g, -g)])
+    values g in the (6, n, 3) ``generators`` (negation is exact, so -g is
+    -chi_k's values bitwise)."""
+    candidates = np.zeros((13,) + generators.shape[1:])
+    candidates[1::2] = generators
+    candidates[2::2] = -generators
+    return candidates
 
 
-def _match(name: str, Wvals: np.ndarray, candidates: np.ndarray, tol: float) -> dict:
-    """identify_field's rule for the field ``name`` with (n, 3) values
-    ``Wvals`` against the (13, n, 3) ``candidates``: every candidate's sum
-    of squares and max deviation come from one broadcast reduction."""
-    diff = Wvals - candidates
-    best = int(np.argmin(np.sum(diff * diff, axis=(1, 2))))
-    maxdev = np.max(np.abs(diff), axis=(1, 2)).tolist()
-    label, residual = _CANDIDATE_LABELS[best], maxdev[best]
-    if residual >= tol:
-        raise AmbiguousIdentification(
-            f"no candidate matches {name}: best {label} deviates by {residual:g}"
-        )
-    for other, dev in zip(_CANDIDATE_LABELS, maxdev):
-        if other != label and dev <= 10.0 * tol:
+def _match(names: Sequence[str], fields: np.ndarray, candidates: np.ndarray,
+           tol: float) -> list[dict]:
+    """identify_field's rule for each of the (k, n, 3) ``fields`` against the
+    (13, n, 3) ``candidates``, one result per field: every field's sum of
+    squares and max deviation from every candidate come from one broadcast
+    reduction, and the verdicts from array comparisons.  If any field
+    fails, raises for the first failing one, named by ``names``.
+
+    The deviations are made absolute and then squared in place, in one
+    buffer; |d| * |d| is d * d bitwise.
+    """
+    dev = fields[:, None] - candidates
+    np.abs(dev, out=dev)
+    maxdev = np.max(dev, axis=(2, 3))
+    best = np.argmin(np.sum(np.multiply(dev, dev, out=dev), axis=(2, 3)), axis=1)
+    chosen = best[:, None] == np.arange(len(candidates))
+    residual = maxdev[chosen]
+    unmatched = residual >= tol
+    near = (maxdev <= 10.0 * tol) & ~chosen
+    failing = unmatched | near.any(axis=1)
+    if failing.any():
+        f = int(np.argmax(failing))
+        name, label = names[f], _CANDIDATE_LABELS[best[f]]
+        if unmatched[f]:
             raise AmbiguousIdentification(
-                f"{name} matches both {label} and {other} within {10*tol:g}"
+                f"no candidate matches {name}: best {label} deviates by {float(residual[f]):g}"
             )
-    return {"id": label, "residual": residual}
+        other = _CANDIDATE_LABELS[int(np.argmax(near[f]))]
+        raise AmbiguousIdentification(f"{name} matches both {label} and {other} within {10*tol:g}")
+    return [{"id": _CANDIDATE_LABELS[b], "residual": r}
+            for b, r in zip(best.tolist(), residual.tolist())]
 
 
-def _bracket_values(x, y, v) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
-    """The six generators' (n, 3) values at n points, and the (n, 3) values
-    of [chi_i, chi_j] there in row i - 1 and column j - 1.
+def _bracket_values(x, y, v) -> tuple[np.ndarray, np.ndarray]:
+    """The six generators' values at n points as a (6, n, 3) array, and the
+    36 brackets there as a (6, 6, n, 3) array, [chi_i, chi_j] in row i - 1
+    and column j - 1.
 
     Each generator's three coefficients and their gradients come from one
     seeded pass (6 value_and_gradn calls), whose values equal a plain
-    evaluation's bitwise, and are combined by _bracket, as in lie_bracket,
-    so every bracket equals lie_bracket's bitwise.
+    evaluation's bitwise.  The passes are stacked once, values as
+    (6, 3, n) and Jacobians as (6, 3, 3, n), and one _bracket call takes
+    X's components on axis 0 and Y's on axis 1, so each element repeats
+    lie_bracket's operations and every bracket equals lie_bracket's bitwise.
     """
-    passes = [value_and_gradn(F, (x, y, v)) for F in _CHI]
-    generators = [_stack3(values, x.shape) for values, _ in passes]
-    return generators, [[_stack3(_bracket(*X, *Y), x.shape) for Y in passes] for X in passes]
+    stacked = np.empty((6, 12) + x.shape)  # per generator: 3 values, then 9 partials
+    for g, F in enumerate(_CHI):
+        values, grads = value_and_gradn(F, (x, y, v))
+        for k, c in enumerate(itertools.chain(values, *grads)):
+            stacked[g, k] = c
+    per_component = stacked[:, :3].swapaxes(0, 1)  # (3, 6, n): X^j of each generator X
+    per_partial = np.moveaxis(stacked[:, 3:].reshape((6, 3, 3) + x.shape), 0, 2)  # (3, 3, 6, n)
+    brackets = _bracket(per_component[:, :, None], per_partial[:, :, :, None],
+                        per_component[:, None], per_partial[:, :, None])
+    return np.stack(per_component, axis=-1), np.stack(brackets, axis=-1)
 
 
 def bracket_table(samples: int, tol: float, seed: int,
@@ -274,9 +302,9 @@ def bracket_table(samples: int, tol: float, seed: int,
     """Identify all 36 pairwise brackets of chi_1..chi_6 by identify_field's
     rule, at the points of chart.domain_columns, as ``{"entries": grid}``:
     6 rows of 6 identify_field results, [chi_i, chi_j] in row i - 1 and
-    column j - 1.  Each generator is evaluated once: its values and
-    gradients from one pass give all 36 brackets and the 13 candidates
-    (_bracket_values).
+    column j - 1.  Each generator is evaluated once, and one _bracket call
+    (_bracket_values) and one broadcast reduction (_match) serve all 36
+    entries; if any fails, the first failing one in row-major order raises.
 
     Deterministic for fixed (samples, tol, seed, margin).
     """
@@ -284,11 +312,10 @@ def bracket_table(samples: int, tol: float, seed: int,
         raise ValueError(f"need at least 10 sample points, got {samples}")
     p = chart.domain_columns(samples, margin, seed)
     generators, brackets = _bracket_values(p.x, p.y, p.v)
-    candidates = _candidates(generators)
-    return {"entries": [
-        [_match(f"[chi{i},chi{j}]", W, candidates, tol) for j, W in enumerate(row, 1)]
-        for i, row in enumerate(brackets, 1)
-    ]}
+    names = [f"[chi{i},chi{j}]" for i in range(1, 7) for j in range(1, 7)]
+    entries = _match(names, brackets.reshape((36,) + brackets.shape[2:]),
+                     _candidates(generators), tol)
+    return {"entries": [entries[r:r + 6] for r in range(0, 36, 6)]}
 
 
 def closed_triples(grid: Sequence[Sequence[str]]) -> list[tuple[int, int, int]]:

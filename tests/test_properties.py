@@ -592,34 +592,65 @@ def _match_reference(name, Wvals, x, y, v, tol):
 
 
 _MATCH_ROWS = [(0.3, -0.2, 1.0), (-0.7, 0.4, 2.5), (0.1, 1.1, 5.0)]
+# a field a chi_i + b chi_j plus noise; a = 0.5, b = 0 plants 0.5 chi_i, halfway
+# between zero and +chi_i; b = 1e-7 or noise near tol puts a second candidate
+# within 10 tol of the best
+planted = st.tuples(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 0.999999, 0.3]), st.integers(1, 6),
+                    st.sampled_from([0.0, 0.5, -1.0, 1e-7]), st.integers(1, 6),
+                    st.sampled_from([0.0, 1e-13, 4e-9, 3e-8, 0.02]))
+match_tols = st.sampled_from([1e-8, 1e-3, 0.05, 0.2, 1.0])
+
+
+def _planted_values(x, y, v, a, i, b, j, noise):
+    ramp = np.linspace(-1.0, 1.0, 3 * len(x)).reshape(-1, 3)
+    return (a * sym._values(sym.chi(i), x, y, v) + b * sym._values(sym.chi(j), x, y, v)
+            + noise * ramp)
+
+
+def _candidate_values(x, y, v):
+    return sym._candidates(np.stack([sym._values(F, x, y, v) for F in sym._CHI]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(points3,
-       st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 0.999999, 0.3]), st.integers(1, 6),
-       st.sampled_from([0.0, 0.5, -1.0, 1e-7]), st.integers(1, 6),
-       st.sampled_from([0.0, 1e-13, 4e-9, 3e-8, 0.02]),
-       st.sampled_from([1e-8, 1e-3, 0.05, 0.2, 1.0]))
-@example(_MATCH_ROWS, 0.5, 1, 0.0, 1, 0.0, 1e-8)  # 0.5 chi1: zero and +chi1 tie, both too far
-@example(_MATCH_ROWS, 0.5, 1, 0.0, 1, 0.0, 1.0)  # 0.5 chi1 within tol of both
-@example(_MATCH_ROWS, 1.0, 2, 0.0, 1, 1e-13, 0.2)  # near-tie: another candidate within 10 tol
-@example(_MATCH_ROWS, 1.0, 2, 0.0, 1, 4e-9, 1e-8)  # a clean match
-def test_stacked_match_equals_per_candidate_rule(rows, a, i, b, j, noise, tol):
-    # a = 0.5, b = 0 plants 0.5 chi_i, halfway between zero and +chi_i; b = 1e-7
-    # or noise near tol puts a second candidate within 10 tol of the best
+@given(points3, planted, match_tols)
+@example(_MATCH_ROWS, (0.5, 1, 0.0, 1, 0.0), 1e-8)  # 0.5 chi1: zero and +chi1 tie, both too far
+@example(_MATCH_ROWS, (0.5, 1, 0.0, 1, 0.0), 1.0)  # 0.5 chi1 within tol of both
+@example(_MATCH_ROWS, (1.0, 2, 0.0, 1, 1e-13), 0.2)  # near-tie: another candidate within 10 tol
+@example(_MATCH_ROWS, (1.0, 2, 0.0, 1, 4e-9), 1e-8)  # a clean match
+def test_stacked_match_equals_per_candidate_rule(rows, field, tol):
     x, y, v = (np.array(c) for c in zip(*rows))
-    ramp = np.linspace(-1.0, 1.0, 3 * len(rows)).reshape(-1, 3)
-    Wvals = (a * sym._values(sym.chi(i), x, y, v) + b * sym._values(sym.chi(j), x, y, v)
-             + noise * ramp)
+    Wvals = _planted_values(x, y, v, *field)
     want = _match_reference("W", Wvals, x, y, v, tol)
-    candidates = sym._candidates([sym._values(F, x, y, v) for F in sym._CHI])
     try:
-        entry = sym._match("W", Wvals, candidates, tol)
+        entry, = sym._match(["W"], Wvals[None], _candidate_values(x, y, v), tol)
     except sym.AmbiguousIdentification as err:
         assert str(err) == want
         return
     assert set(entry) == {"id", "residual"}
     assert (entry["id"], _bits([entry["residual"]])) == (want[0], _bits([want[1]]))
+
+
+_CLEAN, _TIED = (1.0, 2, 0.0, 1, 4e-9), (0.5, 1, 0.0, 1, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points3, st.lists(planted, min_size=1, max_size=8), match_tols)
+@example(_MATCH_ROWS, [_CLEAN, _TIED, (1.0, 3, 1e-7, 1, 0.0)], 1e-8)  # W1 and W2 fail: W1's message
+@example(_MATCH_ROWS, [(1.0, 2, 0.0, 1, 1e-13), _TIED], 0.2)  # "matches both", then "no candidate"
+@example(_MATCH_ROWS, [_CLEAN] * 8, 1e-8)  # all eight match
+def test_match_over_a_stack_equals_the_per_field_rule(rows, fields, tol):
+    x, y, v = (np.array(c) for c in zip(*rows))
+    names = [f"W{t}" for t in range(len(fields))]
+    stack = np.stack([_planted_values(x, y, v, *field) for field in fields])
+    want = [_match_reference(name, W, x, y, v, tol) for name, W in zip(names, stack)]
+    failures = [w for w in want if isinstance(w, str)]
+    try:
+        got = sym._match(names, stack, _candidate_values(x, y, v), tol)
+    except sym.AmbiguousIdentification as err:
+        assert failures and str(err) == failures[0]
+        return
+    assert not failures
+    assert [(e["id"], _bits([e["residual"]])) for e in got] == [(w[0], _bits([w[1]])) for w in want]
 
 
 trial_weights = st.lists(st.floats(-2.0, 2.0) | st.just(0.0), min_size=5, max_size=5)

@@ -313,6 +313,18 @@ def test_bracket_table_requires_samples():
         sym.bracket_table(samples=5, tol=1e-8, seed=7)
 
 
+def test_bracket_table_failures_name_the_first_failing_entry():
+    # at tol 1.0 the first entry in row-major order, [chi1,chi1], already fails
+    with pytest.raises(sym.AmbiguousIdentification) as err:
+        sym.bracket_table(50, 1.0, 7)
+    assert str(err.value) == "[chi1,chi1] matches both zero and +chi3 within 10"
+    # at tol 1e-30 the exact zero [chi1,chi1] passes and [chi1,chi2] fails; the
+    # residual's digits depend on libm
+    with pytest.raises(sym.AmbiguousIdentification,
+                       match=r"^no candidate matches \[chi1,chi2\]: best -chi6 deviates by "):
+        sym.bracket_table(50, 1e-30, 7)
+
+
 def _counting(monkeypatch, name: str) -> list:
     """Record each call of the symmetries module's binding ``name``."""
     calls, real = [], getattr(sym, name)
@@ -347,6 +359,12 @@ def test_variational_residual_reads_the_prolongations_total_derivative(monkeypat
     directionals = _counting(monkeypatch, "directional")
     sym.variational_residual(sym.chi(1), chart.jet_columns(10, 0.1, seed=7))
     assert len(gradients) == 1 and len(directionals) == 1
+
+
+def test_identify_field_rejects_an_empty_point_list():
+    for points in ([], iter(())):
+        with pytest.raises(ValueError, match="^identify_field needs at least one sample point"):
+            sym.identify_field(sym.chi(1), points, 1e-8)
 
 
 def test_identify_rejects_scaled_candidate():
