@@ -75,11 +75,15 @@ class TrajectoryCSVError(ValueError):
 # inner directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x),
 # and of the outer directions (E_X, E_YX, E_VX), whose first one becomes
 # the known part of D_x once y's entry is set to y_x.  A lone state takes
-# its constant rows from the tuples, built once.
+# its constant seeds from the tuples, built once as (3, 3) grids indexed
+# (outer direction, inner direction): argument i's inner row is repeated
+# for each outer direction and its outer column for each inner one, so
+# every array of the nested pass has that one shape and no operation
+# broadcasts.
 _INNER = np.eye(4)[:, 1:]
 _OUTER = np.ascontiguousarray(np.eye(4)[:, [0, 2, 3]])  # a contiguous row is a faster operand
-_LONE_INNER = tuple(_INNER)
-_LONE_OUTER = tuple(_OUTER[:, :, None])
+_LONE_INNER = tuple(np.repeat(_INNER[:, None, :], 3, axis=1))
+_LONE_OUTER = tuple(np.repeat(_OUTER[:, :, None], 3, axis=2))
 
 
 def _curvatures(x, y, y_x, v_x):
@@ -93,28 +97,32 @@ def _curvatures(x, y, y_x, v_x):
     enters, so L_v vanishes and the charge is conserved.  One nested dual
     evaluation of it, seeded with the inner directions
     (E_Y, E_YX, E_VX) and the outer directions (the known part of D_x,
-    E_YX, E_VX) along two leading array axes, yields L_y and all six mixed
-    second partials; Cramer's rule then runs element by element, on Python
-    floats for a float state.  Each element repeats the floating-point
-    operations of seven separate scalar passes exactly.  The caller checks
-    |det| against DET_FLOOR (below it the curvatures are meaningless) and
-    silences numpy's floating-point warnings for such states.
+    E_YX, E_VX), yields L_y and all six mixed second partials; Cramer's
+    rule then runs element by element, on Python floats for a float
+    state.  A batch carries the outer directions on its leading axis and
+    the inner ones on the next, broadcast against the state axes; a float
+    state carries both on one (3, 3) grid indexed (outer, inner), so every
+    operation of its pass is between arrays of that shape or with floats.
+    Each element repeats the floating-point operations of seven separate
+    scalar passes exactly.  The caller checks |det| against DET_FLOOR
+    (below it the curvatures are meaningless) and silences numpy's
+    floating-point warnings for such states.
     """
-    shape = np.shape(y)
-    if shape:
-        ones = (1,) * len(shape)
-        outer = np.empty((4, 3, 1) + shape)  # argument, outer direction, (inner), batch
+    batch = isinstance(y, np.ndarray)
+    if batch:
+        ones = (1,) * y.ndim
+        outer = np.empty((4, 3, 1) + y.shape)  # argument, outer direction, (inner), batch
         outer[...] = _OUTER.reshape((4, 3, 1) + ones)
         outer[1, 0] = y_x
         inner = _INNER.reshape((4, 3) + ones)
     else:
-        y_row = np.zeros((3, 1))
-        y_row[0, 0] = y_x
-        outer = _LONE_OUTER[0], y_row, *_LONE_OUTER[2:]
+        y_grid = _LONE_OUTER[1].copy()  # zero: y is in no outer direction but D_x
+        y_grid[0] = y_x
+        outer = _LONE_OUTER[0], y_grid, *_LONE_OUTER[2:]
         inner = _LONE_INNER
     partials, mixed = directional(lambda *a: directional(chart.arc_speed, a, inner)[1],
                                   (x, y, y_x, v_x), outer)
-    if shape:
+    if batch:
         L_y = partials[0]
         known_y, m11, m12 = mixed[:, 1]
         known_v, m21, m22 = mixed[:, 2]
@@ -124,7 +132,7 @@ def _curvatures(x, y, y_x, v_x):
     b1 = L_y - known_y
     b2 = 0.0 - known_v  # L_v vanishes identically
     det = m11 * m22 - m12 * m21
-    if not shape and det == 0.0:  # a float divides by zero as numpy does
+    if not batch and det == 0.0:  # a float divides by zero as numpy does
         det = np.float64(det)
     y_xx = (b1 * m22 - b2 * m12) / det
     v_xx = (m11 * b2 - m21 * b1) / det

@@ -150,9 +150,16 @@ def _result(cfg: RunConfig, name: str, residual: float, **extra) -> CheckResult:
     return CheckResult(name, residual < tol, float(residual), tol, extra)
 
 
+def _worse(worst: float, residual: float) -> float:
+    """max(worst, residual), except that a nan in either wins, so a check
+    whose residual is nan anywhere fails (Python's max drops a nan second
+    argument)."""
+    return residual if residual > worst or residual != residual else worst
+
+
 def _worst(worst: float, residuals) -> float:
-    """max(worst, |residuals|) for a float or an array (possibly empty) over samples."""
-    return max(worst, float(np.max(np.abs(residuals), initial=0.0)))
+    """_worse(worst, max |residuals|) for a float or an array (possibly empty) over samples."""
+    return _worse(worst, float(np.max(np.abs(residuals), initial=0.0)))
 
 
 def suite_determining(cfg: RunConfig) -> list[CheckResult]:
@@ -337,13 +344,11 @@ def suite_noether(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
     worst_norm = float(np.max(batch.long_run.ambient_norm_residual))
     worst_tangent = 0.0
     for traj in batch.trajectories:
-        worst_drift = max(worst_drift, traj.noether_drift())
-        worst_norm = max(worst_norm, float(np.max(traj.ambient_norm_residual)))
+        worst_drift = _worse(worst_drift, traj.noether_drift())
+        worst_norm = _worse(worst_norm, float(np.max(traj.ambient_norm_residual)))
         for i in range(0, len(traj), max(1, len(traj) // 40)):
             _, _, speed = geodesics.ambient_state(traj.jet(i))
-            worst_tangent = max(
-                worst_tangent, abs(speed / traj.lagrangian[i] - 1.0)
-            )
+            worst_tangent = _worse(worst_tangent, abs(speed / traj.lagrangian[i] - 1.0))
     return [
         _result(cfg, "noether_drift", worst_drift,
                 long_run_steps=len(batch.long_run) - 1),
@@ -356,7 +361,7 @@ def suite_oracle(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
     """Chart-integrated endpoints against exact ambient great circles."""
     worst = 0.0
     for traj in batch.trajectories:
-        worst = max(worst, geodesics.endpoint_error_vs_great_circle(traj))
+        worst = _worse(worst, geodesics.endpoint_error_vs_great_circle(traj))
     return [_result(cfg, "oracle_endpoint", worst)]
 
 
@@ -403,14 +408,14 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
         k = geodesics.infer_k(traj.jet(0))
         worst_E = _worst(worst_E, _collapsed_along(traj, k))
         dev = reduction.reduction_report(traj, k)["alpha_rel_dev"]
-        worst_alpha = max(worst_alpha, math.inf if dev is None else dev)
+        worst_alpha = _worse(worst_alpha, math.inf if dev is None else dev)
         if idx < 5:  # the oracle sweep is heavy; five trajectories pin the closed form
-            worst_k_gap = max(worst_k_gap, abs(grid_search_k(traj) - k))
+            worst_k_gap = _worse(worst_k_gap, abs(grid_search_k(traj) - k))
 
     worst_vx = 0.0
     worst_s2 = 0.0
     for traj in batch.planar:
-        worst_vx = max(worst_vx, float(np.max(np.abs(traj.samples[:, 4]))))
+        worst_vx = _worst(worst_vx, traj.samples[:, 4])
         c = traj.columns
         worst_s2 = _worst(worst_s2, reduction.s2_residual(c.x, c.y, c.y_x, c.y_xx))
     return [

@@ -257,7 +257,7 @@ def _match(names: Sequence[str], fields: np.ndarray, candidates: np.ndarray,
     best = np.argmin(np.sum(np.multiply(dev, dev, out=dev), axis=(2, 3)), axis=1)
     chosen = best[:, None] == np.arange(len(candidates))
     residual = maxdev[chosen]
-    unmatched = residual >= tol
+    unmatched = ~(residual < tol)  # a nan residual matches nothing
     near = (maxdev <= 10.0 * tol) & ~chosen
     failing = unmatched | near.any(axis=1)
     if failing.any():

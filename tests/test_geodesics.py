@@ -109,6 +109,34 @@ def test_lone_kernel_divides_by_a_zero_determinant_as_an_array_does():
         geo.el_rhs(chart.jet1(0.5, 0.5, 0.0, 1e154, 1e154))
 
 
+class _ShapeRecorder(np.ndarray):
+    """An ndarray that notes the shapes of the array operands of every ufunc
+    call it takes part in, and passes the notes on to its results."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls.append(tuple(a.shape for a in inputs if isinstance(a, np.ndarray)))
+        plain = (a.view(np.ndarray) if isinstance(a, _ShapeRecorder) else a for a in inputs)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(_ShapeRecorder) if isinstance(result, np.ndarray) else result
+
+
+def test_lone_kernel_pass_broadcasts_nothing(monkeypatch):
+    # every array of a float state's nested pass descends from the lone seeds,
+    # so viewing them as recorders sees every numpy call the pass makes
+    state = (0.1, 0.2, 0.3, 0.4)
+    want = np.array(geo._curvatures(*state)).tobytes()
+    for name in ("_LONE_INNER", "_LONE_OUTER"):
+        seeds = tuple(s.view(_ShapeRecorder) for s in getattr(geo, name))
+        monkeypatch.setattr(geo, name, seeds)
+    monkeypatch.setattr(_ShapeRecorder, "calls", [])
+    got = geo._curvatures(*state)
+    assert len(_ShapeRecorder.calls) > 50
+    assert {shape for call in _ShapeRecorder.calls for shape in call} == {(3, 3)}
+    assert np.array(got).tobytes() == want
+
+
 def test_el_expressions_vanish_on_shell():
     for j in jets_of(chart.jet_columns(50, 0.1, seed=3)):
         y_xx, v_xx = geo.el_rhs(j)

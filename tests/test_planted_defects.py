@@ -4,6 +4,7 @@ that its checks' margins do not hide a defect of that size."""
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -110,23 +111,41 @@ def _symmetry_failures(cfg: suites.RunConfig) -> set[str]:
     return {c.name for c in checks if not c.passed}
 
 
-def _plant_chi3_phi(monkeypatch) -> None:
-    """Scale chi3's phi coefficient by 1 + SIZE."""
-    chi3 = symmetries._CHI[2]
-    xi, phi, eta = (component(chi3, i) for i in range(3))
-    planted = field(xi, lambda x, y, v: phi(x, y, v) * (1.0 + SIZE), eta)
-    monkeypatch.setattr(symmetries, "_CHI", symmetries._CHI[:2] + (planted,) + symmetries._CHI[3:])
+def _plant_coefficient(monkeypatch, generator: int, index: int, factor: float) -> None:
+    """Multiply chi_generator's coefficient ``index`` (0 xi, 1 phi, 2 eta) by ``factor``."""
+    chi = symmetries._CHI[generator - 1]
+    parts = [component(chi, i) for i in range(3)]
+    real = parts[index]
+    parts[index] = lambda x, y, v: real(x, y, v) * factor
+    monkeypatch.setattr(symmetries, "_CHI", symmetries._CHI[:generator - 1] + (field(*parts),)
+                        + symmetries._CHI[generator:])
 
 
-@pytest.mark.parametrize("planted, failing", [
-    (False, set()),
-    (True, {"determining_equations", "variational_criterion", "bracket_table",
-            "subgroup_closure", "collapsed_prolongation", "omega_chi3_directional"}),
-], ids=["none", "chi3_phi"])
-def test_symmetry_checks_fail_on_a_planted_generator_coefficient(monkeypatch, planted, failing):
+@pytest.mark.parametrize("cfg, planted, failing", [
+    (CFG, None, set()),
+    (CFG, (3, 1, 1.0 + SIZE), {"determining_equations", "variational_criterion", "bracket_table",
+                               "subgroup_closure", "collapsed_prolongation",
+                               "omega_chi3_directional"}),
+    # a nan coefficient makes those residuals nan, which must fail their checks;
+    # Python's max once dropped them, and the variational and determining checks
+    # passed at 1.8e-15 and 6.7e-16
+    (suites.RunConfig(samples=50), (1, 2, math.nan),
+     {"determining_equations", "variational_criterion", "bracket_table", "subgroup_closure"}),
+], ids=["none", "chi3_phi", "chi1_eta_nan"])
+def test_symmetry_checks_fail_on_a_planted_generator_coefficient(monkeypatch, cfg, planted,
+                                                                 failing):
     if planted:
-        _plant_chi3_phi(monkeypatch)
-    assert _symmetry_failures(CFG) == failing
+        _plant_coefficient(monkeypatch, *planted)
+    assert _symmetry_failures(cfg) == failing
+
+
+def test_a_nan_residual_is_reported_as_null_with_its_error(monkeypatch):
+    _plant_coefficient(monkeypatch, 1, 2, math.nan)
+    cfg = suites.RunConfig(samples=50)
+    for check in suites.suite_determining(cfg) + suites.suite_variational(cfg):
+        entry = check.as_dict()
+        assert (entry["passed"], entry["max_residual"]) == (False, None)
+        assert entry["error"] == "max_residual evaluated to nan"
 
 
 

@@ -71,6 +71,11 @@ kernel_states = st.lists(st.tuples(kernel_angle, kernel_angle, kernel_slope, ker
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_states)
+# lone float states with signed zeros, and one at the pole margin
+@example([(0.0, 0.0, 0.0, 0.0)])
+@example([(0.0, 0.0, -0.0, -0.0)])
+@example([(-0.0, 0.3, 0.0, -0.0)])
+@example([(margin - 5e-4, 2e-4 - margin, 2.5, -3.0)])
 def test_curvatures_equal_the_frozen_kernel_bitwise(states):
     columns = [np.array(c) for c in zip(*states)]
     with np.errstate(all="ignore"):

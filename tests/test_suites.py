@@ -173,3 +173,21 @@ def test_each_symmetry_check_evaluates_each_generator_once(monkeypatch, suite, e
     checks = suite(suites.RunConfig(samples=100))
     assert all(c.passed for c in checks)
     assert dict(calls) == evaluations
+
+
+def test_a_nan_residual_is_the_worst():
+    nan = float("nan")
+    assert np.isnan(suites._worst(0.0, np.array([1e-20, nan])))
+    for pair in ((0.0, nan), (nan, 1.0)):
+        assert np.isnan(suites._worse(*pair))
+    assert suites._worse(0.5, 1.0) == suites._worse(1.0, 0.5) == 1.0
+
+
+def test_a_nan_endpoint_error_fails_the_oracle(monkeypatch):
+    # the nan comes second, where Python's max(worst, nan) would drop it
+    cfg = suites.RunConfig(samples=50, trajectories=5, step=5e-3)
+    batch = suites.make_batch(cfg)
+    errors = iter([1e-12, float("nan"), 1e-12, 1e-12, 1e-12])
+    monkeypatch.setattr(geo, "endpoint_error_vs_great_circle", lambda traj: next(errors))
+    (check,) = suites.suite_oracle(cfg, batch)
+    assert not check.passed and check.as_dict()["max_residual"] is None

@@ -9,8 +9,8 @@ from glome import jetcalc as jc
 from glome import symmetries as sym
 from glome import suites
 from glome.suites import CLOSED_TRIPLES
-from reference import (add, bracket_table, el_expression_v, el_expression_y, field, rotation,
-                       scale, structure_constants)
+from reference import (add, bracket_table, component, el_expression_v, el_expression_y, field,
+                       rotation, scale, structure_constants)
 
 REFERENCE_TABLE = bracket_table()  # derived from the planes the generators rotate
 
@@ -371,6 +371,17 @@ def test_identify_rejects_scaled_candidate():
     points = chart.sample_domain(30, 0.1, seed=15)
     with pytest.raises(sym.AmbiguousIdentification, match="^no candidate matches the field: "):
         sym.identify_field(scale(0.5, sym.chi(1)), points, 1e-8)
+
+
+def test_identify_rejects_a_field_with_a_nan_value():
+    # chi3 with xi nan at one of 20 points: every candidate's residual is nan
+    points = chart.sample_domain(20, 0.1, seed=15)
+    xi, phi, eta = (component(sym.chi(3), i) for i in range(3))
+    bad_x = points[7].x
+    planted = field(lambda x, y, v: np.where(x == bad_x, math.nan, xi(x, y, v)), phi, eta)
+    with pytest.raises(sym.AmbiguousIdentification,
+                       match=r"^no candidate matches the field: best zero deviates by nan$"):
+        sym.identify_field(planted, points, 1e-8)
 
 
 # ---------------------------------------------------------------- subgroups
