@@ -8,8 +8,9 @@ constant alpha; this module inverts that relation for alpha along an
 integrated geodesic and checks that alpha stays constant.  One directional
 pass of (omega, tau) per trajectory gives both coordinates and omega', and
 one mask excludes the rows where sin x is too small to square, omega is
-within 1e-4 of 1, |tan tau| < 1e-6, tau is stationary along the curve
-(omega' not finite), or alpha evaluates non-finite.
+within 1e-4 of 1, |tan tau| < 1e-6, or tau is stationary along the curve
+(d tau = 0, or omega' overflows).  A non-finite value is never an
+exclusion: a nan alpha at an admissible row fails the constancy test.
 
 Branch conventions: tau is reported as a principal value, and the
 closed-form orbit parametrizes the integral curve of (-sin y,
@@ -131,30 +132,29 @@ OMEGA_GUARD = 1e-4
 TAU_GUARD = 1e-6
 
 
-def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, int]:
-    """alpha at every admissible trajectory sample, plus the excluded count.
+def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, np.ndarray]:
+    """alpha at every admissible trajectory sample, and each one's row.
 
     One directional pass of (omega, tau) along (1, y_x) gives both
-    coordinates and omega' = d omega / d tau.  A sample is excluded when
-    sin x is too small to square (tau_defined fails: tau is undefined at
-    x = 0, and its derivative divides by sin^2 x), omega is within
-    OMEGA_GUARD of 1, |tan tau| < TAU_GUARD, tau is stationary along the
-    curve (omega' not finite), or alpha evaluates non-finite.  The alphas
-    keep the sample order.
+    coordinates and omega' = d omega / d tau.  A sample is excluded only
+    when sin x is too small to square (tau_defined fails: tau is undefined
+    at x = 0, and its derivative divides by sin^2 x), omega is within
+    OMEGA_GUARD of 1, |tan tau| < TAU_GUARD, or tau is stationary along
+    the curve: d tau is exactly 0, or omega' overflows.  Every other row
+    is admissible, so a nan omega, tau or omega' gives a nan alpha, which
+    the caller sees.  The rows are in sample order.
     """
     c = traj.columns
-    defined = tau_defined(c.x)
+    rows = np.flatnonzero(tau_defined(c.x))
     # omega' overflows where tau is nearly stationary; the mask drops those rows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         (omega, tau), (d_omega, d_tau) = directional(
             lambda x, y: (omega_coordinate(x, y), tau_coordinate(x, y)),
-            (c.x[defined], c.y[defined]), (1.0, c.y_x[defined]))
-        w_prime = np.divide(d_omega, d_tau, out=np.full(d_tau.shape, np.nan), where=d_tau != 0.0)
+            (c.x[rows], c.y[rows]), (1.0, c.y_x[rows]))
+        w_prime = np.divide(d_omega, d_tau, out=np.full(d_tau.shape, np.inf), where=d_tau != 0.0)
     tan_tau = _tan(tau)
-    ok = (1.0 - omega >= OMEGA_GUARD) & (np.abs(tan_tau) >= TAU_GUARD) & np.isfinite(w_prime)
-    alphas = _alpha(tau[ok], omega[ok], tan_tau[ok], w_prime[ok], k)
-    alphas = alphas[np.isfinite(alphas)]
-    return alphas, len(traj) - alphas.size
+    ok = ~((1.0 - omega < OMEGA_GUARD) | (np.abs(tan_tau) < TAU_GUARD) | np.isinf(w_prime))
+    return _alpha(tau[ok], omega[ok], tan_tau[ok], w_prime[ok], k), rows[ok]
 
 
 def reduction_report(traj: Trajectory, k=None) -> dict:
@@ -162,17 +162,24 @@ def reduction_report(traj: Trajectory, k=None) -> dict:
 
     alpha is branch-insensitive, so one series is computed per trajectory
     and the reported branch is always '+'.  Returns the JSON-ready report;
-    with no admissible sample, alpha_mean and alpha_rel_dev are None and
-    alpha_reason says why.
+    with no admissible sample, or a non-finite alpha at one, alpha_mean
+    and alpha_rel_dev are None and alpha_reason says why (naming the first
+    such row).
     """
     if k is None:
         k = infer_k(traj.jet(0))
     kv = float(k)
-    alphas, excluded = alpha_series(traj, kv)
+    alphas, rows = alpha_series(traj, kv)
+    excluded = len(traj) - rows.size
+    bad = np.flatnonzero(~np.isfinite(alphas))
     report = {"k": kv, "branch": "+", "alpha_mean": None, "alpha_rel_dev": None,
               "samples": int(len(alphas)), "excluded_rows": int(excluded)}
     if len(alphas) == 0:
         report["alpha_reason"] = f"no admissible sample: all {excluded} rows excluded"
+    elif bad.size:
+        row = int(rows[bad[0]])
+        report["alpha_reason"] = (f"alpha is {alphas[bad[0]]} at admissible row {row}"
+                                  f" (x = {float(traj.x[row])!r})")
     else:
         mean = float(np.mean(alphas))
         scale = abs(mean) if mean != 0.0 else 1.0

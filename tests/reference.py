@@ -8,18 +8,46 @@ component functions and their sums and scalar multiples, the gradient
 taken one dual pass per argument (and, for a tuple-valued function, per
 component), and the second prolongation that evaluates the first one
 three times; the plane of R^4 that each generator rotates, and the
-bracket table derived from those rotations; and the test of whether
-numpy's sin and cos round like the platform's libm, which the tests of
-pinned bits depend on."""
+bracket table derived from those rotations; the k oracle's plain sweep
+of every grid row, and trajectory rows that carry chosen collapsed-equation
+values; and the test of whether numpy's sin and cos round like the
+platform's libm, which the tests of pinned bits depend on."""
 
 import math
 from typing import Callable
 
 import numpy as np
 
-from glome import chart, jetcalc
+from glome import chart, geodesics, jetcalc
 from glome import reduction as red
 from glome.jetcalc import DomainError, DualScalar, arctan, atan2, cos, directional, power, sin
+
+
+K_GRID = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
+
+
+def plain_k_sweep(e0, e1) -> float:
+    """The k oracle as first written: max |E| at all 10,001 grid rows in one
+    (10001, n) block, and the first grid k where it is least."""
+    worst = np.max(np.abs(e0[None, :] + K_GRID[:, None] * e1[None, :]), axis=1)
+    return float(K_GRID[int(np.argmin(worst))])
+
+
+E1_BOUND = 2.0**-27  # the largest |E(1)| that rows_with_collapsed_E can carry
+
+
+def rows_with_collapsed_E(E0, E1):
+    """A Trajectory whose collapsed E is E0 at k = 0 and E1 at k = 1, row by row.
+
+    Its rows sit at x = 0, where sin x = 0 and cos x = sec x = 1, with
+    y_x = 0, y = E1 and y_xx = E0: for |y| <= E1_BOUND, sin y = y and
+    cos y = 1 in floats, so E(k) is y_xx (1 - k) + k y, which rounds to
+    y_xx at k = 0 and to y at k = 1.
+    """
+    E0, E1 = (np.asarray(c, dtype=float) for c in (E0, E1))
+    samples = np.zeros((E0.size, 5))
+    samples[:, 1] = E1
+    return geodesics.Trajectory(samples, np.column_stack([E0, np.zeros(E0.size)]))
 
 
 def numpy_trig_is_math() -> bool:

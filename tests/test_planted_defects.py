@@ -169,6 +169,29 @@ def test_reduction_checks_fail_on_a_planted_tau(monkeypatch, planted, failing):
     assert _reduction_failures(CFG) == failing
 
 
+def _nan_alphas(monkeypatch, rows: slice) -> None:
+    """Plant nan at the given admissible rows of every trajectory's alpha series."""
+    real = reduction._alpha
+
+    def planted(*args):
+        alpha = real(*args)
+        alpha[rows] = math.nan
+        return alpha
+
+    monkeypatch.setattr(reduction, "_alpha", planted)
+
+
+@pytest.mark.parametrize("rows, failing", [
+    # nan alphas used to be excluded rows: with every second one nan, alpha_constancy
+    # passed at 5.7e-11 under RunConfig(samples=50, trajectories=5, step=5e-3)
+    (slice(1, None, 2), {"alpha_constancy"}),
+    (slice(3, 4), {"alpha_constancy"}),
+], ids=["alpha_half_nan", "alpha_one_nan"])
+def test_reduction_checks_fail_on_planted_nan_alphas(monkeypatch, batch, rows, failing):
+    _nan_alphas(monkeypatch, rows)
+    assert {c.name for c in suites.suite_reduction(CFG, batch) if not c.passed} == failing
+
+
 @pytest.fixture(scope="module")
 def batch():
     """The trajectory batch at CFG; infer_k does not enter it, so the k rows share it."""

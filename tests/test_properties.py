@@ -962,9 +962,9 @@ def test_trajectory_columns_equal_per_row_reference(rows):
 @given(traj_rows, st.floats(0.0, 1.0))
 def test_alpha_series_equals_per_row_reference(rows, k):
     rows = rows + _GUARD_ROWS + [_stationary_tau_row()]
-    alphas, excluded = red.alpha_series(geo.Trajectory(np.array(rows)), k)
-    want = []
-    for r in rows:
+    alphas, kept = red.alpha_series(geo.Trajectory(np.array(rows)), k)
+    want, want_rows = [], []
+    for i, r in enumerate(rows):
         j = chart.jet1(*r)
         if not red.tau_defined(j.x):
             continue
@@ -972,12 +972,17 @@ def test_alpha_series_equals_per_row_reference(rows, k):
             tau, omega = red.tau_coordinate(j.x, j.y), red.omega_coordinate(j.x, j.y)
             if 1.0 - omega < red.OMEGA_GUARD or abs(math.tan(tau)) < red.TAU_GUARD:
                 continue
-            want.append(alpha_from_sample(tau, omega, omega_prime(j), k))
-        except (InversionDomain, jc.DomainError):
+            w_prime = omega_prime(j)
+        except (InversionDomain, jc.DomainError):  # tau undefined, or stationary (d tau = 0)
             continue
+        if math.isinf(w_prime):  # omega' overflows: tau is stationary too
+            continue
+        # a non-finite alpha is no exclusion: alpha_from_sample raises on it
+        want.append(alpha_from_sample(tau, omega, w_prime, k))
+        want_rows.append(i)
     assert alphas.tobytes() == _bits(want)
-    assert excluded == len(rows) - len(want)
-    assert excluded >= len(_GUARD_ROWS)
+    assert kept.tolist() == want_rows
+    assert len(rows) - len(kept) >= len(_GUARD_ROWS)
 
 
 @bitwise
@@ -994,12 +999,61 @@ def test_collapsed_s2_and_grid_columns_equal_per_row_reference(rows, k):
     c = traj.columns
     s2 = [red.s2_residual(r[0], r[1], r[3], r[5]) for r in rows]
     assert _bits(red.s2_residual(c.x, c.y, c.y_x, c.y_xx)) == _bits(s2)
-    # the grid search in one (10001, n) block, as before it was chunked
     e0 = np.array([geo.collapsed_E(r[0], r[1], r[3], r[5], 0.0) for r in rows])
     e1 = np.array([geo.collapsed_E(r[0], r[1], r[3], r[5], 1.0) for r in rows]) - e0
-    grid = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
-    worst = np.max(np.abs(e0[None, :] + grid[:, None] * e1[None, :]), axis=1)
-    assert suites.grid_search_k(traj) == float(grid[int(np.argmin(worst))])
+    assert suites.grid_search_k(traj) == reference.plain_k_sweep(e0, e1)
+
+
+_C = 2.0**-28  # a column scale whose E(1) stays within reference.E1_BOUND
+_K = reference.K_GRID
+_ulp_under_C = 2.0**-81  # the spacing of floats just below _C
+
+
+def _through_grid(draw):
+    """One column |E| = |k - g| * _C: zero at the grid value g, or at the
+    midpoint of two grid values, where it ties."""
+    i, midpoint, sign = draw
+    g = 0.5 * (_K[i] + _K[min(i + 1, _K.size - 1)]) if midpoint else _K[i]
+    return [(-g * sign * _C, (1.0 - g) * sign * _C)]
+
+
+def _plateau_and_dip(draw):
+    """Two columns whose max |E| is _C, then dips below it for d - 1 rows,
+    then rises: the first has E(1) j ulps under E(0) = _C, which rounds
+    back to _C up to k = 0.5 / j; the second is |1 + s (k - k2)| * _C with
+    k2 d grid rows past that, at most _C on [0, k2]."""
+    j, d, s = draw
+    k2 = _K[min(round(5000 / j) + d, _K.size - 1)]
+    s = min(s, 1.0 / (1.0 - k2)) if k2 < 1.0 else s
+    return [(_C, _C - j * _ulp_under_C), (_C * (1.0 - s * k2), _C * (1.0 + s * (1.0 - k2)))]
+
+
+_small = st.floats(-reference.E1_BOUND, reference.E1_BOUND)
+_subnormal = st.floats(-2.0**-1022, 2.0**-1022)
+_oracle_columns = st.lists(st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), _small).map(lambda c: [c]),
+    _small.map(lambda e: [(e, e)]),  # e1 = 0: the column is constant in k
+    st.sampled_from([0.0, -0.0]).map(lambda z: [(z, z)]),
+    st.tuples(_subnormal, _subnormal).map(lambda c: [c]),
+    st.tuples(st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308]), _small).map(lambda c: [c]),
+    st.tuples(st.integers(0, 10000), st.booleans(), st.sampled_from([1.0, -1.0])).map(_through_grid),
+    st.tuples(st.integers(1, 4), st.integers(1, 200), st.floats(1.0, 2.0)).map(_plateau_and_dip),
+), min_size=1, max_size=6).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_columns)
+@example([(0.0, 0.0)])
+@example([(1e-9, 1e-9), (-3e-9, -3e-9)])
+@example(_plateau_and_dip((1, 40, 1.5)))
+@example(_through_grid((7000, True, 1.0)) + [(1e300, 0.0), (5e-324, -5e-324)])
+def test_grid_search_k_equals_the_plain_sweep_on_adversarial_columns(columns):
+    E0, E1 = np.array(columns).T
+    traj = reference.rows_with_collapsed_E(E0, E1)
+    e0 = suites._collapsed_along(traj, 0.0)
+    assert np.array_equal(e0, E0) and np.array_equal(suites._collapsed_along(traj, 1.0), E1)
+    e1 = E1 - e0
+    assert suites.grid_search_k(traj) == reference.plain_k_sweep(e0, e1)
 
 
 @bitwise

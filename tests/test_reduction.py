@@ -7,6 +7,7 @@ from glome import chart, geodesics as geo
 from glome import jetcalc as jc
 from glome import reduction as red
 from glome import symmetries as sym
+from glome.cli import main
 from reference import InversionDomain, alpha_from_sample, omega_prime, reduced_omega_prime
 
 
@@ -226,11 +227,12 @@ def test_reduced_omega_prime_rejects_bad_arccos_argument():
 
 def test_alpha_constant_along_geodesic(standard_trajectory):
     k = geo.infer_k(standard_trajectory.jet(0))
-    alphas, excluded = red.alpha_series(standard_trajectory, k)
+    alphas, rows = red.alpha_series(standard_trajectory, k)
     assert len(alphas) > 700
     rel_dev = (alphas.max() - alphas.min()) / abs(alphas.mean())
     assert rel_dev < 1e-5
-    assert excluded + len(alphas) == len(standard_trajectory)
+    assert rows.shape == alphas.shape and np.all(np.diff(rows) > 0)
+    assert rows[0] > 0 and rows[-1] == len(standard_trajectory) - 1  # row 0 sits at x = 0
 
 
 def test_alpha_series_takes_one_pass_and_one_tan_sweep(standard_trajectory, monkeypatch):
@@ -252,6 +254,41 @@ def test_alpha_series_takes_one_pass_and_one_tan_sweep(standard_trajectory, monk
     assert calls == {"_tan": 1, "directional": 1}
     for name in ("omega_prime", "_sample_terms", "alpha_from_sample", "InversionDomain"):
         assert not hasattr(red, name)
+
+
+@pytest.mark.parametrize("plant", ["alpha", "omega_prime"])
+def test_a_nan_at_an_admissible_row_fails_the_report(standard_trajectory, monkeypatch, tmp_path,
+                                                      plant):
+    _, rows = red.alpha_series(standard_trajectory, 0.3)
+    if plant == "alpha":
+        real_alpha = red._alpha
+
+        def planted(*args):
+            alpha = real_alpha(*args)
+            alpha[3] = math.nan
+            return alpha
+
+        monkeypatch.setattr(red, "_alpha", planted)
+    else:  # d omega is nan where d tau is not 0: omega' is nan, no stationary tau
+        real_directional = red.directional
+
+        def planted(f, args, direction):
+            values, (d_omega, d_tau) = real_directional(f, args, direction)
+            d_omega = d_omega.copy()
+            d_omega[rows[3] - 1] = math.nan  # the pass skips row 0, where x = 0
+            return values, (d_omega, d_tau)
+
+        monkeypatch.setattr(red, "directional", planted)
+    row = int(rows[3])
+    report = red.reduction_report(standard_trajectory)
+    assert report["alpha_mean"] is None and report["alpha_rel_dev"] is None
+    assert report["alpha_reason"] == (f"alpha is nan at admissible row {row}"
+                                      f" (x = {float(standard_trajectory.x[row])!r})")
+    assert (report["samples"], report["excluded_rows"]) == (rows.size, len(standard_trajectory)
+                                                            - rows.size)
+    path = tmp_path / "trajectory.csv"
+    standard_trajectory.to_csv(path)
+    assert main(["reduce", str(path), "--out", str(tmp_path / "reduction.json")]) == 1
 
 
 def test_reduction_report_structure(standard_trajectory):

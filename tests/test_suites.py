@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from glome import chart
 from glome import geodesics as geo
 from glome import suites, symmetries
+
+import reference
 
 
 @pytest.mark.parametrize("samples, start, end", [
@@ -95,15 +98,45 @@ def test_grid_search_k_does_not_depend_on_its_block_size(monkeypatch):
 
 
 def test_grid_search_k_equals_the_plain_brute_force_sweep():
-    grid = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
     starts = [(0.0, 0.2, 0.3, 0.15, 0.2), (0.3, -0.4, 1.0, 0.3, -0.45), (-0.2, 0.1, 2.0, -0.2, 0.0),
               (0.1, 0.5, 0.0, 0.05, 0.7)]
     for start in starts:
         traj = geo.integrate(chart.jet1(*start), start[0] + 0.5, 1e-2)
         e0 = suites._collapsed_along(traj, 0.0)
         e1 = suites._collapsed_along(traj, 1.0) - e0
-        want = grid[np.argmin(np.max(np.abs(e0 + grid[:, None] * e1), axis=1))]
-        assert suites.grid_search_k(traj) == want
+        assert suites.grid_search_k(traj) == reference.plain_k_sweep(e0, e1)
+
+
+def test_grid_search_k_reads_the_whole_grid_when_a_window_edge_does_not_rise(monkeypatch):
+    sizes = []
+    real = suites._max_abs_E
+
+    def counted(ks, e0, e1):
+        sizes.append(ks.size)
+        return real(ks, e0, e1)
+
+    monkeypatch.setattr(suites, "_max_abs_E", counted)
+    suites.grid_search_k(geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.15, 0.2), 0.8, 5e-3))
+    assert sizes == [157, 129]  # every 64th row, then 64 rows either side: 286 of 10,001
+    # equal E at k = 0 and k = 1 in every row: max |E| is constant, the window's
+    # upper edge does not rise, and the whole grid is read once
+    sizes.clear()
+    assert suites.grid_search_k(reference.rows_with_collapsed_E([1e-9, -2e-9], [1e-9, -2e-9])) == 0.0
+    assert sizes == [157, 65, 10001]
+
+
+def test_a_nan_curvature_fails_the_k_oracle():
+    # k is 3.6e-4 here, so an oracle that read 0.0 off an all-nan sweep passed
+    traj = geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.15, 0.02), 0.8, 5e-3)
+    assert geo.infer_k(traj.jet(0)) < 1e-3
+    traj.curvature[3, 0] = math.nan
+    assert math.isnan(suites.grid_search_k(traj))
+    cfg = suites.RunConfig(samples=50, trajectories=1, step=5e-3)
+    checks = {c.name: c.as_dict() for c in
+              suites.suite_reduction(cfg, suites.TrajectoryBatch([traj], traj, []))}
+    oracle = checks["k_grid_agreement"]
+    assert (oracle["passed"], oracle["max_residual"]) == (False, None)
+    assert oracle["error"] == "max_residual evaluated to nan"
 
 
 def test_swapped_gradient_components_fail_the_determining_and_bracket_checks(monkeypatch):
