@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import chart, geodesics, jetcalc, reduction, symmetries
-from .suites import DEFAULT_TOLERANCES, ConfigError, RunConfig, bracket_table_for, run_all
+from .suites import ConfigError, RunConfig, bracket_table_for, run_all
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -77,26 +77,9 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _parse_tolerances(args) -> dict:
-    """--tol-all sets every tolerance; each --tol NAME=VALUE then overrides one."""
-    overrides = {}
-    if args.tol_all is not None:
-        overrides = dict.fromkeys(DEFAULT_TOLERANCES, args.tol_all)
-    for item in args.tol or []:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        try:
-            overrides[name.strip()] = float(value)
-        except ValueError:
-            raise ConfigError(f"--tol value is not a number: {item!r}") from None
-    return overrides
-
-
 def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin,
-                    step=args.step, trajectories=args.trajectories,
-                    tolerances=_parse_tolerances(args))
+                    step=args.step, trajectories=args.trajectories)
     report = run_all(cfg)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
@@ -207,11 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step(p_verify)
     p_verify.add_argument("--trajectories", type=int, default=RunConfig.trajectories,
                           help="geodesics per dynamics suite (default %(default)s)")
-    p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                          help="override one tolerance (repeatable)")
-    p_verify.add_argument("--tol-all", type=float, default=None,
-                          help="override every tolerance with one value "
-                               "(--tol entries apply on top)")
     p_verify.add_argument("--out", type=str, default=None, help="report path")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -296,7 +296,7 @@ class Trajectory:
             raise TrajectoryCSVError(f"expected 8 columns, got {data.shape[1]}")
         bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
         if bad.size:
-            raise TrajectoryCSVError(f"trajectory CSV row {bad[0] + 1} has a non-finite cell")
+            raise TrajectoryCSVError(f"trajectory row {bad[0]} has a non-finite cell")
         xs = data[:, 0]
         if len(xs) > 1 and not (np.all(np.diff(xs) > 0) or np.all(np.diff(xs) < 0)):
             raise TrajectoryCSVError("trajectory x column must be strictly monotone")
@@ -308,7 +308,7 @@ class Trajectory:
             row = bad[0]
             col = 5 + int(np.flatnonzero(off[row])[0])
             raise TrajectoryCSVError(
-                f"trajectory CSV row {row + 1}: {CSV_HEADER[col]} = {float(data[row, col])!r}"
+                f"trajectory row {row}: {CSV_HEADER[col]} = {float(data[row, col])!r}"
                 f" differs from {float(fresh[row, col - 5])!r} recomputed from the state"
             )
         return traj
@@ -551,22 +551,6 @@ def integrate(j0: chart.JetColumns, x_end: float, step: float) -> Trajectory:
     return result
 
 
-def great_circle(p, w, t: float) -> np.ndarray:
-    """Ground-truth geodesic of the round sphere: cos(t) p + sin(t) w.
-
-    p must be unit, w unit and orthogonal to p (checked to 1e-10).
-    """
-    p = np.asarray(p, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-10:
-        raise ValueError("great_circle: p is not a unit vector")
-    if abs(np.linalg.norm(w) - 1.0) > 1e-10:
-        raise ValueError("great_circle: w is not a unit vector")
-    if abs(float(np.dot(p, w))) > 1e-10:
-        raise ValueError("great_circle: w is not orthogonal to p")
-    return math.cos(t) * p + math.sin(t) * w
-
-
 def ambient_state(j: chart.JetColumns) -> tuple[np.ndarray, np.ndarray, float]:
     """Ambient position, unit tangent, and speed of the curve through a jet.
 
@@ -610,12 +594,13 @@ def arc_length(traj: Trajectory) -> float:
 def endpoint_error_vs_great_circle(traj: Trajectory) -> float:
     """Euclidean gap between the integrated endpoint and the exact circle.
 
-    The exact circle starts at the trajectory's initial ambient state; the
-    comparison point is taken at the accumulated arc length, so phase
-    errors count as well as off-circle drift.
+    The exact circle cos(t) p + sin(t) w starts at the trajectory's initial
+    ambient position p with unit tangent w (ambient_state makes p and w
+    unit and orthogonal); the comparison point is taken at the accumulated
+    arc length t, so phase errors count as well as off-circle drift.
     """
     p, w, _ = ambient_state(traj.jet(0))
     t = arc_length(traj)
     endpoint = traj.jet(len(traj) - 1)
     q = chart.embed(endpoint.x, endpoint.y, endpoint.v)
-    return float(np.linalg.norm(great_circle(p, w, t) - q))
+    return float(np.linalg.norm(math.cos(t) * p + math.sin(t) * w - q))

@@ -425,8 +425,11 @@ def value_and_gradn(f, args):
     evaluation in the last place.  A tuple-valued ``f`` gives a tuple of
     values and a tuple of gradients, each read off as a lone result's (a
     constant's gradient is ``(0.0,) * n``).  ``f`` must not give its result
-    more axes than its arguments have (ValueError).  Domain failures are
-    re-raised as in :func:`gradn`.
+    more axes than its arguments have (ValueError).  A DomainError is
+    re-raised with the evaluation point attached; for array arguments,
+    with the index the failure names and the point at that index.  When
+    an argument is a dual (an outer differentiation), it is re-raised
+    unchanged.
     """
     n = len(args)
     depth = max(map(_depth, args), default=0)
@@ -462,9 +465,6 @@ def gradn(f, args):
     elementary functions, and bitwise equal to one pass per argument
     seeded with 1.0 there and 0.0 elsewhere, up to unit axes that
     broadcast away.  A float point gives Python floats.  Domain failures
-    are re-raised with the evaluation point attached; for array
-    arguments, with the index the failure names and the point at that
-    index.  Arguments that are duals (an outer differentiation) are
-    re-raised unchanged.
+    are re-raised as in :func:`value_and_gradn`.
     """
     return value_and_gradn(f, args)[1]

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from . import jetcalc
-from .geodesics import Trajectory, infer_k
+from . import geodesics, jetcalc
+from .geodesics import Trajectory
 from .jetcalc import arcsin, arctan, atan2, cos, directional, power, sec, sin, tan
 
 
@@ -157,8 +157,9 @@ def alpha_series(traj: Trajectory, k) -> tuple[np.ndarray, np.ndarray]:
     return _alpha(tau[ok], omega[ok], tan_tau[ok], w_prime[ok], k), rows[ok]
 
 
-def reduction_report(traj: Trajectory, k=None) -> dict:
-    """Map a trajectory through the reduction and test alpha-constancy.
+def reduction_report(traj: Trajectory) -> dict:
+    """Map a trajectory through the reduction and test alpha-constancy,
+    at the k that geodesics.infer_k gives for its first sample.
 
     alpha is branch-insensitive, so one series is computed per trajectory
     and the reported branch is always '+'.  Returns the JSON-ready report;
@@ -166,13 +167,11 @@ def reduction_report(traj: Trajectory, k=None) -> dict:
     and alpha_rel_dev are None and alpha_reason says why (naming the first
     such row).
     """
-    if k is None:
-        k = infer_k(traj.jet(0))
-    kv = float(k)
-    alphas, rows = alpha_series(traj, kv)
+    k = float(geodesics.infer_k(traj.jet(0)))
+    alphas, rows = alpha_series(traj, k)
     excluded = len(traj) - rows.size
     bad = np.flatnonzero(~np.isfinite(alphas))
-    report = {"k": kv, "branch": "+", "alpha_mean": None, "alpha_rel_dev": None,
+    report = {"k": k, "branch": "+", "alpha_mean": None, "alpha_rel_dev": None,
               "samples": int(len(alphas)), "excluded_rows": int(excluded)}
     if len(alphas) == 0:
         report["alpha_reason"] = f"no admissible sample: all {excluded} rows excluded"

@@ -21,7 +21,7 @@ pointwise formula; tangent_norm_identity is a loop over every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class RunConfig:
     margin: float = chart.DEFAULT_MARGIN
     step: float = 1e-3
     trajectories: int = 50
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -112,14 +111,6 @@ class RunConfig:
         if self.trajectories * steps > MAX_TRAJECTORY_ROWS:
             raise ConfigError(f"trajectories x steps ({self.trajectories} x {steps}) must not"
                               f" exceed {MAX_TRAJECTORY_ROWS}")
-        merged = dict(DEFAULT_TOLERANCES)
-        for name, value in self.tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance name {name!r}")
-            merged[name] = float(value)
-            if not math.isfinite(merged[name]):
-                raise ConfigError(f"tolerance {name} must be finite, got {value}")
-        self.tolerances = merged
 
 
 @dataclass
@@ -145,8 +136,8 @@ class CheckResult:
         return out
 
 
-def _result(cfg: RunConfig, name: str, residual: float, **extra) -> CheckResult:
-    tol = cfg.tolerances[name]
+def _result(name: str, residual: float, **extra) -> CheckResult:
+    tol = DEFAULT_TOLERANCES[name]
     return CheckResult(name, residual < tol, float(residual), tol, extra)
 
 
@@ -178,7 +169,7 @@ def suite_determining(cfg: RunConfig) -> list[CheckResult]:
     worst = 0.0
     for r in symmetries.determining_residuals(V, points):
         worst = _worst(worst, r)
-    return [_result(cfg, "determining_equations", worst)]
+    return [_result("determining_equations", worst)]
 
 
 def suite_variational(cfg: RunConfig) -> list[CheckResult]:
@@ -187,7 +178,7 @@ def suite_variational(cfg: RunConfig) -> list[CheckResult]:
     worst = 0.0
     for i in range(1, 7):
         worst = _worst(worst, symmetries.variational_residual(symmetries.chi(i), jets))
-    return [_result(cfg, "variational_criterion", worst)]
+    return [_result("variational_criterion", worst)]
 
 
 def bracket_table_for(cfg: RunConfig) -> dict:
@@ -195,7 +186,7 @@ def bracket_table_for(cfg: RunConfig) -> dict:
     points drawn with seed + 17 inside the configured margin, at the
     bracket_table tolerance.  Raises AmbiguousIdentification."""
     return symmetries.bracket_table(samples=max(10, cfg.samples // 20),
-                                    tol=cfg.tolerances["bracket_table"],
+                                    tol=DEFAULT_TOLERANCES["bracket_table"],
                                     seed=cfg.seed + 17, margin=cfg.margin)
 
 
@@ -208,16 +199,16 @@ def _bracket_checks(cfg: RunConfig) -> tuple[CheckResult, CheckResult]:
     try:
         table = bracket_table_for(cfg)
     except symmetries.AmbiguousIdentification as err:
-        return tuple(CheckResult(name, False, math.inf, cfg.tolerances[name], {"error": str(err)})
+        return tuple(_result(name, math.inf, error=str(err))
                      for name in ("bracket_table", "subgroup_closure"))
     grid = [[e["id"] for e in row] for row in table["entries"]]
     matches = grid == [list(row) for row in REFERENCE_TABLE]
     worst = max(e["residual"] for row in table["entries"] for e in row)
-    brackets = _result(cfg, "bracket_table", worst, table=table, matches_reference=matches)
+    brackets = _result("bracket_table", worst, table=table, matches_reference=matches)
     brackets.passed = brackets.passed and matches
     closed = [list(t) for t in symmetries.closed_triples(grid)]
     expected = [list(t) for t in CLOSED_TRIPLES]
-    closure = _result(cfg, "subgroup_closure", 0.0 if closed == expected else math.inf,
+    closure = _result("subgroup_closure", 0.0 if closed == expected else math.inf,
                       closed_triples=closed, expected_triples=expected)
     return brackets, closure
 
@@ -268,7 +259,7 @@ def suite_collapsed_prolongation(cfg: RunConfig) -> list[CheckResult]:
         F = geodesics.collapsed_fn(k_value)
         jets = _onshell_collapsed_jets(cfg, k_value, n, cfg.seed + 500 + idx)
         worst = _worst(worst, symmetries.prolong2_apply(chi3, F, jets))
-    return [_result(cfg, "collapsed_prolongation", worst)]
+    return [_result("collapsed_prolongation", worst)]
 
 
 def suite_flow(cfg: RunConfig) -> list[CheckResult]:
@@ -290,10 +281,10 @@ def suite_flow(cfg: RunConfig) -> list[CheckResult]:
     _, d_omega = jetcalc.directional(
         reduction.omega_coordinate, (x, y), symmetries.chi(3)(x, y, 0.0)[:2])
     return [
-        _result(cfg, "flow_omega_invariance", worst_omega),
-        _result(cfg, "flow_tau_shift", worst_tau),
-        _result(cfg, "flow_group_property", worst_group),
-        _result(cfg, "omega_chi3_directional", _worst(0.0, d_omega)),
+        _result("flow_omega_invariance", worst_omega),
+        _result("flow_tau_shift", worst_tau),
+        _result("flow_group_property", worst_group),
+        _result("omega_chi3_directional", _worst(0.0, d_omega)),
     ]
 
 
@@ -350,10 +341,9 @@ def suite_noether(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
             _, _, speed = geodesics.ambient_state(traj.jet(i))
             worst_tangent = _worse(worst_tangent, abs(speed / traj.lagrangian[i] - 1.0))
     return [
-        _result(cfg, "noether_drift", worst_drift,
-                long_run_steps=len(batch.long_run) - 1),
-        _result(cfg, "ambient_norm_residual", worst_norm),
-        _result(cfg, "tangent_norm_identity", worst_tangent),
+        _result("noether_drift", worst_drift, long_run_steps=len(batch.long_run) - 1),
+        _result("ambient_norm_residual", worst_norm),
+        _result("tangent_norm_identity", worst_tangent),
     ]
 
 
@@ -362,7 +352,7 @@ def suite_oracle(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
     worst = 0.0
     for traj in batch.trajectories:
         worst = _worse(worst, geodesics.endpoint_error_vs_great_circle(traj))
-    return [_result(cfg, "oracle_endpoint", worst)]
+    return [_result("oracle_endpoint", worst)]
 
 
 def _collapsed_along(traj: geodesics.Trajectory, k_value: float):
@@ -432,9 +422,10 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
     worst_alpha = 0.0
     worst_k_gap = 0.0
     for idx, traj in enumerate(batch.trajectories):
-        k = geodesics.infer_k(traj.jet(0))
+        report = reduction.reduction_report(traj)
+        k = report["k"]
         worst_E = _worst(worst_E, _collapsed_along(traj, k))
-        dev = reduction.reduction_report(traj, k)["alpha_rel_dev"]
+        dev = report["alpha_rel_dev"]
         worst_alpha = _worse(worst_alpha, math.inf if dev is None else dev)
         if idx < 5:  # five trajectories pin the closed form; more would change the pinned reports
             worst_k_gap = _worse(worst_k_gap, abs(grid_search_k(traj) - k))
@@ -446,11 +437,11 @@ def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]
         c = traj.columns
         worst_s2 = _worst(worst_s2, reduction.s2_residual(c.x, c.y, c.y_x, c.y_xx))
     return [
-        _result(cfg, "collapsed_equation", worst_E),
-        _result(cfg, "k_grid_agreement", worst_k_gap),
-        _result(cfg, "alpha_constancy", worst_alpha),
-        _result(cfg, "totally_geodesic_vx", worst_vx),
-        _result(cfg, "totally_geodesic_s2", worst_s2),
+        _result("collapsed_equation", worst_E),
+        _result("k_grid_agreement", worst_k_gap),
+        _result("alpha_constancy", worst_alpha),
+        _result("totally_geodesic_vx", worst_vx),
+        _result("totally_geodesic_s2", worst_s2),
     ]
 
 
@@ -467,7 +458,7 @@ def run_all(cfg: RunConfig) -> dict:
     checks += suite_oracle(cfg, batch)
     checks += suite_reduction(cfg, batch)
     return {
-        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "tolerances"},
+        "config": asdict(cfg),
         "passed": all(c.passed for c in checks),
         "checks": [c.as_dict() for c in checks],
     }

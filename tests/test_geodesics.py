@@ -599,35 +599,11 @@ def test_diagnostics_recomputed_not_integrated(standard_trajectory):
         assert standard_trajectory.lagrangian[i] == chart.lagrangian(j)
 
 
-# ------------------------------------------------------------- great_circle
+# ------------------------------------------------------------- great-circle oracle
 
-def test_great_circle_endpoints():
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    w = np.array([0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(geo.great_circle(p, w, 0.0), p)
-    assert np.allclose(geo.great_circle(p, w, math.pi / 2), w)
-
-
-def test_great_circle_unit_norm_random():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        p = rng.normal(size=4)
-        p /= np.linalg.norm(p)
-        w = rng.normal(size=4)
-        w -= np.dot(w, p) * p
-        w /= np.linalg.norm(w)
-        t = float(rng.uniform(-7, 7))
-        assert abs(np.linalg.norm(geo.great_circle(p, w, t)) - 1.0) < 1e-12
-
-
-def test_great_circle_precondition_checks():
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        geo.great_circle(2.0 * p, np.array([0.0, 1.0, 0.0, 0.0]), 0.1)
-    with pytest.raises(ValueError):
-        geo.great_circle(p, np.array([0.0, 2.0, 0.0, 0.0]), 0.1)
-    with pytest.raises(ValueError):
-        geo.great_circle(p, p, 0.1)
+def test_endpoint_error_of_a_one_row_trajectory_is_zero():
+    traj = geo.Trajectory(np.array([[0.3, -0.4, 1.1, 0.2, -0.5]]))
+    assert geo.endpoint_error_vs_great_circle(traj) == 0.0
 
 
 def test_ambient_state_speed_equals_lagrangian():
@@ -664,7 +640,23 @@ def test_trajectory_csv_rejects_forged_diagnostic(column):
     header, first, second = _csv_lines(traj)
     cells = second.split(",")
     cells[column] = repr(float(cells[column]) + 1e-6)
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(ValueError, match="trajectory row 1: "):
+        geo.Trajectory.from_csv(io.StringIO("\n".join([header, first, ",".join(cells)])))
+
+
+@pytest.mark.parametrize("column, value", [
+    (1, "nan"),  # a non-finite cell
+    (6, "2.5"),  # a forged diagnostic
+    (1, "1.58"),  # a state off the open chart
+], ids=["non_finite", "forged_diagnostic", "off_chart"])
+def test_trajectory_csv_faults_name_the_same_row(column, value):
+    """Every fault the loader meets on the second data row names it as
+    trajectory row 1, the 0-based sample index that alpha_reason also uses."""
+    traj = geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4], [0.2, 0.25, 0.1, 0.3, 0.4]]))
+    header, first, second = _csv_lines(traj)
+    cells = second.split(",")
+    cells[column] = value
+    with pytest.raises(ValueError, match=r"^trajectory row 1\b"):
         geo.Trajectory.from_csv(io.StringIO("\n".join([header, first, ",".join(cells)])))
 
 
