@@ -314,48 +314,53 @@ class Trajectory:
         return traj
 
 
-def _x_of(x, c: int) -> float:
-    """Column c's abscissa: x holds one per column, or is a float for a lone column."""
-    return float(x[c]) if np.ndim(x) else float(x)
+_STAGE_OFF_CHART = "an RK4 stage left the open chart in the step from"
 
 
-def _everywhere(test) -> bool:
-    """A float's test, or whether an array's test holds at every element."""
-    return test.all() if isinstance(test, np.ndarray) else test
+def _stage(x, u, stopped: dict, at):
+    """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissae x for the states u.
 
-
-def _stage(x, u: np.ndarray, stopped: dict, at) -> np.ndarray:
-    """RK4 slopes (y_x, v_x, y_xx, v_xx) at abscissae x for the states u (4, m).
-
-    x and the step-start abscissa ``at`` each hold one abscissa per column,
-    or are floats for a lone column.  One ``stopped`` record spans the
-    four stages of a step and maps a column to its outcome: the exception
-    that stops it, or None once it is complete.  A column with no outcome
-    yet whose state leaves the chart, raises DomainError or meets a
-    singular system, in that order of precedence, gets its exception
-    there: DomainExit at ``at`` naming the stage's abscissa and state, or
-    with the domain guard's message; SingularSystem with the determinant
-    at ``at``.  Every column in the record gets zero slopes, so the later
-    stages of the step evaluate it at its step-start state.  A lone state
-    is read as four floats, and the chart test runs on them; a batch's
-    chart test runs once over the whole array (a nan fails it).  Each
-    test runs column by column only where that fails.
+    u is a (4, m) array with one state per column, and x and the
+    step-start abscissa ``at`` are arrays with one abscissa per column; or
+    u is a lone state's four floats (y, v, y_x, v_x), x and ``at`` are
+    floats, the state is column 0, and its slopes come back as four
+    floats.  One ``stopped`` record spans the four stages of a step and
+    maps a column to its outcome: the exception that stops it, or None
+    once it is complete.  A column with no outcome yet whose state leaves
+    the chart, raises DomainError or meets a singular system, in that
+    order of precedence, gets its exception there: DomainExit at ``at``
+    naming the stage's abscissa and state, or with the domain guard's
+    message; SingularSystem with the determinant at ``at``.  Every column
+    in the record gets zero slopes, so the later stages of the step
+    evaluate it at its step-start state.  A batch's chart test runs once
+    over the whole array (a nan fails it), and each test runs column by
+    column only where that fails.  A lone state whose kernel raises
+    DomainError is evaluated again as a batch of one, so the guard's
+    message names its index as a batch's does.
     """
     # x needs no test: |x_i| <= pi/2 - POLE_MARGIN and |x - x_i| <= MAX_STEP < POLE_MARGIN
-    if u.shape[1] == 1:
-        state = u[:, 0].tolist()
-        y, _, y_x, v_x = state
-        fits = abs(y) < chart.HALF_PI and all(map(math.isfinite, state))
-    else:
-        y, _, y_x, v_x = u
-        fits = np.isfinite(u).all() and np.abs(y).max() < chart.HALF_PI
-    if not fits:
-        on_chart = np.isfinite(u).all(axis=0) & (np.abs(u[0]) < chart.HALF_PI)
+    lone = isinstance(u, tuple)
+    if lone:
+        y, v, y_x, v_x = u
+        if not (abs(y) < chart.HALF_PI and math.isfinite(v) and math.isfinite(y_x)
+                and math.isfinite(v_x)):
+            detail = f"stage at x = {float(x)!r} has (y, v, y_x, v_x) = {tuple(map(float, u))}"
+            stopped.setdefault(0, DomainExit(float(at), _STAGE_OFF_CHART, detail))
+        try:
+            y_xx, v_xx, det = _curvatures(x, y, y_x, v_x)
+        except jetcalc.DomainError:
+            x, u, at = np.array([x]), np.array([u]).T, np.array([at])
+        else:
+            if abs(det) < DET_FLOOR:  # a nan determinant is not singular
+                stopped.setdefault(0, SingularSystem(float(det), x=float(at)))
+            return (0.0, 0.0, 0.0, 0.0) if stopped else (y_x, v_x, y_xx, v_xx)
+    y, _, y_x, v_x = u
+    if not (np.isfinite(u).all() and np.abs(y).max() < chart.HALF_PI):
+        on_chart = np.isfinite(u).all(axis=0) & (np.abs(y) < chart.HALF_PI)
         for c in np.flatnonzero(~on_chart).tolist():
             state = tuple(u[:, c].tolist())
-            detail = f"stage at x = {_x_of(x, c)!r} has (y, v, y_x, v_x) = {state}"
-            stopped.setdefault(c, DomainExit(_x_of(at, c), "an RK4 stage left the open chart in"
-                                             " the step from", detail))
+            detail = f"stage at x = {float(x[c])!r} has (y, v, y_x, v_x) = {state}"
+            stopped.setdefault(c, DomainExit(float(at[c]), _STAGE_OFF_CHART, detail))
     k = np.empty_like(u)
     k[:2] = u[2:]
     try:
@@ -366,17 +371,31 @@ def _stage(x, u: np.ndarray, stopped: dict, at) -> np.ndarray:
         for c in range(u.shape[1]):
             one = slice(c, c + 1)
             try:
-                k[2, one], k[3, one], det[one] = _curvatures(_x_of(x, c), u[0, one], u[2, one],
+                k[2, one], k[3, one], det[one] = _curvatures(float(x[c]), u[0, one], u[2, one],
                                                              u[3, one])
             except jetcalc.DomainError as err:
-                stopped.setdefault(c, DomainExit(_x_of(at, c), "an RK4 stage failed a domain guard"
+                stopped.setdefault(c, DomainExit(float(at[c]), "an RK4 stage failed a domain guard"
                                                  " in the step from", str(err)))
-    if not _everywhere(abs(det) >= DET_FLOOR):  # a nan determinant is not singular
+    if not (np.abs(det) >= DET_FLOOR).all():  # a nan determinant is not singular
         for c in np.flatnonzero(np.abs(det) < DET_FLOOR).tolist():
-            stopped.setdefault(c, SingularSystem(float(np.ravel(det)[c]), x=_x_of(at, c)))
+            stopped.setdefault(c, SingularSystem(float(det[c]), x=float(at[c])))
     if stopped:
         k[:, list(stopped)] = 0.0
-    return k
+    return tuple(k[:, 0].tolist()) if lone else k
+
+
+def _axpy(u: tuple, a: float, k: tuple) -> tuple:
+    """u + a * k for a lone state's four floats, each component as numpy forms it."""
+    return u[0] + a * k[0], u[1] + a * k[1], u[2] + a * k[2], u[3] + a * k[3]
+
+
+def _rk4_update(u: tuple, sixth: float, k1: tuple, k2: tuple, k3: tuple, k4: tuple) -> tuple:
+    """u + sixth * (k1 + 2 k2 + 2 k3 + k4) for a lone state's four floats,
+    each component as numpy forms it."""
+    return (u[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            u[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            u[2] + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+            u[3] + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]))
 
 
 def _per_jet(value, count: int, name: str) -> list[float]:
@@ -422,11 +441,14 @@ def integrate_batch(jets, x_end, step) -> list:
     one outcome record per jet, written as the step runs and never
     overwritten: the exception that stops the jet, or None when it is
     complete.  The jets the record holds leave the batch together at the
-    step's end; a jet at its final sample rides that step too.  Once one
-    jet is live, its start x and step are floats and its first row an int,
-    so its rows and curvatures are written by plain indexing, and its
-    state is read and tested as floats at each stage (in :func:`_stage`)
-    and at each step's end; a batch runs each test once over its arrays.
+    step's end; a jet at its final sample rides that step too.  While two
+    or more jets are live, the state is a (4, live) array and each test
+    runs once over the arrays.  Once one jet is live (from the start for a
+    lone run), its state is four Python floats: :func:`_stage` takes and
+    returns them, each stage input and the step update are formed
+    component by component in numpy's operation order, so every bit is
+    the same, the step-end tests run on floats, and each row and each
+    curvature is written with one assignment.
 
     Returns one entry per jet: its Trajectory, or the exception that
     stopped it -- DomainExit when the jet starts outside the 0.05 rad pole
@@ -471,13 +493,6 @@ def integrate_batch(jets, x_end, step) -> list:
     live = np.array([c for c in range(len(jets)) if out[c] is None], dtype=int)
     u = rows[first[live], 1:].T.copy()  # (4, live)
 
-    def gather(live):
-        """Start x, realized step and first row of the live jets; for a lone
-        jet, floats as in a lone run and an int row."""
-        if live.size == 1:
-            return x0[live].item(), h[live].item(), first[live].item()
-        return x0[live], h[live], first[live]
-
     def retire(live, stopped: dict, i: int) -> np.ndarray:
         """Store each stopped column's result and return the mask of the
         columns that go on.  ``stopped`` maps a column to the exception that
@@ -496,11 +511,11 @@ def integrate_batch(jets, x_end, step) -> list:
         return keep
 
     ends = set(n.tolist())
-    start, dx, base = gather(live)
+    start, dx, base = x0[live], h[live], first[live]
     x = start
     with np.errstate(all="ignore"):  # a state that goes non-finite stops its jet below
         for i in range(int(n.max()) + 1):
-            if not live.size:
+            if live.size < 2:
                 break
             stopped: dict = {}
             k1 = _stage(x, u, stopped, x)
@@ -515,26 +530,49 @@ def integrate_batch(jets, x_end, step) -> list:
             k4 = _stage(x + dx, u + dx * k3, stopped, x)
             u = u + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             x = start + (i + 1) * dx
-            if live.size == 1:  # a lone state is tested as floats
-                y, *rest = u[:, 0].tolist()
-                fits = abs(y) <= lim and abs(x) <= lim and all(map(math.isfinite, rest))
-            else:
-                fits = (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
-                        and (np.abs(x) <= lim).all())
-            if not fits:
+            if not (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
+                    and (np.abs(x) <= lim).all()):
                 finite = np.isfinite(u).all(axis=0)
-                inside = (np.abs(u[0]) <= lim) & (abs(x) <= lim)
+                inside = (np.abs(u[0]) <= lim) & (np.abs(x) <= lim)
                 for c in np.flatnonzero(~(finite & inside)).tolist():
                     cause = ("trajectory breached the pole margin near" if finite[c]
                              else "trajectory state became non-finite at")
-                    stopped.setdefault(c, DomainExit(_x_of(x, c), cause))
+                    stopped.setdefault(c, DomainExit(float(x[c]), cause))
             if stopped:
                 keep = retire(live, stopped, i)
                 live, u = live[keep], u[:, keep]
-                start, dx, base = gather(live)
+                start, dx, base = x0[live], h[live], first[live]
                 x = start + (i + 1) * dx
             rows[base + i + 1, 0] = x
             rows[base + i + 1, 1:] = u.T
+        if live.size == 1:  # the last live jet goes on from step i as four floats
+            (jet,) = live.tolist()
+            start, dx, base, final = float(x0[jet]), float(h[jet]), int(first[jet]), int(n[jet])
+            x, u = x.item(), tuple(u[:, 0].tolist())
+            half, sixth = 0.5 * dx, dx / 6.0
+            for i in range(i, final + 1):
+                stopped = {}
+                k1 = _stage(x, u, stopped, x)
+                curvature[base + i] = k1[2:]
+                if i == final:  # at its final sample a jet that stage 1 passed is complete
+                    stopped.setdefault(0, None)
+                mid = x + half
+                k2 = _stage(mid, _axpy(u, half, k1), stopped, x)
+                k3 = _stage(mid, _axpy(u, half, k2), stopped, x)
+                k4 = _stage(x + dx, _axpy(u, dx, k3), stopped, x)
+                u = _rk4_update(u, sixth, k1, k2, k3, k4)
+                x = start + (i + 1) * dx
+                y, v, y_x, v_x = u
+                if not (abs(y) <= lim and abs(x) <= lim and math.isfinite(v)
+                        and math.isfinite(y_x) and math.isfinite(v_x)):
+                    finite = all(map(math.isfinite, u))
+                    cause = ("trajectory breached the pole margin near" if finite
+                             else "trajectory state became non-finite at")
+                    stopped.setdefault(0, DomainExit(x, cause))
+                if stopped:
+                    retire(live, stopped, i)
+                    break
+                rows[base + i + 1] = x, *u
     return out
 
 

@@ -146,6 +146,46 @@ def test_integrate_stopped_run_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys
     assert printed == sidecar
 
 
+@pytest.mark.skipif(not numpy_trig_is_math(),
+                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
+                           " from math's here")
+def test_integrate_singular_stop_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
+    # a lone run that meets the turning point exits 1 and writes its 786-row
+    # partial trajectory and its SingularSystem sidecar (near x = 0.785)
+    out = tmp_path / "t.csv"
+    argv = ["integrate", "--initial=0,0,0,0,1", "--x-end", "0.8", "--out", str(out)]
+    assert main(argv) == 1
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4a82cc036ab8c3f25ccb1b55bd889a81c83f200dc96429e390c2055e989bccbe")
+    sidecar = out.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == (
+        "1dfb96c633064c2906fefe60f5319824209c513078d3ffc4c1304fedc0d39312")
+    assert printed == sidecar
+
+
+@pytest.mark.skipif(not numpy_trig_is_math(),
+                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
+                           " from math's here")
+def test_long_lone_run_csv_sidecar_and_reduce_bytes_are_pinned(tmp_path, capsys):
+    # 2000 lone RK4 steps from x = -1.25, shaped like the benchmark's
+    # roundtrip, then glome reduce of the CSV they wrote
+    out, report = tmp_path / "t.csv", tmp_path / "reduce.json"
+    argv = ["integrate", "--initial=-1.25,0.1,0.5,0.15,-0.2", "--x-end=-0.75", "--step=0.00025",
+            "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5c1aabc14a34f99b9c965019ad28433f48d7d1e4b8b2c26e38535d22f821ea34")
+    sidecar = out.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == (
+        "45d0ff5081c3efab3f8502e5437c39f849f2ae7e8dfd4bb90367bd23a1fce79d")
+    assert printed == sidecar
+    assert main(["reduce", str(out), "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "380c67238f7f7e24769fb4ba294303756941c05b1b6ccea21bd305a6a7b98bc3")
+
+
 def test_integrate_constant_state(tmp_path):
     out = tmp_path / "flat.csv"
     code = main(["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5",

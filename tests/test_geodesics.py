@@ -379,31 +379,39 @@ _OFF_CHART += [pytest.param(0, chart.HALF_PI, id="y-half_pi"),
 
 @pytest.mark.parametrize("slot, value", _OFF_CHART)
 def test_stage_records_an_infinite_column_and_does_not_raise(slot, value):
-    # one column takes the float path, two the array path, and both record
-    # the same outcome at the step start: a DomainExit naming the stage's
+    # a lone state's four floats, one column and two columns all record the
+    # same outcome at the step start: a DomainExit naming the stage's
     # abscissa and state for a state off the open chart, or non-finite; the
     # last state y just below pi/2 passes the chart test and its kernel meets
     # a singular system.  The healthy column keeps its lone slopes.
     state = [0.0, 0.0, 0.1, 0.1]
     state[slot] = value
     healthy = [0.2, 0.0, 0.1, 0.1]
+    forms = [(0.3, tuple(state), 0.25)]
+    forms += [(np.full(len(u), 0.3), np.array(u).T, np.full(len(u), 0.25))
+              for u in ([state], [state, healthy])]
     records = []
-    for u in (np.array([state]).T, np.array([state, healthy]).T):
+    for x, u, at in forms:
         stopped = {}
         with np.errstate(all="ignore"):
-            k = geo._stage(0.3, u, stopped, 0.25)
+            k = geo._stage(x, u, stopped, at)
         assert list(stopped) == [0]
-        assert np.all(k[:, 0] == 0.0)
+        if isinstance(u, tuple):
+            assert k == (0.0, 0.0, 0.0, 0.0)
+        else:
+            assert np.all(k[:, 0] == 0.0)
         records.append((type(stopped[0]), stopped[0].x, str(stopped[0])))
-    assert records[0] == records[1]
+    assert records[0] == records[1] == records[2]
+    assert [type(x) for _, x, _ in records] == [float] * 3
     if abs(value) < chart.HALF_PI:
         assert records[0][:2] == (geo.SingularSystem, 0.25)
     else:
         assert records[0] == (geo.DomainExit, 0.25,
                               "an RK4 stage left the open chart in the step from x = 0.25"
                               f" (stage at x = 0.3 has (y, v, y_x, v_x) = {tuple(state)!r})")
-    alone = geo._stage(0.3, np.array([healthy]).T, {}, 0.25)
-    assert k[:, 1].tobytes() == alone[:, 0].tobytes()
+    alone = geo._stage(0.3, tuple(healthy), {}, 0.25)
+    assert all(type(s) is float for s in alone)
+    assert k[:, 1].tobytes() == np.array(alone).tobytes()
 
 
 def test_integrate_propagates_unrelated_value_error(monkeypatch):
@@ -475,6 +483,51 @@ def test_integrate_batch_freezes_only_the_failing_jet(x0, others, x_end, step):
         _same_outcome(got, _lone(j0, x_end, step))
 
 
+def _overflowing_v_xx(x, y, y_x, v_x):
+    """A stand-in kernel: zero y_xx, a unit determinant, and v_xx = 1e308 at
+    abscissae from 0.0525 on, so the weighted sum of the step from x = 0.05
+    overflows while each of its stages stays finite."""
+    return 0.0 * y, 0.0 * y + 1e308 * (x >= 0.0525), 1.0 + 0.0 * y
+
+
+@pytest.mark.parametrize("stopper, x_end, step, kernel, kind, cause", [
+    ((0.0, 1.4, 0.0, 5.0, 0.0), 0.5, 1e-3, None, geo.DomainExit,
+     "trajectory breached the pole margin near x = 0.025"),
+    ((0.0, 0.5, 0.0, 8.0, 0.0), 0.5, 1e-2, None, geo.DomainExit,
+     "an RK4 stage left the open chart in the step from x = 0.1 "),
+    ((0.0, 0.0, 0.0, 0.0, 1.0), 0.8, 1e-3, None, geo.SingularSystem,
+     "Euler-Lagrange system singular"),
+    ((0.0, 0.1, 0.0, 0.2, 0.0), 0.5, 1e-2, _overflowing_v_xx, geo.DomainExit,
+     "trajectory state became non-finite at x = 0.06"),
+    ((0.0, 0.1, 0.0, 0.2, 0.3), 0.3, 1e-3, None, geo.Trajectory, None),
+], ids=["margin", "stage_off_chart", "singular", "non_finite_state", "complete"])
+def test_the_last_live_jet_goes_on_as_a_lone_run(monkeypatch, stopper, x_end, step, kernel, kind,
+                                                 cause):
+    # two healthy jets complete at x = 0.02; the stopper goes on alone, its
+    # state as four floats, and stops exactly as a lone run of it does
+    if kernel is not None:
+        monkeypatch.setattr(geo, "_curvatures", kernel)
+    real, lone = geo._stage, []
+
+    def recording(x, u, stopped, at):
+        lone.append(isinstance(u, tuple))
+        return real(x, u, stopped, at)
+
+    jets = [chart.jet1(0.0, 0.1, 0.0, 0.2, 0.3), chart.jet1(0.0, -0.2, 1.0, -0.1, 0.0),
+            chart.jet1(*stopper)]
+    x_ends = [0.02, 0.02, x_end]
+    monkeypatch.setattr(geo, "_stage", recording)
+    results = geo.integrate_batch(jets, x_ends, step)
+    healthy_steps = round(0.02 / step) + 1  # each of them runs its final sample's step too
+    assert lone[:4 * healthy_steps] == [False] * (4 * healthy_steps)
+    assert lone[4 * healthy_steps:] == [True] * (len(lone) - 4 * healthy_steps) != []
+    assert [type(r) for r in results] == [geo.Trajectory, geo.Trajectory, kind]
+    if cause is not None:
+        assert str(results[-1]).startswith(cause)
+    for j0, e, got in zip(jets, x_ends, results):
+        _same_outcome(got, _lone(j0, e, step))
+
+
 def test_integrate_batch_completion_wins_over_a_later_stage_failure():
     # x_end = x0 makes the first sample final (realized step 0); the last jet's
     # final step starts at y = 1.50 with slope 20, so its stage 2 lands at
@@ -537,6 +590,27 @@ def test_integrate_batch_isolates_a_domain_error(monkeypatch):
     assert str(err) == ("an RK4 stage failed a domain guard in the step from x = 0.09"
                         " (sqrt evaluated at -1.0 (planted))")
     _assert_stops_at_step_start(err, geo.DomainExit, 0.09)
+
+
+def test_a_lone_domain_guard_names_its_index_as_a_batch_does(monkeypatch):
+    # a lone state whose kernel fails a guard is evaluated again as a batch
+    # of one, so a lone run, a batch's last live jet and a jet stopped inside
+    # a batch all record the guard's message with its index
+    real = geo._curvatures
+
+    def guarded(x, y, y_x, v_x):
+        jc.sqrt(0.45 - y)
+        return real(x, y, y_x, v_x)
+
+    monkeypatch.setattr(geo, "_curvatures", guarded)
+    healthy, rising = chart.jet1(0.0, 0.1, 0.0, 0.2, 0.3), chart.jet1(0.0, 0.4, 0.0, 0.5, 0.0)
+    lone = _lone(rising, 0.5, 1e-2)
+    assert isinstance(lone, geo.DomainExit) and len(lone.trajectory) > 3
+    assert str(lone).startswith("an RK4 stage failed a domain guard in the step from x = ")
+    assert str(lone).endswith(" (negative radicand at index (0,)))")
+    for healthy_end in (0.02, 0.5):  # rising stops as the last live jet, then among two
+        results = geo.integrate_batch([healthy, rising], [healthy_end, 0.5], 1e-2)
+        _same_outcome(results[1], lone)
 
 
 def test_integrate_batch_arguments():

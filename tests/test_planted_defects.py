@@ -91,6 +91,11 @@ def test_dynamics_checks_fail_on_a_planted_rk4_stage(monkeypatch):
 
     monkeypatch.setattr(geo, "_stage", planted)
     assert _dynamics_failures(CFG) == {"noether_drift", "oracle_endpoint"}
+    # the plant ran at every stage of every step of the one batch: the long
+    # run is its longest member, and it takes its last steps alone
+    long_steps = min(10 * CFG.samples, suites.LONG_RUN_MAX_STEPS)
+    assert round(suites.TRAJECTORY_SPAN / CFG.step) < long_steps
+    assert next(stage) == 4 * (long_steps + 1)
 
 
 def test_verify_exits_1_on_a_planted_curvature(monkeypatch, tmp_path):
