@@ -10,24 +10,33 @@ A vector field is its coefficient function: one function of (x, y, v)
 that returns (xi, phi, eta), not an expression tree nor a wrapper type.
 Every downstream use is a pointwise evaluation with dual numbers from
 :mod:`glome.jetcalc`, and one evaluation yields all three coefficients.
+Each generator's formulas are written once (_GENERATORS), over the
+trigonometric factors of one evaluation (_Factors): cos v, sin v, tan x,
+cos y, sin y, tan y and sec y, each formed on first use.  A lone chi(i)
+forms only its own factors; the six together (_coefficients) form each
+once, so one pass of all six maps math.tan 3 times where six passes map
+it 7 times.
 
 The evaluations are coordinate-generic.  A residual function given a
 :class:`~glome.chart.JetColumns` of n samples in place of one float-valued
 jet returns numpy arrays over the samples, and each element
 equals the result for that sample alone bitwise.  The suites use that to
 evaluate each check in one array-valued dual pass.  Each check evaluates
-each generator once: its coefficients and their first partials come from
-one seeded pass (jetcalc.value_and_gradn), from which the first
-prolongation also sums the D_x xi that the variational criterion reads;
-the second prolongation takes the first and its total derivative from one
-directional pass; one formula (_bracket) gives every bracket from those
-passes.  lie_bracket makes one pass of each field.  The bracket table
-stacks one pass of each generator, values as (6, 3, n) and Jacobians as
-(6, 3, 3, n), makes one _bracket call with X on axis 0 and Y on axis 1 for
-all 36 brackets, and matches all 36 against the 13 candidates in one
-broadcast reduction; identify_field is that rule's one-field case.
-general_symmetry takes column weights, so that many random combinations,
-each over its own points, evaluate in one pass.
+each generator once.  The six generators' 18 coefficients and their 54
+first partials come from one seeded pass (jetcalc.value_and_gradn of
+_coefficients, laid out by _generator_jets), which serves the bracket
+table and, with the first prolongation run on one row per generator and
+one directional pass of the integrand along all six prolonged fields, the
+variational criterion.  One formula (_bracket) gives every bracket from
+those values and partials: the bracket table makes one _bracket call with
+X on axis 0 and Y on axis 1 for all 36 brackets, and matches all 36
+against the 13 candidates in one broadcast reduction; identify_field is
+that rule's one-field case, with its candidates from one evaluation of
+_coefficients.  lie_bracket makes one pass of each field, and the second
+prolongation takes the first and its total derivative from one
+directional pass.  general_symmetry reads the five generators over one
+set of factors and takes column weights, so that many random
+combinations, each over its own points, evaluate in one pass.
 """
 
 from __future__ import annotations
@@ -49,36 +58,87 @@ class AmbiguousIdentification(RuntimeError):
 _Field = Callable[[object, object, object], tuple]
 
 
-# A generator forms a shared factor once, and every product keeps the
-# operand order of its coefficient's own formula, so the bits are those
-# of the three formulas evaluated one by one.
-def _chi1(x, y, v):
-    c, t = cos(v), tan(x)
-    return c * cos(y), c * t * sin(y), sin(v) * t * sec(y)
+class _factor:
+    """A factor of _Factors: ``rule`` of the point's coordinate ``arg``,
+    formed on first read and stored on the instance, whose attribute then
+    answers every later read (a descriptor without __set__ yields to it)."""
+
+    def __init__(self, rule, arg: str):
+        self.rule, self.arg = rule, arg
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, factors, owner=None):
+        if factors is None:
+            return self
+        value = factors.__dict__[self.name] = self.rule(getattr(factors, self.arg))
+        return value
 
 
-def _chi2(x, y, v):
-    s, t = sin(v), tan(x)
-    return s * cos(y), s * t * sin(y), -cos(v) * t * sec(y)
+class _Factors:
+    """The trigonometric factors the generators share at one point (x, y, v).
+
+    Each is formed on first use and then read, so a lone generator forms
+    only its own and the six together form each once.  A generator reads
+    them in its formulas' operand order, so every coefficient has the bits
+    of its formula evaluated on its own.  Built per evaluation; nothing
+    outlives it.
+    """
+
+    cos_v = _factor(cos, "v")
+    sin_v = _factor(sin, "v")
+    tan_x = _factor(tan, "x")
+    cos_y = _factor(cos, "y")
+    sin_y = _factor(sin, "y")
+    tan_y = _factor(tan, "y")
+    sec_y = _factor(sec, "y")
+
+    def __init__(self, x, y, v):
+        self.x, self.y, self.v = x, y, v
 
 
-def _chi3(x, y, v):
-    return sin(y), -tan(x) * cos(y), 0.0
+# Generator i's (xi, phi, eta) over the shared factors, written once: every
+# evaluation of chi_i, alone or with the others, reads _GENERATORS.
+def _chi1(f: _Factors):
+    c, t = f.cos_v, f.tan_x
+    return c * f.cos_y, c * t * f.sin_y, f.sin_v * t * f.sec_y
 
 
-def _chi4(x, y, v):
-    return 0.0, cos(v), sin(v) * tan(y)
+def _chi2(f: _Factors):
+    s, t = f.sin_v, f.tan_x
+    return s * f.cos_y, s * t * f.sin_y, -f.cos_v * t * f.sec_y
 
 
-def _chi5(x, y, v):
-    return 0.0, sin(v), -cos(v) * tan(y)
+def _chi3(f: _Factors):
+    return f.sin_y, -f.tan_x * f.cos_y, 0.0
 
 
-def _chi6(x, y, v):
+def _chi4(f: _Factors):
+    return 0.0, f.cos_v, f.sin_v * f.tan_y
+
+
+def _chi5(f: _Factors):
+    return 0.0, f.sin_v, -f.cos_v * f.tan_y
+
+
+def _chi6(f: _Factors):
     return 0.0, 0.0, 1.0
 
 
-_CHI: tuple[_Field, ...] = (_chi1, _chi2, _chi3, _chi4, _chi5, _chi6)
+_GENERATORS = (_chi1, _chi2, _chi3, _chi4, _chi5, _chi6)
+
+
+def _field(generator: int) -> _Field:
+    """chi_{generator + 1} as a coefficient function, forming only its own factors."""
+
+    def coefficients(x, y, v):
+        return _GENERATORS[generator](_Factors(x, y, v))
+
+    return coefficients
+
+
+_CHI: tuple[_Field, ...] = tuple(map(_field, range(6)))
 
 
 def chi(i: int) -> _Field:
@@ -86,6 +146,29 @@ def chi(i: int) -> _Field:
     if not 1 <= i <= 6:
         raise ValueError(f"generator index must be 1..6, got {i}")
     return _CHI[i - 1]
+
+
+def _coefficients(x, y, v) -> tuple:
+    """The 18 coefficients of chi_1..chi_6 at (x, y, v), chi_1's (xi, phi,
+    eta) first, over one set of shared factors."""
+    f = _Factors(x, y, v)
+    return tuple(c for g in _GENERATORS for c in g(f))
+
+
+def _generator_jets(x, y, v) -> np.ndarray:
+    """The 18 coefficients of chi_1..chi_6 and their partials at the points,
+    as a (6, 3, 4) + shape array: [g, c] holds chi_{g+1}'s coefficient c
+    (0 xi, 1 phi, 2 eta) and then its partials in x, y and v.
+
+    All come from one value_and_gradn pass of _coefficients, which forms
+    each shared factor once; each value and partial equals a pass of its
+    own generator bitwise.
+    """
+    jets = np.empty((18, 4) + np.shape(x))
+    for k, (value, grad) in enumerate(zip(*value_and_gradn(_coefficients, (x, y, v)))):
+        for d, c in enumerate((value, *grad)):
+            jets[k, d] = c
+    return jets.reshape((6, 3, 4) + np.shape(x))
 
 
 def general_symmetry(k: Sequence) -> _Field:
@@ -103,31 +186,48 @@ def general_symmetry(k: Sequence) -> _Field:
     weights = tuple(float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float) for c in k)
 
     def coefficients(x, y, v):
+        f = _Factors(x, y, v)
         totals = (0.0, 0.0, 0.0)
-        for w, F in zip(weights, _CHI[:5]):
-            totals = tuple(t + w * c for t, c in zip(totals, F(x, y, v)))
+        for w, g in zip(weights, _GENERATORS[:5]):
+            totals = tuple(t + w * c for t, c in zip(totals, g(f)))
         return totals
 
     return coefficients
 
 
-def _prolong1_values(V: _Field, x, y, v, y_x, v_x):
-    """Generic (dual-capable) first-prolongation components at a jet,
-    (xi, phi, eta, phi^x, eta^x, D_x xi):
+def _prolong1(values, grads, y_x, v_x):
+    """First-prolongation components (xi, phi, eta, phi^x, eta^x, D_x xi)
+    from a field's values (xi, phi, eta) and first partials at a jet:
 
     D_x xi = xi_x + xi_y y_x + xi_v v_x
     phi^x = phi_x + phi_y y_x + phi_v v_x - (D_x xi) y_x
     eta^x = eta_x + eta_y y_x + eta_v v_x - (D_x xi) v_x
 
     The second-order jet terms cancel identically in this expansion, so
-    only first partials of the coefficients appear.
+    only first partials of the coefficients appear.  Each value and
+    partial is a float, a dual or an array, for one field or one row per
+    field.
     """
-    (xi_val, phi_val, eta_val), grads = value_and_gradn(V, (x, y, v))
+    xi_val, phi_val, eta_val = values
     (xi_x, xi_y, xi_v), (phi_x, phi_y, phi_v), (eta_x, eta_y, eta_v) = grads
     total_xi = xi_x + xi_y * y_x + xi_v * v_x
     phi_pr = phi_x + phi_y * y_x + phi_v * v_x - total_xi * y_x
     eta_pr = eta_x + eta_y * y_x + eta_v * v_x - total_xi * v_x
     return xi_val, phi_val, eta_val, phi_pr, eta_pr, total_xi
+
+
+def _prolong1_values(V: _Field, x, y, v, y_x, v_x):
+    """Generic (dual-capable) first-prolongation components of V at a jet,
+    (xi, phi, eta, phi^x, eta^x, D_x xi), from one value_and_gradn pass."""
+    return _prolong1(*value_and_gradn(V, (x, y, v)), y_x, v_x)
+
+
+def _variational(prolonged, j: chart.JetColumns):
+    """The variational criterion's residual from _prolong1's components at j."""
+    xi, phi, _, phi_pr, eta_pr, dxi_total = prolonged
+    lam, applied = directional(chart.arc_speed, (j.x, j.y, j.y_x, j.v_x),
+                               (xi, phi, phi_pr, eta_pr))
+    return applied + lam * dxi_total
 
 
 def variational_residual(V: _Field, j: chart.JetColumns):
@@ -138,10 +238,16 @@ def variational_residual(V: _Field, j: chart.JetColumns):
     D_x xi; zero (within tolerance) exactly when V generates a variational
     symmetry at j.  A float at one jet, an array over the samples of n columns.
     """
-    xi, phi, _, phi_pr, eta_pr, dxi_total = _prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x)
-    lam, applied = directional(chart.arc_speed, (j.x, j.y, j.y_x, j.v_x),
-                               (xi, phi, phi_pr, eta_pr))
-    return applied + lam * dxi_total
+    return _variational(_prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x), j)
+
+
+def variational_residuals(j: chart.JetColumns) -> np.ndarray:
+    """variational_residual of chi_1..chi_6 at j, one row per generator,
+    from one pass of all six (_generator_jets) and one directional pass of
+    the integrand along all six prolonged fields: row i - 1 equals
+    variational_residual(chi(i), j) bitwise."""
+    stacked = np.moveaxis(_generator_jets(j.x, j.y, j.v), 0, 2)  # (3, 4, 6, ...)
+    return _variational(_prolong1(stacked[:, 0], stacked[:, 1:], j.y_x, j.v_x), j)
 
 
 def determining_residuals(V: _Field, p: chart.JetColumns):
@@ -202,7 +308,8 @@ _CANDIDATE_LABELS = ("zero", "+chi1", "-chi1", "+chi2", "-chi2", "+chi3", "-chi3
 
 
 def _values(F: _Field, x, y, v) -> np.ndarray:
-    """F's coefficients at n points as an (n, 3) array, one row per point."""
+    """F's coefficients at n points as an (n, 3) array, one row per point
+    (for _coefficients, an (n, 18) array)."""
     return np.stack([np.broadcast_to(c, x.shape) for c in F(x, y, v)], axis=1)
 
 
@@ -225,7 +332,7 @@ def identify_field(
     if not rows:
         raise ValueError("identify_field needs at least one sample point, got none")
     x, y, v = (np.array(c) for c in zip(*rows))
-    generators = np.stack([_values(F, x, y, v) for F in _CHI])
+    generators = _values(_coefficients, x, y, v).reshape((-1, 6, 3)).swapaxes(0, 1)
     return _match(["the field"], _values(W, x, y, v)[None], _candidates(generators), tol)[0]
 
 
@@ -278,20 +385,15 @@ def _bracket_values(x, y, v) -> tuple[np.ndarray, np.ndarray]:
     36 brackets there as a (6, 6, n, 3) array, [chi_i, chi_j] in row i - 1
     and column j - 1.
 
-    Each generator's three coefficients and their gradients come from one
-    seeded pass (6 value_and_gradn calls), whose values equal a plain
-    evaluation's bitwise.  The passes are stacked once, values as
-    (6, 3, n) and Jacobians as (6, 3, 3, n), and one _bracket call takes
-    X's components on axis 0 and Y's on axis 1, so each element repeats
-    lie_bracket's operations and every bracket equals lie_bracket's bitwise.
+    The generators' coefficients and partials come from one seeded pass
+    (_generator_jets), whose values equal a plain evaluation's bitwise.
+    One _bracket call takes X's components on axis 0 and Y's on axis 1,
+    so each element repeats lie_bracket's operations and every bracket
+    equals lie_bracket's bitwise.
     """
-    stacked = np.empty((6, 12) + x.shape)  # per generator: 3 values, then 9 partials
-    for g, F in enumerate(_CHI):
-        values, grads = value_and_gradn(F, (x, y, v))
-        for k, c in enumerate(itertools.chain(values, *grads)):
-            stacked[g, k] = c
-    per_component = stacked[:, :3].swapaxes(0, 1)  # (3, 6, n): X^j of each generator X
-    per_partial = np.moveaxis(stacked[:, 3:].reshape((6, 3, 3) + x.shape), 0, 2)  # (3, 3, 6, n)
+    jets = _generator_jets(x, y, v)
+    per_component = jets[:, :, 0].swapaxes(0, 1)  # (3, 6, n): X^j of each generator X
+    per_partial = np.moveaxis(jets[:, :, 1:], 0, 2)  # (3, 3, 6, n)
     brackets = _bracket(per_component[:, :, None], per_partial[:, :, :, None],
                         per_component[:, None], per_partial[:, :, None])
     return np.stack(per_component, axis=-1), np.stack(brackets, axis=-1)

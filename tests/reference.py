@@ -7,7 +7,8 @@ omega'(tau) from alpha, vector fields built from and read as three
 component functions and their sums and scalar multiples, the gradient
 taken one dual pass per argument (and, for a tuple-valued function, per
 component), and the second prolongation that evaluates the first one
-three times; the plane of R^4 that each generator rotates, and the
+three times; the six generators as first written, each forming its own
+trigonometric factors, and their passes one generator at a time; the plane of R^4 that each generator rotates, and the
 bracket table derived from those rotations; the k oracle's plain sweep
 of every grid row, and trajectory rows that carry chosen collapsed-equation
 values; and the test of whether numpy's sin and cos round like the
@@ -20,7 +21,8 @@ import numpy as np
 
 from glome import chart, geodesics, jetcalc
 from glome import reduction as red
-from glome.jetcalc import DomainError, DualScalar, arctan, atan2, cos, directional, power, sin
+from glome.jetcalc import (DomainError, DualScalar, arctan, atan2, cos, directional, power, sec,
+                           sin, tan)
 
 
 K_GRID = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
@@ -331,6 +333,43 @@ def prolong2_apply(V: Callable, F, j):
     eta_pr2 = dx_eta_pr - v_xx * dxi_total
     coeffs7 = (xi, phi, eta, phi_pr, eta_pr, phi_pr2, eta_pr2)
     return directional(F, (x, y, v, y_x, v_x, y_xx, v_xx), coeffs7)[1]
+
+
+# The generators as first written: each forms its own factors, and every
+# product keeps the operand order of its coefficient's formula.
+def _chi1(x, y, v):
+    c, t = cos(v), tan(x)
+    return c * cos(y), c * t * sin(y), sin(v) * t * sec(y)
+
+
+def _chi2(x, y, v):
+    s, t = sin(v), tan(x)
+    return s * cos(y), s * t * sin(y), -cos(v) * t * sec(y)
+
+
+def _chi3(x, y, v):
+    return sin(y), -tan(x) * cos(y), 0.0
+
+
+def _chi4(x, y, v):
+    return 0.0, cos(v), sin(v) * tan(y)
+
+
+def _chi5(x, y, v):
+    return 0.0, sin(v), -cos(v) * tan(y)
+
+
+def _chi6(x, y, v):
+    return 0.0, 0.0, 1.0
+
+
+GENERATORS = (_chi1, _chi2, _chi3, _chi4, _chi5, _chi6)
+
+
+def generator_passes(x, y, v) -> list:
+    """One jetcalc.value_and_gradn pass of each frozen generator in turn,
+    as its (values, gradients); the first pass that fails raises."""
+    return [jetcalc.value_and_gradn(F, (x, y, v)) for F in GENERATORS]
 
 
 # chi_i rotates the plane (a, b) of R^4, in the order of chart.ambient_coords:

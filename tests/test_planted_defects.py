@@ -6,12 +6,12 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from glome import chart, geodesics as geo
 from glome import reduction, suites, symmetries
 from glome.cli import main
-from reference import component, field
 
 CFG = suites.RunConfig(samples=100, trajectories=5)
 SIZE = 1e-6  # relative size of a planted defect where a row names no other
@@ -117,13 +117,20 @@ def _symmetry_failures(cfg: suites.RunConfig) -> set[str]:
 
 
 def _plant_coefficient(monkeypatch, generator: int, index: int, factor: float) -> None:
-    """Multiply chi_generator's coefficient ``index`` (0 xi, 1 phi, 2 eta) by ``factor``."""
-    chi = symmetries._CHI[generator - 1]
-    parts = [component(chi, i) for i in range(3)]
-    real = parts[index]
-    parts[index] = lambda x, y, v: real(x, y, v) * factor
-    monkeypatch.setattr(symmetries, "_CHI", symmetries._CHI[:generator - 1] + (field(*parts),)
-                        + symmetries._CHI[generator:])
+    """Multiply chi_generator's coefficient ``index`` (0 xi, 1 phi, 2 eta) by
+    ``factor`` in its one definition, symmetries._GENERATORS, which a lone
+    chi(i), a combination and the stacked pass of all six all read; the
+    factors it reads, which other generators share, stay as they are."""
+    real = symmetries._GENERATORS[generator - 1]
+
+    def planted(factors):
+        out = list(real(factors))
+        out[index] = out[index] * factor
+        return tuple(out)
+
+    generators = list(symmetries._GENERATORS)
+    generators[generator - 1] = planted
+    monkeypatch.setattr(symmetries, "_GENERATORS", tuple(generators))
 
 
 @pytest.mark.parametrize("cfg, planted, failing", [
@@ -131,17 +138,35 @@ def _plant_coefficient(monkeypatch, generator: int, index: int, factor: float) -
     (CFG, (3, 1, 1.0 + SIZE), {"determining_equations", "variational_criterion", "bracket_table",
                                "subgroup_closure", "collapsed_prolongation",
                                "omega_chi3_directional"}),
+    # chi4's eta, sin v tan y: the checks that read chi4 fail, and the two
+    # that read chi3 alone, whose factors it shares none of, pass
+    (CFG, (4, 2, 1.0 + SIZE), {"determining_equations", "variational_criterion", "bracket_table",
+                               "subgroup_closure"}),
     # a nan coefficient makes those residuals nan, which must fail their checks;
     # Python's max once dropped them, and the variational and determining checks
     # passed at 1.8e-15 and 6.7e-16
     (suites.RunConfig(samples=50), (1, 2, math.nan),
      {"determining_equations", "variational_criterion", "bracket_table", "subgroup_closure"}),
-], ids=["none", "chi3_phi", "chi1_eta_nan"])
+], ids=["none", "chi3_phi", "chi4_eta", "chi1_eta_nan"])
 def test_symmetry_checks_fail_on_a_planted_generator_coefficient(monkeypatch, cfg, planted,
                                                                  failing):
     if planted:
         _plant_coefficient(monkeypatch, *planted)
     assert _symmetry_failures(cfg) == failing
+
+
+def test_a_planted_coefficient_moves_only_its_own_entries_of_the_stacked_pass(monkeypatch):
+    p = chart.domain_columns(20, 0.1, 3)
+    clean = symmetries._generator_jets(p.x, p.y, p.v)
+    _plant_coefficient(monkeypatch, 4, 2, 1.0 + SIZE)
+    planted = symmetries._generator_jets(p.x, p.y, p.v)
+    moved = np.any(planted != clean, axis=-1)  # per generator, coefficient, value or partial
+    # chi4's eta and its y and v partials move (sin v tan y reads no x); its
+    # shared factors tan y and sin v reach chi5 and chi2 unplanted
+    assert np.argwhere(moved).tolist() == [[3, 2, 0], [3, 2, 2], [3, 2, 3]]
+    assert np.array_equal(planted[3, 2, 0], clean[3, 2, 0] * (1.0 + SIZE))
+    lone = symmetries.chi(4)(p.x, p.y, p.v)[2]
+    assert lone.tobytes() == planted[3, 2, 0].tobytes()
 
 
 def test_a_nan_residual_is_reported_as_null_with_its_error(monkeypatch):

@@ -842,6 +842,43 @@ def test_seeded_gradient_nested_in_a_gradient_equals_the_oracle(rows, a, b, c, a
         _check_pass(reference.component(inner, i), point)
 
 
+def _stacked_passes(passes, shape) -> np.ndarray:
+    """Six generators' (values, gradients) passes as _generator_jets lays them out."""
+    return np.array([[[np.broadcast_to(c, shape) for c in (value, *grad)]
+                      for value, grad in zip(*one)] for one in passes])
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
+@given(point_at_poles, st.lists(point_at_poles, min_size=1, max_size=8))
+# x within the tan guard of pi/2 at index (1,): chi1's tan x fails first
+@example((0.3, 0.2, 1.0), [(0.3, 0.2, 1.0), (math.pi / 2 - 1e-13, 0.1, 2.0)])
+# y there at a float point: chi1's sec y fails before chi4's tan y
+@example((0.3, math.pi / 2 - 1e-13, 1.0), [(0.3, -0.2, 1.0)])
+def test_stacked_generator_pass_equals_six_frozen_passes_bitwise(point, rows):
+    for at in (point, tuple(np.array(c) for c in zip(*rows))):
+        got = _outcome_of(lambda: sym._generator_jets(*at))
+        want = _outcome_of(lambda: _stacked_passes(reference.generator_passes(*at),
+                                                   np.shape(at[0])))
+        _agree(got, want)
+        if got[0] == "ok":  # 18 values and 54 partials
+            assert got[1].shape == (6, 3, 4) + np.shape(at[0])
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(pole_angle, pole_angle, st.floats(0.0, 6.3), slope, slope),
+                min_size=1, max_size=8), st.booleans())
+@example([(0.3, 0.2, 1.0, 0.1, 0.2), (math.pi / 2 - 1e-13, 0.2, 1.0, 0.1, 0.2)], False)
+def test_stacked_variational_rows_equal_each_generators_residual_bitwise(rows, at_float):
+    j = chart.JetColumns(*(rows[0] if at_float else (np.array(c) for c in zip(*rows))))
+    got = _outcome_of(lambda: sym.variational_residuals(j))
+    for generators in (sym._CHI, reference.GENERATORS):
+        want = _outcome_of(lambda: np.array(
+            [np.broadcast_to(sym.variational_residual(F, j), np.shape(j.x)) for F in generators]))
+        _agree(got, want)
+
+
 @bitwise
 @settings(max_examples=20, deadline=None)
 @given(jets, st.sampled_from([0.0, 0.25, 0.5, 0.9]), weights)
@@ -852,6 +889,7 @@ def test_symmetry_kernels_equal_their_per_direction_versions(rows, k, w):
     calls = [
         lambda: [sym.determining_residuals(V, cols) for V in (sym.chi(3), sym.general_symmetry(w))],
         lambda: [sym.variational_residual(sym.chi(i), cols) for i in range(1, 7)],
+        lambda: sym.variational_residuals(cols),
         lambda: [sym.prolong2_apply(sym.chi(i), F, jets2) for i in (1, 3, 5)],
         lambda: sym._bracket_values(cols.x, cols.y, cols.v),
     ]

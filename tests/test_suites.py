@@ -194,15 +194,15 @@ def _once(*generators):
 def test_each_symmetry_check_evaluates_each_generator_once(monkeypatch, suite, evaluations):
     calls = collections.Counter()
 
-    def counted(i, F):  # chi_i, counting its evaluations by generator index
-        def coefficients(x, y, v):
+    def counted(i, g):  # chi_i's one definition, counting its evaluations by generator index
+        def coefficients(factors):
             calls[i] += 1
-            return F(x, y, v)
+            return g(factors)
 
         return coefficients
 
-    monkeypatch.setattr(symmetries, "_CHI",
-                        tuple(counted(i, F) for i, F in enumerate(symmetries._CHI, 1)))
+    monkeypatch.setattr(symmetries, "_GENERATORS",
+                        tuple(counted(i, g) for i, g in enumerate(symmetries._GENERATORS, 1)))
     checks = suite(suites.RunConfig(samples=100))
     assert all(c.passed for c in checks)
     assert dict(calls) == evaluations

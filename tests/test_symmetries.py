@@ -337,10 +337,66 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
-def test_bracket_table_takes_one_gradient_pass_per_generator(monkeypatch):
+def test_bracket_table_takes_one_gradient_pass_for_all_generators(monkeypatch):
     passes = _counting(monkeypatch, "value_and_gradn")
     sym.bracket_table(samples=10, tol=1e-8, seed=7)
-    assert len(passes) == 6
+    assert [args[0] for args in passes] == [sym._coefficients]
+
+
+def _tan_maps(monkeypatch) -> list:
+    """Record each element-wise map of math.tan that jetcalc makes."""
+    maps, real = [], jc._map
+
+    def counted(f, *args):
+        if f is math.tan:
+            maps.append(np.shape(args[0]))
+        return real(f, *args)
+
+    monkeypatch.setattr(jc, "_map", counted)
+    return maps
+
+
+def test_each_shared_factor_is_formed_once_per_evaluation(monkeypatch):
+    # six passes one generator at a time map math.tan 7 times: tan x in chi1,
+    # chi2 and chi3, tan y in chi4 and chi5, and the derivative of sec y in
+    # chi1 and chi2; the stacked pass maps tan x, tan y and sec y's tan y once
+    p = chart.domain_columns(10, 0.1, 7)
+    maps = _tan_maps(monkeypatch)
+    sym._generator_jets(p.x, p.y, p.v)
+    assert maps == [(10,)] * 3
+    del maps[:]
+    jc.value_and_gradn(sym.chi(3), (p.x, p.y, p.v))  # a lone generator forms only its own
+    assert maps == [(10,)]
+    del maps[:]
+    sym.variational_residuals(chart.jet_columns(10, 0.1, seed=7))
+    assert len(maps) == 3
+
+
+def test_variational_residuals_take_one_pass_of_each_kind(monkeypatch):
+    gradients = _counting(monkeypatch, "value_and_gradn")
+    directionals = _counting(monkeypatch, "directional")
+    rows = sym.variational_residuals(chart.jet_columns(10, 0.1, seed=7))
+    assert rows.shape == (6, 10)
+    assert len(gradients) == 1 and len(directionals) == 1
+
+
+@pytest.mark.parametrize("column, want", [
+    # x within the tan guard of pi/2: chi1's tan x, the first factor to fail
+    (0, "tan evaluated at 1.5707963267947966 (at evaluation point"
+        " (1.5707963267947966, -0.4, 2.0), index (1,))"),
+    # y there: tan x passes, and chi1's sec y fails before chi4's tan y
+    (1, "sec evaluated at 1.5707963267947966 (at evaluation point"
+        " (0.5, 1.5707963267947966, 2.0), index (1,))"),
+], ids=["x", "y"])
+def test_a_failing_stacked_pass_raises_the_first_generators_domain_error(column, want):
+    point = [np.array([0.3, 0.5]), np.array([0.2, -0.4]), np.array([1.0, 2.0])]
+    point[column][1] = math.pi / 2 - 1e-13
+    jets = chart.JetColumns(*point, np.array([0.1, 0.2]), np.array([0.3, -0.5]))
+    for call in (lambda: sym._bracket_values(*point), lambda: sym.variational_residuals(jets)):
+        with pytest.raises(jc.DomainError) as err:
+            call()
+        assert (str(err.value), err.value.func, err.value.argument, err.value.index) == (
+            want, want[:3], math.pi / 2 - 1e-13, (1,))
 
 
 def test_lie_bracket_takes_one_gradient_pass_per_field(monkeypatch):
