@@ -129,14 +129,9 @@ def sample_domain(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> list
     return [JetColumns(*row) for row in zip(*(a.tolist() for a in c[:3]))]
 
 
-def jet_columns(
-    n: int,
-    margin: float = DEFAULT_MARGIN,
-    seed: int = 0,
-    max_slope: float = 2.0,
-) -> JetColumns:
-    """n pseudo-random jets over domain_columns with slopes in [-max_slope, max_slope]."""
+def jet_columns(n: int, margin: float = DEFAULT_MARGIN, seed: int = 0) -> JetColumns:
+    """n pseudo-random jets over domain_columns with slopes y_x, v_x in [-2, 2]."""
     c = domain_columns(n, margin, seed)
     rng = np.random.default_rng(seed + 0x9E3779B9)
-    slopes = rng.uniform(-max_slope, max_slope, (n, 2))
+    slopes = rng.uniform(-2.0, 2.0, (n, 2))
     return c._replace(y_x=slopes[:, 0], v_x=slopes[:, 1])

@@ -50,8 +50,6 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
                         help="RNG seed (default %(default)s)")
     parser.add_argument("--samples", type=int, default=RunConfig.samples,
                         help="sample-count knob; %(default)s reproduces the standard counts")
-    parser.add_argument("--margin", type=float, default=RunConfig.margin,
-                        help="chart sampling margin in radians (default %(default)s)")
 
 
 def _add_step(parser: argparse.ArgumentParser) -> None:
@@ -78,15 +76,15 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin,
-                    step=args.step, trajectories=args.trajectories)
+    cfg = RunConfig(seed=args.seed, samples=args.samples, step=args.step,
+                    trajectories=args.trajectories)
     report = run_all(cfg)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def cmd_brackets(args) -> int:
-    cfg = RunConfig(seed=args.seed, samples=args.samples, margin=args.margin)
+    cfg = RunConfig(seed=args.seed, samples=args.samples)
     _emit(bracket_table_for(cfg), args.out)
     return EXIT_OK
 

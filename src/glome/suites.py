@@ -66,8 +66,9 @@ LONG_RUN_STEP = 2.5e-4  # the widest admissible x-interval divided by 1e4 steps
 LONG_RUN_MAX_STEPS = 10_000  # so the long run never leaves [-1.25, 1.25]
 
 # On-shell draws keep |x| >= this clearance from the x = 0 line used elsewhere.
-# RunConfig bounds the margin so that at least half of their x-interval
-# [-(pi/2 - margin), pi/2 - margin] is clear of the line: else the sampler never ends.
+# The fixed sampling margin is at most pi/2 - 2 * _X_CLEARANCE, so at least half of
+# their x-interval [-(pi/2 - margin), pi/2 - margin] is clear of the line and the
+# sampler ends (a margin past about 1.52 rad would leave no draw clear).
 _X_CLEARANCE = 0.05
 
 
@@ -84,13 +85,18 @@ class ConfigError(ValueError):
     """A run configuration violates its invariants."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite; defaults reproduce the standard counts."""
+    """Knobs shared by every suite; defaults reproduce the standard counts.
+
+    margin is not a knob: every run samples the chart chart.DEFAULT_MARGIN
+    (0.1 rad) clear of cos x = 0 and cos y = 0, and the field records it in
+    the report's config.
+    """
 
     seed: int = 0
     samples: int = 1000
-    margin: float = chart.DEFAULT_MARGIN
+    margin: float = field(default=chart.DEFAULT_MARGIN, init=False)
     step: float = 1e-3
     trajectories: int = 50
 
@@ -99,9 +105,6 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
-        if not 0.0 < self.margin <= HALF_PI - 2 * _X_CLEARANCE:
-            raise ConfigError(f"margin must lie in (0, pi/2 - {2 * _X_CLEARANCE:g}],"
-                              f" got {self.margin}")
         if not geodesics.MIN_STEP <= self.step <= geodesics.MAX_STEP:
             raise ConfigError(f"step must lie in [{geodesics.MIN_STEP:g}, {geodesics.MAX_STEP:g}],"
                               f" got {self.step}")
@@ -181,11 +184,11 @@ def suite_variational(cfg: RunConfig) -> list[CheckResult]:
 
 def bracket_table_for(cfg: RunConfig) -> dict:
     """The bracket table a configuration identifies: max(10, samples // 20)
-    points drawn with seed + 17 inside the configured margin, at the
+    points drawn with seed + 17 inside the sampling margin, at the
     bracket_table tolerance.  Raises AmbiguousIdentification."""
     return symmetries.bracket_table(samples=max(10, cfg.samples // 20),
                                     tol=DEFAULT_TOLERANCES["bracket_table"],
-                                    seed=cfg.seed + 17, margin=cfg.margin)
+                                    seed=cfg.seed + 17)
 
 
 def _bracket_checks(cfg: RunConfig) -> tuple[CheckResult, CheckResult]:
@@ -327,7 +330,7 @@ def make_batch(cfg: RunConfig) -> TrajectoryBatch:
     return TrajectoryBatch(runs[:cfg.trajectories], runs[-1], runs[cfg.trajectories:-1])
 
 
-def suite_noether(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
+def suite_noether(batch: TrajectoryBatch) -> list[CheckResult]:
     """Charge drift plus the per-sample embedding diagnostics."""
     worst_drift = batch.long_run.noether_drift()
     worst_norm = float(np.max(batch.long_run.ambient_norm_residual))
@@ -345,7 +348,7 @@ def suite_noether(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
     ]
 
 
-def suite_oracle(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
+def suite_oracle(batch: TrajectoryBatch) -> list[CheckResult]:
     """Chart-integrated endpoints against exact ambient great circles."""
     worst = 0.0
     for traj in batch.trajectories:
@@ -413,7 +416,7 @@ def grid_search_k(traj: geodesics.Trajectory) -> float:
     return float(grid[lo + least])
 
 
-def suite_reduction(cfg: RunConfig, batch: TrajectoryBatch) -> list[CheckResult]:
+def suite_reduction(batch: TrajectoryBatch) -> list[CheckResult]:
     """Collapsed-equation consistency, the k oracle, alpha-constancy, and
     the totally geodesic 2-sphere slice."""
     worst_E = 0.0
@@ -452,9 +455,9 @@ def run_all(cfg: RunConfig) -> dict:
     checks += suite_collapsed_prolongation(cfg)
     checks += suite_flow(cfg)
     batch = make_batch(cfg)
-    checks += suite_noether(cfg, batch)
-    checks += suite_oracle(cfg, batch)
-    checks += suite_reduction(cfg, batch)
+    checks += suite_noether(batch)
+    checks += suite_oracle(batch)
+    checks += suite_reduction(batch)
     return {
         "config": asdict(cfg),
         "passed": all(c.passed for c in checks),

@@ -399,20 +399,20 @@ def _bracket_values(x, y, v) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(per_component, axis=-1), np.stack(brackets, axis=-1)
 
 
-def bracket_table(samples: int, tol: float, seed: int,
-                  margin: float = chart.DEFAULT_MARGIN) -> dict:
+def bracket_table(samples: int, tol: float, seed: int) -> dict:
     """Identify all 36 pairwise brackets of chi_1..chi_6 by identify_field's
-    rule, at the points of chart.domain_columns, as ``{"entries": grid}``:
-    6 rows of 6 identify_field results, [chi_i, chi_j] in row i - 1 and
-    column j - 1.  Each generator is evaluated once, and one _bracket call
-    (_bracket_values) and one broadcast reduction (_match) serve all 36
-    entries; if any fails, the first failing one in row-major order raises.
+    rule, at the points of chart.domain_columns (its default 0.1 rad margin),
+    as ``{"entries": grid}``: 6 rows of 6 identify_field results,
+    [chi_i, chi_j] in row i - 1 and column j - 1.  Each generator is
+    evaluated once, and one _bracket call (_bracket_values) and one
+    broadcast reduction (_match) serve all 36 entries; if any fails, the
+    first failing one in row-major order raises.
 
-    Deterministic for fixed (samples, tol, seed, margin).
+    Deterministic for fixed (samples, tol, seed).
     """
     if samples < 10:
         raise ValueError(f"need at least 10 sample points, got {samples}")
-    p = chart.domain_columns(samples, margin, seed)
+    p = chart.domain_columns(samples, seed=seed)
     generators, brackets = _bracket_values(p.x, p.y, p.v)
     names = [f"[chi{i},chi{j}]" for i in range(1, 7) for j in range(1, 7)]
     entries = _match(names, brackets.reshape((36,) + brackets.shape[2:]),

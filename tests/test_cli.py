@@ -77,7 +77,8 @@ def test_subcommands_reject_flags_they_do_not_read():
                  ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--json"],
                  ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--seed", "1"],
                  ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--samples", "9"],
-                 ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--margin", "0.2"]):
+                 ["integrate", "--initial", "0,0,0,0,0", "--x-end", "0.5", "--margin", "0.2"],
+                 ["verify", "--margin", "0.2"], ["brackets", "--margin", "0.2"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
@@ -91,7 +92,6 @@ def test_integrate_rejects_bad_step(tmp_path):
 
 def test_verify_rejects_bad_config():
     assert main(["verify", "--step", "0.5"]) == 2
-    assert main(["verify", "--margin", "3.2"]) == 2
     assert main(["verify", "--samples", "0"]) == 2
 
 
@@ -115,10 +115,10 @@ def test_brackets_default_stdout_bytes_are_pinned(capsys):
 @pytest.mark.skipif(not numpy_trig_is_math(),
                     reason="the residuals' last bits follow numpy's sin/cos, which differ from math's here")
 def test_brackets_second_seed_stdout_bytes_are_pinned(capsys):
-    # 20 points at seed 3 inside a 0.3 margin
-    assert main(["brackets", "--seed", "3", "--samples", "400", "--margin", "0.3"]) == 0
+    # 20 points at seed 3
+    assert main(["brackets", "--seed", "3", "--samples", "400"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "06bb76b036734e316682b5b756fa322c423a3315b920082f0535272bd96e7a72")
+        "b7c7632ae3f8dbb52bdef0de8d113317551c34defe31d2ef2fc53361870d10e1")
 
 
 @pytest.mark.skipif(not numpy_trig_is_math(),
@@ -570,9 +570,6 @@ EXIT_CODES = [
     # the sidecar of t.json would be t.json itself and overwrite the CSV
     ("ConfigError_integrate_json_out", ["integrate", "--initial=0,0.2,0.3,0.1,0.2", "--x-end",
                                         "0.5", "--out", "{tmp}/t.json"], None, 2),
-    # a margin past pi/2 - 0.1 leaves the on-shell sampler of verify few draws clear of
-    # x = 0 (none past about 1.52); brackets shares verify's RunConfig and refuses it too
-    ("ConfigError_brackets_margin_bound", ["brackets", "--margin", "1.55"], None, 2),
     # one field past the csv module's 131072-character limit
     ("TrajectoryCSVError_long_field", ["reduce", "{tmp}/long_field.csv"], None, 2),
     # argparse before Python 3.12 reads --opt=-- as an empty list

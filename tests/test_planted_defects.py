@@ -36,8 +36,8 @@ def _scaled(size: float):
 
 def _dynamics_failures(cfg: suites.RunConfig) -> set[str]:
     batch = suites.make_batch(cfg)
-    checks = (suites.suite_noether(cfg, batch) + suites.suite_oracle(cfg, batch)
-              + suites.suite_reduction(cfg, batch))
+    checks = (suites.suite_noether(batch) + suites.suite_oracle(batch)
+              + suites.suite_reduction(batch))
     return {c.name for c in checks if not c.passed}
 
 
@@ -183,7 +183,7 @@ TAU_SIZE = 1e-4  # at 1e-6 alpha_constancy reads 1.2e-5, too near its 1e-5 toler
 
 
 def _reduction_failures(cfg: suites.RunConfig) -> set[str]:
-    checks = suites.suite_flow(cfg) + suites.suite_reduction(cfg, suites.make_batch(cfg))
+    checks = suites.suite_flow(cfg) + suites.suite_reduction(suites.make_batch(cfg))
     return {c.name for c in checks if not c.passed}
 
 
@@ -219,7 +219,7 @@ def _nan_alphas(monkeypatch, rows: slice) -> None:
 ], ids=["alpha_half_nan", "alpha_one_nan"])
 def test_reduction_checks_fail_on_planted_nan_alphas(monkeypatch, batch, rows, failing):
     _nan_alphas(monkeypatch, rows)
-    assert {c.name for c in suites.suite_reduction(CFG, batch) if not c.passed} == failing
+    assert {c.name for c in suites.suite_reduction(batch) if not c.passed} == failing
 
 
 @pytest.fixture(scope="module")
@@ -239,4 +239,4 @@ def test_reduction_checks_fail_on_a_planted_k(monkeypatch, batch, size, failing)
     if size is not None:
         real = geo.infer_k
         monkeypatch.setattr(geo, "infer_k", lambda j: real(j) * (1.0 + size))
-    assert {c.name for c in suites.suite_reduction(CFG, batch) if not c.passed} == failing
+    assert {c.name for c in suites.suite_reduction(batch) if not c.passed} == failing

@@ -681,14 +681,15 @@ def test_determining_trials_in_one_pass_equal_lone_evaluations_bitwise(weights, 
 
 @bitwise
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2**16), st.integers(1, 60), st.sampled_from([0.1, 0.02]))
-def test_suite_determining_equals_per_trial_reference(seed, samples, margin):
-    cfg = suites.RunConfig(seed=seed, samples=samples, margin=margin)
+@given(st.integers(0, 2**16), st.integers(1, 60))
+def test_suite_determining_equals_per_trial_reference(seed, samples):
+    cfg = suites.RunConfig(seed=seed, samples=samples)
     rng = np.random.default_rng(seed + 101)
     worst = 0.0
     for trial in range(20):
         V = sym.general_symmetry(rng.uniform(-2.0, 2.0, 5))
-        points = chart.domain_columns(max(1, samples // 10), margin, seed + 300 + trial)
+        points = chart.domain_columns(max(1, samples // 10), chart.DEFAULT_MARGIN,
+                                      seed + 300 + trial)
         for r in sym.determining_residuals(V, points):
             worst = max(worst, float(np.max(np.abs(r), initial=0.0)))
     (check,) = suites.suite_determining(cfg)
@@ -1096,11 +1097,10 @@ def test_grid_search_k_equals_the_plain_sweep_on_adversarial_columns(columns):
 
 @bitwise
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**16), st.integers(1, 40), st.sampled_from([0.0, 0.25, 0.5, 0.9]),
-       st.sampled_from([0.1, 0.3]))
-def test_onshell_sampler_equals_per_draw_reference(seed, n, k, margin):
+@given(st.integers(0, 2**16), st.integers(1, 40), st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+def test_onshell_sampler_equals_per_draw_reference(seed, n, k):
     rng = np.random.default_rng(seed)
-    lim = chart.HALF_PI - margin
+    lim = chart.HALF_PI - chart.DEFAULT_MARGIN
     want = []
     while len(want) < n:
         x = float(rng.uniform(-lim, lim))
@@ -1116,18 +1116,18 @@ def test_onshell_sampler_equals_per_draw_reference(seed, n, k, margin):
         if abs(y_xx) > 50.0:
             continue
         want.append((x, y, y_x, y_xx))
-    got = suites._onshell_collapsed_jets(suites.RunConfig(margin=margin), k, n, seed)
+    got = suites._onshell_collapsed_jets(suites.RunConfig(), k, n, seed)
     assert np.column_stack([got.x, got.y, got.y_x, got.y_xx]).tobytes() == np.array(want).tobytes()
 
 
 @bitwise
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2**16), st.integers(1, 60), st.sampled_from([0.1, 0.02]))
-def test_suite_flow_equals_per_point_reference(seed, samples, margin):
-    cfg = suites.RunConfig(seed=seed, samples=samples, margin=margin)
+@given(st.integers(0, 2**16), st.integers(1, 60))
+def test_suite_flow_equals_per_point_reference(seed, samples):
+    cfg = suites.RunConfig(seed=seed, samples=samples)
     rng = np.random.default_rng(seed + 23)
     worst = [0.0] * 4  # omega invariance, tau shift, group law, chi3 directional
-    for p in chart.sample_domain(samples, margin, seed + 23):
+    for p in chart.sample_domain(samples, chart.DEFAULT_MARGIN, seed + 23):
         x, y = p.x, p.y
         lam1 = float(rng.uniform(-1.0, 1.0))
         lam2 = float(rng.uniform(-1.0, 1.0))

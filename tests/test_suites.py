@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -80,13 +81,25 @@ def test_run_size_bounds():
 
 
 def test_margin_leaves_the_onshell_sampler_clear_of_x_zero():
-    # past pi/2 - 0.1 the on-shell sampler's x-clearance rejects more than half of the
-    # draws, and past about 1.52 every draw, so the sampler never ended
-    for margin in (1.55, chart.HALF_PI - 0.0999, chart.HALF_PI, 0.0):
-        with pytest.raises(suites.ConfigError, match=r"margin must lie in \(0, pi/2 - 0\.1\]"):
-            suites.RunConfig(margin=margin)
-    cfg = suites.RunConfig(samples=50, margin=chart.HALF_PI - 0.1)
+    # past pi/2 - 0.1 the on-shell sampler's x-clearance would reject more than half of
+    # the draws, and past about 1.52 every draw, so the sampler would never end; the
+    # margin is a constant that no configuration can set
+    assert chart.DEFAULT_MARGIN <= chart.HALF_PI - 2 * suites._X_CLEARANCE
+    with pytest.raises(TypeError):
+        suites.RunConfig(margin=0.2)
+    cfg = suites.RunConfig(samples=50)
+    assert cfg.margin == chart.DEFAULT_MARGIN
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
     assert [c.name for c in suites.suite_collapsed_prolongation(cfg)] == ["collapsed_prolongation"]
+
+
+def test_report_config_records_every_field_with_the_fixed_margin():
+    # the sha pins of the report skip where numpy's trig differs from math's; this does not
+    config = suites.run_all(suites.RunConfig(samples=50, trajectories=5, step=5e-3))["config"]
+    assert list(config) == ["seed", "samples", "margin", "step", "trajectories"]
+    assert config == {"seed": 0, "samples": 50, "margin": 0.1, "step": 5e-3, "trajectories": 5}
 
 
 def test_grid_search_k_does_not_depend_on_its_block_size(monkeypatch):
@@ -131,9 +144,8 @@ def test_a_nan_curvature_fails_the_k_oracle():
     assert geo.infer_k(traj.jet(0)) < 1e-3
     traj.curvature[3, 0] = math.nan
     assert math.isnan(suites.grid_search_k(traj))
-    cfg = suites.RunConfig(samples=50, trajectories=1, step=5e-3)
     checks = {c.name: c.as_dict() for c in
-              suites.suite_reduction(cfg, suites.TrajectoryBatch([traj], traj, []))}
+              suites.suite_reduction(suites.TrajectoryBatch([traj], traj, []))}
     oracle = checks["k_grid_agreement"]
     assert (oracle["passed"], oracle["max_residual"]) == (False, None)
     assert oracle["error"] == "max_residual evaluated to nan"
@@ -222,5 +234,5 @@ def test_a_nan_endpoint_error_fails_the_oracle(monkeypatch):
     batch = suites.make_batch(cfg)
     errors = iter([1e-12, float("nan"), 1e-12, 1e-12, 1e-12])
     monkeypatch.setattr(geo, "endpoint_error_vs_great_circle", lambda traj: next(errors))
-    (check,) = suites.suite_oracle(cfg, batch)
+    (check,) = suites.suite_oracle(batch)
     assert not check.passed and check.as_dict()["max_residual"] is None

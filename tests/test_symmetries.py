@@ -154,7 +154,7 @@ def test_variational_residual_translation_exact():
 
 
 def test_variational_residual_all_generators():
-    jets = chart.jet_columns(1000, 0.1, seed=8, max_slope=2.0)
+    jets = chart.jet_columns(1000, 0.1, seed=8)
     for i in range(1, 7):
         V = sym.chi(i)
         worst = np.max(np.abs(sym.variational_residual(V, jets)))
@@ -525,7 +525,7 @@ def test_prolong2_generators_annihilate_euler_lagrange_on_shell():
     """Variational symmetries are symmetries of the stationarity equations:
     the second prolongation of each generator kills both Euler-Lagrange
     expressions on the solution manifold."""
-    c = chart.jet_columns(200, 0.1, seed=17, max_slope=2.0)
+    c = chart.jet_columns(200, 0.1, seed=17)
     jets = [chart.jet1(*row) for row in zip(*(a.tolist() for a in c[:5]))]
     worst = 0.0
     for i in range(1, 7):
