@@ -26,7 +26,8 @@ functions it hands over close over constants, seeds and coefficient
 functions only.
 
 The elementary functions (`sin`, `cos`, `tan`, `sec`, `sqrt`, `arcsin`,
-`arctan`, `atan2`) and `power` accept plain floats or :class:`DualScalar`
+`arctan`, `atan2`), `power` and `sec_tan` (sec and tan of one argument
+together) accept plain floats or :class:`DualScalar`
 values and can be nested to any depth.  They raise :class:`DomainError`
 instead of returning non-finite values, because the chart singularities
 cos x = 0 and cos y = 0 lurk behind most expressions built on top of them.
@@ -314,6 +315,31 @@ def sec(u):
     c = cos(u)
     _guard(abs(c) < _POLE_TOL, "sec", u, "cosine of the argument vanishes")
     return 1.0 / c
+
+
+def sec_tan(u, first: str):
+    """(sec u, tan u), bitwise equal to (sec(u), tan(u)).
+
+    sec's dual rule needs the tan of the dual's value, so apart the two
+    map math.tan twice or more at a dual u; together they form cos, 1/cos
+    and the math.tan map of each layer once, as _sincos does for sin and
+    cos.  A pole raises the DomainError of ``first`` ("sec" or "tan"),
+    the one of the two that the caller reads first; an infinite argument
+    raises as in tan.
+    """
+    if isinstance(u, DualScalar):
+        c = cos(u.value)
+        s, t = _sec_tan(u.value, c, first)
+        return DualScalar(s, s * t * u.derivative), DualScalar(t, u.derivative / (c * c))
+    return _sec_tan(u, cos(u), first)
+
+
+def _sec_tan(u, c, first: str):
+    """sec_tan(u, first) given c = cos u, which a dual's tan rule needs too."""
+    if isinstance(u, DualScalar):
+        return sec_tan(u, first)
+    _guard(abs(c) < _POLE_TOL, first, u, "cosine of the argument vanishes")
+    return 1.0 / c, _map(math.tan, u)
 
 
 def sqrt(u):

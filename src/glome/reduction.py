@@ -75,7 +75,16 @@ def global_flow(x, y, lam):
     BranchExit fires there, as it does at or beyond the poles; the image
     arcsin(+-1) = +-pi/2 would lie off the chart.  Dual-capable in all
     three arguments, and array-valued over arrays of points (BranchExit
-    names the first lambda that leaves the branch).
+    names the first lambda that leaves the branch, in row-major order).
+
+    The arguments broadcast as numpy does: a (k, n) lambda against (n,)
+    points gives k orbits of each point in one call, row r equal bitwise to
+    the call at row r's lambda, with the point's sin x, cos x, sin y,
+    tan x, tan y and sec y formed once for all k.  suites.suite_flow so
+    takes the orbits by lambda1 and by lambda1 + lambda2 in one call, and
+    then the orbit of their (X, Y) image by lambda2; an exit on the
+    lambda1 + lambda2 orbit is therefore raised before one on the
+    (X, Y, lambda2) orbit.  Neither can happen at the 0.1 rad margin.
     """
     s = sin(x) * cos(lam) - cos(x) * sin(y) * sin(lam)
     off = np.abs(jetcalc.real_value(s)) >= 1.0

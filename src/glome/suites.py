@@ -10,7 +10,10 @@ trajectories of span 0.8 at the configured step for the dynamics suites.
 
 All suites are deterministic given the configuration.  A symmetry or
 flow check evaluates its sample points (chart.JetColumns) in one
-array-valued pass, or one per generator or per k, drawn by the same
+array-valued pass, whose rows stack the draws it makes apart: the 20
+determining trials, the four k of the collapsed prolongation, the orbits
+by lambda1 and lambda1 + lambda2 from one point (the group law then takes
+one more orbit, from their images).  The points are drawn by the same
 random calls as per-point sampling, so every residual equals its
 per-point value bitwise.  A trajectory check runs once per trajectory,
 over that trajectory's rows at once (Trajectory.columns) where it is a
@@ -251,16 +254,25 @@ def _onshell_collapsed_jets(cfg: RunConfig, k_value: float, n: int, seed: int):
     return chart.JetColumns(x, y, 0.0, y_x, 0.0, y_xx, 0.0)
 
 
+_COLLAPSED_KS = (0.0, 0.25, 0.5, 0.9)  # the k of suite_collapsed_prolongation
+
+
 def suite_collapsed_prolongation(cfg: RunConfig) -> list[CheckResult]:
-    """pr2(chi3) annihilates the collapsed equation on its solution set."""
+    """pr2(chi3) annihilates the collapsed equation on its solution set.
+
+    The on-shell jets of the k in _COLLAPSED_KS are drawn one k at a time,
+    k index i with seed + 500 + i, then stacked as the rows of (4, n)
+    columns and evaluated in one pass, with k a (4, 1) column.
+    """
     n = max(1, cfg.samples // 5)
-    chi3 = symmetries.chi(3)
-    worst = 0.0
-    for idx, k_value in enumerate((0.0, 0.25, 0.5, 0.9)):
-        F = geodesics.collapsed_fn(k_value)
-        jets = _onshell_collapsed_jets(cfg, k_value, n, cfg.seed + 500 + idx)
-        worst = _worst(worst, symmetries.prolong2_apply(chi3, F, jets))
-    return [_result("collapsed_prolongation", worst)]
+    draws = [_onshell_collapsed_jets(cfg, k_value, n, cfg.seed + 500 + idx)
+             for idx, k_value in enumerate(_COLLAPSED_KS)]
+    x, y, y_x, y_xx = (np.stack([getattr(j, slot) for j in draws])
+                       for slot in ("x", "y", "y_x", "y_xx"))
+    jets = chart.JetColumns(x, y, 0.0, y_x, 0.0, y_xx, 0.0)
+    F = geodesics.collapsed_fn(np.array(_COLLAPSED_KS)[:, None])
+    return [_result("collapsed_prolongation",
+                    _worst(0.0, symmetries.prolong2_apply(symmetries.chi(3), F, jets)))]
 
 
 def suite_flow(cfg: RunConfig) -> list[CheckResult]:
@@ -268,7 +280,8 @@ def suite_flow(cfg: RunConfig) -> list[CheckResult]:
     points = chart.domain_columns(cfg.samples, cfg.margin, cfg.seed + 23)
     x, y = points.x, points.y
     lam1, lam2 = np.random.default_rng(cfg.seed + 23).uniform(-1.0, 1.0, (cfg.samples, 2)).T
-    X, Y = reduction.global_flow(x, y, lam1)
+    # the orbits from (x, y) by lambda1 and by lambda1 + lambda2, in one call
+    (X, X12), (Y, Y12) = reduction.global_flow(x, y, np.stack((lam1, lam1 + lam2)))
     worst_omega = _worst(
         0.0, reduction.omega_coordinate(X, Y) - reduction.omega_coordinate(x, y))
     both = reduction.tau_defined(x) & reduction.tau_defined(X)  # tau at the point and its image
@@ -276,7 +289,6 @@ def suite_flow(cfg: RunConfig) -> list[CheckResult]:
              - reduction.tau_coordinate(x[both], y[both]) - lam1[both])
     worst_tau = _worst(0.0, reduction.wrap_mod_pi(delta))
     X2, Y2 = reduction.global_flow(X, Y, lam2)
-    X12, Y12 = reduction.global_flow(x, y, lam1 + lam2)
     worst_group = _worst(_worst(0.0, X2 - X12), Y2 - Y12)
     # invariant coordinate is annihilated by the generator's (xi, phi), regular at x = 0 too
     _, d_omega = jetcalc.directional(

@@ -12,10 +12,12 @@ Every downstream use is a pointwise evaluation with dual numbers from
 :mod:`glome.jetcalc`, and one evaluation yields all three coefficients.
 Each generator's formulas are written once (_GENERATORS), over the
 trigonometric factors of one evaluation (_Factors): cos v, sin v, tan x,
-cos y, sin y, tan y and sec y, each formed on first use.  A lone chi(i)
-forms only its own factors; the six together (_coefficients) form each
-once, so one pass of all six maps math.tan 3 times where six passes map
-it 7 times.
+cos y, sin y, tan y and sec y, each formed on first use, sec y and tan y
+together from one jetcalc.sec_tan.  A lone chi(i) forms only the factors
+it reads (and the partner of sec y or tan y); the six together
+(_coefficients) form each once, so one pass of all six maps math.tan
+twice (tan x, and tan y for both tan y and sec y's derivative) where six
+passes map it 7 times.
 
 The evaluations are coordinate-generic.  A residual function given a
 :class:`~glome.chart.JetColumns` of n samples in place of one float-valued
@@ -47,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import chart
-from .jetcalc import cos, sin, tan, sec, directional, value_and_gradn
+from .jetcalc import cos, sin, tan, sec_tan, directional, value_and_gradn
 
 
 class AmbiguousIdentification(RuntimeError):
@@ -61,10 +63,12 @@ _Field = Callable[[object, object, object], tuple]
 class _factor:
     """A factor of _Factors: ``rule`` of the point's coordinate ``arg``,
     formed on first read and stored on the instance, whose attribute then
-    answers every later read (a descriptor without __set__ yields to it)."""
+    answers every later read (a descriptor without __set__ yields to it).
+    A factor with a ``partner`` shares its rule with it: the rule returns
+    both, this factor first, and the first read of either stores both."""
 
-    def __init__(self, rule, arg: str):
-        self.rule, self.arg = rule, arg
+    def __init__(self, rule, arg: str, partner: str | None = None):
+        self.rule, self.arg, self.partner = rule, arg, partner
 
     def __set_name__(self, owner, name: str):
         self.name = name
@@ -72,7 +76,10 @@ class _factor:
     def __get__(self, factors, owner=None):
         if factors is None:
             return self
-        value = factors.__dict__[self.name] = self.rule(getattr(factors, self.arg))
+        value = self.rule(getattr(factors, self.arg))
+        if self.partner is not None:
+            value, factors.__dict__[self.partner] = value
+        factors.__dict__[self.name] = value
         return value
 
 
@@ -80,7 +87,8 @@ class _Factors:
     """The trigonometric factors the generators share at one point (x, y, v).
 
     Each is formed on first use and then read, so a lone generator forms
-    only its own and the six together form each once.  A generator reads
+    only its own and the six together form each once; sec y and tan y are
+    formed together, since sec y's dual rule needs tan y.  A generator reads
     them in its formulas' operand order, so every coefficient has the bits
     of its formula evaluated on its own.  Built per evaluation; nothing
     outlives it.
@@ -91,8 +99,9 @@ class _Factors:
     tan_x = _factor(tan, "x")
     cos_y = _factor(cos, "y")
     sin_y = _factor(sin, "y")
-    tan_y = _factor(tan, "y")
-    sec_y = _factor(sec, "y")
+    # one sec_tan forms both; a pole raises the DomainError of the one read first
+    tan_y = _factor(lambda y: sec_tan(y, "tan")[::-1], "y", partner="sec_y")
+    sec_y = _factor(lambda y: sec_tan(y, "sec"), "y", partner="tan_y")
 
     def __init__(self, x, y, v):
         self.x, self.y, self.v = x, y, v

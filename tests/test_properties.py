@@ -323,6 +323,57 @@ def test_tan_sec_array_branches_match_mpmath(xs):
         assert _ulps(nested.derivative, d2) <= bound
 
 
+# either side of the 0.1 rad margin by up to 1e-3, of either sign
+_EDGE = chart.HALF_PI - chart.DEFAULT_MARGIN
+near_margin = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-1e-3, 1e-3)).map(
+    lambda se: se[0] * (_EDGE + se[1]))
+sec_tan_angle = st.floats(-1.4, 1.4) | near_margin | st.sampled_from([0.0, -0.0])
+
+
+def _lifted(u, d, depth: int):
+    """``u`` under ``depth`` dual layers, each with derivative ``d``."""
+    for _ in range(depth):
+        u = jc.DualScalar(u, d)
+    return u
+
+
+@bitwise
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sec_tan_angle, min_size=1, max_size=12), slope)
+@example([0.0, -0.0, _EDGE, -_EDGE, _EDGE + 1e-3, -_EDGE - 1e-3], 1.0)
+def test_sec_tan_equals_sec_and_tan_bitwise(xs, d):
+    for u in (xs[0], np.array(xs)):
+        for depth in (0, 1, 2):
+            w = _lifted(u, d, depth)
+            for first in ("sec", "tan"):
+                _same_bits(jc.sec_tan(w, first), (jc.sec(w), jc.tan(w)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior, st.data())
+def test_sec_tan_raises_the_error_of_the_function_read_first(xs, data):
+    bad = sorted(data.draw(st.sets(st.integers(0, len(xs) - 1), min_size=1)))
+    poles = np.array(xs)
+    poles[bad] = data.draw(st.sampled_from([math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-13]))
+    for u in (float(poles[bad[0]]), poles):
+        for depth in (0, 1, 2):
+            w = _lifted(u, 1.0, depth)
+            for first, f in (("sec", jc.sec), ("tan", jc.tan)):
+                want = _outcome_of(lambda: f(w))
+                assert want[0] == "DomainError" and want[1].startswith(first)
+                assert _outcome_of(lambda: jc.sec_tan(w, first)) == want
+
+
+def test_sec_tan_raises_at_an_infinite_argument_as_tan_does():
+    for u in (math.inf, np.array([0.3, -math.inf])):
+        for depth in (0, 1, 2):
+            w = _lifted(u, 1.0, depth)
+            want = _outcome_of(lambda: jc.tan(w))
+            assert want[0] == "DomainError"
+            for first in ("sec", "tan"):
+                assert _outcome_of(lambda: jc.sec_tan(w, first)) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(bases, exponents)
 def test_power_helper_equals_python_power_bitwise(xs, n):
@@ -1118,6 +1169,38 @@ def test_onshell_sampler_equals_per_draw_reference(seed, n, k):
         want.append((x, y, y_x, y_xx))
     got = suites._onshell_collapsed_jets(suites.RunConfig(), k, n, seed)
     assert np.column_stack([got.x, got.y, got.y_x, got.y_xx]).tobytes() == np.array(want).tobytes()
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(chart_angle, chart_angle, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=10))
+@example([(0.0, -0.0, 0.0, -0.0), (1.4, -1.4, 1.0, -1.0)])
+def test_global_flow_of_stacked_lambdas_equals_one_call_per_row_bitwise(rows):
+    x, y, lam1, lam2 = (np.array(c) for c in zip(*rows))
+    X, Y = red.global_flow(x, y, np.stack((lam1, lam2)))
+    assert X.shape == Y.shape == (2, len(rows))
+    for r, lam in enumerate((lam1, lam2)):
+        want = red.global_flow(x, y, lam)
+        assert (_bits(X[r]), _bits(Y[r])) == tuple(map(_bits, want))
+
+
+@bitwise
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 60))
+def test_stacked_collapsed_prolongation_equals_one_pass_per_k_bitwise(seed, samples):
+    # suite_collapsed_prolongation's (4, n) pass against one pass per k
+    cfg = suites.RunConfig(seed=seed, samples=samples)
+    n = max(1, samples // 5)
+    ks = suites._COLLAPSED_KS
+    draws = [suites._onshell_collapsed_jets(cfg, k, n, seed + 500 + i) for i, k in enumerate(ks)]
+    want = [sym.prolong2_apply(sym.chi(3), geo.collapsed_fn(k), j) for k, j in zip(ks, draws)]
+    stacked = chart.JetColumns(*(np.stack(c) if isinstance(c[0], np.ndarray) else c[0]
+                                 for c in zip(*draws)))
+    got = sym.prolong2_apply(sym.chi(3), geo.collapsed_fn(np.array(ks)[:, None]), stacked)
+    assert _bits(got) == _bits(want)
+    (check,) = suites.suite_collapsed_prolongation(cfg)
+    assert _bits([check.max_residual]) == _bits([max(float(np.max(np.abs(w))) for w in want)])
 
 
 @bitwise

@@ -7,7 +7,7 @@ import pytest
 
 from glome import chart
 from glome import geodesics as geo
-from glome import suites, symmetries
+from glome import reduction, suites, symmetries
 
 import reference
 
@@ -200,7 +200,7 @@ def _once(*generators):
     (suites.suite_determining, _once(1, 2, 3, 4, 5)),
     (suites.suite_variational, _once(1, 2, 3, 4, 5, 6)),
     (suites.suite_bracket_table, _once(1, 2, 3, 4, 5, 6)),
-    (suites.suite_collapsed_prolongation, {3: 4}),  # one per k
+    (suites.suite_collapsed_prolongation, _once(3)),
     (suites.suite_flow, _once(3)),
 ], ids=["determining", "variational", "bracket_table", "collapsed_prolongation", "flow"])
 def test_each_symmetry_check_evaluates_each_generator_once(monkeypatch, suite, evaluations):
@@ -218,6 +218,20 @@ def test_each_symmetry_check_evaluates_each_generator_once(monkeypatch, suite, e
     checks = suite(suites.RunConfig(samples=100))
     assert all(c.passed for c in checks)
     assert dict(calls) == evaluations
+
+
+def test_suite_flow_takes_the_two_orbits_from_a_point_in_one_call(monkeypatch):
+    # the orbits by lambda1 and by lambda1 + lambda2 from (x, y) share one
+    # call; the orbit by lambda2 from their (X, Y) image takes the second
+    calls, real = [], reduction.global_flow
+
+    def counted(x, y, lam):
+        calls.append((np.shape(x), np.shape(lam)))
+        return real(x, y, lam)
+
+    monkeypatch.setattr(reduction, "global_flow", counted)
+    assert all(c.passed for c in suites.suite_flow(suites.RunConfig(samples=100)))
+    assert calls == [((100,), (2, 100)), ((100,), (100,))]
 
 
 def test_a_nan_residual_is_the_worst():

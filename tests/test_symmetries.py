@@ -359,17 +359,18 @@ def _tan_maps(monkeypatch) -> list:
 def test_each_shared_factor_is_formed_once_per_evaluation(monkeypatch):
     # six passes one generator at a time map math.tan 7 times: tan x in chi1,
     # chi2 and chi3, tan y in chi4 and chi5, and the derivative of sec y in
-    # chi1 and chi2; the stacked pass maps tan x, tan y and sec y's tan y once
+    # chi1 and chi2; the stacked pass maps tan x once, and tan y once for
+    # both tan y and sec y (jetcalc.sec_tan)
     p = chart.domain_columns(10, 0.1, 7)
     maps = _tan_maps(monkeypatch)
     sym._generator_jets(p.x, p.y, p.v)
-    assert maps == [(10,)] * 3
+    assert maps == [(10,)] * 2
     del maps[:]
     jc.value_and_gradn(sym.chi(3), (p.x, p.y, p.v))  # a lone generator forms only its own
     assert maps == [(10,)]
     del maps[:]
     sym.variational_residuals(chart.jet_columns(10, 0.1, seed=7))
-    assert len(maps) == 3
+    assert len(maps) == 2
 
 
 def test_variational_residuals_take_one_pass_of_each_kind(monkeypatch):
@@ -397,6 +398,17 @@ def test_a_failing_stacked_pass_raises_the_first_generators_domain_error(column,
             call()
         assert (str(err.value), err.value.func, err.value.argument, err.value.index) == (
             want, want[:3], math.pi / 2 - 1e-13, (1,))
+
+
+@pytest.mark.parametrize("generator, func", [(1, "sec"), (2, "sec"), (4, "tan"), (5, "tan")])
+def test_a_lone_generator_raises_the_domain_error_of_the_y_factor_it_reads_first(generator, func):
+    # sec y and tan y come from one jetcalc.sec_tan; chi1 and chi2 read sec y,
+    # chi4 and chi5 read tan y, and the pole error names the factor read
+    point = (np.array([0.3, 0.5]), np.array([0.2, math.pi / 2 - 1e-13]), np.array([1.0, 2.0]))
+    with pytest.raises(jc.DomainError) as err:
+        jc.value_and_gradn(sym.chi(generator), point)
+    assert str(err.value) == (f"{func} evaluated at 1.5707963267947966 (at evaluation point"
+                              " (0.5, 1.5707963267947966, 2.0), index (1,))")
 
 
 def test_lie_bracket_takes_one_gradient_pass_per_field(monkeypatch):
