@@ -324,19 +324,15 @@ def _stage(x, u, stopped: dict, at):
     step-start abscissa ``at`` are arrays with one abscissa per column; or
     u is a lone state's four floats (y, v, y_x, v_x), x and ``at`` are
     floats, the state is column 0, and its slopes come back as four
-    floats.  One ``stopped`` record spans the four stages of a step and
-    maps a column to its outcome: the exception that stops it, or None
-    once it is complete.  A column with no outcome yet whose state leaves
-    the chart, raises DomainError or meets a singular system, in that
-    order of precedence, gets its exception there: DomainExit at ``at``
-    naming the stage's abscissa and state, or with the domain guard's
-    message; SingularSystem with the determinant at ``at``.  Every column
-    in the record gets zero slopes, so the later stages of the step
-    evaluate it at its step-start state.  A batch's chart test runs once
-    over the whole array (a nan fails it), and each test runs column by
-    column only where that fails.  A lone state whose kernel raises
-    DomainError is evaluated again as a batch of one, so the guard's
-    message names its index as a batch's does.
+    floats.  A column with no entry in the step's ``stopped`` record whose
+    state leaves the chart, raises DomainError or meets a singular system,
+    in that order, gets DomainExit at ``at`` naming the stage's abscissa
+    and state or the guard's message, or SingularSystem with the
+    determinant at ``at``.  Every column in the record gets zero slopes,
+    so the step's later stages evaluate it at its step-start state.  A
+    lone state whose kernel raises DomainError is evaluated again as a
+    batch of one, so the guard's message names its index as a batch's
+    does.
     """
     # x needs no test: |x_i| <= pi/2 - POLE_MARGIN and |x - x_i| <= MAX_STEP < POLE_MARGIN
     lone = isinstance(u, tuple)
@@ -384,18 +380,43 @@ def _stage(x, u, stopped: dict, at):
     return tuple(k[:, 0].tolist()) if lone else k
 
 
-def _axpy(u: tuple, a: float, k: tuple) -> tuple:
-    """u + a * k for a lone state's four floats, each component as numpy forms it."""
-    return u[0] + a * k[0], u[1] + a * k[1], u[2] + a * k[2], u[3] + a * k[3]
+def _axpy(u, a, k):
+    """u + a * k, for a lone state's four floats each component as numpy forms it."""
+    if isinstance(u, tuple):
+        return u[0] + a * k[0], u[1] + a * k[1], u[2] + a * k[2], u[3] + a * k[3]
+    return u + a * k
 
 
-def _rk4_update(u: tuple, sixth: float, k1: tuple, k2: tuple, k3: tuple, k4: tuple) -> tuple:
-    """u + sixth * (k1 + 2 k2 + 2 k3 + k4) for a lone state's four floats,
+def _rk4_update(u, sixth, k1, k2, k3, k4):
+    """u + sixth * (k1 + 2 k2 + 2 k3 + k4), for a lone state's four floats
     each component as numpy forms it."""
-    return (u[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            u[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            u[2] + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-            u[3] + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]))
+    if isinstance(u, tuple):
+        return (u[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                u[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+                u[2] + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+                u[3] + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]))
+    return u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_step(slope, x, u, dx, k1):
+    """The state one classic RK4 step of dx past u at x, whose first slope is k1.
+
+    u is a (4, m) array with one state per column, and x and dx are arrays
+    with one value per column; or u is a lone state's four floats, and x
+    and dx are floats.  slope(x, u) returns the slopes at x of states in
+    u's form.  Stages 2-4 evaluate it at x + dx/2, x + dx/2 and x + dx;
+    each stage input and the update are formed by :func:`_axpy` and
+    :func:`_rk4_update`, a float state's component by component in
+    numpy's operation order, so each column of an array step repeats its
+    lone step bitwise.  The caller evaluates k1, so it can keep stage 1's
+    curvature and mark completion before stage 2.
+    """
+    half = 0.5 * dx
+    mid = x + half
+    k2 = slope(mid, _axpy(u, half, k1))
+    k3 = slope(mid, _axpy(u, half, k2))
+    k4 = slope(x + dx, _axpy(u, dx, k3))
+    return _rk4_update(u, dx / 6.0, k1, k2, k3, k4)
 
 
 def _per_jet(value, count: int, name: str) -> list[float]:
@@ -430,36 +451,21 @@ def integrate_batch(jets, x_end, step) -> list:
 
     Each jet starts at its own x; x_end and step are floats shared by all
     jets or sequences with one value per jet (x_end may be infinite, not
-    nan).  Each element repeats the
-    arithmetic of a lone run, so the result for a jet does not depend on
-    its batch.  A jet's step count is chosen so its grid lands exactly on
-    its x_end (the realized step never exceeds the requested magnitude,
-    which must lie in [MIN_STEP, MAX_STEP]).  All jets' rows share one
-    buffer, allocated for each jet only up to its pole margin, so a far
-    x_end costs no memory it cannot use.  Each step's first stage is the
-    curvature at its sample, so a trajectory keeps it.  Each step keeps
-    one outcome record per jet, written as the step runs and never
-    overwritten: the exception that stops the jet, or None when it is
-    complete.  The jets the record holds leave the batch together at the
-    step's end; a jet at its final sample rides that step too.  While two
-    or more jets are live, the state is a (4, live) array and each test
-    runs once over the arrays.  Once one jet is live (from the start for a
-    lone run), its state is four Python floats: :func:`_stage` takes and
-    returns them, each stage input and the step update are formed
-    component by component in numpy's operation order, so every bit is
-    the same, the step-end tests run on floats, and each row and each
-    curvature is written with one assignment.
+    nan; |step| must lie in [MIN_STEP, MAX_STEP]).  A jet's step count is
+    chosen so its grid lands exactly on its x_end, and its result equals
+    its lone run bitwise, whatever its batch.
 
-    Returns one entry per jet: its Trajectory, or the exception that
-    stopped it -- DomainExit when the jet starts outside the 0.05 rad pole
-    margin or with slopes that overflow the integrand, has a stage leave
-    the chart or fail a domain guard, breaches the margin or becomes
-    non-finite; SingularSystem when the
-    Euler-Lagrange system degenerates.  Both carry the partial trajectory
-    integrated so far (None when the jet never started).  A stopped jet
-    freezes; the others continue.  At step i the record is written in
-    this order, so the first of these that applies wins, and a partial
-    trajectory holds rows 0..i:
+    Returns one entry per jet: its Trajectory, with the curvature RK4
+    evaluated at each sample, or the exception that stopped it --
+    DomainExit when the jet starts outside the 0.05 rad pole margin or
+    with slopes that overflow the integrand, has a stage leave the chart
+    or fail a domain guard, breaches the margin or becomes non-finite;
+    SingularSystem when the Euler-Lagrange system degenerates.  Both carry
+    the partial trajectory integrated so far (None when the jet never
+    started).  A stopped jet freezes; the others continue.  Each step
+    keeps one outcome record per jet, never overwritten, so at step i the
+    first of these that applies wins, and a partial trajectory holds rows
+    0..i:
 
     1. a stage-1 failure raises its exception at x_i;
     2. a jet at its final sample is a complete Trajectory, with curvature;
@@ -518,17 +524,13 @@ def integrate_batch(jets, x_end, step) -> list:
             if live.size < 2:
                 break
             stopped: dict = {}
-            k1 = _stage(x, u, stopped, x)
+            slope = lambda xs, us, stopped=stopped, at=x: _stage(xs, us, stopped, at)
+            k1 = slope(x, u)
             curvature[base + i] = k1[2:].T
             if i in ends:  # at its final sample a jet that stage 1 passed is complete
                 for c in np.flatnonzero(n[live] == i).tolist():
                     stopped.setdefault(c, None)
-            half = 0.5 * dx
-            mid = x + half
-            k2 = _stage(mid, u + half * k1, stopped, x)
-            k3 = _stage(mid, u + half * k2, stopped, x)
-            k4 = _stage(x + dx, u + dx * k3, stopped, x)
-            u = u + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u = _rk4_step(slope, x, u, dx, k1)
             x = start + (i + 1) * dx
             if not (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
                     and (np.abs(x) <= lim).all()):
@@ -549,18 +551,14 @@ def integrate_batch(jets, x_end, step) -> list:
             (jet,) = live.tolist()
             start, dx, base, final = float(x0[jet]), float(h[jet]), int(first[jet]), int(n[jet])
             x, u = x.item(), tuple(u[:, 0].tolist())
-            half, sixth = 0.5 * dx, dx / 6.0
             for i in range(i, final + 1):
                 stopped = {}
-                k1 = _stage(x, u, stopped, x)
+                slope = lambda xs, us, stopped=stopped, at=x: _stage(xs, us, stopped, at)
+                k1 = slope(x, u)
                 curvature[base + i] = k1[2:]
                 if i == final:  # at its final sample a jet that stage 1 passed is complete
                     stopped.setdefault(0, None)
-                mid = x + half
-                k2 = _stage(mid, _axpy(u, half, k1), stopped, x)
-                k3 = _stage(mid, _axpy(u, half, k2), stopped, x)
-                k4 = _stage(x + dx, _axpy(u, dx, k3), stopped, x)
-                u = _rk4_update(u, sixth, k1, k2, k3, k4)
+                u = _rk4_step(slope, x, u, dx, k1)
                 x = start + (i + 1) * dx
                 y, v, y_x, v_x = u
                 if not (abs(y) <= lim and abs(x) <= lim and math.isfinite(v)

@@ -322,6 +322,43 @@ def test_integrate_observed_order_is_four():
     assert all(14.0 <= r <= 18.0 for r in ratios), (errors, ratios)
 
 
+def _harmonic(x, u):
+    """Slopes of y'' = -y, v'' = -v at a state (y, v, y_x, v_x) in either form."""
+    if isinstance(u, tuple):
+        y, v, y_x, v_x = u
+        return y_x, v_x, -y, -v
+    return np.array([u[2], u[3], -u[0], -u[1]])
+
+
+def _rk4_steps(x, u, dx, steps):
+    for _ in range(steps):
+        u = geo._rk4_step(_harmonic, x, u, dx, _harmonic(x, u))
+        x = x + dx
+    return u
+
+
+def test_rk4_core_is_fourth_order_and_each_column_repeats_its_lone_step():
+    # from (y, v, y_x, v_x) = (a, b, c, d) at x = 0 the exact solution is
+    # y = a cos x + c sin x, v = b cos x + d sin x, so halving the step
+    # divides the endpoint error by about 2^4
+    a, b, c, d = start = (0.3, -0.2, 0.5, 0.1)
+    cos, sin = math.cos(1.0), math.sin(1.0)
+    exact = (a * cos + c * sin, b * cos + d * sin, c * cos - a * sin, d * cos - b * sin)
+    errors = [max(abs(p - q) for p, q in zip(_rk4_steps(0.0, start, h, round(1.0 / h)), exact))
+              for h in (0.05, 0.025)]
+    assert 15.0 <= errors[0] / errors[1] <= 17.0, errors
+    # a (4, m) array with one abscissa and one step per column gives each
+    # column its lone float run bitwise
+    rng = np.random.default_rng(5)
+    starts = rng.uniform(-1.0, 1.0, (4, 6))
+    x0, dx = rng.uniform(-0.5, 0.5, 6), rng.uniform(-0.05, 0.05, 6)
+    batch = _rk4_steps(x0, starts, dx, 7)
+    for col in range(6):
+        lone = _rk4_steps(float(x0[col]), tuple(starts[:, col].tolist()), float(dx[col]), 7)
+        assert all(type(s) is float for s in lone)
+        assert batch[:, col].tobytes() == np.array(lone).tobytes()
+
+
 def test_integrate_step_validation():
     j0 = chart.jet1(0.0, 0.0, 0.0, 0.1, 0.1)
     with pytest.raises(ValueError):

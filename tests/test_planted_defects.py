@@ -82,7 +82,7 @@ def test_dynamics_checks_fail_on_a_planted_rk4_stage(monkeypatch):
     real, stage, held = geo._stage, itertools.count(), {}
 
     def planted(x, u, stopped, at):
-        n = next(stage) % 4  # geo.integrate_batch calls the four stages of a step in order
+        n = next(stage) % 4  # every step calls its four stages in order
         if n == 1:
             held["u"] = u
         elif n == 2:
