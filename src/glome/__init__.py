@@ -2,6 +2,7 @@
 
 Submodules:
 
+- :mod:`glome.tape`: records a float computation once, replays it as straight-line code
 - :mod:`glome.jetcalc`: forward-mode dual numbers and derivative helpers
 - :mod:`glome.chart`: the hyperspherical chart, embedding, and integrand
 - :mod:`glome.symmetries`: generators, prolongations, brackets, tables

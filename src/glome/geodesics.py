@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chart, jetcalc
+from . import chart, jetcalc, tape
 from .jetcalc import directional, power
 
 POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus this
@@ -84,6 +84,26 @@ _INNER = np.eye(4)[:, 1:]
 _OUTER = np.ascontiguousarray(np.eye(4)[:, [0, 2, 3]])  # a contiguous row is a faster operand
 _LONE_INNER = tuple(np.repeat(_INNER[:, None, :], 3, axis=1))
 _LONE_OUTER = tuple(np.repeat(_OUTER[:, :, None], 3, axis=2))
+# The lone pass's tape (see tape.record), recorded on the first float state
+# at this interior state, where no guard of the pass fires.
+_TAPE_STATE = (0.1, 0.2, 0.3, 0.4)
+_lone_tape = None
+
+
+def _lone_seeds(y_x) -> tuple:
+    """The inner and then the outer seeds of a float state's pass, as (3, 3) grids."""
+    y_grid = _LONE_OUTER[1].copy()  # zero: y is in no outer direction but D_x
+    y_grid[0] = y_x
+    return (*_LONE_INNER, _LONE_OUTER[0], y_grid, *_LONE_OUTER[2:])
+
+
+def _nested_pass(x, y, y_x, v_x, *seeds):
+    """(value, derivative) of the outer pass of chart.arc_speed's nested dual
+    evaluation, seeded with the inner directions seeds[:4] and the outer
+    ones seeds[4:]: L_y and the mixed second partials."""
+    inner = seeds[:4]
+    return directional(lambda *a: directional(chart.arc_speed, a, inner)[1],
+                       (x, y, y_x, v_x), seeds[4:])
 
 
 def _curvatures(x, y, y_x, v_x):
@@ -104,10 +124,21 @@ def _curvatures(x, y, y_x, v_x):
     state carries both on one (3, 3) grid indexed (outer, inner), so every
     operation of its pass is between arrays of that shape or with floats.
     Each element repeats the floating-point operations of seven separate
-    scalar passes exactly.  The caller checks |det| against DET_FLOOR
-    (below it the curvatures are meaningless) and silences numpy's
-    floating-point warnings for such states.
+    scalar passes exactly.
+
+    A float state's pass is a replay of its tape: the first float state
+    in a process runs the dual pass once, at _TAPE_STATE, to record its
+    operations on floats and (3, 3) grids (:func:`tape.record`), and
+    every float state replays them on its own values and seeds, jetcalc's
+    sin, cos and sqrt raising their own DomainError.  Where one of the
+    pass's recorded guards (sqrt's zero root, a divisor too small to
+    square) sees another path, the dual pass runs instead and raises its
+    own error; no float state reaches that route today, as the radicand
+    is at least 1, inf or nan.  Batches run the dual pass.  The caller checks |det|
+    against DET_FLOOR (below it the curvatures are meaningless) and
+    silences numpy's floating-point warnings for such states.
     """
+    global _lone_tape
     batch = isinstance(y, np.ndarray)
     if batch:
         ones = (1,) * y.ndim
@@ -115,18 +146,16 @@ def _curvatures(x, y, y_x, v_x):
         outer[...] = _OUTER.reshape((4, 3, 1) + ones)
         outer[1, 0] = y_x
         inner = _INNER.reshape((4, 3) + ones)
-    else:
-        y_grid = _LONE_OUTER[1].copy()  # zero: y is in no outer direction but D_x
-        y_grid[0] = y_x
-        outer = _LONE_OUTER[0], y_grid, *_LONE_OUTER[2:]
-        inner = _LONE_INNER
-    partials, mixed = directional(lambda *a: directional(chart.arc_speed, a, inner)[1],
-                                  (x, y, y_x, v_x), outer)
-    if batch:
+        partials, mixed = _nested_pass(x, y, y_x, v_x, *inner, *outer)
         L_y = partials[0]
         known_y, m11, m12 = mixed[:, 1]
         known_v, m21, m22 = mixed[:, 2]
     else:
+        if _lone_tape is None:
+            _lone_tape = tape.record(_nested_pass, _TAPE_STATE + _lone_seeds(_TAPE_STATE[2]))
+        args = (x, y, y_x, v_x, *_lone_seeds(y_x))
+        passed = _lone_tape(*args)
+        partials, mixed = _nested_pass(*args) if passed is None else passed
         L_y = partials.item(0)
         (known_y, m11, m12), (known_v, m21, m22) = mixed[:, 1:].T.tolist()
     b1 = L_y - known_y

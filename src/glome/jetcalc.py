@@ -45,6 +45,13 @@ integrand overflow checks built on `chart.lagrangian` rely on that), and
 dividing by an infinite dual, or `atan2` of infinite duals, gives a nan
 derivative.
 
+A :class:`glome.tape.Var` in a float's place is a value that
+:func:`glome.tape.record` traces, and the dual rules reach it through its
+operators.  `sin`, `cos` and `sqrt` record one call of themselves on it,
+so a replay runs them, guard and all, and raises their DomainError.  The
+other elementary functions call `math` on their float layer, which a Var
+refuses.
+
 Array values: the components of a :class:`DualScalar` may also be numpy
 float arrays, so that one pass carries many points or many directions
 (broadcasting as numpy does).  `+`, `-`, `*`, `/`, `**`, `power` and every
@@ -65,6 +72,8 @@ import math
 import sys
 
 import numpy as np
+
+from .tape import Var
 
 _ndarray = np.ndarray
 
@@ -273,6 +282,8 @@ def sin(u):
         if isinstance(u, _ndarray):
             _guard(np.isinf(u), "sin", u, _INFINITE)
             return np.sin(u)
+        if isinstance(u, Var):
+            return u.apply(sin)
     try:
         return math.sin(u)
     except ValueError:  # math.sin's one domain error
@@ -287,6 +298,8 @@ def cos(u):
         if isinstance(u, _ndarray):
             _guard(np.isinf(u), "cos", u, _INFINITE)
             return np.cos(u)
+        if isinstance(u, Var):
+            return u.apply(cos)
     try:
         return math.cos(u)
     except ValueError:  # math.cos's one domain error
@@ -348,6 +361,8 @@ def sqrt(u):
         rv = real_value(r)
         _guard(rv == 0.0, "sqrt", rv, "derivative singular at zero")
         return DualScalar(r, u.derivative / (2.0 * r))
+    if isinstance(u, Var):
+        return u.apply(sqrt)
     _guard(u < 0.0, "sqrt", u, "negative radicand")
     return np.sqrt(u) if isinstance(u, _ndarray) else math.sqrt(u)
 

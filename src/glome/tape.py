@@ -1,0 +1,165 @@
+"""Record a computation on floats and arrays once; replay it as straight-line code.
+
+:func:`record` calls a function once on :class:`Var` stand-ins for its
+arguments, Python floats or numpy arrays.  Each Python operator that
+reaches a Var (``+ - * /``, unary ``-``, ``abs`` and the six
+comparisons) is carried out on the real operands and appended to a
+Wengert list, and so is each function that a Var is handed to through
+:meth:`Var.apply` (jetcalc's ``sin``, ``cos`` and ``sqrt`` hand on theirs).
+(Wengert, "A simple automatic derivative evaluation program", CACM 7(8),
+1964; Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008.)
+Every branch taken on a Var's truth value is appended as a guard.  The
+list is compiled, in memory, into one function of as many arguments, each
+entry the same Python expression on the same operands, in the same order.
+A replay therefore repeats the recorded operations bitwise, and raises
+where they raise; what it leaves out is whatever ran around them (dual
+layers, dispatch, recursion).
+
+Where a guard's condition comes out otherwise than it did when recorded,
+the function would take another path from there on, and the replay
+returns None at once: the caller evaluates the function itself.  A
+function may branch only on its Vars' truth values, not on their types
+(a Var is neither a float nor an ndarray to ``isinstance``), and may
+catch no exception that one of its operations raises (a replay raises
+it).  An operation that would escape the list fails instead: a Var
+refuses ``float()``, so ``math`` refuses it, and a numpy call other than
+an operator raises TypeError on it.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+
+class _Recording:
+    """The Wengert list of one :func:`record` call: source lines and the
+    names they read besides their variables (functions and constants)."""
+
+    def __init__(self):
+        self.count = 0
+        self.lines: list[str] = []
+        self.namespace: dict = {}
+
+    def var(self, value) -> Var:
+        var = Var(self, value, f"v{self.count}")
+        self.count += 1
+        return var
+
+    def operand(self, x) -> str:
+        """Source text of an operand: a variable's name, the literal of a
+        finite float or an int, or else a name bound in the namespace."""
+        if isinstance(x, Var):
+            if x._recording is not self:
+                raise ValueError("an operand of another recording")
+            return x.name
+        if type(x) is int or type(x) is float and math.isfinite(x):
+            text = repr(x)
+            return f"({text})" if text.startswith("-") else text
+        for name, value in self.namespace.items():
+            if value is x:
+                return name
+        name = "_" + getattr(x, "__name__", "c")  # apart from the variables' names
+        if not name.isidentifier():
+            name = "_c"
+        while name in self.namespace:
+            name += "_"
+        self.namespace[name] = x
+        return name
+
+    def emit(self, value, template: str, *operands) -> Var:
+        """A new Var holding ``value``, recorded as ``template`` of ``operands``."""
+        var = self.var(value)
+        self.lines.append(f"{var.name} = " + template.format(*map(self.operand, operands)))
+        return var
+
+    def output(self, result) -> str:
+        if isinstance(result, tuple):
+            items = [self.output(r) for r in result]
+            return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+        return self.operand(result)
+
+
+def _value(x):
+    return x.value if isinstance(x, Var) else x
+
+
+def _binary(symbol: str):
+    op = _OPERATORS[symbol]
+    template = f"{{}} {symbol} {{}}"
+
+    def forward(self, other):
+        return self._recording.emit(op(self.value, _value(other)), template, self, other)
+
+    def reflected(self, other):
+        return self._recording.emit(op(other, self.value), template, other, self)
+
+    return forward, reflected
+
+
+class Var:
+    """A traced argument of :func:`record`, or a value computed from one."""
+
+    __slots__ = ("_recording", "value", "name")
+    __array_ufunc__ = None  # an ndarray operand defers to the Var's reflected operator
+
+    def __init__(self, recording: _Recording, value, name: str):
+        self._recording = recording
+        self.value = value
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"Var({self.name} = {self.value!r})"
+
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+    # a comparison has no reflected operator: Python calls the mirrored one
+    __lt__ = _binary("<")[0]
+    __le__ = _binary("<=")[0]
+    __gt__ = _binary(">")[0]
+    __ge__ = _binary(">=")[0]
+    __eq__ = _binary("==")[0]
+    __ne__ = _binary("!=")[0]
+
+    def __neg__(self):
+        return self._recording.emit(-self.value, "-{}", self)
+
+    def __abs__(self):
+        return self._recording.emit(abs(self.value), "abs({})", self)
+
+    def __bool__(self):
+        taken = bool(self.value)
+        self._recording.lines.append(f"if {'not ' if taken else ''}{self.name}: return None")
+        return taken
+
+    def __float__(self):
+        raise TypeError("refusing to flatten a traced value; it would drop out of the tape")
+
+    def apply(self, f):
+        """``f(self)``, recorded as one call: ``f`` runs on the real value,
+        now and in every replay."""
+        return self._recording.emit(f(self.value), "{}({})", f, self)
+
+
+def record(f, args):
+    """A function of ``len(args)`` arguments that replays ``f``'s operations
+    on ``args`` (floats or arrays), as the module docstring describes:
+    ``f(*args)`` computed by the recorded operations, or None where a guard
+    sees another path.  ``f`` may return a Var, a constant or a tuple of
+    them, nested."""
+    recording = _Recording()
+    params = [recording.var(a) for a in args]
+    result = recording.output(f(*params))
+    source = "\n    ".join([f"def replay({', '.join(p.name for p in params)}):",
+                            *recording.lines, f"return {result}"])
+    namespace = dict(recording.namespace)
+    exec(compile(source, "<tape>", "exec"), namespace)
+    return namespace["replay"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from glome import chart, geodesics as geo
-from glome import jetcalc as jc
+from glome import jetcalc as jc, tape
 from glome import reduction as red
 from reference import el_expression_v, el_expression_y
 
@@ -126,17 +126,43 @@ class _ShapeRecorder(np.ndarray):
 
 def test_lone_kernel_pass_broadcasts_nothing(monkeypatch):
     # every array of a float state's nested pass descends from the lone seeds,
-    # so viewing them as recorders sees every numpy call the pass makes
+    # so viewing them as recorders sees every numpy call the pass makes: the
+    # dual pass that records the tape (reset here) and the tape's replay
     state = (0.1, 0.2, 0.3, 0.4)
     want = np.array(geo._curvatures(*state)).tobytes()
     for name in ("_LONE_INNER", "_LONE_OUTER"):
         seeds = tuple(s.view(_ShapeRecorder) for s in getattr(geo, name))
         monkeypatch.setattr(geo, name, seeds)
+    monkeypatch.setattr(geo, "_lone_tape", None)
     monkeypatch.setattr(_ShapeRecorder, "calls", [])
     got = geo._curvatures(*state)
     assert len(_ShapeRecorder.calls) > 50
     assert {shape for call in _ShapeRecorder.calls for shape in call} == {(3, 3)}
     assert np.array(got).tobytes() == want
+
+
+def test_lone_states_replay_one_recording(monkeypatch):
+    # the first float state records the tape in one nested pass (two
+    # directional calls); every later one, a whole lone run's, replays it
+    counts = {"record": 0, "directional": 0}
+    record, directional = tape.record, geo.directional
+
+    def counted_record(*args):
+        counts["record"] += 1
+        return record(*args)
+
+    def counted_directional(*args):
+        counts["directional"] += 1
+        return directional(*args)
+
+    monkeypatch.setattr(tape, "record", counted_record)
+    monkeypatch.setattr(geo, "directional", counted_directional)
+    monkeypatch.setattr(geo, "_lone_tape", None)
+    geo._curvatures(0.3, -0.2, 0.7, -1.1)
+    assert counts == {"record": 1, "directional": 2}
+    traj = geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.1, 0.2), 0.5, 1e-3)
+    assert len(traj) == 501
+    assert counts == {"record": 1, "directional": 2}
 
 
 def test_el_expressions_vanish_on_shell():

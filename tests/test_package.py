@@ -3,7 +3,7 @@ import types
 
 import glome
 
-SUBMODULES = ("jetcalc", "chart", "symmetries", "geodesics", "reduction", "suites", "cli")
+SUBMODULES = ("tape", "jetcalc", "chart", "symmetries", "geodesics", "reduction", "suites", "cli")
 
 
 def test_every_public_name_is_a_module():

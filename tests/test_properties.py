@@ -102,6 +102,39 @@ def test_curvatures_raise_the_frozen_kernels_domain_error(states, at, slot, valu
         assert messages[0] == messages[1]
 
 
+# lone states for the tape: the kernel's draws, and both zeros, subnormals,
+# nan, the infinities, and slopes whose squares overflow the radicand to inf
+tape_special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, math.nan,
+                                math.inf, -math.inf])
+tape_angle = st.one_of(kernel_angle, tape_special)
+tape_slope = st.one_of(kernel_slope, tape_special, st.sampled_from([1e200, -1e200]))
+
+
+def _lone_outcome(state):
+    """_bits and the types of a lone _curvatures result, or its DomainError's message."""
+    try:
+        result = geo._curvatures(*state)
+    except jc.DomainError as err:
+        return str(err)
+    return _bits(result), [type(r) for r in result]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(tape_angle, tape_angle, tape_slope, tape_slope))
+@example((math.inf, 0.3, 0.5, -0.5))  # sin of x raises inside the replay
+@example((0.3, -math.inf, 0.5, -0.5))
+@example((0.3, 0.2, 1e200, -1e200))  # the radicand overflows to inf
+@example((0.5, 0.5, 1e154, 1e154))  # the determinant underflows to 0.0
+@example((math.nan, -0.0, 5e-324, 0.0))
+def test_lone_tape_replays_the_dual_pass(state):
+    with np.errstate(all="ignore"):
+        replayed = _lone_outcome(state)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geo, "_lone_tape", lambda *args: None)  # a guard saw another path
+            live = _lone_outcome(state)
+    assert replayed == live
+
+
 # Relative to max(1, |exact|), over |x|, |y| <= 1.47 and slopes in [-3, 3].
 # The largest error among 10^6 uniform states was 4.5e-14, at the example
 # below; 2.1e-14 held over the first 3,000 of them but not over all.
