@@ -358,27 +358,29 @@ def _stage(x, u, stopped: dict, at):
     in that order, gets DomainExit at ``at`` naming the stage's abscissa
     and state or the guard's message, or SingularSystem with the
     determinant at ``at``.  Every column in the record gets zero slopes,
-    so the step's later stages evaluate it at its step-start state.  A
-    lone state whose kernel raises DomainError is evaluated again as a
-    batch of one, so the guard's message names its index as a batch's
-    does.
+    so the step's later stages evaluate it at its step-start state; a
+    lone state in the record skips the kernel.  Where an array's kernel
+    raises DomainError, each column is evaluated again as a lone state,
+    so its outcome and slopes are the same in a batch as alone.
     """
     # x needs no test: |x_i| <= pi/2 - POLE_MARGIN and |x - x_i| <= MAX_STEP < POLE_MARGIN
-    lone = isinstance(u, tuple)
-    if lone:
+    if isinstance(u, tuple):
         y, v, y_x, v_x = u
         if not (abs(y) < chart.HALF_PI and math.isfinite(v) and math.isfinite(y_x)
                 and math.isfinite(v_x)):
             detail = f"stage at x = {float(x)!r} has (y, v, y_x, v_x) = {tuple(map(float, u))}"
             stopped.setdefault(0, DomainExit(float(at), _STAGE_OFF_CHART, detail))
-        try:
-            y_xx, v_xx, det = _curvatures(x, y, y_x, v_x)
-        except jetcalc.DomainError:
-            x, u, at = np.array([x]), np.array([u]).T, np.array([at])
-        else:
-            if abs(det) < DET_FLOOR:  # a nan determinant is not singular
-                stopped.setdefault(0, SingularSystem(float(det), x=float(at)))
-            return (0.0, 0.0, 0.0, 0.0) if stopped else (y_x, v_x, y_xx, v_xx)
+        if not stopped:
+            try:
+                y_xx, v_xx, det = _curvatures(x, y, y_x, v_x)
+            except jetcalc.DomainError as err:
+                stopped[0] = DomainExit(float(at), "an RK4 stage failed a domain guard in the"
+                                        " step from", str(err))
+            else:
+                if not abs(det) < DET_FLOOR:  # a nan determinant is not singular
+                    return y_x, v_x, y_xx, v_xx
+                stopped[0] = SingularSystem(float(det), x=float(at))
+        return 0.0, 0.0, 0.0, 0.0
     y, _, y_x, v_x = u
     if not (np.isfinite(u).all() and np.abs(y).max() < chart.HALF_PI):
         on_chart = np.isfinite(u).all(axis=0) & (np.abs(y) < chart.HALF_PI)
@@ -390,30 +392,36 @@ def _stage(x, u, stopped: dict, at):
     k[:2] = u[2:]
     try:
         k[2], k[3], det = _curvatures(x, y, y_x, v_x)
-    except jetcalc.DomainError:
-        # isolate the offending columns; each one alone repeats its own arithmetic
-        det = np.ones(u.shape[1])
+    except jetcalc.DomainError:  # each column again as a lone state, whose floats repeat it
         for c in range(u.shape[1]):
-            one = slice(c, c + 1)
-            try:
-                k[2, one], k[3, one], det[one] = _curvatures(float(x[c]), u[0, one], u[2, one],
-                                                             u[3, one])
-            except jetcalc.DomainError as err:
-                stopped.setdefault(c, DomainExit(float(at[c]), "an RK4 stage failed a domain guard"
-                                                 " in the step from", str(err)))
+            one = {0: stopped[c]} if c in stopped else {}
+            k[:, c] = _stage(float(x[c]), tuple(u[:, c].tolist()), one, float(at[c]))
+            if one:
+                stopped[c] = one[0]
+        return k
     if not (np.abs(det) >= DET_FLOOR).all():  # a nan determinant is not singular
         for c in np.flatnonzero(np.abs(det) < DET_FLOOR).tolist():
             stopped.setdefault(c, SingularSystem(float(det[c]), x=float(at[c])))
     if stopped:
         k[:, list(stopped)] = 0.0
-    return tuple(k[:, 0].tolist()) if lone else k
+    return k
 
 
 def _axpy(u, a, k):
-    """u + a * k, for a lone state's four floats each component as numpy forms it."""
+    """u + a * k, for a lone state's four floats each component as numpy
+    forms it, so the last live jet's step stays on floats."""
     if isinstance(u, tuple):
         return u[0] + a * k[0], u[1] + a * k[1], u[2] + a * k[2], u[3] + a * k[3]
     return u + a * k
+
+
+def _inside(x, u, lim) -> bool:
+    """Whether each state in u is finite with |y| <= lim at |x| <= lim, a lone one on floats."""
+    if isinstance(u, tuple):
+        y, v, y_x, v_x = u
+        return (abs(y) <= lim and abs(x) <= lim and math.isfinite(v) and math.isfinite(y_x)
+                and math.isfinite(v_x))
+    return bool(np.isfinite(u).all() and np.abs(u[0]).max() <= lim and (np.abs(x) <= lim).all())
 
 
 def _rk4_update(u, sixth, k1, k2, k3, k4):
@@ -438,7 +446,8 @@ def _rk4_step(slope, x, u, dx, k1):
     :func:`_rk4_update`, a float state's component by component in
     numpy's operation order, so each column of an array step repeats its
     lone step bitwise.  The caller evaluates k1, so it can keep stage 1's
-    curvature and mark completion before stage 2.
+    curvature and mark completion before stage 2.  integrate_batch's one
+    step loop calls it in both forms.
     """
     half = 0.5 * dx
     mid = x + half
@@ -500,6 +509,12 @@ def integrate_batch(jets, x_end, step) -> list:
     2. a jet at its final sample is a complete Trajectory, with curvature;
     3. a stage 2-4 failure raises its exception at x_i;
     4. a margin breach or a non-finite state raises DomainExit at x_{i+1}.
+
+    One loop takes every step, on a (4, m) array of the live states until
+    one jet is left, whose state it then turns into four floats once.
+    The samples and curvatures sit in (5, N) and (2, N) buffers, one
+    column per sample, so one write serves both forms; each Trajectory
+    views its own columns, transposed.
     """
     for s in np.ravel(step).tolist():
         if not MIN_STEP <= abs(s) <= MAX_STEP:
@@ -513,10 +528,9 @@ def integrate_batch(jets, x_end, step) -> list:
         return []
     n, h, last = (np.array(col) for col in zip(*grids))
     x0 = np.array([j.x for j in jets])
-    first = np.cumsum(last + 1) - (last + 1)  # each jet's rows follow the previous jet's
-    rows = np.empty((int(first[-1] + last[-1] + 1), 5))  # x, y, v, y_x, v_x
-    rows[first] = [[j.x, j.y, j.v, j.y_x, j.v_x] for j in jets]
-    curvature = np.empty((len(rows), 2))
+    first = np.cumsum(last + 1) - (last + 1)  # each jet's samples follow the previous jet's
+    rows = np.empty((5, int(first[-1] + last[-1] + 1)))  # x, y, v, y_x, v_x; a column per sample
+    curvature = np.empty((2, rows.shape[1]))  # y_xx, v_xx
 
     lim = chart.HALF_PI - POLE_MARGIN
     out: list = [None] * len(jets)
@@ -525,81 +539,60 @@ def integrate_batch(jets, x_end, step) -> list:
             out[c] = DomainExit(j.x, "initial state lies outside the pole margin at")
         elif not math.isfinite(chart.lagrangian(j)):  # a row Trajectory refuses
             out[c] = DomainExit(j.x, "initial slopes overflow the integrand at")
-    live = np.array([c for c in range(len(jets)) if out[c] is None], dtype=int)
-    u = rows[first[live], 1:].T.copy()  # (4, live)
 
     def retire(live, stopped: dict, i: int) -> np.ndarray:
         """Store each stopped column's result and return the mask of the
         columns that go on.  ``stopped`` maps a column to the exception that
         stopped it, which gets the partial trajectory, or to None when its
-        trajectory is complete.  A trajectory views its jet's rows 0..i."""
+        trajectory is complete.  A trajectory views its jet's samples 0..i."""
         keep = np.ones(live.size, dtype=bool)
         for c, err in stopped.items():
             jet = live[c]
             own = slice(first[jet], first[jet] + i + 1)
             if err is None:
-                out[jet] = Trajectory(rows[own], curvature[own])
+                out[jet] = Trajectory(rows[:, own].T, curvature[:, own].T)
             else:
-                err.trajectory = Trajectory(rows[own])
+                err.trajectory = Trajectory(rows[:, own].T)
                 out[jet] = err
             keep[c] = False
         return keep
 
     ends = set(n.tolist())
-    start, dx, base = x0[live], h[live], first[live]
-    x = start
+    live, x = np.arange(len(jets)), x0
+    u = np.array([[j.y, j.v, j.y_x, j.v_x] for j in jets]).T
+    keep = np.array([r is None for r in out])  # the jets that start
     with np.errstate(all="ignore"):  # a state that goes non-finite stops its jet below
         for i in range(int(n.max()) + 1):
-            if live.size < 2:
-                break
+            if keep is not None:  # the jets in keep go on from x_i, the others stopped
+                live = live[keep]
+                if not live.size:
+                    break
+                x, u = x[keep], u[:, keep]
+                start, dx, base = x0[live], h[live], first[live]
+                if live.size == 1:  # the last live jet goes on as floats
+                    start, dx, base, x = (a.item() for a in (start, dx, base, x))
+                    u = tuple(u[:, 0].tolist())
+                keep = None
+            rows[:, base + i] = x, *u
             stopped: dict = {}
             slope = lambda xs, us, stopped=stopped, at=x: _stage(xs, us, stopped, at)
             k1 = slope(x, u)
-            curvature[base + i] = k1[2:].T
+            curvature[:, base + i] = k1[2:]
             if i in ends:  # at its final sample a jet that stage 1 passed is complete
                 for c in np.flatnonzero(n[live] == i).tolist():
                     stopped.setdefault(c, None)
             u = _rk4_step(slope, x, u, dx, k1)
             x = start + (i + 1) * dx
-            if not (np.isfinite(u).all() and np.abs(u[0]).max() <= lim
-                    and (np.abs(x) <= lim).all()):
-                finite = np.isfinite(u).all(axis=0)
-                inside = (np.abs(u[0]) <= lim) & (np.abs(x) <= lim)
+            if not _inside(x, u, lim):
+                us, xs = np.reshape(u, (4, -1)), np.reshape(x, -1)
+                finite = np.isfinite(us).all(axis=0)
+                inside = (np.abs(us[0]) <= lim) & (np.abs(xs) <= lim)
                 for c in np.flatnonzero(~(finite & inside)).tolist():
                     cause = ("trajectory breached the pole margin near" if finite[c]
                              else "trajectory state became non-finite at")
-                    stopped.setdefault(c, DomainExit(float(x[c]), cause))
+                    stopped.setdefault(c, DomainExit(float(xs[c]), cause))
             if stopped:
                 keep = retire(live, stopped, i)
-                live, u = live[keep], u[:, keep]
-                start, dx, base = x0[live], h[live], first[live]
-                x = start + (i + 1) * dx
-            rows[base + i + 1, 0] = x
-            rows[base + i + 1, 1:] = u.T
-        if live.size == 1:  # the last live jet goes on from step i as four floats
-            (jet,) = live.tolist()
-            start, dx, base, final = float(x0[jet]), float(h[jet]), int(first[jet]), int(n[jet])
-            x, u = x.item(), tuple(u[:, 0].tolist())
-            for i in range(i, final + 1):
-                stopped = {}
-                slope = lambda xs, us, stopped=stopped, at=x: _stage(xs, us, stopped, at)
-                k1 = slope(x, u)
-                curvature[base + i] = k1[2:]
-                if i == final:  # at its final sample a jet that stage 1 passed is complete
-                    stopped.setdefault(0, None)
-                u = _rk4_step(slope, x, u, dx, k1)
-                x = start + (i + 1) * dx
-                y, v, y_x, v_x = u
-                if not (abs(y) <= lim and abs(x) <= lim and math.isfinite(v)
-                        and math.isfinite(y_x) and math.isfinite(v_x)):
-                    finite = all(map(math.isfinite, u))
-                    cause = ("trajectory breached the pole margin near" if finite
-                             else "trajectory state became non-finite at")
-                    stopped.setdefault(0, DomainExit(x, cause))
-                if stopped:
-                    retire(live, stopped, i)
-                    break
-                rows[base + i + 1] = x, *u
     return out
 
 

@@ -307,38 +307,21 @@ def cos(u):
 
 
 def tan(u):
-    if isinstance(u, DualScalar):
-        c = cos(u.value)
-        return DualScalar(_tan(u.value, c), u.derivative / (c * c))
-    return _tan(u, cos(u))
-
-
-def _tan(u, c):
-    """tan u given c = cos u, which a dual's rule needs for its derivative too."""
-    if isinstance(u, DualScalar):
-        return tan(u)
-    _guard(abs(c) < _POLE_TOL, "tan", u, "cosine of the argument vanishes")
-    return _map(math.tan, u)
+    return sec_tan(u, "tan")[1]
 
 
 def sec(u):
-    if isinstance(u, DualScalar):
-        s = sec(u.value)
-        return DualScalar(s, s * tan(u.value) * u.derivative)
-    c = cos(u)
-    _guard(abs(c) < _POLE_TOL, "sec", u, "cosine of the argument vanishes")
-    return 1.0 / c
+    return sec_tan(u, "sec")[0]
 
 
 def sec_tan(u, first: str):
-    """(sec u, tan u), bitwise equal to (sec(u), tan(u)).
+    """(sec u, tan u); tan and sec each read one half.
 
-    sec's dual rule needs the tan of the dual's value, so apart the two
-    map math.tan twice or more at a dual u; together they form cos, 1/cos
-    and the math.tan map of each layer once, as _sincos does for sin and
-    cos.  A pole raises the DomainError of ``first`` ("sec" or "tan"),
-    the one of the two that the caller reads first; an infinite argument
-    raises as in tan.
+    sec's dual rule needs the tan of the dual's value, so the pair forms
+    cos, 1/cos and the math.tan map of each layer once, as _sincos does
+    for sin and cos.  A pole raises the DomainError of ``first`` ("sec"
+    or "tan"), the one of the two that the caller reads first; an
+    infinite argument raises cos's.
     """
     if isinstance(u, DualScalar):
         c = cos(u.value)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geodesics, jetcalc
 from .geodesics import Trajectory
-from .jetcalc import arcsin, arctan, atan2, cos, directional, power, sec, sin, tan
+from .jetcalc import arcsin, arctan, atan2, cos, directional, power, sec_tan, sin, tan
 
 
 class BranchExit(RuntimeError):
@@ -79,8 +79,9 @@ def global_flow(x, y, lam):
 
     The arguments broadcast as numpy does: a (k, n) lambda against (n,)
     points gives k orbits of each point in one call, row r equal bitwise to
-    the call at row r's lambda, with the point's sin x, cos x, sin y,
-    tan x, tan y and sec y formed once for all k.  suites.suite_flow so
+    the call at row r's lambda, with the point's sin x, cos x, sin y and
+    tan x formed once for all k, and its sec y and tan y from one
+    jetcalc.sec_tan, which forms cos y once.  suites.suite_flow so
     takes the orbits by lambda1 and by lambda1 + lambda2 in one call, and
     then the orbit of their (X, Y) image by lambda2; an exit on the
     lambda1 + lambda2 orbit is therefore raised before one on the
@@ -92,7 +93,8 @@ def global_flow(x, y, lam):
         lams = np.broadcast_to(jetcalc.real_value(lam), np.shape(off))
         raise BranchExit(float(lams.flat[np.argmax(off)]))
     X = arcsin(s)
-    Y = arctan(tan(y) * cos(lam) + tan(x) * sec(y) * sin(lam))
+    sec_y, tan_y = sec_tan(y, "tan")
+    Y = arctan(tan_y * cos(lam) + tan(x) * sec_y * sin(lam))
     return X, Y
 
 

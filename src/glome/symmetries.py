@@ -1,7 +1,7 @@
 """Infinitesimal symmetries of the arclength functional on the 3-sphere chart.
 
 Provides the six generators chi_1..chi_6, first and second prolongations,
-the variational-symmetry residual, the six determining-equation residuals,
+the variational-symmetry residuals, the six determining-equation residuals,
 Lie brackets, and numeric identification of brackets against the candidate
 set {0, +/-chi_k} (the bracket table), with the closed 3-generator subsets
 read off the identified table.
@@ -232,29 +232,20 @@ def _prolong1_values(V: _Field, x, y, v, y_x, v_x):
 
 
 def _variational(prolonged, j: chart.JetColumns):
-    """The variational criterion's residual from _prolong1's components at j."""
+    """The variational criterion's residual from _prolong1's components at j:
+    the prolonged field applied to the integrand plus the integrand times
+    D_x xi, zero exactly where the field is a variational symmetry."""
     xi, phi, _, phi_pr, eta_pr, dxi_total = prolonged
     lam, applied = directional(chart.arc_speed, (j.x, j.y, j.y_x, j.v_x),
                                (xi, phi, phi_pr, eta_pr))
     return applied + lam * dxi_total
 
 
-def variational_residual(V: _Field, j: chart.JetColumns):
-    """Residual of the variational-symmetry criterion at a jet.
-
-    Applies the prolonged field to the integrand (which does not read v,
-    so eta does not enter) and adds the integrand times the prolongation's
-    D_x xi; zero (within tolerance) exactly when V generates a variational
-    symmetry at j.  A float at one jet, an array over the samples of n columns.
-    """
-    return _variational(_prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x), j)
-
-
 def variational_residuals(j: chart.JetColumns) -> np.ndarray:
-    """variational_residual of chi_1..chi_6 at j, one row per generator,
-    from one pass of all six (_generator_jets) and one directional pass of
-    the integrand along all six prolonged fields: row i - 1 equals
-    variational_residual(chi(i), j) bitwise."""
+    """The variational criterion's residual of chi_1..chi_6 at j, one row
+    per generator, from one pass of all six (_generator_jets) and one
+    directional pass of the integrand along all six prolonged fields: row
+    i - 1 equals _variational of chi(i)'s _prolong1_values bitwise."""
     stacked = np.moveaxis(_generator_jets(j.x, j.y, j.v), 0, 2)  # (3, 4, 6, ...)
     return _variational(_prolong1(stacked[:, 0], stacked[:, 1:], j.y_x, j.v_x), j)
 

@@ -6,13 +6,16 @@ the alpha inversion at one sample at a time, the forward reduced relation
 omega'(tau) from alpha, vector fields built from and read as three
 component functions and their sums and scalar multiples, the gradient
 taken one dual pass per argument (and, for a tuple-valued function, per
-component), and the second prolongation that evaluates the first one
-three times; the six generators as first written, each forming its own
-trigonometric factors, and their passes one generator at a time; the plane of R^4 that each generator rotates, and the
-bracket table derived from those rotations; the k oracle's plain sweep
-of every grid row, and trajectory rows that carry chosen collapsed-equation
-values; and the test of whether numpy's sin and cos round like the
-platform's libm, which the tests of pinned bits depend on."""
+component), the variational criterion's residual of one field at a time,
+and the second prolongation that evaluates the first one three times;
+jetcalc's tan and sec as first written, each apart; the six generators
+as first written, each forming its own trigonometric factors, and their
+passes one generator at a time; the plane of R^4 that each generator
+rotates, and the bracket table derived from those rotations; the k
+oracle's plain sweep of every grid row, and trajectory rows that carry
+chosen collapsed-equation values; and the test of whether numpy's sin and
+cos round like the platform's libm, which the tests of pinned bits
+depend on."""
 
 import math
 from typing import Callable
@@ -21,8 +24,9 @@ import numpy as np
 
 from glome import chart, geodesics, jetcalc
 from glome import reduction as red
-from glome.jetcalc import (DomainError, DualScalar, arctan, atan2, cos, directional, power, sec,
-                           sin, tan)
+from glome.jetcalc import (_POLE_TOL, DomainError, DualScalar, _guard, _map, arctan, atan2, cos,
+                           directional, power, sin)
+from glome.symmetries import _Field, _prolong1_values, _variational
 
 
 K_GRID = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
@@ -317,6 +321,17 @@ def prolong1_values(V: Callable, x, y, v, y_x, v_x):
     return xi_val, phi_val, eta_val, phi_pr, eta_pr
 
 
+def variational_residual(V: _Field, j: chart.JetColumns):
+    """Residual of the variational-symmetry criterion at a jet.
+
+    Applies the prolonged field to the integrand (which does not read v,
+    so eta does not enter) and adds the integrand times the prolongation's
+    D_x xi; zero (within tolerance) exactly when V generates a variational
+    symmetry at j.  A float at one jet, an array over the samples of n columns.
+    """
+    return _variational(_prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x), j)
+
+
 def prolong2_apply(V: Callable, F, j):
     """(pr2 V)(F) at j, evaluating the first prolongation three times: once
     for its values and once for each of D_x(phi^x) and D_x(eta^x), with a
@@ -333,6 +348,33 @@ def prolong2_apply(V: Callable, F, j):
     eta_pr2 = dx_eta_pr - v_xx * dxi_total
     coeffs7 = (xi, phi, eta, phi_pr, eta_pr, phi_pr2, eta_pr2)
     return directional(F, (x, y, v, y_x, v_x, y_xx, v_xx), coeffs7)[1]
+
+
+# jetcalc's tan and sec rules as first written, each apart: sec's dual rule
+# takes its own tan of the dual's value.  jetcalc.sec_tan forms both halves
+# in one pass, and the tests check it against these bitwise.
+def tan(u):
+    if isinstance(u, DualScalar):
+        c = cos(u.value)
+        return DualScalar(_tan(u.value, c), u.derivative / (c * c))
+    return _tan(u, cos(u))
+
+
+def _tan(u, c):
+    """tan u given c = cos u, which a dual's rule needs for its derivative too."""
+    if isinstance(u, DualScalar):
+        return tan(u)
+    _guard(abs(c) < _POLE_TOL, "tan", u, "cosine of the argument vanishes")
+    return _map(math.tan, u)
+
+
+def sec(u):
+    if isinstance(u, DualScalar):
+        s = sec(u.value)
+        return DualScalar(s, s * tan(u.value) * u.derivative)
+    c = cos(u)
+    _guard(abs(c) < _POLE_TOL, "sec", u, "cosine of the argument vanishes")
+    return 1.0 / c
 
 
 # The generators as first written: each forms its own factors, and every

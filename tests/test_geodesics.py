@@ -636,6 +636,25 @@ def test_a_stage_failure_stops_at_its_step_start():
         _assert_stops_at_step_start(got, kind, x)
 
 
+def test_a_stopped_lone_state_skips_the_kernel(monkeypatch):
+    # a lone state already in its step's stop record gets zero slopes without
+    # a kernel call: a completing run of s steps makes four calls a step and
+    # one at its final sample, and a run stopped by its first stage makes one
+    real, calls = geo._curvatures, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geo, "_curvatures", counted)
+    traj = geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.1, 0.2), 0.5, 1e-3)
+    assert len(traj) == 501 and len(calls) == 4 * 500 + 1
+    calls.clear()
+    with pytest.raises(geo.SingularSystem) as err:  # singular at its first sample
+        geo.integrate(chart.jet1(0.5, 0.5, 0.0, 1e8, 1e8), 0.6, 1e-3)
+    assert len(err.value.trajectory) == 1 and len(calls) == 1
+
+
 def test_integrate_batch_isolates_a_domain_error(monkeypatch):
     real = geo._curvatures
 
@@ -657,10 +676,11 @@ def test_integrate_batch_isolates_a_domain_error(monkeypatch):
     _assert_stops_at_step_start(err, geo.DomainExit, 0.09)
 
 
-def test_a_lone_domain_guard_names_its_index_as_a_batch_does(monkeypatch):
-    # a lone state whose kernel fails a guard is evaluated again as a batch
-    # of one, so a lone run, a batch's last live jet and a jet stopped inside
-    # a batch all record the guard's message with its index
+def test_a_domain_guard_reads_the_same_alone_and_in_a_batch(monkeypatch):
+    # a lone state's guard becomes its DomainExit directly, and a batch that
+    # meets a guard evaluates each column again as a lone state's floats, so
+    # a lone run, a batch's last live jet and a jet stopped inside a batch
+    # all record the guard's float message, which names no index
     real = geo._curvatures
 
     def guarded(x, y, y_x, v_x):
@@ -672,7 +692,7 @@ def test_a_lone_domain_guard_names_its_index_as_a_batch_does(monkeypatch):
     lone = _lone(rising, 0.5, 1e-2)
     assert isinstance(lone, geo.DomainExit) and len(lone.trajectory) > 3
     assert str(lone).startswith("an RK4 stage failed a domain guard in the step from x = ")
-    assert str(lone).endswith(" (negative radicand at index (0,)))")
+    assert str(lone).endswith(" (negative radicand))")
     for healthy_end in (0.02, 0.5):  # rising stops as the last live jet, then among two
         results = geo.integrate_batch([healthy, rising], [healthy_end, 0.5], 1e-2)
         _same_outcome(results[1], lone)
