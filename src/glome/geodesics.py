@@ -85,7 +85,7 @@ _OUTER = np.ascontiguousarray(np.eye(4)[:, [0, 2, 3]])  # a contiguous row is a 
 _LONE_INNER = tuple(np.repeat(_INNER[:, None, :], 3, axis=1))
 _LONE_OUTER = tuple(np.repeat(_OUTER[:, :, None], 3, axis=2))
 # The lone pass's tape (see tape.record), recorded on the first float state
-# at this interior state, where no guard of the pass fires.
+# at this interior state, where none of the pass's checks raises.
 _TAPE_STATE = (0.1, 0.2, 0.3, 0.4)
 _lone_tape = None
 
@@ -129,14 +129,13 @@ def _curvatures(x, y, y_x, v_x):
     A float state's pass is a replay of its tape: the first float state
     in a process runs the dual pass once, at _TAPE_STATE, to record its
     operations on floats and (3, 3) grids (:func:`tape.record`), and
-    every float state replays them on its own values and seeds, jetcalc's
-    sin, cos and sqrt raising their own DomainError.  Where one of the
-    pass's recorded guards (sqrt's zero root, a divisor too small to
-    square) sees another path, the dual pass runs instead and raises its
-    own error; no float state reaches that route today, as the radicand
-    is at least 1, inf or nan.  Batches run the dual pass.  The caller checks |det|
-    against DET_FLOOR (below it the curvatures are meaningless) and
-    silences numpy's floating-point warnings for such states.
+    every float state replays them on its own values and seeds.  The
+    tape has no branches: jetcalc's sin, cos and sqrt and its checks of
+    a zero root and of a divisor too small to square are recorded as one
+    call each, so a replay raises the dual pass's own DomainError.
+    Batches run the dual pass.  The caller checks |det| against DET_FLOOR
+    (below it the curvatures are meaningless) and silences numpy's
+    floating-point warnings for such states.
     """
     global _lone_tape
     batch = isinstance(y, np.ndarray)
@@ -154,8 +153,7 @@ def _curvatures(x, y, y_x, v_x):
         if _lone_tape is None:
             _lone_tape = tape.record(_nested_pass, _TAPE_STATE + _lone_seeds(_TAPE_STATE[2]))
         args = (x, y, y_x, v_x, *_lone_seeds(y_x))
-        passed = _lone_tape(*args)
-        partials, mixed = _nested_pass(*args) if passed is None else passed
+        partials, mixed = _lone_tape(*args)
         L_y = partials.item(0)
         (known_y, m11, m12), (known_v, m21, m22) = mixed[:, 1:].T.tolist()
     b1 = L_y - known_y

@@ -47,9 +47,10 @@ derivative.
 
 A :class:`glome.tape.Var` in a float's place is a value that
 :func:`glome.tape.record` traces, and the dual rules reach it through its
-operators.  `sin`, `cos` and `sqrt` record one call of themselves on it,
-so a replay runs them, guard and all, and raises their DomainError.  The
-other elementary functions call `math` on their float layer, which a Var
+operators.  `sin`, `cos` and `sqrt`, the division's divisor check and
+the dual `sqrt`'s zero-root check record one call of themselves on it,
+so a replay runs them and raises their DomainError.  The other
+elementary functions call `math` or test their float layer, which a Var
 refuses.
 
 Array values: the components of a :class:`DualScalar` may also be numpy
@@ -165,6 +166,9 @@ def squarable(den):
 def _check_divisor(den, dual: bool) -> None:
     """Raise DomainError where the real part ``den`` of a divisor is zero or,
     for a ``dual`` divisor, too small to square."""
+    if isinstance(den, Var):
+        den.apply(_check_divisor, dual)
+        return
     if dual:
         tiny = abs(den) < _SQUARE_UNDERFLOW  # zero included, so one test clears most divisors
         if not (np.count_nonzero(tiny) if isinstance(tiny, _ndarray) else tiny):
@@ -341,13 +345,21 @@ def _sec_tan(u, c, first: str):
 def sqrt(u):
     if isinstance(u, DualScalar):
         r = sqrt(u.value)
-        rv = real_value(r)
-        _guard(rv == 0.0, "sqrt", rv, "derivative singular at zero")
+        if not isinstance(r, DualScalar):  # a dual root's innermost layer checked it
+            _check_root(r)
         return DualScalar(r, u.derivative / (2.0 * r))
     if isinstance(u, Var):
         return u.apply(sqrt)
     _guard(u < 0.0, "sqrt", u, "negative radicand")
     return np.sqrt(u) if isinstance(u, _ndarray) else math.sqrt(u)
+
+
+def _check_root(r) -> None:
+    """Raise DomainError where a dual's root ``r`` is zero: sqrt's derivative diverges there."""
+    if isinstance(r, Var):
+        r.apply(_check_root)
+        return
+    _guard(r == 0.0, "sqrt", r, "derivative singular at zero")
 
 
 def arcsin(u):

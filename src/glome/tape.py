@@ -2,28 +2,28 @@
 
 :func:`record` calls a function once on :class:`Var` stand-ins for its
 arguments, Python floats or numpy arrays.  Each Python operator that
-reaches a Var (``+ - * /``, unary ``-``, ``abs`` and the six
-comparisons) is carried out on the real operands and appended to a
-Wengert list, and so is each function that a Var is handed to through
-:meth:`Var.apply` (jetcalc's ``sin``, ``cos`` and ``sqrt`` hand on theirs).
+reaches a Var (``+ - * /`` and unary ``-``) is carried out on the real
+operands and appended to a Wengert list, and so is each function that a
+Var is handed to through :meth:`Var.apply`, with any constant operands
+(jetcalc's ``sin``, ``cos`` and ``sqrt`` hand on theirs, and so do its
+divisor and root checks).
 (Wengert, "A simple automatic derivative evaluation program", CACM 7(8),
 1964; Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008.)
-Every branch taken on a Var's truth value is appended as a guard.  The
-list is compiled, in memory, into one function of as many arguments, each
-entry the same Python expression on the same operands, in the same order.
-A replay therefore repeats the recorded operations bitwise, and raises
-where they raise; what it leaves out is whatever ran around them (dual
-layers, dispatch, recursion).
+The list is compiled, in memory, into one function of as many arguments,
+each entry the same Python expression on the same operands, in the same
+order.  A replay therefore repeats the recorded operations bitwise, and
+raises where they raise; what it leaves out is whatever ran around them
+(dual layers, dispatch, recursion).
 
-Where a guard's condition comes out otherwise than it did when recorded,
-the function would take another path from there on, and the replay
-returns None at once: the caller evaluates the function itself.  A
-function may branch only on its Vars' truth values, not on their types
-(a Var is neither a float nor an ndarray to ``isinstance``), and may
-catch no exception that one of its operations raises (a replay raises
-it).  An operation that would escape the list fails instead: a Var
-refuses ``float()``, so ``math`` refuses it, and a numpy call other than
-an operator raises TypeError on it.
+The list holds no branch, so a function's control flow must not depend
+on its Vars' values: a test of one belongs inside a function handed to
+:meth:`Var.apply`, which raises where the test fails.  Whatever would
+branch on a Var or leave the list fails at record time with TypeError:
+a truth test, a comparison, ``abs`` and ``float()`` of a Var (so
+``math`` refuses it), and a numpy call other than an operator.  A
+function may not branch on its Vars' types either (a Var is neither a
+float nor an ndarray to ``isinstance``), and may catch no exception that
+one of its operations raises (a replay raises it).
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from __future__ import annotations
 import math
 import operator
 
-_OPERATORS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "==": operator.eq, "!=": operator.ne,
-}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _Recording:
@@ -121,40 +117,32 @@ class Var:
     __sub__, __rsub__ = _binary("-")
     __mul__, __rmul__ = _binary("*")
     __truediv__, __rtruediv__ = _binary("/")
-    # a comparison has no reflected operator: Python calls the mirrored one
-    __lt__ = _binary("<")[0]
-    __le__ = _binary("<=")[0]
-    __gt__ = _binary(">")[0]
-    __ge__ = _binary(">=")[0]
-    __eq__ = _binary("==")[0]
-    __ne__ = _binary("!=")[0]
 
     def __neg__(self):
         return self._recording.emit(-self.value, "-{}", self)
 
-    def __abs__(self):
-        return self._recording.emit(abs(self.value), "abs({})", self)
-
     def __bool__(self):
-        taken = bool(self.value)
-        self._recording.lines.append(f"if {'not ' if taken else ''}{self.name}: return None")
-        return taken
+        raise TypeError("refusing to branch on a traced value; a replay has no branches")
+
+    # < and the other orderings refuse a Var as they are; == would compare identities
+    def __eq__(self, other):
+        raise TypeError("refusing to compare a traced value; a replay has no branches")
 
     def __float__(self):
         raise TypeError("refusing to flatten a traced value; it would drop out of the tape")
 
-    def apply(self, f):
-        """``f(self)``, recorded as one call: ``f`` runs on the real value,
-        now and in every replay."""
-        return self._recording.emit(f(self.value), "{}({})", f, self)
+    def apply(self, f, *constants):
+        """``f(self, *constants)``, recorded as one call: ``f`` runs on the
+        real value, now and in every replay."""
+        return self._recording.emit(f(self.value, *constants),
+                                    "{}({}" + ", {}" * len(constants) + ")", f, self, *constants)
 
 
 def record(f, args):
     """A function of ``len(args)`` arguments that replays ``f``'s operations
     on ``args`` (floats or arrays), as the module docstring describes:
-    ``f(*args)`` computed by the recorded operations, or None where a guard
-    sees another path.  ``f`` may return a Var, a constant or a tuple of
-    them, nested."""
+    ``f(*args)`` computed by the recorded operations.  ``f`` may return a
+    Var, a constant or a tuple of them, nested."""
     recording = _Recording()
     params = [recording.var(a) for a in args]
     result = recording.output(f(*params))

@@ -22,14 +22,25 @@ def test_replay_repeats_the_recorded_operations_bitwise():
         assert np.array_equal(got[1], want[1], equal_nan=True)
 
 
-def test_a_guard_that_sees_another_path_returns_none():
-    # jetcalc's divisor test branches on |a| < 1.49e-154: the replay stops
-    # there, where the pass itself raises DomainError
+def test_a_divisor_check_raises_the_pass_own_error_in_a_replay():
+    # jetcalc's divisor check is recorded as one call, which a replay runs
     replay = tape.record(_reciprocal, (3.0, 1.0))
-    for a in (0.0, -0.0, 1e-160):
-        assert replay(a, 1.0) is None
-        with pytest.raises(jc.DomainError):
-            _reciprocal(a, 1.0)
+    for a, detail in ((0.0, "zero denominator"), (-0.0, "zero denominator"),
+                      (1e-160, "squared denominator underflows")):
+        messages = []
+        for f in (replay, _reciprocal):
+            with pytest.raises(jc.DomainError, match=detail) as err:
+                f(a, 1.0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("branch", [bool, lambda u: u == 0.0, lambda u: u != 0.0,
+                                    lambda u: u < 1.0, lambda u: 1.0 >= u, abs],
+                         ids=["bool", "==", "!=", "<", "reflected >=", "abs"])
+def test_a_branch_on_a_traced_value_is_refused(branch):
+    with pytest.raises(TypeError):
+        tape.record(branch, (0.5,))
 
 
 def test_elementary_functions_raise_their_own_error_in_a_replay():
