@@ -84,17 +84,27 @@ _INNER = np.eye(4)[:, 1:]
 _OUTER = np.ascontiguousarray(np.eye(4)[:, [0, 2, 3]])  # a contiguous row is a faster operand
 _LONE_INNER = tuple(np.repeat(_INNER[:, None, :], 3, axis=1))
 _LONE_OUTER = tuple(np.repeat(_OUTER[:, :, None], 3, axis=2))
-# The lone pass's tape (see tape.record), recorded on the first float state
-# at this interior state, where none of the pass's checks raises.
+# The kernel's tape (see tape.record): the nested pass's operations,
+# recorded on the first kernel call of a process, a float state's or a
+# batch's, at this interior float state with its (3, 3) seed grids, where
+# none of the pass's checks raises.  The same lines serve a batch's arrays.
 _TAPE_STATE = (0.1, 0.2, 0.3, 0.4)
-_lone_tape = None
+_kernel_tape = None
 
 
-def _lone_seeds(y_x) -> tuple:
-    """The inner and then the outer seeds of a float state's pass, as (3, 3) grids."""
-    y_grid = _LONE_OUTER[1].copy()  # zero: y is in no outer direction but D_x
-    y_grid[0] = y_x
-    return (*_LONE_INNER, _LONE_OUTER[0], y_grid, *_LONE_OUTER[2:])
+def _seeds(y, y_x) -> tuple:
+    """The inner and then the outer seeds of the pass at a float state, as
+    (3, 3) grids, or at the states along the axes of an array y, with the
+    outer directions on the leading axis and the inner ones on the next."""
+    if not isinstance(y, np.ndarray):
+        y_grid = _LONE_OUTER[1].copy()  # zero: y is in no outer direction but D_x
+        y_grid[0] = y_x
+        return (*_LONE_INNER, _LONE_OUTER[0], y_grid, *_LONE_OUTER[2:])
+    ones = (1,) * y.ndim
+    outer = np.empty((4, 3, 1) + y.shape)  # argument, outer direction, (inner), batch
+    outer[...] = _OUTER.reshape((4, 3, 1) + ones)
+    outer[1, 0] = y_x
+    return (*_INNER.reshape((4, 3) + ones), *outer)
 
 
 def _nested_pass(x, y, y_x, v_x, *seeds):
@@ -126,34 +136,30 @@ def _curvatures(x, y, y_x, v_x):
     Each element repeats the floating-point operations of seven separate
     scalar passes exactly.
 
-    A float state's pass is a replay of its tape: the first float state
-    in a process runs the dual pass once, at _TAPE_STATE, to record its
+    Every call replays one tape of that pass: the first call in a
+    process runs the dual pass once, at _TAPE_STATE, to record its
     operations on floats and (3, 3) grids (:func:`tape.record`), and
-    every float state replays them on its own values and seeds.  The
-    tape has no branches: jetcalc's sin, cos and sqrt and its checks of
-    a zero root and of a divisor too small to square are recorded as one
-    call each, so a replay raises the dual pass's own DomainError.
-    Batches run the dual pass.  The caller checks |det| against DET_FLOOR
-    (below it the curvatures are meaningless) and silences numpy's
-    floating-point warnings for such states.
+    every call, a float state's or a batch's, replays them on its own
+    values and seeds.  The recorded lines hold no test of an operand's
+    type, so on a batch's arrays they are the operations its dual pass
+    would run, each element's result the same bitwise.  The tape has no
+    branches: jetcalc's sin, cos and sqrt and its checks of a zero root
+    and of a divisor too small to square are recorded as one call each,
+    so a replay raises the dual pass's own DomainError.  The caller
+    checks |det| against DET_FLOOR (below it the curvatures are
+    meaningless) and silences numpy's floating-point warnings for such
+    states.
     """
-    global _lone_tape
+    global _kernel_tape
+    if _kernel_tape is None:
+        _kernel_tape = tape.record(_nested_pass, _TAPE_STATE + _seeds(*_TAPE_STATE[1:3]))
+    partials, mixed = _kernel_tape(x, y, y_x, v_x, *_seeds(y, y_x))
     batch = isinstance(y, np.ndarray)
     if batch:
-        ones = (1,) * y.ndim
-        outer = np.empty((4, 3, 1) + y.shape)  # argument, outer direction, (inner), batch
-        outer[...] = _OUTER.reshape((4, 3, 1) + ones)
-        outer[1, 0] = y_x
-        inner = _INNER.reshape((4, 3) + ones)
-        partials, mixed = _nested_pass(x, y, y_x, v_x, *inner, *outer)
         L_y = partials[0]
         known_y, m11, m12 = mixed[:, 1]
         known_v, m21, m22 = mixed[:, 2]
     else:
-        if _lone_tape is None:
-            _lone_tape = tape.record(_nested_pass, _TAPE_STATE + _lone_seeds(_TAPE_STATE[2]))
-        args = (x, y, y_x, v_x, *_lone_seeds(y_x))
-        partials, mixed = _lone_tape(*args)
         L_y = partials.item(0)
         (known_y, m11, m12), (known_v, m21, m22) = mixed[:, 1:].T.tolist()
     b1 = L_y - known_y

@@ -13,7 +13,9 @@ The list is compiled, in memory, into one function of as many arguments,
 each entry the same Python expression on the same operands, in the same
 order.  A replay therefore repeats the recorded operations bitwise, and
 raises where they raise; what it leaves out is whatever ran around them
-(dual layers, dispatch, recursion).
+(dual layers, dispatch, recursion).  A replay drops each variable that
+is not an output right after the line that last reads it, so, like the
+recorded computation, it holds only the intermediates still to be read.
 
 The list holds no branch, so a function's control flow must not depend
 on its Vars' values: a test of one belongs inside a function handed to
@@ -35,13 +37,16 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": oper
 
 
 class _Recording:
-    """The Wengert list of one :func:`record` call: source lines and the
-    names they read besides their variables (functions and constants)."""
+    """The Wengert list of one :func:`record` call: source lines, the
+    names they read besides their variables (functions and constants), and
+    for each variable a line defines or reads, the index of the line that
+    last reads it (or defines it, if none does)."""
 
     def __init__(self):
         self.count = 0
         self.lines: list[str] = []
         self.namespace: dict = {}
+        self.live: dict[str, int] = {}
 
     def var(self, value) -> Var:
         var = Var(self, value, f"v{self.count}")
@@ -71,15 +76,36 @@ class _Recording:
 
     def emit(self, value, template: str, *operands) -> Var:
         """A new Var holding ``value``, recorded as ``template`` of ``operands``."""
+        text = template.format(*map(self.operand, operands))
         var = self.var(value)
-        self.lines.append(f"{var.name} = " + template.format(*map(self.operand, operands)))
+        self.lines.append(f"{var.name} = {text}")
+        for x in (*operands, var):
+            if isinstance(x, Var):
+                self.live[x.name] = len(self.lines) - 1
         return var
 
     def output(self, result) -> str:
+        """Source text of a result; its variables stay live to the end."""
         if isinstance(result, tuple):
             items = [self.output(r) for r in result]
             return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
-        return self.operand(result)
+        text = self.operand(result)
+        if isinstance(result, Var):
+            self.live.pop(result.name, None)
+        return text
+
+    def body(self) -> list[str]:
+        """The lines, each followed by a ``del`` of the variables it reads
+        last; a variable that no line reads goes at the line defining it."""
+        dead: list[list[str]] = [[] for _ in self.lines]
+        for name, last in self.live.items():
+            dead[last].append(name)
+        body = []
+        for line, names in zip(self.lines, dead):
+            body.append(line)
+            if names:
+                body.append(f"del {', '.join(names)}")
+        return body
 
 
 def _value(x):
@@ -147,7 +173,7 @@ def record(f, args):
     params = [recording.var(a) for a in args]
     result = recording.output(f(*params))
     source = "\n    ".join([f"def replay({', '.join(p.name for p in params)}):",
-                            *recording.lines, f"return {result}"])
+                            *recording.body(), f"return {result}"])
     namespace = dict(recording.namespace)
     exec(compile(source, "<tape>", "exec"), namespace)
     return namespace["replay"]

@@ -133,7 +133,7 @@ def test_lone_kernel_pass_broadcasts_nothing(monkeypatch):
     for name in ("_LONE_INNER", "_LONE_OUTER"):
         seeds = tuple(s.view(_ShapeRecorder) for s in getattr(geo, name))
         monkeypatch.setattr(geo, name, seeds)
-    monkeypatch.setattr(geo, "_lone_tape", None)
+    monkeypatch.setattr(geo, "_kernel_tape", None)
     monkeypatch.setattr(_ShapeRecorder, "calls", [])
     got = geo._curvatures(*state)
     assert len(_ShapeRecorder.calls) > 50
@@ -142,8 +142,9 @@ def test_lone_kernel_pass_broadcasts_nothing(monkeypatch):
 
 
 def test_lone_states_replay_one_recording(monkeypatch):
-    # the first float state records the tape in one nested pass (two
-    # directional calls); every later one, a whole lone run's, replays it
+    # the first kernel call, a float state's or a batch's, records the tape
+    # in one nested pass (two directional calls); every later one, a whole
+    # lone run's, a lockstep run's and a batch's, replays it
     counts = {"record": 0, "directional": 0}
     record, directional = tape.record, geo.directional
 
@@ -157,12 +158,20 @@ def test_lone_states_replay_one_recording(monkeypatch):
 
     monkeypatch.setattr(tape, "record", counted_record)
     monkeypatch.setattr(geo, "directional", counted_directional)
-    monkeypatch.setattr(geo, "_lone_tape", None)
-    geo._curvatures(0.3, -0.2, 0.7, -1.1)
-    assert counts == {"record": 1, "directional": 2}
-    traj = geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.1, 0.2), 0.5, 1e-3)
-    assert len(traj) == 501
-    assert counts == {"record": 1, "directional": 2}
+    batch = (0.3, np.array([-0.2, 0.4]), np.array([0.7, 0.1]), np.array([-1.1, 0.5]))
+    for first in ((0.3, -0.2, 0.7, -1.1), batch):
+        counts.update(record=0, directional=0)
+        monkeypatch.setattr(geo, "_kernel_tape", None)
+        geo._curvatures(*first)
+        assert counts == {"record": 1, "directional": 2}
+        geo._curvatures(*batch)
+        geo._curvatures(0.3, -0.2, 0.7, -1.1)
+        traj = geo.integrate(chart.jet1(0.0, 0.2, 0.3, 0.1, 0.2), 0.5, 1e-3)
+        assert len(traj) == 501
+        runs = geo.integrate_batch([chart.jet1(0.0, 0.2, 0.3, 0.1, 0.2),
+                                    chart.jet1(0.1, -0.3, 0.0, 0.2, -0.1)], 0.2, 1e-2)
+        assert [len(r) for r in runs] == [21, 11]
+        assert counts == {"record": 1, "directional": 2}
 
 
 def test_el_expressions_vanish_on_shell():

@@ -432,13 +432,13 @@ def test_scan_flags_a_closure_over_an_outer_dual(monkeypatch):
 
 def test_no_pass_in_the_package_closes_over_a_dual(monkeypatch):
     # the rule of jetcalc's docstring: every dual that f reads enters through args
-    # a lone state replays the tape of the kernel's pass; with the tape
-    # reset, each run's first lone state records it, through the scan
+    # every kernel call replays the tape of the kernel's pass; with the
+    # tape reset, each run's first kernel call records it, through the scan
     seen = _scan_directional(monkeypatch)
-    monkeypatch.setattr(geodesics, "_lone_tape", None)
+    monkeypatch.setattr(geodesics, "_kernel_tape", None)
     suites.run_all(suites.RunConfig(samples=50, trajectories=5, step=5e-3))
     calls = [seen["calls"]]
-    monkeypatch.setattr(geodesics, "_lone_tape", None)
+    monkeypatch.setattr(geodesics, "_kernel_tape", None)
     traj = geodesics.integrate(chart.jet1(0.0, 0.2, 0.3, 0.1, 0.2), 0.5, 1e-3)
     calls.append(seen["calls"])
     reduction.reduction_report(traj)

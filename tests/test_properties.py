@@ -17,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from glome import chart, geodesics as geo  # noqa: E402
 from glome import jetcalc as jc  # noqa: E402
+from glome import tape  # noqa: E402
 
 import reference  # noqa: E402
 
@@ -110,14 +111,14 @@ tape_angle = st.one_of(kernel_angle, tape_special)
 tape_slope = st.one_of(kernel_slope, tape_special, st.sampled_from([1e200, -1e200]))
 
 
-def _lone_outcome(kernel, args):
-    """_bits, the types and the shapes of a lone kernel's result, or its
-    DomainError's message."""
+def _kernel_outcome(kernel, args):
+    """_bits, the type and the shape of each part of a kernel pass's result,
+    or its DomainError's message."""
     try:
         result = kernel(*args)
     except jc.DomainError as err:
         return str(err)
-    return _bits(result), [(type(r), np.shape(r)) for r in result]
+    return [(_bits(r), type(r), np.shape(r)) for r in result]
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,9 +130,54 @@ def _lone_outcome(kernel, args):
 @example((math.nan, -0.0, 5e-324, 0.0))
 def test_lone_tape_replays_the_dual_pass(state):
     geo._curvatures(0.1, 0.2, 0.3, 0.4)  # records the tape
-    args = (*state, *geo._lone_seeds(state[2]))
+    args = (*state, *geo._seeds(state[1], state[2]))
     with np.errstate(all="ignore"):
-        assert _lone_outcome(geo._lone_tape, args) == _lone_outcome(geo._nested_pass, args)
+        assert _kernel_outcome(geo._kernel_tape, args) == _kernel_outcome(geo._nested_pass, args)
+
+
+def _batch_args(states, form: str) -> tuple:
+    """The pass's arguments at a batch of states: one column each, the
+    columns with x as one float (the first state's), or a 2-D batch."""
+    x, y, y_x, v_x = (np.array(c) for c in zip(*states))
+    if form == "float x":
+        x = float(x[0])
+    elif form == "2-D":
+        x, y, y_x, v_x = (c.reshape(2 if len(states) % 2 == 0 else 1, -1) for c in (x, y, y_x, v_x))
+    return (x, y, y_x, v_x, *geo._seeds(y, y_x))
+
+
+batch_form = st.sampled_from(["columns", "float x", "2-D"])
+tape_states = st.lists(st.tuples(tape_angle, tape_angle, tape_slope, tape_slope),
+                       min_size=2, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tape_states, batch_form)
+@example([(math.inf, 0.3, 0.5, -0.5), (0.3, 0.2, 0.5, -0.5)], "columns")  # one column raises
+@example([(0.3, 0.2, 1e200, -1e200), (0.5, 0.5, 1e154, 1e154)], "float x")
+@example([(math.nan, -0.0, 5e-324, 0.0), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.0, 0.0),
+          (-0.4, 1.2, -2.5e-308, 3.0)], "2-D")
+def test_kernel_tape_replays_the_dual_pass_on_batches(states, form):
+    geo._curvatures(0.1, 0.2, 0.3, 0.4)  # records the tape
+    args = _batch_args(states, form)
+    with np.errstate(all="ignore"):
+        assert _kernel_outcome(geo._kernel_tape, args) == _kernel_outcome(geo._nested_pass, args)
+
+
+@pytest.mark.parametrize("form", ["columns", "float x", "2-D"])
+def test_a_batch_records_the_lines_of_the_kernel_tape(form):
+    # a jetcalc rule that branched on its operands' types would record other
+    # lines at a batch's arrays than at _TAPE_STATE's floats and grids
+    geo._curvatures(0.1, 0.2, 0.3, 0.4)  # records the tape
+    states = [(0.1, 0.2, 0.3, 0.4), (-0.5, 0.7, -1.1, 0.6)]
+    replay = tape.record(geo._nested_pass, _batch_args(states, form))
+
+    def names(f):
+        return {k: v for k, v in f.__globals__.items() if k not in ("__builtins__", "replay")}
+
+    assert replay.__code__ == geo._kernel_tape.__code__
+    assert names(replay).keys() == names(geo._kernel_tape).keys()
+    assert all(v is names(geo._kernel_tape)[k] for k, v in names(replay).items())
 
 
 # Relative to max(1, |exact|), over |x|, |y| <= 1.47 and slopes in [-3, 3].

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from glome import geodesics as geo
 from glome import jetcalc as jc
 from glome import tape
 
@@ -56,3 +58,37 @@ def test_a_value_that_would_leave_the_tape_is_refused():
         tape.record(math.exp, (1.0,))
     with pytest.raises(TypeError):
         tape.record(np.exp, (np.ones(2),))
+
+
+def _chain(a, n=40):
+    """n array operations in a chain, each reading only the one before."""
+    for _ in range(n // 2):
+        a = a * 1.0000001 + 1.0
+    return a
+
+
+def _peak(f, *args) -> int:
+    """The peak of the bytes that f(*args) allocates, its result included."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_replay_holds_only_the_intermediates_still_to_be_read():
+    replay = tape.record(_chain, (np.ones(3),))
+    a = np.linspace(0.0, 1.0, 100_000)
+    assert np.array_equal(replay(a), _chain(a))
+    # the chain's 40 arrays would peak at 40 arrays' worth if each stayed
+    # until the replay returned
+    assert _peak(replay, a) < 4 * a.nbytes
+
+
+def test_a_batch_kernel_call_peaks_below_the_dual_pass():
+    geo._curvatures(0.1, 0.2, 0.3, 0.4)  # records the tape
+    rng = np.random.default_rng(5)
+    x, y, y_x, v_x = rng.uniform(-1.0, 1.0, (4, 10_000))
+    assert _peak(geo._curvatures, x, y, y_x, v_x) < _peak(
+        geo._nested_pass, x, y, y_x, v_x, *geo._seeds(y, y_x))
