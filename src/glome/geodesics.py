@@ -363,9 +363,11 @@ def _stage(x, u, stopped: dict, at):
     and state or the guard's message, or SingularSystem with the
     determinant at ``at``.  Every column in the record gets zero slopes,
     so the step's later stages evaluate it at its step-start state; a
-    lone state in the record skips the kernel.  Where an array's kernel
-    raises DomainError, each column is evaluated again as a lone state,
-    so its outcome and slopes are the same in a batch as alone.
+    lone state in the record skips the kernel.  Only the lone branch
+    builds a stop: an array's column that is off the chart, non-finite or
+    singular, or every column when its kernel raises DomainError, is
+    evaluated again as a lone state, so its outcome and slopes are the
+    same in a batch as alone.
     """
     # x needs no test: |x_i| <= pi/2 - POLE_MARGIN and |x - x_i| <= MAX_STEP < POLE_MARGIN
     if isinstance(u, tuple):
@@ -386,26 +388,23 @@ def _stage(x, u, stopped: dict, at):
                 stopped[0] = SingularSystem(float(det), x=float(at))
         return 0.0, 0.0, 0.0, 0.0
     y, _, y_x, v_x = u
-    if not (np.isfinite(u).all() and np.abs(y).max() < chart.HALF_PI):
-        on_chart = np.isfinite(u).all(axis=0) & (np.abs(y) < chart.HALF_PI)
-        for c in np.flatnonzero(~on_chart).tolist():
-            state = tuple(u[:, c].tolist())
-            detail = f"stage at x = {float(x[c])!r} has (y, v, y_x, v_x) = {state}"
-            stopped.setdefault(c, DomainExit(float(at[c]), _STAGE_OFF_CHART, detail))
     k = np.empty_like(u)
     k[:2] = u[2:]
     try:
         k[2], k[3], det = _curvatures(x, y, y_x, v_x)
-    except jetcalc.DomainError:  # each column again as a lone state, whose floats repeat it
-        for c in range(u.shape[1]):
-            one = {0: stopped[c]} if c in stopped else {}
-            k[:, c] = _stage(float(x[c]), tuple(u[:, c].tolist()), one, float(at[c]))
-            if one:
-                stopped[c] = one[0]
-        return k
-    if not (np.abs(det) >= DET_FLOOR).all():  # a nan determinant is not singular
-        for c in np.flatnonzero(np.abs(det) < DET_FLOOR).tolist():
-            stopped.setdefault(c, SingularSystem(float(det[c]), x=float(at[c])))
+    except jetcalc.DomainError:
+        redo = range(u.shape[1])
+    else:
+        redo = ()
+        if not (np.isfinite(u).all() and np.abs(y).max() < chart.HALF_PI
+                and (np.abs(det) >= DET_FLOOR).all()):  # a nan determinant is not singular
+            off = ~(np.isfinite(u).all(axis=0) & (np.abs(y) < chart.HALF_PI))
+            redo = np.flatnonzero(off | (np.abs(det) < DET_FLOOR)).tolist()
+    for c in redo:  # each as a lone state, whose floats repeat its column
+        one = {0: stopped[c]} if c in stopped else {}
+        k[:, c] = _stage(float(x[c]), tuple(u[:, c].tolist()), one, float(at[c]))
+        if one:
+            stopped[c] = one[0]
     if stopped:
         k[:, list(stopped)] = 0.0
     return k

@@ -44,6 +44,7 @@ combinations, each over its own points, evaluate in one pass.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -60,48 +61,34 @@ class AmbiguousIdentification(RuntimeError):
 _Field = Callable[[object, object, object], tuple]
 
 
-class _factor:
-    """A factor of _Factors: ``rule`` of the point's coordinate ``arg``,
-    formed on first read and stored on the instance, whose attribute then
-    answers every later read (a descriptor without __set__ yields to it).
-    A factor with a ``partner`` shares its rule with it: the rule returns
-    both, this factor first, and the first read of either stores both."""
-
-    def __init__(self, rule, arg: str, partner: str | None = None):
-        self.rule, self.arg, self.partner = rule, arg, partner
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, factors, owner=None):
-        if factors is None:
-            return self
-        value = self.rule(getattr(factors, self.arg))
-        if self.partner is not None:
-            value, factors.__dict__[self.partner] = value
-        factors.__dict__[self.name] = value
-        return value
-
-
 class _Factors:
     """The trigonometric factors the generators share at one point (x, y, v).
 
-    Each is formed on first use and then read, so a lone generator forms
-    only its own and the six together form each once; sec y and tan y are
-    formed together, since sec y's dual rule needs tan y.  A generator reads
-    them in its formulas' operand order, so every coefficient has the bits
-    of its formula evaluated on its own.  Built per evaluation; nothing
+    Each is a cached_property, formed on first read and then stored on the
+    instance, so a lone generator forms only its own and the six together
+    form each once.  sec y and tan y come from one sec_tan, since sec y's
+    dual rule needs tan y: the first read of either stores both, and a pole
+    raises the DomainError of the one read first.  A generator reads them
+    in its formulas' operand order, so every coefficient has the bits of
+    its formula evaluated on its own.  Built per evaluation; nothing
     outlives it.
     """
 
-    cos_v = _factor(cos, "v")
-    sin_v = _factor(sin, "v")
-    tan_x = _factor(tan, "x")
-    cos_y = _factor(cos, "y")
-    sin_y = _factor(sin, "y")
-    # one sec_tan forms both; a pole raises the DomainError of the one read first
-    tan_y = _factor(lambda y: sec_tan(y, "tan")[::-1], "y", partner="sec_y")
-    sec_y = _factor(lambda y: sec_tan(y, "sec"), "y", partner="tan_y")
+    cos_v = cached_property(lambda f: cos(f.v))
+    sin_v = cached_property(lambda f: sin(f.v))
+    tan_x = cached_property(lambda f: tan(f.x))
+    cos_y = cached_property(lambda f: cos(f.y))
+    sin_y = cached_property(lambda f: sin(f.y))
+
+    @cached_property
+    def tan_y(self):
+        self.sec_y, tan_y = sec_tan(self.y, "tan")
+        return tan_y
+
+    @cached_property
+    def sec_y(self):
+        sec_y, self.tan_y = sec_tan(self.y, "sec")
+        return sec_y
 
     def __init__(self, x, y, v):
         self.x, self.y, self.v = x, y, v

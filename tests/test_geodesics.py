@@ -488,6 +488,42 @@ def test_stage_records_an_infinite_column_and_does_not_raise(slot, value):
     assert k[:, 1].tobytes() == np.array(alone).tobytes()
 
 
+@pytest.mark.parametrize("kernel", ["real", "raises_on_arrays"])
+def test_a_stage_mixing_every_stop_kind_repeats_each_lone_column(monkeypatch, kernel):
+    # one array stage holding a plain column, a column at y = pi/2, a nan
+    # v_x, a singular column just below pi/2, a column its step already
+    # marks complete and one it already stopped: every column's slopes and
+    # new record are its lone state's, and the earlier records are kept
+    real = geo._curvatures
+    if kernel == "raises_on_arrays":
+        def fragile(x, y, y_x, v_x):
+            if isinstance(y, np.ndarray):
+                raise jc.DomainError("sqrt", -1.0, "planted")
+            return real(x, y, y_x, v_x)
+
+        monkeypatch.setattr(geo, "_curvatures", fragile)
+    states = [(0.2, 0.0, 0.1, 0.1), (chart.HALF_PI, 0.0, 0.1, 0.1), (0.0, 0.0, 0.1, math.nan),
+              (math.nextafter(chart.HALF_PI, 0.0), 0.0, 0.1, 0.1), (0.1, 0.2, 0.3, -0.2),
+              (-0.3, 0.1, -0.2, 0.4)]
+    x = 0.3 + 0.01 * np.arange(6)
+    at = 0.25 + 0.01 * np.arange(6)
+    earlier = {4: None, 5: geo.DomainExit(0.3, "an earlier stop at")}
+    stopped = dict(earlier)
+    with np.errstate(all="ignore"):
+        k = geo._stage(x, np.array(states).T, stopped, at)
+    assert sorted(stopped) == [1, 2, 3, 4, 5]
+    assert stopped[4] is None and stopped[5] is earlier[5]
+    for c, state in enumerate(states):
+        one = {0: earlier[c]} if c in earlier else {}
+        with np.errstate(all="ignore"):
+            alone = geo._stage(float(x[c]), state, one, float(at[c]))
+        assert k[:, c].tobytes() == np.array(alone).tobytes()
+        if c in (1, 2, 3):
+            got, want = stopped[c], one[0]
+            assert (type(got), got.x, str(got)) == (type(want), want.x, str(want))
+    assert [type(stopped[c]) for c in (1, 2, 3)] == [geo.DomainExit] * 2 + [geo.SingularSystem]
+
+
 def test_integrate_propagates_unrelated_value_error(monkeypatch):
     def broken(x, y, y_x, v_x):
         raise ValueError("not a domain problem")

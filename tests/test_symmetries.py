@@ -411,6 +411,32 @@ def test_a_lone_generator_raises_the_domain_error_of_the_y_factor_it_reads_first
                               " (0.5, 1.5707963267947966, 2.0), index (1,))")
 
 
+def test_a_generator_stores_only_the_factors_it_reads():
+    f = sym._Factors(0.1, 0.2, 0.3)
+    sym._chi3(f)
+    assert sorted(vars(f)) == ["cos_y", "sin_y", "tan_x", "v", "x", "y"]
+
+
+@pytest.mark.parametrize("first, partner", [("tan", "sec"), ("sec", "tan")])
+def test_the_first_y_factor_read_forms_and_stores_both(first, partner):
+    # sec y and tan y come from one jetcalc.sec_tan: at the pole the first
+    # read raises its own DomainError and stores nothing; elsewhere it
+    # stores both, each equal to sec_tan's half bitwise
+    f = sym._Factors(0.1, chart.HALF_PI, 0.3)
+    with pytest.raises(jc.DomainError) as err:
+        getattr(f, f"{first}_y")
+    assert err.value.func == first
+    assert "tan_y" not in vars(f) and "sec_y" not in vars(f)
+    for y in (0.2, np.array([-1.1, 0.0, 1.4])):
+        f = sym._Factors(0.1, y, 0.3)
+        getattr(f, f"{first}_y")
+        stored = vars(f)
+        sec_y, tan_y = jc.sec_tan(y, first)
+        assert np.asarray(stored["sec_y"]).tobytes() == np.asarray(sec_y).tobytes()
+        assert np.asarray(stored["tan_y"]).tobytes() == np.asarray(tan_y).tobytes()
+        assert f.sec_y is stored["sec_y"] and f.tan_y is stored["tan_y"]
+
+
 def test_lie_bracket_takes_one_gradient_pass_per_field(monkeypatch):
     passes = _counting(monkeypatch, "value_and_gradn")
     p = chart.domain_columns(10, 0.1, 0)
