@@ -79,23 +79,47 @@ class TrajectoryCSVError(ValueError):
 # (outer direction, inner direction): argument i's inner row is repeated
 # for each outer direction and its outer column for each inner one, so
 # every array of the nested pass has that one shape and no operation
-# broadcasts.
-_INNER = np.eye(4)[:, 1:]
-_OUTER = np.ascontiguousarray(np.eye(4)[:, [0, 2, 3]])  # a contiguous row is a faster operand
+# broadcasts.  A narrow batch starts its seeds from the same grids,
+# flattened: _GRID_SEEDS holds the four inner ones and then the four
+# outer ones, one row of 9 cells each (see _grids).
+_EYE = np.eye(4)
+_INNER = _EYE[:, 1:]
+_OUTER = np.ascontiguousarray(_EYE[:, [0, 2, 3]])  # a contiguous row is a faster operand
 _LONE_INNER = tuple(np.repeat(_INNER[:, None, :], 3, axis=1))
 _LONE_OUTER = tuple(np.repeat(_OUTER[:, :, None], 3, axis=2))
+_GRID_SEEDS = np.array(_LONE_INNER + _LONE_OUTER).reshape(8, 9)
 # The kernel's tape (see tape.record): the nested pass's operations,
 # recorded on the first kernel call of a process, a float state's or a
 # batch's, at this interior float state with its (3, 3) seed grids, where
 # none of the pass's checks raises.  The same lines serve a batch's arrays.
 _TAPE_STATE = (0.1, 0.2, 0.3, 0.4)
 _kernel_tape = None
+# The most states a batch replays the tape on same-shape grids (_grids);
+# a wider batch replays it on broadcast seeds (_seeds).  Measured on a
+# shared 2-core x86-64 host, numpy 2.4, a kernel call's best of 9 timeit
+# repeats in 10 pairs of fresh processes, alternating which layout ran
+# first: the grids won 10 of 10 pairs at 61 and 80 states (median 118 vs
+# 131 us, 134 vs 141 us), 8 at 96, 2 at 120 and 0 at 160 (206 vs 174 us).
+_GRID_BATCH = 80
 
 
 def _seeds(y, y_x) -> tuple:
     """The inner and then the outer seeds of the pass at a float state, as
     (3, 3) grids, or at the states along the axes of an array y, with the
-    outer directions on the leading axis and the inner ones on the next."""
+    outer directions on the leading axis and the inner ones on the next.
+
+    The kernel replays its tape in one of three layouts, chosen so that
+    its operations broadcast as little as the batch's size allows.  A
+    float state takes these (3, 3) grids, which its floats multiply
+    without a broadcast.  A narrow batch, of at most _GRID_BATCH states,
+    takes :func:`_grids`: the same grids stacked along its leading axis,
+    with its states repeated to match, so that every operation is
+    elementwise on operands of one shape, the fastest numpy call.  A
+    wider batch takes these broadcast seeds, whose operands are the
+    states and seeds of (3,) or (3, 1) by the batch's shape: there the
+    pass's time is in its arithmetic, not in the calls, and nine copies
+    of every state would cost more time and memory than broadcasting.
+    """
     if not isinstance(y, np.ndarray):
         y_grid = _LONE_OUTER[1].copy()  # zero: y is in no outer direction but D_x
         y_grid[0] = y_x
@@ -105,6 +129,24 @@ def _seeds(y, y_x) -> tuple:
     outer[...] = _OUTER.reshape((4, 3, 1) + ones)
     outer[1, 0] = y_x
     return (*_INNER.reshape((4, 3) + ones), *outer)
+
+
+def _grids(x, y, y_x, v_x) -> tuple:
+    """The pass's twelve arguments at a batch of states, an array y with a
+    leading axis, on the (3, 3) grids of a float state stacked along that
+    axis: each state argument and each seed is one contiguous array of
+    shape (9 * len(y),) + y.shape[1:], block b (the 9 grid cells in the
+    order (outer, inner)) holding the cell's seed for every state, or
+    every state's value.  A float x stays a float.  Block 0 comes first,
+    so a check of a state's value, equal in all nine blocks, fails first
+    at the state's own index."""
+    grids = np.empty_like(_GRID_SEEDS, shape=(12, 9) + y.shape, order="C")
+    grids[4:] = _GRID_SEEDS.reshape((8, 9) + (1,) * y.ndim)
+    grids[9, :3] = y_x  # y's outer seed along D_x
+    for row, value in enumerate((x, y, y_x, v_x)):
+        grids[row] = value
+    args = tuple(grids.reshape((12, -1) + y.shape[1:]))
+    return (x if not isinstance(x, np.ndarray) else args[0], *args[1:])
 
 
 def _nested_pass(x, y, y_x, v_x, *seeds):
@@ -129,12 +171,18 @@ def _curvatures(x, y, y_x, v_x):
     (E_Y, E_YX, E_VX) and the outer directions (the known part of D_x,
     E_YX, E_VX), yields L_y and all six mixed second partials; Cramer's
     rule then runs element by element, on Python floats for a float
-    state.  A batch carries the outer directions on its leading axis and
-    the inner ones on the next, broadcast against the state axes; a float
-    state carries both on one (3, 3) grid indexed (outer, inner), so every
-    operation of its pass is between arrays of that shape or with floats.
-    Each element repeats the floating-point operations of seven separate
-    scalar passes exactly.
+    state.  A float state carries both directions on one (3, 3) grid
+    indexed (outer, inner), so every operation of its pass is between
+    arrays of that shape or with floats.  A batch of at most _GRID_BATCH
+    states carries those grids stacked along its leading axis, with each
+    state repeated in all nine blocks (:func:`_grids`), so again no
+    operation broadcasts; its results are reshaped to put the grid axes in
+    front.  A wider batch carries the outer directions on its leading axis
+    and the inner ones on the next, broadcast against the state axes
+    (:func:`_seeds` gives the reason for each layout).  Each element repeats
+    the floating-point operations of seven separate scalar passes exactly,
+    in every layout, and a check of a state's value fails first at the
+    state's own index, so a DomainError is the same in each.
 
     Every call replays one tape of that pass: the first call in a
     process runs the dual pass once, at _TAPE_STATE, to record its
@@ -153,8 +201,13 @@ def _curvatures(x, y, y_x, v_x):
     global _kernel_tape
     if _kernel_tape is None:
         _kernel_tape = tape.record(_nested_pass, _TAPE_STATE + _seeds(*_TAPE_STATE[1:3]))
-    partials, mixed = _kernel_tape(x, y, y_x, v_x, *_seeds(y, y_x))
     batch = isinstance(y, np.ndarray)
+    narrow = batch and y.ndim > 0 and y.size <= _GRID_BATCH  # a 0-d array has no axis to stack on
+    partials, mixed = _kernel_tape(*(_grids(x, y, y_x, v_x) if narrow
+                                     else (x, y, y_x, v_x, *_seeds(y, y_x))))
+    if narrow:  # the grid axes in front of the batch's, as a wide batch has them
+        partials = partials.reshape((3, 3) + y.shape)[0]
+        mixed = mixed.reshape((3, 3) + y.shape)
     if batch:
         L_y = partials[0]
         known_y, m11, m12 = mixed[:, 1]

@@ -141,6 +141,32 @@ def test_lone_kernel_pass_broadcasts_nothing(monkeypatch):
     assert np.array(got).tobytes() == want
 
 
+def test_a_narrow_batch_pass_broadcasts_nothing(monkeypatch):
+    # every array of a narrow batch's replay descends from the grid seeds,
+    # so viewing them as recorders sees every numpy call the replay makes:
+    # each is elementwise on the 9 * 11 stacked grid cells, and the Cramer
+    # solve after it on the batch's own 11 columns
+    rng = np.random.default_rng(43)
+    state = (0.3, *rng.uniform(-1.0, 1.0, (3, 11)))
+    want = np.array(geo._curvatures(*state)).tobytes()  # records the tape
+    replay, replayed = geo._kernel_tape, []
+
+    def watched(*args):
+        result = replay(*args)
+        replayed.append(len(_ShapeRecorder.calls))
+        return result
+
+    monkeypatch.setattr(geo, "_GRID_SEEDS", geo._GRID_SEEDS.view(_ShapeRecorder))
+    monkeypatch.setattr(geo, "_kernel_tape", watched)
+    monkeypatch.setattr(_ShapeRecorder, "calls", [])
+    got = geo._curvatures(*state)
+    [end] = replayed
+    assert end > 50
+    assert {shape for call in _ShapeRecorder.calls[:end] for shape in call} == {(99,)}
+    assert {shape for call in _ShapeRecorder.calls[end:] for shape in call} == {(11,)}
+    assert np.array(got).tobytes() == want
+
+
 def test_lone_states_replay_one_recording(monkeypatch):
     # the first kernel call, a float state's or a batch's, records the tape
     # in one nested pass (two directional calls); every later one, a whole

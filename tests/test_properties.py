@@ -70,31 +70,56 @@ kernel_states = st.lists(st.tuples(kernel_angle, kernel_angle, kernel_slope, ker
                          min_size=1, max_size=8)
 
 
+# a batch as drawn (0), or the draws tiled to the widest batch that replays
+# the tape on same-shape grids and to the narrowest that broadcasts
+kernel_width = st.sampled_from([0, geo._GRID_BATCH, geo._GRID_BATCH + 1])
+
+
+def _kernel_columns(states, width: int) -> list:
+    """One column per state argument, the states tiled to ``width`` unless it is 0."""
+    if width:
+        states = (states * width)[:width]
+    return [np.array(c) for c in zip(*states)]
+
+
+def _kernel_batches(columns, at: int = 0) -> list:
+    """The batch forms of a kernel test: 1-D columns, the columns with x one
+    float (the one at index ``at``) and a 2-D batch."""
+    rows = 2 if columns[0].size % 2 == 0 else 1
+    return [columns, [float(columns[0][at]), *columns[1:]], [c.reshape(rows, -1) for c in columns]]
+
+
 @settings(max_examples=60, deadline=None)
-@given(kernel_states)
+@given(kernel_states, kernel_width)
 # lone float states with signed zeros, and one at the pole margin
-@example([(0.0, 0.0, 0.0, 0.0)])
-@example([(0.0, 0.0, -0.0, -0.0)])
-@example([(-0.0, 0.3, 0.0, -0.0)])
-@example([(margin - 5e-4, 2e-4 - margin, 2.5, -3.0)])
-def test_curvatures_equal_the_frozen_kernel_bitwise(states):
-    columns = [np.array(c) for c in zip(*states)]
+@example([(0.0, 0.0, 0.0, 0.0)], 0)
+@example([(0.0, 0.0, -0.0, -0.0)], 0)
+@example([(-0.0, 0.3, 0.0, -0.0)], 0)
+@example([(margin - 5e-4, 2e-4 - margin, 2.5, -3.0)], 0)
+# both sides of the layout rule
+@example([(0.1, 0.2, 0.3, 0.4), (-0.5, 0.7, -1.1, 0.6), (0.0, -0.0, 0.0, -0.0)], geo._GRID_BATCH)
+@example([(0.1, 0.2, 0.3, 0.4), (-0.5, 0.7, -1.1, 0.6), (0.0, -0.0, 0.0, -0.0)],
+         geo._GRID_BATCH + 1)
+def test_curvatures_equal_the_frozen_kernel_bitwise(states, width):
     with np.errstate(all="ignore"):
-        assert _bits(geo._curvatures(*columns)) == _bits(reference.curvatures(*columns))
-        shared_x = (float(columns[0][0]), *columns[1:])
-        assert _bits(geo._curvatures(*shared_x)) == _bits(reference.curvatures(*shared_x))
+        for args in _kernel_batches(_kernel_columns(states, width)):
+            assert _bits(geo._curvatures(*args)) == _bits(reference.curvatures(*args))
         for s in states:
             assert _bits(geo._curvatures(*s)) == _bits(reference.curvatures(*s))
 
 
 @settings(max_examples=30, deadline=None)
-@given(kernel_states, st.integers(0, 7), st.sampled_from([0, 1]),
+@given(kernel_states, kernel_width, st.integers(0, 2 * geo._GRID_BATCH), st.sampled_from([0, 1]),
        st.sampled_from([math.inf, -math.inf]))
-def test_curvatures_raise_the_frozen_kernels_domain_error(states, at, slot, value):
-    columns = [np.array(c) for c in zip(*states)]
-    at %= len(states)
+@example([(0.1, 0.2, 0.3, 0.4), (-0.5, 0.7, -1.1, 0.6)], geo._GRID_BATCH, geo._GRID_BATCH - 1, 1,
+         math.inf)
+@example([(0.1, 0.2, 0.3, 0.4), (-0.5, 0.7, -1.1, 0.6)], geo._GRID_BATCH + 1, geo._GRID_BATCH,
+         0, -math.inf)
+def test_curvatures_raise_the_frozen_kernels_domain_error(states, width, at, slot, value):
+    columns = _kernel_columns(states, width)
+    at %= columns[0].size
     columns[slot][at] = value  # an infinite x or y
-    for args in (columns, [float(c[at]) for c in columns]):
+    for args in (*_kernel_batches(columns, at), [float(c[at]) for c in columns]):
         messages = []
         for kernel in (geo._curvatures, reference.curvatures):
             with pytest.raises(jc.DomainError) as err:
@@ -137,16 +162,23 @@ def test_lone_tape_replays_the_dual_pass(state):
 
 def _batch_args(states, form: str) -> tuple:
     """The pass's arguments at a batch of states: one column each, the
-    columns with x as one float (the first state's), or a 2-D batch."""
+    columns with x as one float (the first state's), or a 2-D batch; with
+    broadcast seeds, or, for a form ending in " on grids", stacked on the
+    same-shape grids of a narrow batch."""
+    layout, grids = form.removesuffix(" on grids"), form.endswith(" on grids")
     x, y, y_x, v_x = (np.array(c) for c in zip(*states))
-    if form == "float x":
+    if layout == "float x":
         x = float(x[0])
-    elif form == "2-D":
+    elif layout == "2-D":
         x, y, y_x, v_x = (c.reshape(2 if len(states) % 2 == 0 else 1, -1) for c in (x, y, y_x, v_x))
+    if grids:
+        return geo._grids(x, y, y_x, v_x)
     return (x, y, y_x, v_x, *geo._seeds(y, y_x))
 
 
-batch_form = st.sampled_from(["columns", "float x", "2-D"])
+batch_forms = [f"{layout}{grids}" for grids in ("", " on grids")
+               for layout in ("columns", "float x", "2-D")]
+batch_form = st.sampled_from(batch_forms)
 tape_states = st.lists(st.tuples(tape_angle, tape_angle, tape_slope, tape_slope),
                        min_size=2, max_size=4)
 
@@ -157,6 +189,10 @@ tape_states = st.lists(st.tuples(tape_angle, tape_angle, tape_slope, tape_slope)
 @example([(0.3, 0.2, 1e200, -1e200), (0.5, 0.5, 1e154, 1e154)], "float x")
 @example([(math.nan, -0.0, 5e-324, 0.0), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.0, 0.0),
           (-0.4, 1.2, -2.5e-308, 3.0)], "2-D")
+@example([(0.3, 0.2, 0.5, -0.5), (0.3, -math.inf, 0.5, -0.5)], "columns on grids")
+@example([(0.3, 0.2, 1e200, -1e200), (0.5, 0.5, 1e154, 1e154)], "float x on grids")
+@example([(math.nan, -0.0, 5e-324, 0.0), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.0, 0.0),
+          (-0.4, 1.2, -2.5e-308, 3.0)], "2-D on grids")
 def test_kernel_tape_replays_the_dual_pass_on_batches(states, form):
     geo._curvatures(0.1, 0.2, 0.3, 0.4)  # records the tape
     args = _batch_args(states, form)
@@ -164,7 +200,7 @@ def test_kernel_tape_replays_the_dual_pass_on_batches(states, form):
         assert _kernel_outcome(geo._kernel_tape, args) == _kernel_outcome(geo._nested_pass, args)
 
 
-@pytest.mark.parametrize("form", ["columns", "float x", "2-D"])
+@pytest.mark.parametrize("form", batch_forms)
 def test_a_batch_records_the_lines_of_the_kernel_tape(form):
     # a jetcalc rule that branched on its operands' types would record other
     # lines at a batch's arrays than at _TAPE_STATE's floats and grids
