@@ -71,27 +71,23 @@ class TrajectoryCSVError(ValueError):
     """A trajectory CSV is malformed or disagrees with its own state columns."""
 
 
-# Seeds of the one-pass core: row i holds argument i's component of the
-# inner directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x),
-# and of the outer directions (E_X, E_YX, E_VX), whose first one becomes
-# the known part of D_x once y's entry is set to y_x.  A lone state takes
-# its constant seeds from the tuples, built once as (3, 3) grids indexed
-# (outer direction, inner direction): argument i's inner row is repeated
-# for each outer direction and its outer column for each inner one, so
-# every array of the nested pass has that one shape and no operation
-# broadcasts.  A narrow batch starts its seeds from the same grids,
-# flattened: _GRID_SEEDS holds the four inner ones and then the four
-# outer ones, one row of 9 cells each (see _grids).
-_EYE = np.eye(4)
-_INNER = _EYE[:, 1:]
-_OUTER = np.ascontiguousarray(_EYE[:, [0, 2, 3]])  # a contiguous row is a faster operand
-_LONE_INNER = tuple(np.repeat(_INNER[:, None, :], 3, axis=1))
-_LONE_OUTER = tuple(np.repeat(_OUTER[:, :, None], 3, axis=2))
-_GRID_SEEDS = np.array(_LONE_INNER + _LONE_OUTER).reshape(8, 9)
+# The seeds of the pass, the one table every layout cuts its seeds from:
+# each row is a (3, 3) grid indexed (outer direction, inner direction),
+# flattened to 9 cells.  Rows 0-3 hold argument i's component of the inner
+# directions E_Y, E_YX, E_VX (the unit vectors of y, y_x and v_x), repeated
+# for each outer direction; rows 4-7 its component of the outer directions
+# (E_X, E_YX, E_VX), repeated for each inner one.  The first outer
+# direction becomes the known part of D_x once y's cells in it (row 5's
+# first three) are set to y_x.  Cell (o, n) of an inner row is unit vector
+# 1 + n's component, of an outer row unit vector (0, 2, 3)[o]'s.  A float
+# state's seeds are the rows themselves (_LONE_SEEDS, views of the table).
+_GRID_SEEDS = (np.eye(4)[:, [[1, 2, 3] * 3, [0, 0, 0, 2, 2, 2, 3, 3, 3]]]
+               .swapaxes(0, 1).reshape(8, 9))
+_LONE_SEEDS = tuple(_GRID_SEEDS)
 # The kernel's tape (see tape.record): the nested pass's operations,
 # recorded on the first kernel call of a process, a float state's or a
-# batch's, at this interior float state with its (3, 3) seed grids, where
-# none of the pass's checks raises.  The same lines serve a batch's arrays.
+# batch's, at this interior float state with its seed rows, where none of
+# the pass's checks raises.  The same lines serve a batch's arrays.
 _TAPE_STATE = (0.1, 0.2, 0.3, 0.4)
 _kernel_tape = None
 # The most states a batch replays the tape on same-shape grids (_grids);
@@ -104,42 +100,32 @@ _GRID_BATCH = 80
 
 
 def _seeds(y, y_x) -> tuple:
-    """The inner and then the outer seeds of the pass at a float state, as
-    (3, 3) grids, or at the states along the axes of an array y, with the
-    outer directions on the leading axis and the inner ones on the next.
-
-    The kernel replays its tape in one of three layouts, chosen so that
-    its operations broadcast as little as the batch's size allows.  A
-    float state takes these (3, 3) grids, which its floats multiply
-    without a broadcast.  A narrow batch, of at most _GRID_BATCH states,
-    takes :func:`_grids`: the same grids stacked along its leading axis,
-    with its states repeated to match, so that every operation is
-    elementwise on operands of one shape, the fastest numpy call.  A
-    wider batch takes these broadcast seeds, whose operands are the
-    states and seeds of (3,) or (3, 1) by the batch's shape: there the
-    pass's time is in its arithmetic, not in the calls, and nine copies
-    of every state would cost more time and memory than broadcasting.
-    """
-    if not isinstance(y, np.ndarray):
-        y_grid = _LONE_OUTER[1].copy()  # zero: y is in no outer direction but D_x
-        y_grid[0] = y_x
-        return (*_LONE_INNER, _LONE_OUTER[0], y_grid, *_LONE_OUTER[2:])
+    """The inner and then the outer seeds of the pass at the states along
+    the axes of an array y, broadcast against them: the outer directions
+    on the leading axis and the inner ones on the next.  They are cut from
+    _GRID_SEEDS: row 0 of each inner grid and column 0 of each outer one."""
     ones = (1,) * y.ndim
+    grids = _GRID_SEEDS.reshape(8, 3, 3)
     outer = np.empty((4, 3, 1) + y.shape)  # argument, outer direction, (inner), batch
-    outer[...] = _OUTER.reshape((4, 3, 1) + ones)
+    outer[...] = grids[4:, :, :1].reshape((4, 3, 1) + ones)
     outer[1, 0] = y_x
-    return (*_INNER.reshape((4, 3) + ones), *outer)
+    return (*grids[:4, 0].reshape((4, 3) + ones), *outer)
 
 
 def _grids(x, y, y_x, v_x) -> tuple:
-    """The pass's twelve arguments at a batch of states, an array y with a
-    leading axis, on the (3, 3) grids of a float state stacked along that
-    axis: each state argument and each seed is one contiguous array of
-    shape (9 * len(y),) + y.shape[1:], block b (the 9 grid cells in the
-    order (outer, inner)) holding the cell's seed for every state, or
-    every state's value.  A float x stays a float.  Block 0 comes first,
-    so a check of a state's value, equal in all nine blocks, fails first
-    at the state's own index."""
+    """The pass's twelve arguments on _GRID_SEEDS' rows: at a float state,
+    the state and the rows themselves, y's outer row copied with y_x in
+    its D_x cells; at a batch of states, an array y with a leading axis,
+    the rows stacked along that axis.  Each state argument and each seed
+    of a batch is one contiguous array of shape (9 * len(y),) +
+    y.shape[1:], block b (grid cell b) holding the cell's seed for every
+    state, or every state's value.  A float x stays a float.  Block 0
+    comes first, so a check of a state's value, equal in all nine blocks,
+    fails first at the state's own index."""
+    if not isinstance(y, np.ndarray):
+        y_outer = _LONE_SEEDS[5].copy()  # zero: y is in no outer direction but D_x
+        y_outer[:3] = y_x
+        return (x, y, y_x, v_x, *_LONE_SEEDS[:5], y_outer, *_LONE_SEEDS[6:])
     grids = np.empty_like(_GRID_SEEDS, shape=(12, 9) + y.shape, order="C")
     grids[4:] = _GRID_SEEDS.reshape((8, 9) + (1,) * y.ndim)
     grids[9, :3] = y_x  # y's outer seed along D_x
@@ -171,50 +157,54 @@ def _curvatures(x, y, y_x, v_x):
     (E_Y, E_YX, E_VX) and the outer directions (the known part of D_x,
     E_YX, E_VX), yields L_y and all six mixed second partials; Cramer's
     rule then runs element by element, on Python floats for a float
-    state.  A float state carries both directions on one (3, 3) grid
-    indexed (outer, inner), so every operation of its pass is between
-    arrays of that shape or with floats.  A batch of at most _GRID_BATCH
-    states carries those grids stacked along its leading axis, with each
-    state repeated in all nine blocks (:func:`_grids`), so again no
-    operation broadcasts; its results are reshaped to put the grid axes in
-    front.  A wider batch carries the outer directions on its leading axis
+    state.
+
+    The pass runs in one of three layouts, chosen so that its operations
+    broadcast as little as the batch's size allows.  A float state
+    carries both directions on the 9 cells of _GRID_SEEDS' rows, which
+    its floats multiply without a broadcast.  A batch of at most
+    _GRID_BATCH states carries those rows stacked along its leading axis,
+    with each state repeated in all nine blocks (:func:`_grids`), so every
+    operation is elementwise on operands of one shape, the fastest numpy
+    call.  A wider batch carries the outer directions on its leading axis
     and the inner ones on the next, broadcast against the state axes
-    (:func:`_seeds` gives the reason for each layout).  Each element repeats
-    the floating-point operations of seven separate scalar passes exactly,
-    in every layout, and a check of a state's value fails first at the
-    state's own index, so a DomainError is the same in each.
+    (:func:`_seeds`): there the pass's time is in its arithmetic, not in
+    the calls, and nine copies of every state would cost more time and
+    memory than broadcasting.  Every layout's outputs are read as cells in
+    the grid's flat (outer, inner) order: L_y is the partials' first cell;
+    mixed cells 1, 4 and 7 are the known part of D_x(L_{y_x}), L_{y_x y_x}
+    and L_{y_x v_x}, and cells 2, 5 and 8 the same for L_{v_x}.  Each
+    element repeats the floating-point operations of seven separate scalar
+    passes exactly, in every layout, and a check of a state's value fails
+    first at the state's own index, so a DomainError is the same in each.
 
     Every call replays one tape of that pass: the first call in a
     process runs the dual pass once, at _TAPE_STATE, to record its
-    operations on floats and (3, 3) grids (:func:`tape.record`), and
-    every call, a float state's or a batch's, replays them on its own
-    values and seeds.  The recorded lines hold no test of an operand's
-    type, so on a batch's arrays they are the operations its dual pass
-    would run, each element's result the same bitwise.  The tape has no
-    branches: jetcalc's sin, cos and sqrt and its checks of a zero root
-    and of a divisor too small to square are recorded as one call each,
-    so a replay raises the dual pass's own DomainError.  The caller
-    checks |det| against DET_FLOOR (below it the curvatures are
-    meaningless) and silences numpy's floating-point warnings for such
-    states.
+    operations on floats and seed rows (:func:`tape.record`), and every
+    call, a float state's or a batch's, replays them on its own values
+    and seeds.  The recorded lines hold no test of an operand's type, so
+    on a batch's arrays they are the operations its dual pass would run,
+    each element's result the same bitwise.  The tape has no branches:
+    jetcalc's sin, cos and sqrt and its checks of a zero root and of a
+    divisor too small to square are recorded as one call each, so a
+    replay raises the dual pass's own DomainError.  The caller checks
+    |det| against DET_FLOOR (below it the curvatures are meaningless) and
+    silences numpy's floating-point warnings for such states.
     """
     global _kernel_tape
     if _kernel_tape is None:
-        _kernel_tape = tape.record(_nested_pass, _TAPE_STATE + _seeds(*_TAPE_STATE[1:3]))
+        _kernel_tape = tape.record(_nested_pass, _grids(*_TAPE_STATE))
     batch = isinstance(y, np.ndarray)
-    narrow = batch and y.ndim > 0 and y.size <= _GRID_BATCH  # a 0-d array has no axis to stack on
-    partials, mixed = _kernel_tape(*(_grids(x, y, y_x, v_x) if narrow
-                                     else (x, y, y_x, v_x, *_seeds(y, y_x))))
-    if narrow:  # the grid axes in front of the batch's, as a wide batch has them
-        partials = partials.reshape((3, 3) + y.shape)[0]
-        mixed = mixed.reshape((3, 3) + y.shape)
+    wide = batch and (y.ndim == 0 or y.size > _GRID_BATCH)  # a 0-d array has no axis to stack on
+    partials, mixed = _kernel_tape(*((x, y, y_x, v_x, *_seeds(y, y_x)) if wide
+                                     else _grids(x, y, y_x, v_x)))
     if batch:
-        L_y = partials[0]
-        known_y, m11, m12 = mixed[:, 1]
-        known_v, m21, m22 = mixed[:, 2]
+        L_y = partials.reshape((-1,) + y.shape)[0]
+        cells = mixed.reshape((9,) + y.shape)
     else:
         L_y = partials.item(0)
-        (known_y, m11, m12), (known_v, m21, m22) = mixed[:, 1:].T.tolist()
+        cells = mixed.tolist()
+    _, known_y, known_v, _, m11, m21, _, m12, m22 = cells
     b1 = L_y - known_y
     b2 = 0.0 - known_v  # L_v vanishes identically
     det = m11 * m22 - m12 * m21
@@ -238,11 +228,12 @@ def el_rhs(j: chart.JetColumns) -> tuple[float, float]:
     return float(y_xx), float(v_xx)
 
 
-def noether_charge(j: chart.JetColumns):
-    """The conserved charge dL/dv_x = cos^2x cos^2y v_x / L (an array over JetColumns)."""
+def noether_charge(j: chart.JetColumns, lagrangian=None):
+    """The conserved charge dL/dv_x = cos^2x cos^2y v_x / L (an array over
+    JetColumns); L is ``lagrangian`` when the caller has it already."""
     cx = jetcalc.cos(j.x)
     cy = jetcalc.cos(j.y)
-    return cx * cx * cy * cy * j.v_x / chart.lagrangian(j)
+    return cx * cx * cy * cy * j.v_x / (chart.lagrangian(j) if lagrangian is None else lagrangian)
 
 
 def collapsed_E(x, y, y_x, y_xx, k):
@@ -327,8 +318,8 @@ class Trajectory:
                "is non-finite or off the open chart")
         c = self.columns
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            self.noether = noether_charge(c)
             self.lagrangian = chart.lagrangian(c)
+            self.noether = noether_charge(c, self.lagrangian)
         reject(~np.isfinite(self.lagrangian), "has slopes so large that the integrand overflows")
         g = chart.ambient_coords(c.x, c.y, c.v)
         norm = jetcalc.sqrt(power(g[0], 2) + power(g[1], 2) + power(g[2], 2) + power(g[3], 2))

@@ -125,20 +125,37 @@ class _ShapeRecorder(np.ndarray):
 
 
 def test_lone_kernel_pass_broadcasts_nothing(monkeypatch):
-    # every array of a float state's nested pass descends from the lone seeds,
-    # so viewing them as recorders sees every numpy call the pass makes: the
-    # dual pass that records the tape (reset here) and the tape's replay
+    # every array of a float state's nested pass descends from the lone seed
+    # rows, so viewing them as recorders sees every numpy call the pass
+    # makes: the dual pass that records the tape (reset here) and the
+    # tape's replay
     state = (0.1, 0.2, 0.3, 0.4)
     want = np.array(geo._curvatures(*state)).tobytes()
-    for name in ("_LONE_INNER", "_LONE_OUTER"):
-        seeds = tuple(s.view(_ShapeRecorder) for s in getattr(geo, name))
-        monkeypatch.setattr(geo, name, seeds)
+    monkeypatch.setattr(geo, "_LONE_SEEDS", tuple(s.view(_ShapeRecorder) for s in geo._LONE_SEEDS))
     monkeypatch.setattr(geo, "_kernel_tape", None)
     monkeypatch.setattr(_ShapeRecorder, "calls", [])
     got = geo._curvatures(*state)
     assert len(_ShapeRecorder.calls) > 50
-    assert {shape for call in _ShapeRecorder.calls for shape in call} == {(3, 3)}
+    assert {shape for call in _ShapeRecorder.calls for shape in call} == {(9,)}
     assert np.array(got).tobytes() == want
+
+
+def test_wide_seeds_are_cut_from_the_seed_table():
+    # each broadcast seed, spread over the (3, 3) grid and the batch, is its
+    # _GRID_SEEDS row as a grid, with y_x in y's outer D_x row
+    rng = np.random.default_rng(44)
+    for shape in ((5,), (3, 4)):
+        y, y_x = rng.uniform(-1.0, 1.0, (2,) + shape)
+        ones = (1,) * len(shape)
+        seeds = geo._seeds(y, y_x)
+        assert len(seeds) == 8
+        for row, seed in enumerate(seeds):
+            want = np.empty((3, 3) + shape)
+            want[...] = geo._GRID_SEEDS[row].reshape((3, 3) + ones)
+            if row == 5:
+                want[0] = y_x
+            got = np.broadcast_to(seed, (3, 3) + shape)
+            assert got.tobytes() == want.tobytes(), (shape, row)
 
 
 def test_a_narrow_batch_pass_broadcasts_nothing(monkeypatch):

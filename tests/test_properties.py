@@ -155,7 +155,7 @@ def _kernel_outcome(kernel, args):
 @example((math.nan, -0.0, 5e-324, 0.0))
 def test_lone_tape_replays_the_dual_pass(state):
     geo._curvatures(0.1, 0.2, 0.3, 0.4)  # records the tape
-    args = (*state, *geo._seeds(state[1], state[2]))
+    args = geo._grids(*state)
     with np.errstate(all="ignore"):
         assert _kernel_outcome(geo._kernel_tape, args) == _kernel_outcome(geo._nested_pass, args)
 
