@@ -83,11 +83,6 @@ def ambient_coords(x, y, v):
     return (cx * cy * cv, cx * cy * sv, cx * sy, sx)
 
 
-def embed(x, y, v) -> np.ndarray:
-    """Embed a chart point as a (4,) array; it has unit norm (a trig identity)."""
-    return np.array(ambient_coords(x, y, v))
-
-
 def arc_speed(x, y, y_x, v_x):
     """The arclength integrand sqrt(1 + cos^2x y_x^2 + cos^2x cos^2y v_x^2).
 

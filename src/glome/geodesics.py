@@ -656,15 +656,17 @@ def integrate(j0: chart.JetColumns, x_end: float, step: float) -> Trajectory:
     return result
 
 
-def ambient_state(j: chart.JetColumns) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ambient position, unit tangent, and speed of the curve through a jet.
-
-    The tangent is d(embed)/dx along any curve matching the jet; its norm
-    equals the integrand value (the chain-rule identity the tests lean on).
+def ambient_state(traj: Trajectory, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ambient positions (4, k), unit tangents (4, k) and speeds (k,) at the
+    k trajectory rows ``rows``, from one directional pass of
+    chart.ambient_coords along (1, y_x, v_x).  A speed equals the
+    integrand value (the chain-rule identity the tests lean on); each is
+    np.linalg.norm of its own tangent, which rounds as a lone row's does,
+    where a norm along an axis would not.
     """
-    p, tangent = map(np.array, directional(chart.ambient_coords, (j.x, j.y, j.v),
-                                           (1.0, j.y_x, j.v_x)))
-    speed = float(np.linalg.norm(tangent))
+    x, y, v, y_x, v_x = traj.samples[rows].T
+    p, tangent = map(np.array, directional(chart.ambient_coords, (x, y, v), (1.0, y_x, v_x)))
+    speed = np.array([np.linalg.norm(t) for t in tangent.T])
     return p, tangent / speed, speed
 
 
@@ -700,12 +702,12 @@ def endpoint_error_vs_great_circle(traj: Trajectory) -> float:
     """Euclidean gap between the integrated endpoint and the exact circle.
 
     The exact circle cos(t) p + sin(t) w starts at the trajectory's initial
-    ambient position p with unit tangent w (ambient_state makes p and w
-    unit and orthogonal); the comparison point is taken at the accumulated
-    arc length t, so phase errors count as well as off-circle drift.
+    ambient position p with unit tangent w, orthogonal to p; at the
+    accumulated arc length t it is compared with the last row's position
+    q, so phase errors count as well as off-circle drift.  p, w and q come
+    from one ambient_state call at rows 0 and len - 1.
     """
-    p, w, _ = ambient_state(traj.jet(0))
+    positions, tangents, _ = ambient_state(traj, [0, len(traj) - 1])
+    p, w, q = positions[:, 0], tangents[:, 0], positions[:, 1]
     t = arc_length(traj)
-    endpoint = traj.jet(len(traj) - 1)
-    q = chart.embed(endpoint.x, endpoint.y, endpoint.v)
     return float(np.linalg.norm(math.cos(t) * p + math.sin(t) * w - q))

@@ -16,9 +16,8 @@ by lambda1 and lambda1 + lambda2 from one point (the group law then takes
 one more orbit, from their images).  The points are drawn by the same
 random calls as per-point sampling, so every residual equals its
 per-point value bitwise.  A trajectory check runs once per trajectory,
-over that trajectory's rows at once (Trajectory.columns) where it is a
-pointwise formula; tangent_norm_identity is a loop over every
-(len // 40)-th row of each trajectory.
+over that trajectory's rows at once: Trajectory.columns for a pointwise
+formula, geodesics.ambient_state for the ambient positions and tangents.
 """
 
 from __future__ import annotations
@@ -350,9 +349,9 @@ def suite_noether(batch: TrajectoryBatch) -> list[CheckResult]:
     for traj in batch.trajectories:
         worst_drift = _worse(worst_drift, traj.noether_drift())
         worst_norm = _worse(worst_norm, float(np.max(traj.ambient_norm_residual)))
-        for i in range(0, len(traj), max(1, len(traj) // 40)):
-            _, _, speed = geodesics.ambient_state(traj.jet(i))
-            worst_tangent = _worse(worst_tangent, abs(speed / traj.lagrangian[i] - 1.0))
+        rows = np.arange(0, len(traj), max(1, len(traj) // 40))
+        _, _, speed = geodesics.ambient_state(traj, rows)
+        worst_tangent = _worst(worst_tangent, speed / traj.lagrangian[rows] - 1.0)
     return [
         _result("noether_drift", worst_drift, long_run_steps=len(batch.long_run) - 1),
         _result("ambient_norm_residual", worst_norm),

@@ -7,8 +7,9 @@ omega'(tau) from alpha, vector fields built from and read as three
 component functions and their sums and scalar multiples, the gradient
 taken one dual pass per argument (and, for a tuple-valued function, per
 component), the variational criterion's residual of one field at a time,
-and the second prolongation that evaluates the first one three times;
-jetcalc's tan and sec as first written, each apart; the six generators
+the ambient position, unit tangent and speed of the curve through one jet
+at a time, and the second prolongation that evaluates the first one three
+times; jetcalc's tan and sec as first written, each apart; the six generators
 as first written, each forming its own trigonometric factors, and their
 passes one generator at a time; the plane of R^4 that each generator
 rotates, and the bracket table derived from those rotations; the k
@@ -330,6 +331,18 @@ def variational_residual(V: _Field, j: chart.JetColumns):
     symmetry at j.  A float at one jet, an array over the samples of n columns.
     """
     return _variational(_prolong1_values(V, j.x, j.y, j.v, j.y_x, j.v_x), j)
+
+
+def ambient_state(j: chart.JetColumns) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ambient position, unit tangent, and speed of the curve through a jet.
+
+    The tangent is d(ambient_coords)/dx along any curve matching the jet;
+    its norm equals the integrand value.
+    """
+    p, tangent = map(np.array, directional(chart.ambient_coords, (j.x, j.y, j.v),
+                                           (1.0, j.y_x, j.v_x)))
+    speed = float(np.linalg.norm(tangent))
+    return p, tangent / speed, speed
 
 
 def prolong2_apply(V: Callable, F, j):

@@ -45,7 +45,7 @@ def test_el_rhs_reduces_to_sphere_equation_on_slice():
 def arc_acceleration_oracle(j):
     """Ambient acceleration in arclength parametrization at the jet.
 
-    Builds the curve t -> embed(x+t, y(t), v(t)) with curvatures from
+    Builds the curve t -> ambient_coords(x+t, y(t), v(t)) with curvatures from
     el_rhs, then converts the x-parametrized derivatives to arclength:
     a_s = (gamma'' L - gamma' L') / L^3.  On a unit sphere a geodesic
     satisfies a_s = -gamma.
@@ -854,10 +854,10 @@ def test_endpoint_error_of_a_one_row_trajectory_is_zero():
 
 
 def test_ambient_state_speed_equals_lagrangian():
-    for j in jets_of(chart.jet_columns(100, 0.1, seed=7)):
-        _, w, speed = geo.ambient_state(j)
-        assert abs(speed - chart.lagrangian(j)) < 1e-12
-        assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+    traj = geo.Trajectory(np.column_stack(chart.jet_columns(100, 0.1, seed=7)[:5]))
+    _, w, speed = geo.ambient_state(traj, np.arange(len(traj)))
+    assert np.all(np.abs(speed - traj.lagrangian) < 1e-12)
+    assert np.all(np.abs(np.linalg.norm(w, axis=0) - 1.0) < 1e-12)
 
 
 # ---------------------------------------------------------------- CSV round trip

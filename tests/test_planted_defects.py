@@ -59,9 +59,11 @@ def test_dynamics_checks_fail_on_a_planted_curvature(monkeypatch, component, def
 @pytest.mark.parametrize("owner, name, index, size, failing", [
     # the first ambient coordinate: ambient_norm_residual reads 9.3e-12 against 1e-12
     (chart, "ambient_coords", 0, 1e-11, {"ambient_norm_residual"}),
+    # the ambient positions: oracle_endpoint reads 8.0e-7 against 1e-7
+    (geo, "ambient_state", 0, 1e-6, {"oracle_endpoint"}),
     # the ambient speed: tangent_norm_identity reads 1.0e-9 against 1e-10
     (geo, "ambient_state", 2, 1e-9, {"tangent_norm_identity"}),
-], ids=["ambient_coords", "ambient_speed"])
+], ids=["ambient_coords", "ambient_position", "ambient_speed"])
 def test_embedding_checks_fail_on_a_planted_ambient_quantity(monkeypatch, owner, name, index,
                                                              size, failing):
     _plant(monkeypatch, owner, name, index, _scaled(size))

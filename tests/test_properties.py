@@ -1164,6 +1164,21 @@ def test_trajectory_columns_equal_per_row_reference(rows):
 
 @bitwise
 @settings(max_examples=40, deadline=None)
+@given(traj_rows, st.data())
+def test_ambient_state_equals_per_row_reference(rows, data):
+    traj = geo.Trajectory(np.array(rows))
+    last = len(rows) - 1
+    drawn = data.draw(st.lists(st.integers(0, last), min_size=1, max_size=12))
+    # one row, the last row, repeated rows and a drawn row set
+    for at in ([0], [last], [last, 0, last, last], drawn):
+        got = geo.ambient_state(traj, at)
+        for col, i in enumerate(at):
+            want = reference.ambient_state(chart.jet1(*rows[i]))
+            assert [_bits(g[..., col]) for g in got] == [_bits(w) for w in want]
+
+
+@bitwise
+@settings(max_examples=40, deadline=None)
 @given(traj_rows, st.floats(0.0, 1.0))
 def test_alpha_series_equals_per_row_reference(rows, k):
     rows = rows + _GUARD_ROWS + [_stationary_tau_row()]
