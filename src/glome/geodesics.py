@@ -22,6 +22,7 @@ from . import chart, jetcalc, tape
 from .jetcalc import directional, power
 
 POLE_MARGIN = 0.05  # rad; integration aborts when |x| or |y| crosses pi/2 minus this
+POLE_LIMIT = chart.HALF_PI - POLE_MARGIN  # rad; the largest |x| or |y| a written row holds
 MIN_STEP = 1e-5  # rad; caps one trajectory at about 3e5 rows (17 MB) across the chart
 MAX_STEP = 0.01  # rad; the widest RK4 step in x
 DET_FLOOR = 1e-12  # coefficient-matrix determinants below this are singular
@@ -413,7 +414,7 @@ def _stage(x, u, stopped: dict, at):
     evaluated again as a lone state, so its outcome and slopes are the
     same in a batch as alone.
     """
-    # x needs no test: |x_i| <= pi/2 - POLE_MARGIN and |x - x_i| <= MAX_STEP < POLE_MARGIN
+    # x needs no test: |x_i| <= POLE_LIMIT and |x - x_i| <= MAX_STEP < POLE_MARGIN
     if isinstance(u, tuple):
         y, v, y_x, v_x = u
         if not (abs(y) < chart.HALF_PI and math.isfinite(v) and math.isfinite(y_x)
@@ -462,13 +463,14 @@ def _axpy(u, a, k):
     return u + a * k
 
 
-def _inside(x, u, lim) -> bool:
-    """Whether each state in u is finite with |y| <= lim at |x| <= lim, a lone one on floats."""
+def _inside(x, u) -> bool:
+    """Whether each state in u is finite and inside the pole margin at x, a lone one on floats."""
     if isinstance(u, tuple):
         y, v, y_x, v_x = u
-        return (abs(y) <= lim and abs(x) <= lim and math.isfinite(v) and math.isfinite(y_x)
-                and math.isfinite(v_x))
-    return bool(np.isfinite(u).all() and np.abs(u[0]).max() <= lim and (np.abs(x) <= lim).all())
+        return (abs(y) <= POLE_LIMIT and abs(x) <= POLE_LIMIT and math.isfinite(v)
+                and math.isfinite(y_x) and math.isfinite(v_x))
+    return bool(np.isfinite(u).all() and np.abs(u[0]).max() <= POLE_LIMIT
+                and (np.abs(x) <= POLE_LIMIT).all())
 
 
 def _rk4_update(u, sixth, k1, k2, k3, k4):
@@ -525,8 +527,7 @@ def _grid(x0: float, x_end: float, step: float) -> tuple[int, float, int]:
     h = span / max(n, 1)
     last = n
     if n:
-        lim = chart.HALF_PI - POLE_MARGIN
-        ahead = lim - x0 if h > 0 else lim + x0
+        ahead = POLE_LIMIT - x0 if h > 0 else POLE_LIMIT + x0
         last = min(n, max(0, math.floor(min(ahead / abs(h), n)) + 1))  # a subnormal h overflows
     return n, h, last
 
@@ -579,10 +580,9 @@ def integrate_batch(jets, x_end, step) -> list:
     rows = np.empty((5, int(first[-1] + last[-1] + 1)))  # x, y, v, y_x, v_x; a column per sample
     curvature = np.empty((2, rows.shape[1]))  # y_xx, v_xx
 
-    lim = chart.HALF_PI - POLE_MARGIN
     out: list = [None] * len(jets)
     for c, j in enumerate(jets):
-        if not (abs(j.x) <= lim and abs(j.y) <= lim):
+        if not (abs(j.x) <= POLE_LIMIT and abs(j.y) <= POLE_LIMIT):
             out[c] = DomainExit(j.x, "initial state lies outside the pole margin at")
         elif not math.isfinite(chart.lagrangian(j)):  # a row Trajectory refuses
             out[c] = DomainExit(j.x, "initial slopes overflow the integrand at")
@@ -630,10 +630,10 @@ def integrate_batch(jets, x_end, step) -> list:
                     stopped.setdefault(c, None)
             u = _rk4_step(slope, x, u, dx, k1)
             x = start + (i + 1) * dx
-            if not _inside(x, u, lim):
+            if not _inside(x, u):
                 us, xs = np.reshape(u, (4, -1)), np.reshape(x, -1)
                 finite = np.isfinite(us).all(axis=0)
-                inside = (np.abs(us[0]) <= lim) & (np.abs(xs) <= lim)
+                inside = (np.abs(us[0]) <= POLE_LIMIT) & (np.abs(xs) <= POLE_LIMIT)
                 for c in np.flatnonzero(~(finite & inside)).tolist():
                     cause = ("trajectory breached the pole margin near" if finite[c]
                              else "trajectory state became non-finite at")

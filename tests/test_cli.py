@@ -35,15 +35,17 @@ def read_json(path):
     return loads_strict(path.read_text())
 
 
-def test_verify_passes_and_reproduces_table(tmp_path):
+def test_verify_passes_and_reproduces_table(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", *FAST_VERIFY, "--out", str(out)])
     assert code == 0
     report = read_json(out)
     assert report["passed"] is True
     names = [c["name"] for c in report["checks"]]
-    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(DEFAULT_TOLERANCES)  # one check per tolerance, each once
     by_name = {c["name"]: c for c in report["checks"]}
+    assert main(["brackets", *FAST]) == 0  # prints the table verify embeds at its seed and samples
+    assert loads_strict(capsys.readouterr().out) == by_name["bracket_table"]["table"]
     table = by_name["bracket_table"]["table"]["entries"]
     grid = [[cell["id"] for cell in row] for row in table]
     assert grid == REFERENCE_TABLE
@@ -97,11 +99,12 @@ def test_verify_rejects_bad_config():
 
 def test_brackets_json(tmp_path):
     out = tmp_path / "table.json"
-    code = main(["brackets", "--samples", "600", "--out", str(out)])
-    assert code == 0
-    table = read_json(out)["entries"]
-    grid = [[cell["id"] for cell in row] for row in table]
-    assert grid == REFERENCE_TABLE
+    # 30 points at seed 0, and the batched identification at 20 points at seed 3
+    for argv in (["--samples", "600"], ["--seed", "3", "--samples", "400"]):
+        assert main(["brackets", *argv, "--out", str(out)]) == 0
+        table = read_json(out)["entries"]
+        grid = [[cell["id"] for cell in row] for row in table]
+        assert grid == REFERENCE_TABLE
 
 
 @pytest.mark.skipif(not numpy_trig_is_math(),
@@ -121,78 +124,91 @@ def test_brackets_second_seed_stdout_bytes_are_pinned(capsys):
         "b7c7632ae3f8dbb52bdef0de8d113317551c34defe31d2ef2fc53361870d10e1")
 
 
-@pytest.mark.skipif(not numpy_trig_is_math(),
-                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
-                           " from math's here")
-def test_integrate_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
+# Lone runs, each with its integrate arguments, exit code and sidecar status.
+# All but the backward one have their bytes pinned below.
+LONE_RUNS = {
+    "ok": (["--initial=0,0.2,0.3,0.1,0.2", "--x-end", "0.5"], 0, "ok"),
+    "backward": (["--initial=0.3,0.2,0.1,-0.3,0.4", "--x-end", "-0.4"], 0, "ok"),  # x_end < x0
+    # breaches the pole margin, so it writes a partial trajectory
+    "stopped": (["--initial=0,1.4,0,5,0", "--x-end", "0.5"], 1, "DomainExit"),
+    # meets the turning point near x = 0.785 after 786 rows
+    "singular": (["--initial=0,0,0,0,1", "--x-end", "0.8"], 1, "SingularSystem"),
+    # 2000 RK4 steps from x = -1.25, shaped like the benchmark's roundtrip
+    "long": (["--initial=-1.25,0.1,0.5,0.15,-0.2", "--x-end=-0.75", "--step=0.00025"], 0, "ok"),
+}
+
+
+def _lone_run(tmp_path, run):
+    """(exit code, CSV path) of glome integrate of LONE_RUNS[run] into tmp_path."""
     out = tmp_path / "t.csv"
-    argv = ["integrate", "--initial=0,0.2,0.3,0.1,0.2", "--x-end", "0.5", "--out", str(out)]
-    assert main(argv) == 0
-    printed = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "208a226be87fc6bdcceeadd1bdc35d0025add1441a8126c6df4a8c016c265ed3")
-    sidecar = out.with_suffix(".json").read_bytes()
-    assert hashlib.sha256(sidecar).hexdigest() == (
+    return main(["integrate", *LONE_RUNS[run][0], "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("run", list(LONE_RUNS))
+def test_lone_run_prints_its_sidecar_and_counts_its_rows(tmp_path, capsys, run):
+    # what every host shows of a lone run; only the byte pins below depend on the host
+    code, out = _lone_run(tmp_path, run)
+    assert code == LONE_RUNS[run][1]
+    sidecar_bytes = out.with_suffix(".json").read_bytes()
+    assert capsys.readouterr().out.encode() == sidecar_bytes  # stdout holds the sidecar's bytes
+    sidecar = loads_strict(sidecar_bytes)
+    rows = len(out.read_text().splitlines()) - 1  # less the header
+    assert sidecar["status"] == LONE_RUNS[run][2]
+    assert sidecar["samples"] == rows
+    if code == 0:  # the charge and the oracle at their clean levels; reduce reads every row
+        assert type(sidecar["k"]) is float and 0.0 <= sidecar["k"] <= 1.0
+        assert sidecar["noether_drift"] < 1e-8
+        assert sidecar["oracle_endpoint_error"] < 1e-7
+        report = tmp_path / "reduce.json"
+        assert main(["reduce", str(out), "--out", str(report)]) == 0
+        reduced = read_json(report)
+        assert reduced["samples"] + reduced["excluded_rows"] == rows
+        assert type(reduced["alpha_rel_dev"]) is float and reduced["alpha_rel_dev"] < 1e-5
+
+
+lone_run_bytes = pytest.mark.skipif(
+    not numpy_trig_is_math(),
+    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ from math's"
+           " here")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@lone_run_bytes
+def test_integrate_csv_and_sidecar_bytes_are_pinned(tmp_path):
+    _, out = _lone_run(tmp_path, "ok")
+    assert _sha256(out) == "208a226be87fc6bdcceeadd1bdc35d0025add1441a8126c6df4a8c016c265ed3"
+    assert _sha256(out.with_suffix(".json")) == (
         "e1c3b8e98c6a8b1931025f62ea12bd86a3bc4016336b9091528a7c300ee34699")
-    assert printed == sidecar  # stdout holds the bytes the sidecar holds
 
 
-@pytest.mark.skipif(not numpy_trig_is_math(),
-                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
-                           " from math's here")
-def test_integrate_stopped_run_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
-    # a lone run that breaches the pole margin exits 1 and writes its partial
-    # trajectory and its DomainExit sidecar
-    out = tmp_path / "t.csv"
-    argv = ["integrate", "--initial=0,1.4,0,5,0", "--x-end", "0.5", "--out", str(out)]
-    assert main(argv) == 1
-    printed = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "fe439f6191514196c69ea4add772c2bceffca81b94c8082a022d8e1791111cf0")
-    sidecar = out.with_suffix(".json").read_bytes()
-    assert hashlib.sha256(sidecar).hexdigest() == (
+@lone_run_bytes
+def test_integrate_stopped_run_csv_and_sidecar_bytes_are_pinned(tmp_path):
+    _, out = _lone_run(tmp_path, "stopped")
+    assert _sha256(out) == "fe439f6191514196c69ea4add772c2bceffca81b94c8082a022d8e1791111cf0"
+    assert _sha256(out.with_suffix(".json")) == (
         "d11c2edc7e0558cefdb8893be1d4faa675649991c7d2c725814d399c1cd97379")
-    assert printed == sidecar
 
 
-@pytest.mark.skipif(not numpy_trig_is_math(),
-                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
-                           " from math's here")
-def test_integrate_singular_stop_csv_and_sidecar_bytes_are_pinned(tmp_path, capsys):
-    # a lone run that meets the turning point exits 1 and writes its 786-row
-    # partial trajectory and its SingularSystem sidecar (near x = 0.785)
-    out = tmp_path / "t.csv"
-    argv = ["integrate", "--initial=0,0,0,0,1", "--x-end", "0.8", "--out", str(out)]
-    assert main(argv) == 1
-    printed = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4a82cc036ab8c3f25ccb1b55bd889a81c83f200dc96429e390c2055e989bccbe")
-    sidecar = out.with_suffix(".json").read_bytes()
-    assert hashlib.sha256(sidecar).hexdigest() == (
+@lone_run_bytes
+def test_integrate_singular_stop_csv_and_sidecar_bytes_are_pinned(tmp_path):
+    _, out = _lone_run(tmp_path, "singular")
+    assert _sha256(out) == "4a82cc036ab8c3f25ccb1b55bd889a81c83f200dc96429e390c2055e989bccbe"
+    assert _sha256(out.with_suffix(".json")) == (
         "1dfb96c633064c2906fefe60f5319824209c513078d3ffc4c1304fedc0d39312")
-    assert printed == sidecar
 
 
-@pytest.mark.skipif(not numpy_trig_is_math(),
-                    reason="the diagnostic columns' last bits follow numpy's sin/cos, which differ"
-                           " from math's here")
-def test_long_lone_run_csv_sidecar_and_reduce_bytes_are_pinned(tmp_path, capsys):
-    # 2000 lone RK4 steps from x = -1.25, shaped like the benchmark's
-    # roundtrip, then glome reduce of the CSV they wrote
-    out, report = tmp_path / "t.csv", tmp_path / "reduce.json"
-    argv = ["integrate", "--initial=-1.25,0.1,0.5,0.15,-0.2", "--x-end=-0.75", "--step=0.00025",
-            "--out", str(out)]
-    assert main(argv) == 0
-    printed = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5c1aabc14a34f99b9c965019ad28433f48d7d1e4b8b2c26e38535d22f821ea34")
-    sidecar = out.with_suffix(".json").read_bytes()
-    assert hashlib.sha256(sidecar).hexdigest() == (
+@lone_run_bytes
+def test_long_lone_run_csv_sidecar_and_reduce_bytes_are_pinned(tmp_path):
+    _, out = _lone_run(tmp_path, "long")
+    assert _sha256(out) == "5c1aabc14a34f99b9c965019ad28433f48d7d1e4b8b2c26e38535d22f821ea34"
+    assert _sha256(out.with_suffix(".json")) == (
         "45d0ff5081c3efab3f8502e5437c39f849f2ae7e8dfd4bb90367bd23a1fce79d")
-    assert printed == sidecar
-    assert main(["reduce", str(out), "--out", str(report)]) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "380c67238f7f7e24769fb4ba294303756941c05b1b6ccea21bd305a6a7b98bc3")
+    report = tmp_path / "reduce.json"
+    main(["reduce", str(out), "--out", str(report)])
+    assert _sha256(report) == "380c67238f7f7e24769fb4ba294303756941c05b1b6ccea21bd305a6a7b98bc3"
 
 
 def test_integrate_constant_state(tmp_path):
@@ -229,14 +245,6 @@ def test_integrate_domain_exit_flagged(tmp_path):
     traj = geo.Trajectory.from_csv(out)  # partial trajectory was written
     assert len(traj) > 1
     assert traj.x[-1] < 1.55
-
-
-def test_integrate_domain_exit_via_runaway_slope(tmp_path):
-    out = tmp_path / "steep.csv"
-    code = main(["integrate", "--initial", "0,1.4,0,5,0", "--x-end", "0.5",
-                 "--out", str(out)])
-    assert code == 1
-    assert read_json(out.with_suffix(".json"))["status"] == "DomainExit"
 
 
 def test_integrate_overflowing_initial_integrand_is_domain_exit(tmp_path):
@@ -382,8 +390,6 @@ def test_reduce_empty_csv_is_usage_error(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert main(["reduce", str(empty)]) == 2
-    missing = tmp_path / "missing.csv"
-    assert main(["reduce", str(missing)]) == 2
 
 
 def _planar_rows_with_forged_charge(tmp_path):
@@ -473,9 +479,11 @@ def test_flow_prints_image(capsys):
     assert abs(Y - 0.3) < 1e-15
 
 
-def test_flow_rejects_bad_point():
+def test_flow_rejects_bad_point(capsys):
+    assert main(["flow", "--point", "2,0.3", "--lambda", "0.1"]) == 2
+    assert capsys.readouterr().err == ("glome flow: usage error: (x, y) = (2.0, 0.3) lies outside"
+                                       " the open chart |x|, |y| < pi/2\n")
     assert main(["flow", "--point", "0.5", "--lambda", "0.1"]) == 2
-    assert main(["flow", "--point", "2.0,0.3", "--lambda", "0.1"]) == 2
 
 
 def test_console_entry_point_runs():
@@ -496,7 +504,9 @@ def test_console_entry_point_runs():
     ["integrate", "--initial=0,0.2,0.3,0.1,0.2", "--x-end", "0.5", "--out", "{tmp}/t.csv"],
     ["reduce", "{tmp}/ok.csv"],
     FLOW,
-], ids=OUT_IDS)
+    # a passing verify at a small configuration: its exit code says the report passed
+    ["verify", "--samples", "50", "--trajectories", "5", "--step", "5e-3"],
+], ids=[*OUT_IDS, "verify_small"])
 def test_every_command_prints_strict_json(tmp_path, capsys, argv):
     geo.Trajectory(np.array([[0.1, 0.2, 0.0, 0.3, 0.4], [0.2, 0.25, 0.1, 0.3, 0.4]])).to_csv(
         tmp_path / "ok.csv")
@@ -565,6 +575,7 @@ EXIT_CODES = [
     ("OSError_reduce_out", ["reduce", "{tmp}/ok.csv", "--out", "{tmp}/missing/r.json"], None, 2),
     ("OSError_flow_out", ["flow", "--point", "0.5,0.3", "--lambda", "0.2",
                           "--out", "{tmp}/missing/f.json"], None, 2),
+    ("OSError_reduce_missing_csv", ["reduce", "{tmp}/missing.csv"], None, 2),
     ("ConfigError_integrate_empty_out", ["integrate", "--initial", "0,0.1,0,0.2,0", "--x-end",
                                          "0.1", "--out", ""], None, 2),
     # the sidecar of t.json would be t.json itself and overwrite the CSV
